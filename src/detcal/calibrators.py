@@ -18,15 +18,22 @@ Multidimensional histogram binning instead stores the observed precision of
 every joint (confidence x box) cell and assigns it directly, falling back to
 coarser marginal tables for cells unseen in training.
 
-All parametric fits minimize the mean binary negative log-likelihood with a
-tiny L2 ridge, using exponential reparameterization for positivity
-constraints, and are deterministic for a fixed configuration.
+All parametric fits minimize the mean binary negative log-likelihood plus a
+tiny L2 ridge and are deterministic for a fixed configuration. The
+dependent logistic ratio is a full quadratic form in the features, so its
+fit is convex logistic regression on the design ``[1, u_i, u_i u_j]`` of the
+standardized features ``u``, with unit-RMS columns; damped Newton steps solve
+it, the ridge acts on those design coefficients, and the solution is mapped
+back to the stored normal parameters. The other three families are fitted
+by BFGS over their parameters, with exponential reparameterization for
+positivity constraints.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,6 +44,7 @@ from .errors import (
     ConvergenceError,
     DataError,
     DegenerateDataError,
+    NumericalFailureError,
     UnsupportedOperationError,
     UsageError,
     ValidationError,
@@ -44,7 +52,7 @@ from .errors import (
 from .features import DEFAULT_CLIP, FeatureSet, build_feature_matrix, labels, raw_values
 from .matching import MatchedSample
 from .metrics import bin_indices
-from .optimizer import OptimizerConfig, minimize
+from .optimizer import FitReport, OptimizerConfig, minimize
 
 METHODS = ("hist_binning", "logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
 PARAMETRIC_METHODS = ("logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
@@ -562,7 +570,7 @@ def _grad_z_logistic_dep(theta, k, x, r, n):
     g[off : off + k * k] = (-(d_pos.T @ (r[:, None] * y_pos)) / n).ravel()
     g[off + k * k : off + 2 * k * k] = ((d_neg.T @ (r[:, None] * y_neg)) / n).ravel()
     g[-1] = r.sum() / n
-    return g, y_pos, y_neg
+    return g
 
 
 def _grad_z_beta_dep(theta, k, r, n, s_star, log_s_star):
@@ -635,7 +643,7 @@ def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFA
             elif method == "beta_indep":
                 g = _grad_z_beta_indep(theta, k, x, r, n, log_x, log1m_x)
             elif method == "logistic_dep":
-                g, _, _ = _grad_z_logistic_dep(theta, k, x, r, n)
+                g = _grad_z_logistic_dep(theta, k, x, r, n)
             else:
                 g = _grad_z_beta_dep(theta, k, r, n, s_star, log_s_star)
             return value, g + 2.0 * ridge * theta
@@ -673,19 +681,142 @@ def identity_theta(method: str, k: int) -> np.ndarray:
     return theta
 
 
-def _moment_theta_logistic_dep(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    k = x.shape[1]
-    theta = np.zeros(theta_size("logistic_dep", k))
-    pos, neg = m > 0.5, m <= 0.5
-    theta[:k] = x[pos].mean(axis=0)
-    theta[k : 2 * k] = x[neg].mean(axis=0)
-    eye = np.eye(k).ravel()
-    theta[2 * k : 2 * k + k * k] = eye
-    theta[2 * k + k * k : 2 * k + 2 * k * k] = eye
-    theta[-1] = math.log(pos.sum() / neg.sum())
-    return theta
+# ---------------------------------------------------------------------------
+# Dependent logistic: convex logistic regression on the quadratic design
 
 
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features ``u = (x - center) / spread`` with zero mean and unit variance.
+
+    Over raw features, which may sit far from 0 with a small spread, the
+    quadratic design is nearly collinear and even a tiny ridge pulls the fit
+    far from the optimum. A feature constant up to rounding carries no
+    information and becomes an all-zero column.
+    """
+    center = x.mean(axis=0)
+    u = x - center
+    spread = np.sqrt(np.mean(u * u, axis=0))
+    flat = spread <= 1e-12 * (1.0 + np.abs(center))
+    u[:, flat] = 0.0
+    spread[flat] = 1.0
+    u /= spread
+    return u, center, spread
+
+
+def _quadratic_design(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Design ``[1, u_i, u_i u_j (i <= j)]`` with unit-RMS columns, and the column scales."""
+    n, k = u.shape
+    iu, ju = np.triu_indices(k)
+    a = np.empty((n, 1 + k + iu.size))
+    a[:, 0] = 1.0
+    a[:, 1 : k + 1] = u
+    for col, (i, j) in enumerate(zip(iu, ju), start=k + 1):
+        np.multiply(u[:, i], u[:, j], out=a[:, col])
+    scale = np.sqrt(np.einsum("ij,ij->j", a, a) / n)
+    scale[scale == 0.0] = 1.0  # all-zero columns of constant features
+    a /= scale
+    return a, scale
+
+
+def _newton_logistic(
+    a: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig
+) -> tuple[np.ndarray, FitReport]:
+    """Minimize ``mean(softplus(a b) - m a b) + ridge |b|^2`` by damped Newton steps from 0.
+
+    The objective is convex, so each Newton direction is a descent direction;
+    the Armijo backtracking and step cap of ``cfg`` damp it. Budget
+    exhaustion yields a non-converged report, as :func:`minimize` does; a
+    singular Hessian or a non-finite step raises :class:`NumericalFailureError`.
+    """
+    start = time.perf_counter()
+    n, p = a.shape
+
+    def value(beta, z):
+        return float(np.mean(_softplus(z) - m * z)) + ridge * float(beta @ beta)
+
+    beta = np.zeros(p)
+    z = np.zeros(n)
+    f = value(beta, z)
+    iterations = 0
+    while True:
+        q = sigmoid(z)
+        g = a.T @ (q - m) / n + 2.0 * ridge * beta
+        converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
+        if converged or iterations >= cfg.max_iterations:
+            break
+        h = (a * (q * (1.0 - q))[:, None]).T @ a / n
+        h.flat[:: p + 1] += 2.0 * ridge
+        try:
+            d = -np.linalg.solve(h, g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(
+                f"singular Newton system at iterate {iterations}", iterate=beta.copy()
+            ) from exc
+        if not np.all(np.isfinite(d)):
+            raise NumericalFailureError(
+                f"non-finite Newton step at iterate {iterations}", iterate=beta.copy()
+            )
+        gd = float(g @ d)
+        step = min(cfg.initial_step, cfg.max_step / float(np.max(np.abs(d))))
+        for _ in range(cfg.max_backtracks):
+            beta_new = beta + step * d
+            z_new = a @ beta_new
+            f_new = value(beta_new, z_new)
+            if np.isfinite(f_new) and f_new <= f + cfg.sufficient_decrease * step * gd:
+                break
+            step *= cfg.backtrack_factor
+        else:
+            break
+        beta, z, f = beta_new, z_new, f_new
+        iterations += 1
+    report = FitReport(
+        final_value=f,
+        gradient_norm=float(np.max(np.abs(g))),
+        iterations=iterations,
+        converged=converged,
+        wall_time_s=time.perf_counter() - start,
+    )
+    return beta, report
+
+
+def _logistic_dep_params(q: np.ndarray, b: np.ndarray, c0: float) -> LogisticDepParams:
+    """Normal-ratio parameters whose LLR is ``x^T q x + b^T x + c0`` for symmetric ``q``.
+
+    With ``q = Q+ - Q-`` split by eigenvalue sign, ``P- = 2 Q+ + I`` and
+    ``P+ = 2 Q- + I`` are positive definite and ``(P- - P+) / 2 = q``;
+    ``mu- = 0``, ``mu+ = (P+)^-1 b`` and ``c = c0 + mu+^T P+ mu+ / 2`` then give
+    the linear and constant terms. The identity cancels exactly; using it
+    rather than a tiny epsilon keeps ``mu+`` bounded.
+    """
+    lam, v = np.linalg.eigh(q)
+    p_neg = 2.0 * np.maximum(lam, 0.0) + 1.0
+    p_pos = 2.0 * np.maximum(-lam, 0.0) + 1.0
+    mu_pos = v @ ((v.T @ b) / p_pos)
+    return LogisticDepParams(
+        mu_pos=mu_pos,
+        mu_neg=np.zeros(b.size),
+        vinv_pos=v * np.sqrt(p_pos),
+        vinv_neg=v * np.sqrt(p_neg),
+        c=c0 + 0.5 * float(mu_pos @ b),
+    )
+
+
+def _logistic_dep_from_coef(
+    coef: np.ndarray, center: np.ndarray, spread: np.ndarray
+) -> LogisticDepParams:
+    """Stored block for the quadratic-form coefficients ``[c0, b, q_ij (i <= j)]``
+    over ``u = (x - center) / spread``, mapped back to the raw features."""
+    k = center.size
+    q = np.zeros((k, k))
+    q[np.triu_indices(k)] = coef[k + 1 :]
+    p = _logistic_dep_params(0.5 * (q + q.T), coef[1 : k + 1], float(coef[0]))
+    return LogisticDepParams(
+        mu_pos=center + spread * p.mu_pos,
+        mu_neg=center + spread * p.mu_neg,
+        vinv_pos=p.vinv_pos / spread[:, None],
+        vinv_neg=p.vinv_neg / spread[:, None],
+        c=p.c,
+    )
 
 
 def fit_parametric(
@@ -702,7 +833,9 @@ def fit_parametric(
 
     Requires both match labels in the training data. Deterministic for a
     fixed configuration; raises :class:`ConvergenceError` when the optimizer
-    budget runs out before the gradient tolerance is met.
+    budget runs out before the gradient tolerance is met, and
+    :class:`NumericalFailureError` when the iterates stop being finite or the
+    dependent logistic Newton system is singular.
     """
     if method not in PARAMETRIC_METHODS:
         raise UsageError(f"unknown parametric method {method!r}")
@@ -716,27 +849,14 @@ def fit_parametric(
             f"out of {len(m)} samples"
         )
     cfg = config or OptimizerConfig()
-    objective = nll_objective(method, x, m, ridge)
-
     if method == "logistic_dep":
-        starts = [_moment_theta_logistic_dep(x, m)]
+        u, center, spread = _standardize(x)
+        a, scale = _quadratic_design(u)
+        coef, report = _newton_logistic(a, m, ridge, cfg)
+        theta = coef / scale
     else:
-        starts = [identity_theta(method, fs.k)]
-    theta, report = minimize(objective, starts[0], cfg)
-
-    # Guarantee the fit is no worse than the identity map: when a start other
-    # than identity converged above the identity objective, refit from there.
-    identity = identity_theta(method, fs.k)
-    if not np.array_equal(starts[0], identity):
-        identity_value, _ = objective(identity)
-        if not report.converged or report.final_value > identity_value:
-            theta2, report2 = minimize(objective, identity, cfg)
-            better = (report2.converged and not report.converged) or (
-                report2.converged == report.converged and report2.final_value < report.final_value
-            )
-            if better:
-                theta, report = theta2, report2
-
+        objective = nll_objective(method, x, m, ridge)
+        theta, report = minimize(objective, identity_theta(method, fs.k), cfg)
     if not report.converged:
         raise ConvergenceError(
             f"{method} fit did not converge within {cfg.max_iterations} iterations "
@@ -744,10 +864,14 @@ def fit_parametric(
             iterate=theta,
             gradient_norm=report.gradient_norm,
         )
+    if method == "logistic_dep":
+        params = _logistic_dep_from_coef(theta, center, spread)
+    else:
+        params = unpack_params(method, theta, fs.k)
     return CalibrationModel(
         method=method,
         feature_set=fs,
-        params=unpack_params(method, theta, fs.k),
+        params=params,
         category_id=category_id,
         fit_metadata=FitMetadata(
             n_samples=len(samples),

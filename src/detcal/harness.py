@@ -20,7 +20,7 @@ import numpy as np
 
 from . import calibrators
 from .calibrators import DEFAULT_CALIBRATION_BINS, DEFAULT_RIDGE
-from .errors import ConvergenceError, DataError, EmptyMetricError, UsageError
+from .errors import DataError, EmptyMetricError, NumericalError, UsageError
 from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, labels
 from .matching import MatchedSample, match_detections
 from .metrics import (
@@ -189,7 +189,14 @@ def _eval_spec(cfg: ProtocolConfig, eval_fs_name: str) -> BinningSpec:
 
 def _run_repetition(
     samples: Sequence[MatchedSample], cfg: ProtocolConfig, rep: int
-) -> tuple[dict[str, float | None], dict[tuple[str, str], float | None], list[str]]:
+) -> tuple[
+    dict[str, float | None], dict[tuple[str, str], float | None], dict[str | tuple[str, str], str]
+]:
+    """Baseline and cell D-ECE of one split.
+
+    The error messages are keyed by eval-set name for the baseline and by
+    (method, feature set) for a cell, so each lands in exactly its own cell.
+    """
     rng = np.random.default_rng([cfg.seed, rep])
     m = labels(samples)
     train_idx, test_idx = stratified_split(m, cfg.train_fraction, rng)
@@ -198,7 +205,7 @@ def _run_repetition(
 
     baseline: dict[str, float | None] = {}
     cells: dict[tuple[str, str], float | None] = {}
-    errors: list[str] = []
+    errors: dict[str | tuple[str, str], str] = {}
     eval_sets = cfg.resolved_eval_sets()
 
     for eval_fs_name in dict.fromkeys(eval_sets):
@@ -209,7 +216,7 @@ def _run_repetition(
             baseline[eval_fs_name] = value
         except EmptyMetricError as exc:
             baseline[eval_fs_name] = None
-            errors.append(f"rep {rep} baseline {eval_fs_name}: {exc}")
+            errors[eval_fs_name] = f"rep {rep} baseline {eval_fs_name}: {exc}"
 
     for method in cfg.methods:
         for fit_fs_name, eval_fs_name in zip(cfg.feature_sets, eval_sets):
@@ -236,10 +243,10 @@ def _run_repetition(
                     _with_scores(test, scores), fs, spec, renormalize=cfg.renormalize
                 )
                 cells[(method, fit_fs_name)] = value
-            except (EmptyMetricError, ConvergenceError) as exc:
+            except (EmptyMetricError, NumericalError) as exc:
                 # Fault isolation: one unevaluable cell must not kill the run.
                 cells[(method, fit_fs_name)] = None
-                errors.append(f"rep {rep} {method}/{fit_fs_name}: {exc}")
+                errors[(method, fit_fs_name)] = f"rep {rep} {method}/{fit_fs_name}: {exc}"
     return baseline, cells, errors
 
 
@@ -281,14 +288,15 @@ def run_protocol(
     baseline: dict[str, CellResult] = {}
     for fs_name in dict.fromkeys(eval_sets):
         values = [out[0][fs_name] for out in outcomes]
-        errs = [e for out in outcomes for e in out[2] if f"baseline {fs_name}" in e]
+        errs = [out[2][fs_name] for out in outcomes if fs_name in out[2]]
         baseline[fs_name] = _aggregate(values, errs)
     cells: dict[tuple[str, str], CellResult] = {}
     for method in cfg.methods:
         for fs_name in cfg.feature_sets:
-            values = [out[1][(method, fs_name)] for out in outcomes]
-            errs = [e for out in outcomes for e in out[2] if f"{method}/{fs_name}" in e]
-            cells[(method, fs_name)] = _aggregate(values, errs)
+            key = (method, fs_name)
+            values = [out[1][key] for out in outcomes]
+            errs = [out[2][key] for out in outcomes if key in out[2]]
+            cells[key] = _aggregate(values, errs)
     return ResultsTable(
         methods=cfg.methods,
         feature_sets=cfg.feature_sets,

@@ -28,13 +28,17 @@ from detcal.calibrators import (
     theta_size,
     unpack_params,
 )
+from detcal.calibrators import _llr_logistic_dep, _logistic_dep_params, _softplus
 from detcal.errors import (
+    ConvergenceError,
     DegenerateDataError,
+    NumericalFailureError,
     UnsupportedOperationError,
     UsageError,
     ValidationError,
 )
 from detcal.features import FeatureSet, build_feature_matrix, labels
+from detcal.optimizer import OptimizerConfig, minimize
 from oracles import (
     generalized_beta_log_density,
     log_multivariate_beta,
@@ -216,6 +220,136 @@ class TestDependentReducesToIndependent:
         rng = np.random.default_rng(7)
         probe = random_matched_samples(rng, 200)
         assert np.max(np.abs(apply(dep, probe) - apply(indep, probe))) < 1e-9
+
+
+class TestLogisticDepNewtonFit:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("spectrum", ["positive", "negative", "mixed", "zero"])
+    def test_quadratic_form_maps_to_normal_ratio(self, k, spectrum):
+        rng = np.random.default_rng(30 + k)
+        v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        lam = {
+            "positive": rng.uniform(0.1, 3.0, k),
+            "negative": -rng.uniform(0.1, 3.0, k),
+            "mixed": rng.uniform(-3.0, 3.0, k),
+            "zero": np.where(np.arange(k) % 2 == 0, 0.0, rng.uniform(-3.0, 3.0, k)),
+        }[spectrum]
+        q = (v * lam) @ v.T
+        q = 0.5 * (q + q.T)
+        b = rng.normal(scale=2.0, size=k)
+        c0 = float(rng.normal())
+        params = _logistic_dep_params(q, b, c0)
+        assert np.array_equal(params.mu_neg, np.zeros(k))
+        x = rng.normal(scale=3.0, size=(200, k))
+        expected = np.einsum("ni,ij,nj->n", x, q, x) + x @ b + c0
+        got = _llr_logistic_dep(params, x)
+        assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, float(np.max(np.abs(expected))))
+
+    def test_generative_recovery_of_two_gaussians(self):
+        # Positives and negatives drawn from two normals over (logit score,
+        # cx, cy): the true log-likelihood ratio is a known quadratic form.
+        rng = np.random.default_rng(57)
+        n, prior = 60000, 0.4
+        mu = {True: np.array([1.0, 0.5, 0.45]), False: np.array([-0.5, 0.45, 0.55])}
+        cov = {
+            True: np.array([[1.0, 0.02, 0.0], [0.02, 0.006, 0.001], [0.0, 0.001, 0.004]]),
+            False: np.array([[1.5, -0.03, 0.01], [-0.03, 0.01, 0.0], [0.01, 0.0, 0.008]]),
+        }
+        matched = rng.random(n) < prior
+        x = np.where(
+            matched[:, None],
+            rng.multivariate_normal(mu[True], cov[True], n),
+            rng.multivariate_normal(mu[False], cov[False], n),
+        )
+        samples = [
+            make_sample(1.0 / (1.0 + math.exp(-x[i, 0])), bool(matched[i]),
+                        box=(x[i, 1], x[i, 2], 0.01, 0.01), gt_index=i)
+            for i in range(n)
+        ]
+        model = fit_parametric("logistic_dep", samples, ("confidence", "cx", "cy"))
+        assert model.fit_metadata.converged and model.fit_metadata.n_iterations <= 25
+
+        def quadratic_coefficients(p_pos, p_neg, mu_pos, mu_neg, c):
+            # LLR = c0 + b.x + x^T q x; returns [c0, b, q_ii, 2 q_ij (i < j)].
+            q = 0.5 * (p_neg - p_pos)
+            b = p_pos @ mu_pos - p_neg @ mu_neg
+            c0 = c - 0.5 * mu_pos @ p_pos @ mu_pos + 0.5 * mu_neg @ p_neg @ mu_neg
+            iu, ju = np.triu_indices(3)
+            return np.concatenate([[c0], b, np.where(iu == ju, 1.0, 2.0) * q[iu, ju]])
+
+        inv = {label: np.linalg.inv(cov[label]) for label in (True, False)}
+        c_true = math.log(prior / (1.0 - prior)) + 0.5 * (
+            np.linalg.slogdet(inv[True])[1] - np.linalg.slogdet(inv[False])[1]
+        )
+        beta_true = quadratic_coefficients(inv[True], inv[False], mu[True], mu[False], c_true)
+        p = model.params
+        beta_hat = quadratic_coefficients(
+            p.vinv_pos @ p.vinv_pos.T, p.vinv_neg @ p.vinv_neg.T, p.mu_pos, p.mu_neg, p.c
+        )
+
+        xf = build_feature_matrix(samples, model.feature_set)
+        iu, ju = np.triu_indices(3)
+        design = np.column_stack([np.ones(n), xf, xf[:, iu] * xf[:, ju]])
+        g = 1.0 / (1.0 + np.exp(-(design @ beta_true)))
+        fisher = (design * (g * (1.0 - g))[:, None]).T @ design
+        se = np.sqrt(np.diag(np.linalg.inv(fisher)))
+        assert np.max(np.abs(beta_hat - beta_true) / se) <= 4.0
+
+        fitted = calibrators.sigmoid(loglik_ratio(model, xf))
+        assert np.mean(np.abs(fitted - g)) < 0.01
+
+    def test_nll_no_worse_than_bfgs_over_normal_parameters(self):
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 10000, seed=0))
+        model = fit_parametric("logistic_dep", samples, ("confidence", "cx", "cy"))
+        assert model.fit_metadata.converged and model.fit_metadata.n_iterations <= 25
+        x = build_feature_matrix(samples, model.feature_set)
+        m = labels(samples).astype(np.float64)
+        z = loglik_ratio(model, x)
+        newton_nll = float(np.mean(_softplus(z) - m * z))
+
+        k = 3
+        start = np.zeros(theta_size("logistic_dep", k))
+        pos = m > 0.5
+        start[:k] = x[pos].mean(axis=0)
+        start[k : 2 * k] = x[~pos].mean(axis=0)
+        start[2 * k : 2 * k + 2 * k * k] = np.tile(np.eye(k).ravel(), 2)
+        start[-1] = math.log(pos.sum() / (~pos).sum())
+        theta, report = minimize(nll_objective("logistic_dep", x, m), start)
+        assert report.converged
+        bfgs_nll, _ = nll_objective("logistic_dep", x, m, ridge=0.0)(theta)
+        assert newton_nll <= bfgs_nll + 1e-4
+
+    def test_constant_feature_is_ignored(self):
+        # The mean of 3000 copies of cy = 0.41 misses it by one rounding
+        # step, so its standard deviation is rounding noise, not zero.
+        rng = np.random.default_rng(58)
+        scores = rng.uniform(0.05, 0.95, 3000)
+        samples = [
+            make_sample(p, bool(rng.random() < p), box=(float(cx), 0.41, 0.1, 0.1), gt_index=i)
+            for i, (p, cx) in enumerate(zip(scores, rng.uniform(0.2, 0.8, 3000)))
+        ]
+        model = fit_parametric("logistic_dep", samples, ("confidence", "cx", "cy"))
+        probe = np.array([[0.4, 0.5, 0.41], [0.4, 0.5, 0.9], [0.4, 0.5, 0.01]])
+        z = loglik_ratio(model, probe)
+        assert np.all(np.isfinite(z)) and np.ptp(z) < 1e-9
+
+    def test_budget_exhaustion_raises(self):
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 2000, seed=3))
+        with pytest.raises(ConvergenceError):
+            fit_parametric(
+                "logistic_dep", samples, ("confidence", "cx"),
+                config=OptimizerConfig(max_iterations=1),
+            )
+
+    def test_singular_newton_system_is_a_numerical_failure(self, monkeypatch):
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 2000, seed=3))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(calibrators.np.linalg, "solve", singular)
+        with pytest.raises(NumericalFailureError):
+            fit_parametric("logistic_dep", samples, ("confidence", "cx"))
 
 
 class TestGeneralizedBetaConsistency:

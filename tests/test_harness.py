@@ -5,9 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from detcal import synth
-from detcal.errors import DataError, DimensionalityError, UsageError
-from detcal.features import labels
+from detcal import calibrators, synth
+from detcal.errors import (
+    ConvergenceError,
+    DataError,
+    DimensionalityError,
+    NumericalFailureError,
+    UsageError,
+)
+from detcal.features import NAMED_FEATURE_SETS, labels
 from detcal.harness import (
     CellResult,
     ProtocolConfig,
@@ -176,6 +182,32 @@ class TestRunProtocol:
         m = labels(samples)
         train, test = stratified_split(m, 0.7, np.random.default_rng(0))
         assert abs(len(train) - 700) <= 2 and abs(len(test) - 300) <= 2
+
+
+class TestFaultIsolation:
+    @pytest.mark.parametrize("error", [ConvergenceError, NumericalFailureError])
+    def test_failing_fit_marks_only_its_own_cell(self, error, monkeypatch):
+        real_fit = calibrators.fit
+
+        def failing_fit(method, samples, members, **kwargs):
+            if tuple(members) == NAMED_FEATURE_SETS["conf+xy"]:
+                raise error("injected fit failure")
+            return real_fit(method, samples, members, **kwargs)
+
+        monkeypatch.setattr(calibrators, "fit", failing_fit)
+        cfg = ProtocolConfig(
+            methods=("lc",), feature_sets=("conf", "conf+xy"), repetitions=2, seed=4
+        )
+        table = run_protocol(fig3_samples(5000), cfg)
+        failed = table.cells[("logistic_indep", "conf+xy")]
+        assert failed.mean is None and failed.ok_repetitions == 0
+        assert len(failed.errors) == 2
+        assert all("injected fit failure" in e for e in failed.errors)
+        ok = table.cells[("logistic_indep", "conf")]
+        assert ok.mean is not None and ok.errors == ()
+        assert table.baseline["conf"].errors == ()
+        rows = render_table(table, "text").splitlines()
+        assert rows[-1].split("|")[2].strip() == "err"
 
 
 class TestProtocolWithMatching:
