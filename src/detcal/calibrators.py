@@ -26,7 +26,11 @@ standardized features ``u``, with unit-RMS columns; damped Newton steps solve
 it, the ridge acts on those design coefficients, and the solution is mapped
 back to the stored normal parameters. The other three families are fitted
 by BFGS over their parameters, with exponential reparameterization for
-positivity constraints.
+positivity constraints. Every objective shares one NLL/residual kernel,
+which computes ``exp(-|z|)`` once for both the loss and ``sigmoid(z) - m``.
+The dependent beta objective is non-convex and stays on BFGS, but each
+evaluation is a single pass: the odds transform is computed once per fit,
+and the ratio and its gradient share every per-class term.
 """
 
 from __future__ import annotations
@@ -400,10 +404,7 @@ def _hist_lookup(params: HistBinningParams, values: np.ndarray) -> np.ndarray:
         if not missing.any():
             break
         out = np.where(missing, params.tables[j][tuple(idx[:, : j + 1].T)], out)
-    out = np.where(np.isnan(out), params.global_precision, out)
-    # Unreachable guard: a fitted model always has a global precision, but a
-    # NaN from a hand-built table falls back to the raw confidence.
-    return np.where(np.isnan(out), values[:, 0], out)
+    return np.where(np.isnan(out), params.global_precision, out)
 
 
 def fit_hist_binning(
@@ -469,7 +470,21 @@ def fit_hist_binning(
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
+    """Reference ``log(1 + exp(z))``; fits use :func:`_nll_and_residual`."""
     return np.logaddexp(0.0, z)
+
+
+def _nll_and_residual(z: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary NLL ``mean(softplus(z) - m z)`` and residual ``sigmoid(z) - m``.
+
+    ``e = exp(-|z|)`` is computed once and serves both: ``softplus(z) =
+    max(z, 0) + log1p(e)``, and ``sigmoid(z)`` is ``1 / (1 + e)`` for
+    ``z >= 0`` and ``e / (1 + e)`` otherwise, so neither overflows.
+    """
+    e = np.exp(-np.abs(z))
+    nll = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - m * z))
+    q = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    return nll, q - m
 
 
 def theta_size(method: str, k: int) -> int:
@@ -573,41 +588,67 @@ def _grad_z_logistic_dep(theta, k, x, r, n):
     return g
 
 
-def _grad_z_beta_dep(theta, k, r, n, s_star, log_s_star):
+def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Single-pass NLL and gradient of the dependent beta map over its unconstrained vector.
+
+    ``s* = x / (1 - x)`` and its log are computed once per fit, stored
+    feature-major so the small products below run along contiguous rows. Per
+    evaluation, the two classes' shape blocks are stacked as rows (positive,
+    negative), so ``lambda``, ``log lambda``, ``t = s* lambda``, ``log1p(t)``
+    and ``1 / (1 + t)`` are each computed once and shared by the ratio and
+    its gradient. The blocks are read straight from ``theta``: the same ratio
+    as :func:`_llr_beta_dep`, without building a :class:`BetaDepParams`.
+    """
+    n, k = x.shape
     d = k + 1
-    alpha_pos = POSITIVITY_FLOOR + np.exp(theta[:d])
-    beta_pos = POSITIVITY_FLOOR + np.exp(theta[d : 2 * d])
-    alpha_neg = POSITIVITY_FLOOR + np.exp(theta[2 * d : 3 * d])
-    beta_neg = POSITIVITY_FLOOR + np.exp(theta[3 * d : 4 * d])
-    r_sum = r.sum()
+    s_star = np.ascontiguousarray((x / (1.0 - x)).T)
+    log_s_star = np.log(s_star)
+    sign = np.array([1.0, -1.0])
+    block_sign = np.repeat(sign, 2)[:, None]
 
-    def class_grads(alpha, beta, sign):
-        lam = beta[1:] / beta[0]
-        t = s_star @ lam
-        log1p_t = np.log1p(t)
-        inv1p_t = 1.0 / (1.0 + t)
-        a_total = alpha.sum()
-        g_alpha = np.empty(d)
-        g_alpha[0] = sign * -(log1p_t @ r) / n
-        g_alpha[1:] = sign * (
-            np.log(lam) * (r_sum / n) + (log_s_star.T @ r) / n - (log1p_t @ r) / n
-        )
-        g_beta = np.empty(d)
-        weighted = s_star.T @ (r * inv1p_t)  # (K,)
-        g_beta[1:] = sign * ((alpha[1:] / beta[1:]) * (r_sum / n) - (a_total / beta[0]) * weighted / n)
-        u = t * inv1p_t
-        g_beta[0] = sign * (-(alpha[1:].sum() / beta[0]) * (r_sum / n) + (a_total / beta[0]) * (u @ r) / n)
-        return g_alpha, g_beta
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, dtype=np.float64)
+        # Non-finite values at extreme trial points are rejected by the
+        # optimizer, as in :func:`nll_objective`.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # Rows alpha_pos, beta_pos, alpha_neg, beta_neg; e is also the
+            # chain factor of the exponential reparameterization.
+            e = np.exp(theta[:-1]).reshape(4, d)
+            alpha = POSITIVITY_FLOOR + e[0::2]
+            beta = POSITIVITY_FLOOR + e[1::2]
+            a_tail = alpha[:, 1:]
+            a_total = alpha.sum(axis=1)
+            lam = beta[:, 1:] / beta[:, :1]
+            log_lam = np.log(lam)
+            t = lam @ s_star
+            log1p_t = np.log1p(t)
+            inv1p_t = 1.0 / (1.0 + t)
+            z = (
+                (theta[-1] + float(sign @ (a_tail * log_lam).sum(axis=1)))
+                + (sign @ a_tail) @ log_s_star
+                - (sign * a_total) @ log1p_t
+            )
+            nll, r = _nll_and_residual(z, m)
+            # Per class, dz/dalpha_0 = -log1p(t), dz/dalpha_j = log lambda_j
+            # + log s*_j - log1p(t), and beta acts through lambda = beta_j /
+            # beta_0; the negative class enters z with the opposite sign.
+            r_mean = r.sum() / n
+            lr = log1p_t @ r / n
+            scale = a_total / beta[:, 0]
+            g = np.empty(theta.size)
+            g_blocks = g[:-1].reshape(4, d)
+            g_alpha, g_beta = g_blocks[0::2], g_blocks[1::2]
+            g_alpha[:, 0] = -lr
+            g_alpha[:, 1:] = log_lam * r_mean + (log_s_star @ r / n) - lr[:, None]
+            g_beta[:, 0] = (scale * ((t * inv1p_t) @ r) / n
+                            - a_tail.sum(axis=1) / beta[:, 0] * r_mean)
+            g_beta[:, 1:] = (a_tail / beta[:, 1:] * r_mean
+                             - scale[:, None] * ((inv1p_t * r) @ s_star.T) / n)
+            g_blocks *= block_sign * e
+            g[-1] = r_mean
+            return nll + ridge * float(theta @ theta), g + 2.0 * ridge * theta
 
-    ga_pos, gb_pos = class_grads(alpha_pos, beta_pos, +1.0)
-    ga_neg, gb_neg = class_grads(alpha_neg, beta_neg, -1.0)
-    g = np.empty(theta.size)
-    g[:d] = ga_pos * (alpha_pos - POSITIVITY_FLOOR)
-    g[d : 2 * d] = gb_pos * (beta_pos - POSITIVITY_FLOOR)
-    g[2 * d : 3 * d] = ga_neg * (alpha_neg - POSITIVITY_FLOOR)
-    g[3 * d : 4 * d] = gb_neg * (beta_neg - POSITIVITY_FLOOR)
-    g[-1] = r_sum / n
-    return g
+    return objective
 
 
 def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFAULT_RIDGE):
@@ -616,12 +657,11 @@ def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFA
         raise UsageError(f"method {method!r} has no likelihood objective")
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
+    if method == "beta_dep":
+        return _beta_dep_objective(x, m, ridge)
     n, k = x.shape
     if method == "beta_indep":
         log_x, log1m_x = np.log(x), np.log1p(-x)
-    if method == "beta_dep":
-        s_star = x / (1.0 - x)
-        log_s_star = np.log(s_star)
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = np.asarray(theta, dtype=np.float64)
@@ -630,23 +670,18 @@ def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFA
         # are noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             params = unpack_params(method, theta, k)
-            if method == "beta_dep":
-                z = _llr_beta_dep(params, x)
-            elif method == "beta_indep":
+            if method == "beta_indep":
                 z = log_x @ params.a - log1m_x @ params.b + params.c
             else:
                 z = _LLR[method](params, x)
-            value = float(np.mean(_softplus(z) - m * z)) + ridge * float(theta @ theta)
-            r = sigmoid(z) - m
+            nll, r = _nll_and_residual(z, m)
             if method == "logistic_indep":
                 g = _grad_z_logistic_indep(theta, k, x, r, n)
             elif method == "beta_indep":
                 g = _grad_z_beta_indep(theta, k, x, r, n, log_x, log1m_x)
-            elif method == "logistic_dep":
-                g = _grad_z_logistic_dep(theta, k, x, r, n)
             else:
-                g = _grad_z_beta_dep(theta, k, r, n, s_star, log_s_star)
-            return value, g + 2.0 * ridge * theta
+                g = _grad_z_logistic_dep(theta, k, x, r, n)
+            return nll + ridge * float(theta @ theta), g + 2.0 * ridge * theta
 
     return objective
 
@@ -730,20 +765,15 @@ def _newton_logistic(
     """
     start = time.perf_counter()
     n, p = a.shape
-
-    def value(beta, z):
-        return float(np.mean(_softplus(z) - m * z)) + ridge * float(beta @ beta)
-
     beta = np.zeros(p)
-    z = np.zeros(n)
-    f = value(beta, z)
+    f, r = _nll_and_residual(np.zeros(n), m)
     iterations = 0
     while True:
-        q = sigmoid(z)
-        g = a.T @ (q - m) / n + 2.0 * ridge * beta
+        g = a.T @ r / n + 2.0 * ridge * beta
         converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
         if converged or iterations >= cfg.max_iterations:
             break
+        q = r + m
         h = (a * (q * (1.0 - q))[:, None]).T @ a / n
         h.flat[:: p + 1] += 2.0 * ridge
         try:
@@ -760,14 +790,14 @@ def _newton_logistic(
         step = min(cfg.initial_step, cfg.max_step / float(np.max(np.abs(d))))
         for _ in range(cfg.max_backtracks):
             beta_new = beta + step * d
-            z_new = a @ beta_new
-            f_new = value(beta_new, z_new)
+            nll, r_new = _nll_and_residual(a @ beta_new, m)
+            f_new = nll + ridge * float(beta_new @ beta_new)
             if np.isfinite(f_new) and f_new <= f + cfg.sufficient_decrease * step * gd:
                 break
             step *= cfg.backtrack_factor
         else:
             break
-        beta, z, f = beta_new, z_new, f_new
+        beta, r, f = beta_new, r_new, f_new
         iterations += 1
     report = FitReport(
         final_value=f,

@@ -115,9 +115,7 @@ def _cmd_fit(args) -> int:
         bin_counts = _parse_bins(args.bins, len(members), calibrators.DEFAULT_CALIBRATION_BINS)
     elif args.bins is not None:
         logger.warning("--bins is ignored for parametric method %s", args.method)
-    config = OptimizerConfig(
-        max_iterations=args.max_iter, gradient_tolerance=args.tol, seed=args.seed
-    )
+    config = OptimizerConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
     model = calibrators.fit(
         method,
         samples,
@@ -279,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--ridge", type=float, default=calibrators.DEFAULT_RIDGE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: fits are deterministic and use no random numbers")
     p.add_argument("--pooled", action="store_true", help="one class-agnostic model")
     p.add_argument("--category", type=int, default=None, help="fit this category only")
     p.set_defaults(func=_cmd_fit)

@@ -196,14 +196,32 @@ def box_to_json(box: BoxGeometry) -> dict[str, float]:
 
 
 def _iter_jsonl(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield ``(lineno, record)`` for each nonblank line, which must hold one JSON object.
+
+    Bytes that are not UTF-8 and values other than an object raise
+    :class:`ParseError` with ``file:line`` context.
+    """
+    # surrogateescape keeps undecodable bytes attributable to their line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: line is not valid UTF-8") from exc
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                # An integer past the interpreter's digit limit, or nesting
+                # past its recursion limit.
+                raise ParseError(f"{path}:{lineno}: unreadable JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object per line")
+            yield lineno, obj
 
 
 def _load_json(path: Path) -> Any:
@@ -259,17 +277,28 @@ def _load_native_annotations(path: Path, policy: _RecordPolicy):
     categories: CategoryTable = {}
     for lineno, obj in _iter_jsonl(path):
         context = f"{path}:{lineno}"
-        if not isinstance(obj, dict):
-            raise ParseError(f"{context}: expected a JSON object per line")
         if "image" in obj:
-            rec = obj["image"]
-            image = ImageRecord(rec["image_id"], rec["width_px"], rec["height_px"])
-            if image.image_id in images:
+            try:
+                rec = obj["image"]
+                image = ImageRecord(rec["image_id"], rec["width_px"], rec["height_px"])
+                duplicate = image.image_id in images
+            except KeyError as exc:
+                raise ValidationError(f"{context}: image record missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{context}: invalid image record: {exc}") from exc
+            except ValidationError as exc:
+                raise ValidationError(f"{context}: {exc}") from exc
+            if duplicate:
                 raise ValidationError(f"{context}: duplicate image record {image.image_id!r}")
             images[image.image_id] = image
         elif "category" in obj:
-            rec = obj["category"]
-            categories[int(rec["id"])] = str(rec.get("name", rec["id"]))
+            try:
+                rec = obj["category"]
+                categories[int(rec["id"])] = str(rec.get("name", rec["id"]))
+            except KeyError as exc:
+                raise ValidationError(f"{context}: category record missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{context}: invalid category record: {exc}") from exc
         else:
             try:
                 ground_truth.append(

@@ -19,9 +19,10 @@ from .detections import (
     Detection,
     GroundTruthObject,
     _box_from_relative,
+    _iter_jsonl,
     box_to_json,
 )
-from .errors import ParseError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -143,34 +144,33 @@ def write_matched_samples(samples: Iterable[MatchedSample], path: str | Path, *,
 
 
 def read_matched_samples(path: str | Path) -> list[MatchedSample]:
-    """Read matched samples from a JSON Lines file, preserving order."""
+    """Read matched samples from a JSON Lines file, preserving order.
+
+    Malformed lines raise :class:`ParseError` and invalid records
+    :class:`ValidationError`, both with ``file:line`` context.
+    """
     path = Path(path)
     samples: list[MatchedSample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-            try:
-                det = Detection(
-                    image_id=obj["image_id"],
-                    category_id=obj["category_id"],
-                    score=obj["score"],
-                    box=_box_from_relative(obj["box"]),
+    for lineno, obj in _iter_jsonl(path):
+        try:
+            det = Detection(
+                image_id=obj["image_id"],
+                category_id=obj["category_id"],
+                score=obj["score"],
+                box=_box_from_relative(obj["box"]),
+            )
+            samples.append(
+                MatchedSample(
+                    detection=det,
+                    matched=obj["matched"],
+                    iou=obj.get("iou", 0.0),
+                    gt_index=obj.get("gt_index"),
                 )
-                samples.append(
-                    MatchedSample(
-                        detection=det,
-                        matched=obj["matched"],
-                        iou=obj.get("iou", 0.0),
-                        gt_index=obj.get("gt_index"),
-                    )
-                )
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: matched record missing field {exc}") from exc
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: matched record missing field {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: invalid matched record: {exc}") from exc
     return samples

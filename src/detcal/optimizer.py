@@ -34,7 +34,6 @@ class OptimizerConfig:
     # Cap on the infinity norm of a single step; keeps badly scaled
     # quasi-Newton directions from overshooting into overflow territory.
     max_step: float = 20.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:

@@ -28,7 +28,14 @@ from detcal.calibrators import (
     theta_size,
     unpack_params,
 )
-from detcal.calibrators import _llr_logistic_dep, _logistic_dep_params, _softplus
+from detcal.calibrators import (
+    _llr_beta_dep,
+    _llr_logistic_dep,
+    _logistic_dep_params,
+    _nll_and_residual,
+    _softplus,
+    sigmoid,
+)
 from detcal.errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -38,7 +45,7 @@ from detcal.errors import (
     ValidationError,
 )
 from detcal.features import FeatureSet, build_feature_matrix, labels
-from detcal.optimizer import OptimizerConfig, minimize
+from detcal.optimizer import OptimizerConfig, check_gradient, minimize
 from oracles import (
     generalized_beta_log_density,
     log_multivariate_beta,
@@ -376,6 +383,39 @@ class TestGeneralizedBetaConsistency:
                 s, alpha_pos, beta_pos
             ) - generalized_beta_log_density(s, alpha_neg, beta_neg)
             assert abs(loglik_ratio(model, s) - direct) < 1e-9
+
+
+class TestFusedObjectives:
+    """The single-pass objectives against their per-term references."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_beta_dep_value_matches_llr_reference(self, k):
+        rng = np.random.default_rng(40 + k)
+        n, ridge = 800, 1e-3
+        x = rng.uniform(1e-3, 1.0 - 1e-3, (n, k))
+        m = (rng.uniform(size=n) < 0.4).astype(np.float64)
+        objective = nll_objective("beta_dep", x, m, ridge)
+        for _ in range(20):
+            theta = identity_theta("beta_dep", k) + rng.normal(0.0, 0.5, theta_size("beta_dep", k))
+            z = _llr_beta_dep(unpack_params("beta_dep", theta, k), x)
+            expected = float(np.mean(_softplus(z) - m * z)) + ridge * float(theta @ theta)
+            value, _ = objective(theta)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert check_gradient(objective, theta) < 1e-6
+
+    def test_nll_and_residual_at_extreme_logits(self):
+        z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        for label in (0.0, 1.0):
+            for zi in z:
+                one, m = np.array([zi]), np.array([label])
+                nll, r = _nll_and_residual(one, m)
+                assert math.isfinite(nll) and np.all(np.isfinite(r))
+                assert abs(nll - float(_softplus(one)[0] - label * zi)) <= 1e-15
+                assert abs(r[0] - (sigmoid(one)[0] - label)) <= 1e-15
+            m = np.full(z.size, label)
+            nll, r = _nll_and_residual(z, m)
+            assert abs(nll - float(np.mean(_softplus(z) - m * z))) <= 1e-15
+            np.testing.assert_allclose(r, sigmoid(z) - m, rtol=0.0, atol=1e-15)
 
 
 class TestHistBinning:

@@ -184,6 +184,37 @@ class TestEvalCommand:
         ) == 2
 
 
+class TestBadMatchedInput:
+    """Data errors in a matched-sample file exit 2 with file:line context."""
+
+    GOOD = {"image_id": 0, "category_id": 1, "score": 0.5,
+            "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, "matched": 0}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            json.dumps({**GOOD, "score": "abc"}),
+            json.dumps({**GOOD, "box": [0.5, 0.5, 0.1, 0.1]}),
+            json.dumps({**GOOD, "matched": None}),
+            json.dumps({**GOOD, "matched": 1e400}),
+        ],
+        ids=["non-object", "string-score", "list-box", "null-label", "infinite-label"],
+    )
+    def test_eval_exits_two(self, tmp_path, caplog, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        assert run(["eval", "--in", bad, "--features", "conf"]) == 2
+        assert "bad.jsonl:1" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_undecodable_bytes_exit_two(self, tmp_path, caplog):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(self.GOOD).encode() + b"\n{\"image_id\": \"\xff\"}\n")
+        assert run(["eval", "--in", bad, "--features", "conf"]) == 2
+        assert "bad.jsonl:2" in caplog.text
+
+
 class TestHeatmapCommand:
     def test_csv_schema(self, tmp_path):
         matched = synth_file(tmp_path, n=20000)

@@ -267,6 +267,49 @@ class TestNativeFormat:
         assert sniff_format(native) == "native"
 
 
+class TestNativeAnnotationRecords:
+    @pytest.mark.parametrize(
+        "record, missing",
+        [
+            ({"image": {"image_id": 0, "height_px": 10}}, "width_px"),
+            ({"image": {"image_id": 0, "width_px": 10}}, "height_px"),
+            ({"image": {"width_px": 10, "height_px": 10}}, "image_id"),
+            ({"category": {"name": "car"}}, "id"),
+        ],
+    )
+    def test_missing_field_is_validation_error(self, tmp_path, record, missing):
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_text("")
+        ann_path.write_text(json.dumps({"image": {"image_id": 9, "width_px": 5, "height_px": 5}})
+                            + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValidationError, match=rf"a\.jsonl:2: .*missing field '{missing}'"):
+            load_dataset(det_path, ann_path, fmt="native")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"image": [0, 10, 10]},
+            {"image": {"image_id": 0, "width_px": "wide", "height_px": 10}},
+            {"image": {"image_id": [0], "width_px": 10, "height_px": 10}},
+            {"category": {"id": "car"}},
+        ],
+        ids=["list-record", "string-width", "list-id", "string-category-id"],
+    )
+    def test_malformed_field_is_validation_error(self, tmp_path, record):
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_text("")
+        ann_path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValidationError, match=r"a\.jsonl:1"):
+            load_dataset(det_path, ann_path, fmt="native")
+
+    def test_non_object_detection_line_is_parse_error(self, tmp_path):
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_text("[1, 2]\n")
+        ann_path.write_text("")
+        with pytest.raises(ParseError, match=r"d\.jsonl:1"):
+            load_dataset(det_path, ann_path, fmt="native")
+
+
 class TestImageRecord:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValidationError):

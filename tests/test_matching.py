@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcal.detections import BoxGeometry, Detection, GroundTruthObject
-from detcal.errors import UsageError, ValidationError
+from detcal.errors import DataError, ParseError, UsageError, ValidationError
 from detcal.matching import (
     MatchedSample,
     iou,
@@ -199,3 +203,79 @@ class TestMatchedSample:
 
         recs = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["raw_score"] for r in recs] == [0.1, 0.2, 0.3, 0.4, 0.5]
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+_MISSING = object()
+
+
+@st.composite
+def matched_records(draw):
+    """A valid matched record, or one with a single field replaced or removed."""
+    matched = draw(st.sampled_from([0, 1]))
+    rec = {
+        "image_id": draw(st.integers(0, 3) | st.text(max_size=4)),
+        "category_id": draw(st.integers(1, 3)),
+        "score": draw(st.floats(0.0, 1.0)),
+        "box": {"cx": draw(st.floats(0.2, 0.8)), "cy": draw(st.floats(0.2, 0.8)),
+                "w": draw(st.floats(0.01, 0.2)), "h": draw(st.floats(0.01, 0.2))},
+        "matched": matched,
+        "iou": draw(st.floats(0.5, 1.0)) if matched else 0.0,
+        "gt_index": draw(st.integers(0, 5)) if matched else None,
+    }
+    target = draw(st.sampled_from([None, *rec, *(f"box.{k}" for k in rec["box"])]))
+    if target is not None:
+        owner, key = (rec["box"], target[4:]) if target.startswith("box.") else (rec, target)
+        value = draw(st.just(_MISSING) | JSON_VALUES)
+        if value is _MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
+    return rec
+
+
+class TestReadMatchedSamplesContract:
+    """Any file content yields samples or a DataError, never another exception."""
+
+    def _read(self, path, content: bytes):
+        path.write_bytes(content)
+        try:
+            samples = read_matched_samples(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            return None
+        assert all(isinstance(s, MatchedSample) for s in samples)
+        return samples
+
+    def test_non_object_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ParseError, match=r"m\.jsonl:1"):
+            read_matched_samples(path)
+
+    def test_bad_score_is_validation_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        rec = {"image_id": 0, "category_id": 1, "score": "abc",
+               "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, "matched": 0}
+        path.write_text("\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ValidationError, match=r"m\.jsonl:2: invalid matched record"):
+            read_matched_samples(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(matched_records() | JSON_VALUES, max_size=4))
+    def test_arbitrary_json_lines(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "json_lines.jsonl"
+        content = "".join(json.dumps(v) + "\n" for v in lines).encode("utf-8")
+        samples = self._read(path, content)
+        if samples is not None:
+            assert len(samples) == len(lines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.binary(max_size=48), max_size=4))
+    def test_arbitrary_bytes(self, tmp_path_factory, lines):
+        self._read(tmp_path_factory.getbasetemp() / "byte_lines.jsonl", b"\n".join(lines))
