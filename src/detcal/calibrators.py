@@ -18,6 +18,14 @@ Multidimensional histogram binning instead stores the observed precision of
 every joint (confidence x box) cell and assigns it directly, falling back to
 coarser marginal tables for cells unseen in training.
 
+Everything that tells the four parametric families apart lives in one
+record per family, ``_FAMILIES[method]``: parameter dataclass, confidence
+encoding, field shapes, exp-reparameterized slots, identity block, ratio,
+objective and fitter. Parameter validation and counts, packing to the
+optimizer vector (the fields in declaration order, ``c`` last), the identity
+start and the JSON form are generic walks over that record and
+``dataclasses.fields``.
+
 All parametric fits minimize the mean binary negative log-likelihood plus a
 tiny L2 ridge and are deterministic for a fixed configuration. The
 dependent logistic ratio is a full quadratic form in the features, so its
@@ -25,12 +33,15 @@ fit is convex logistic regression on the design ``[1, u_i, u_i u_j]`` of the
 standardized features ``u``, with unit-RMS columns; damped Newton steps solve
 it, the ridge acts on those design coefficients, and the solution is mapped
 back to the stored normal parameters. The other three families are fitted
-by BFGS over their parameters, with exponential reparameterization for
-positivity constraints. Every objective shares one NLL/residual kernel,
-which computes ``exp(-|z|)`` once for both the loss and ``sigmoid(z) - m``.
-The dependent beta objective is non-convex and stays on BFGS, but each
-evaluation is a single pass: the odds transform is computed once per fit,
-and the ratio and its gradient share every per-class term.
+by BFGS from the identity map over their unconstrained vector. Every
+objective shares one NLL/residual kernel, which computes ``exp(-|z|)`` once
+for both the loss and ``sigmoid(z) - m``. The dependent beta objective is
+non-convex and stays on BFGS, but each evaluation is a single pass: the odds
+transform is computed once per fit, and the ratio and its gradient share
+every per-class term.
+
+Model files are validated on load; a malformed one raises a
+:class:`DataError` naming the file.
 """
 
 from __future__ import annotations
@@ -38,9 +49,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +64,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
+from .detections import read_json
 from .features import DEFAULT_CLIP, FeatureSet, build_feature_matrix, labels, raw_values
 from .matching import MatchedSample
 from .metrics import bin_indices
@@ -77,18 +89,38 @@ def _ro(a, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+class _ParamBlock:
+    """Validation shared by the parametric blocks, driven by the family table.
+
+    Every field but ``c`` becomes a read-only float array and ``c`` a float;
+    the field shapes must match the family's at K >= 1, and the entries kept
+    positive by the exp reparameterization must be > 0.
+    """
+
+    def __post_init__(self):
+        fam = next(f for f in _FAMILIES.values() if f.params is type(self))
+        names = [f.name for f in fields(self)]
+        for name in names[:-1]:
+            object.__setattr__(self, name, _ro(getattr(self, name)))
+        object.__setattr__(self, "c", float(self.c))
+        k = self.k
+        shapes = tuple(np.shape(getattr(self, name)) for name in names)
+        if k < 1 or shapes != fam.shapes(k):
+            raise ValidationError(
+                f"{type(self).__name__} fields {names} have shapes {shapes}, "
+                f"which fit no dimension K >= 1"
+            )
+        flat = np.concatenate([np.ravel(getattr(self, name)) for name in names])
+        if not np.all(flat[fam.exp_slots(k)] > 0.0):
+            raise ValidationError(f"{type(self).__name__} constrained entries must be > 0")
+
+
 @dataclass(frozen=True)
-class LogisticIndepParams:
+class LogisticIndepParams(_ParamBlock):
     """Weights and bias of the linear log-likelihood ratio."""
 
     w: np.ndarray
     c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _ro(self.w))
-        object.__setattr__(self, "c", float(self.c))
-        if self.w.ndim != 1 or self.w.size == 0:
-            raise ValidationError("w must be a nonempty vector")
 
     @property
     def k(self) -> int:
@@ -96,21 +128,12 @@ class LogisticIndepParams:
 
 
 @dataclass(frozen=True)
-class BetaIndepParams:
+class BetaIndepParams(_ParamBlock):
     """Per-dimension beta log terms; a[0], b[0] > 0 keeps the map monotone in confidence."""
 
     a: np.ndarray
     b: np.ndarray
     c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _ro(self.a))
-        object.__setattr__(self, "b", _ro(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        if self.a.shape != self.b.shape or self.a.ndim != 1 or self.a.size == 0:
-            raise ValidationError("a and b must be vectors of equal nonzero length")
-        if not (self.a[0] > 0.0 and self.b[0] > 0.0):
-            raise ValidationError("confidence-dimension parameters a[0], b[0] must be > 0")
 
     @property
     def k(self) -> int:
@@ -118,7 +141,7 @@ class BetaIndepParams:
 
 
 @dataclass(frozen=True)
-class LogisticDepParams:
+class LogisticDepParams(_ParamBlock):
     """Class-conditional normal parameters; vinv stores W with inverse covariance W W^T."""
 
     mu_pos: np.ndarray
@@ -127,23 +150,13 @@ class LogisticDepParams:
     vinv_neg: np.ndarray
     c: float
 
-    def __post_init__(self):
-        for name in ("mu_pos", "mu_neg", "vinv_pos", "vinv_neg"):
-            object.__setattr__(self, name, _ro(getattr(self, name)))
-        object.__setattr__(self, "c", float(self.c))
-        k = self.mu_pos.size
-        if self.mu_pos.shape != (k,) or self.mu_neg.shape != (k,):
-            raise ValidationError("mean vectors must share one dimension K")
-        if self.vinv_pos.shape != (k, k) or self.vinv_neg.shape != (k, k):
-            raise ValidationError("vinv matrices must be K x K")
-
     @property
     def k(self) -> int:
         return self.mu_pos.size
 
 
 @dataclass(frozen=True)
-class BetaDepParams:
+class BetaDepParams(_ParamBlock):
     """Generalized-beta shape parameters, index 0 is the shared normalization dimension."""
 
     alpha_pos: np.ndarray
@@ -152,27 +165,9 @@ class BetaDepParams:
     beta_neg: np.ndarray
     c: float
 
-    def __post_init__(self):
-        for name in ("alpha_pos", "beta_pos", "alpha_neg", "beta_neg"):
-            arr = _ro(getattr(self, name))
-            object.__setattr__(self, name, arr)
-            if arr.ndim != 1 or arr.size < 2:
-                raise ValidationError(f"{name} must be a vector of length K+1 >= 2")
-            if not np.all(arr > 0.0):
-                raise ValidationError(f"{name} entries must be > 0")
-        object.__setattr__(self, "c", float(self.c))
-        sizes = {self.alpha_pos.size, self.beta_pos.size, self.alpha_neg.size, self.beta_neg.size}
-        if len(sizes) != 1:
-            raise ValidationError("all shape-parameter vectors must have equal length K+1")
-
     @property
     def k(self) -> int:
         return self.alpha_pos.size - 1
-
-    def lambdas(self, positive: bool) -> np.ndarray:
-        """Derived scale ratios beta_k / beta_0 for the chosen class."""
-        beta = self.beta_pos if positive else self.beta_neg
-        return beta[1:] / beta[0]
 
 
 @dataclass(frozen=True)
@@ -202,8 +197,8 @@ class HistBinningParams:
                 raise ValidationError(
                     f"table {j} has shape {table.shape}, expected {counts[: j + 1]}"
                 )
-            finite = table[np.isfinite(table)]
-            if finite.size and (finite.min() < 0.0 or finite.max() > 1.0):
+            stored = table[~np.isnan(table)]  # NaN marks an empty cell
+            if stored.size and (stored.min() < 0.0 or stored.max() > 1.0):
                 raise ValidationError("stored precisions must lie in [0, 1]")
         gp = float(self.global_precision)
         if not 0.0 <= gp <= 1.0:
@@ -217,15 +212,6 @@ class HistBinningParams:
     @property
     def total_bins(self) -> int:
         return int(np.prod(self.bin_counts))
-
-
-_PARAM_TYPES = {
-    "logistic_indep": LogisticIndepParams,
-    "beta_indep": BetaIndepParams,
-    "logistic_dep": LogisticDepParams,
-    "beta_dep": BetaDepParams,
-    "hist_binning": HistBinningParams,
-}
 
 
 @dataclass(frozen=True)
@@ -251,7 +237,7 @@ class CalibrationModel:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown calibration method {self.method!r}")
-        expected = _PARAM_TYPES[self.method]
+        expected = _FAMILIES[self.method].params if self.method in _FAMILIES else HistBinningParams
         if not isinstance(self.params, expected):
             raise ValidationError(
                 f"method {self.method!r} expects {expected.__name__}, "
@@ -272,15 +258,8 @@ class CalibrationModel:
     @property
     def n_params(self) -> int:
         """Number of fitted parameters (table size for histogram binning)."""
-        k = self.feature_set.k
-        if self.method == "logistic_indep":
-            return k + 1
-        if self.method == "beta_indep":
-            return 2 * k + 1
-        if self.method == "logistic_dep":
-            return 2 * (k * k + k) + 1
-        if self.method == "beta_dep":
-            return 4 * (k + 1) + 1
+        if self.method in _FAMILIES:
+            return theta_size(self.method, self.feature_set.k)
         return self.params.total_bins
 
 
@@ -288,7 +267,7 @@ def expected_encoding(method: str) -> str:
     """Confidence encoding each method consumes: logit for the logistic family."""
     if method not in METHODS:
         raise UsageError(f"unknown calibration method {method!r}")
-    return "logit" if method.startswith("logistic") else "probability"
+    return _FAMILIES[method].encoding if method in _FAMILIES else "probability"
 
 
 def _normalize_feature_set(method: str, fs: FeatureSet | Sequence[str]) -> FeatureSet:
@@ -328,7 +307,7 @@ def _llr_logistic_dep(p: LogisticDepParams, x: np.ndarray) -> np.ndarray:
 def _llr_beta_dep(p: BetaDepParams, x: np.ndarray) -> np.ndarray:
     s_star = x / (1.0 - x)
     log_s_star = np.log(s_star)
-    lam_pos, lam_neg = p.lambdas(True), p.lambdas(False)
+    lam_pos, lam_neg = p.beta_pos[1:] / p.beta_pos[0], p.beta_neg[1:] / p.beta_neg[0]
     t_pos = s_star @ lam_pos
     t_neg = s_star @ lam_neg
     a_pos, a_neg = p.alpha_pos[1:], p.alpha_neg[1:]
@@ -340,14 +319,6 @@ def _llr_beta_dep(p: BetaDepParams, x: np.ndarray) -> np.ndarray:
         + p.alpha_neg.sum() * np.log1p(t_neg)
         - p.alpha_pos.sum() * np.log1p(t_pos)
     )
-
-
-_LLR = {
-    "logistic_indep": _llr_logistic_indep,
-    "beta_indep": _llr_beta_indep,
-    "logistic_dep": _llr_logistic_dep,
-    "beta_dep": _llr_beta_dep,
-}
 
 
 def loglik_ratio(model: CalibrationModel, s: np.ndarray) -> float | np.ndarray:
@@ -366,7 +337,7 @@ def loglik_ratio(model: CalibrationModel, s: np.ndarray) -> float | np.ndarray:
         raise UsageError(
             f"feature input of shape {s.shape} does not match K={model.feature_set.k}"
         )
-    z = _LLR[model.method](model.params, x)
+    z = _FAMILIES[model.method].llr(model.params, x)
     return float(z[0]) if single else z
 
 
@@ -374,7 +345,7 @@ def calibrate_matrix(model: CalibrationModel, x: np.ndarray) -> np.ndarray:
     """Calibrated scores for a prebuilt feature matrix in the model's encoding."""
     if model.method == "hist_binning":
         return _hist_lookup(model.params, x)
-    return sigmoid(_LLR[model.method](model.params, np.asarray(x, dtype=np.float64)))
+    return sigmoid(_FAMILIES[model.method].llr(model.params, np.asarray(x, dtype=np.float64)))
 
 
 def apply(model: CalibrationModel, samples: Sequence[MatchedSample], eps: float = DEFAULT_CLIP) -> np.ndarray:
@@ -487,105 +458,121 @@ def _nll_and_residual(z: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
     return nll, q - m
 
 
+def _family(method: str) -> _Family:
+    try:
+        return _FAMILIES[method]
+    except (KeyError, TypeError):
+        raise UsageError(f"method {method!r} has no parametric form") from None
+
+
 def theta_size(method: str, k: int) -> int:
-    return {
-        "logistic_indep": k + 1,
-        "beta_indep": 2 * k + 1,
-        "logistic_dep": 2 * (k * k + k) + 1,
-        "beta_dep": 4 * (k + 1) + 1,
-    }[method]
+    """Length of the optimizer vector of a parametric method at dimension K."""
+    return sum(math.prod(shape) for shape in _family(method).shapes(k))
 
 
 def pack_params(method: str, params) -> np.ndarray:
     """Flatten a parameter block into the unconstrained optimizer vector."""
-    if method == "logistic_indep":
-        return np.concatenate([params.w, [params.c]])
-    if method == "beta_indep":
-        a, b = params.a.copy(), params.b.copy()
-        a[0] = math.log(a[0] - POSITIVITY_FLOOR) if a[0] > POSITIVITY_FLOOR else -np.inf
-        b[0] = math.log(b[0] - POSITIVITY_FLOOR) if b[0] > POSITIVITY_FLOOR else -np.inf
-        return np.concatenate([a, b, [params.c]])
-    if method == "logistic_dep":
-        return np.concatenate(
-            [
-                params.mu_pos,
-                params.mu_neg,
-                params.vinv_pos.ravel(),
-                params.vinv_neg.ravel(),
-                [params.c],
-            ]
-        )
-    if method == "beta_dep":
-        blocks = [params.alpha_pos, params.beta_pos, params.alpha_neg, params.beta_neg]
-        return np.concatenate([np.log(np.maximum(b - POSITIVITY_FLOOR, 1e-300)) for b in blocks] + [[params.c]])
-    raise UsageError(f"method {method!r} has no parametric form")
+    fam = _family(method)
+    theta = np.concatenate([np.ravel(getattr(params, f.name)) for f in fields(fam.params)])
+    slots = fam.exp_slots(params.k)
+    theta[slots] = np.log(np.maximum(theta[slots] - POSITIVITY_FLOOR, 1e-300))
+    return theta
 
 
 def unpack_params(method: str, theta: np.ndarray, k: int):
     """Rebuild the constrained parameter block from the optimizer vector."""
-    theta = np.asarray(theta, dtype=np.float64)
+    fam = _family(method)
+    theta = np.array(theta, dtype=np.float64)
     if theta.size != theta_size(method, k):
         raise UsageError(
             f"parameter vector of length {theta.size} does not match "
             f"{method} at K={k} ({theta_size(method, k)} expected)"
         )
-    if method == "logistic_indep":
-        return LogisticIndepParams(w=theta[:k], c=theta[k])
-    if method == "beta_indep":
-        a = theta[:k].copy()
-        b = theta[k : 2 * k].copy()
-        a[0] = POSITIVITY_FLOOR + math.exp(a[0])
-        b[0] = POSITIVITY_FLOOR + math.exp(b[0])
-        return BetaIndepParams(a=a, b=b, c=theta[2 * k])
-    if method == "logistic_dep":
-        mu_pos, mu_neg = theta[:k], theta[k : 2 * k]
-        off = 2 * k
-        vinv_pos = theta[off : off + k * k].reshape(k, k)
-        vinv_neg = theta[off + k * k : off + 2 * k * k].reshape(k, k)
-        return LogisticDepParams(
-            mu_pos=mu_pos, mu_neg=mu_neg, vinv_pos=vinv_pos, vinv_neg=vinv_neg, c=theta[-1]
-        )
-    if method == "beta_dep":
-        d = k + 1
-        blocks = [POSITIVITY_FLOOR + np.exp(theta[i * d : (i + 1) * d]) for i in range(4)]
-        return BetaDepParams(
-            alpha_pos=blocks[0], beta_pos=blocks[1], alpha_neg=blocks[2], beta_neg=blocks[3], c=theta[-1]
-        )
-    raise UsageError(f"method {method!r} has no parametric form")
+    slots = fam.exp_slots(k)
+    if isinstance(slots, slice):
+        theta[slots] = POSITIVITY_FLOOR + np.exp(theta[slots])
+    else:
+        # Single slots keep math.exp: numpy's vectorized exp rounds some
+        # inputs differently in the last place, which would move fitted
+        # independent-beta models by an ulp.
+        for i in slots:
+            theta[i] = POSITIVITY_FLOOR + math.exp(theta[i])
+    values, offset = {}, 0
+    for f, shape in zip(fields(fam.params), fam.shapes(k)):
+        size = math.prod(shape)
+        values[f.name] = theta[offset : offset + size].reshape(shape)
+        offset += size
+    return fam.params(**values)
 
 
-def _grad_z_logistic_indep(theta, k, x, r, n):
-    g = np.empty(k + 1)
-    g[:k] = x.T @ r / n
-    g[k] = r.sum() / n
-    return g
+def identity_theta(method: str, k: int) -> np.ndarray:
+    """Parameter vector reproducing the identity map on the confidence dimension."""
+    return pack_params(method, _family(method).identity(k))
 
 
-def _grad_z_beta_indep(theta, k, x, r, n, log_x, log1m_x):
-    g = np.empty(2 * k + 1)
-    g[:k] = log_x.T @ r / n
-    g[k : 2 * k] = -(log1m_x.T @ r) / n
-    g[2 * k] = r.sum() / n
-    # Chain through the exponential reparameterization of a[0], b[0].
-    g[0] *= math.exp(theta[0])
-    g[k] *= math.exp(theta[k])
-    return g
+def _ridged(ridge: float, nll_and_grad):
+    """Objective ``nll_and_grad(theta) + ridge |theta|^2`` with its gradient.
+
+    Extreme line-search trial points may overflow; the resulting non-finite
+    values are rejected by the optimizer, so the warnings are noise.
+    """
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nll, g = nll_and_grad(theta)
+            return nll + ridge * float(theta @ theta), g + 2.0 * ridge * theta
+
+    return objective
 
 
-def _grad_z_logistic_dep(theta, k, x, r, n):
-    mu_pos, mu_neg = theta[:k], theta[k : 2 * k]
-    off = 2 * k
-    w_pos = theta[off : off + k * k].reshape(k, k)
-    w_neg = theta[off + k * k : off + 2 * k * k].reshape(k, k)
-    d_pos, d_neg = x - mu_pos, x - mu_neg
-    y_pos, y_neg = d_pos @ w_pos, d_neg @ w_neg
-    g = np.empty(theta.size)
-    g[:k] = w_pos @ (y_pos.T @ r) / n
-    g[k : 2 * k] = -(w_neg @ (y_neg.T @ r)) / n
-    g[off : off + k * k] = (-(d_pos.T @ (r[:, None] * y_pos)) / n).ravel()
-    g[off + k * k : off + 2 * k * k] = ((d_neg.T @ (r[:, None] * y_neg)) / n).ravel()
-    g[-1] = r.sum() / n
-    return g
+def _logistic_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
+    n, k = x.shape
+
+    def nll_and_grad(theta):
+        nll, r = _nll_and_residual(x @ theta[:k] + theta[k], m)
+        return nll, np.append(x.T @ r, r.sum()) / n
+
+    return _ridged(ridge, nll_and_grad)
+
+
+def _beta_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
+    n, k = x.shape
+    log_x, log1m_x = np.log(x), np.log1p(-x)
+
+    def nll_and_grad(theta):
+        # a[0], b[0] as unpack_params builds them, with scalar math.exp.
+        e_a, e_b = math.exp(theta[0]), math.exp(theta[k])
+        a, b = theta[:k].copy(), theta[k : 2 * k].copy()
+        a[0], b[0] = POSITIVITY_FLOOR + e_a, POSITIVITY_FLOOR + e_b
+        nll, r = _nll_and_residual(log_x @ a - log1m_x @ b + theta[2 * k], m)
+        g = np.concatenate([log_x.T @ r, -(log1m_x.T @ r), [r.sum()]]) / n
+        # Chain through the exponential reparameterization of a[0], b[0].
+        g[0] *= e_a
+        g[k] *= e_b
+        return nll, g
+
+    return _ridged(ridge, nll_and_grad)
+
+
+def _logistic_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Reference objective over the normal parameters; fits use :func:`_fit_quadratic_newton`."""
+    n, k = x.shape
+
+    def nll_and_grad(theta):
+        p = unpack_params("logistic_dep", theta, k)
+        nll, r = _nll_and_residual(_llr_logistic_dep(p, x), m)
+        d_pos, d_neg = x - p.mu_pos, x - p.mu_neg
+        y_pos, y_neg = d_pos @ p.vinv_pos, d_neg @ p.vinv_neg
+        return nll, np.concatenate([
+            p.vinv_pos @ (y_pos.T @ r) / n,
+            -(p.vinv_neg @ (y_neg.T @ r)) / n,
+            (-(d_pos.T @ (r[:, None] * y_pos)) / n).ravel(),
+            ((d_neg.T @ (r[:, None] * y_neg)) / n).ravel(),
+            [r.sum() / n],
+        ])
+
+    return _ridged(ridge, nll_and_grad)
 
 
 def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
@@ -606,114 +593,52 @@ def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
     sign = np.array([1.0, -1.0])
     block_sign = np.repeat(sign, 2)[:, None]
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, dtype=np.float64)
-        # Non-finite values at extreme trial points are rejected by the
-        # optimizer, as in :func:`nll_objective`.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # Rows alpha_pos, beta_pos, alpha_neg, beta_neg; e is also the
-            # chain factor of the exponential reparameterization.
-            e = np.exp(theta[:-1]).reshape(4, d)
-            alpha = POSITIVITY_FLOOR + e[0::2]
-            beta = POSITIVITY_FLOOR + e[1::2]
-            a_tail = alpha[:, 1:]
-            a_total = alpha.sum(axis=1)
-            lam = beta[:, 1:] / beta[:, :1]
-            log_lam = np.log(lam)
-            t = lam @ s_star
-            log1p_t = np.log1p(t)
-            inv1p_t = 1.0 / (1.0 + t)
-            z = (
-                (theta[-1] + float(sign @ (a_tail * log_lam).sum(axis=1)))
-                + (sign @ a_tail) @ log_s_star
-                - (sign * a_total) @ log1p_t
-            )
-            nll, r = _nll_and_residual(z, m)
-            # Per class, dz/dalpha_0 = -log1p(t), dz/dalpha_j = log lambda_j
-            # + log s*_j - log1p(t), and beta acts through lambda = beta_j /
-            # beta_0; the negative class enters z with the opposite sign.
-            r_mean = r.sum() / n
-            lr = log1p_t @ r / n
-            scale = a_total / beta[:, 0]
-            g = np.empty(theta.size)
-            g_blocks = g[:-1].reshape(4, d)
-            g_alpha, g_beta = g_blocks[0::2], g_blocks[1::2]
-            g_alpha[:, 0] = -lr
-            g_alpha[:, 1:] = log_lam * r_mean + (log_s_star @ r / n) - lr[:, None]
-            g_beta[:, 0] = (scale * ((t * inv1p_t) @ r) / n
-                            - a_tail.sum(axis=1) / beta[:, 0] * r_mean)
-            g_beta[:, 1:] = (a_tail / beta[:, 1:] * r_mean
-                             - scale[:, None] * ((inv1p_t * r) @ s_star.T) / n)
-            g_blocks *= block_sign * e
-            g[-1] = r_mean
-            return nll + ridge * float(theta @ theta), g + 2.0 * ridge * theta
+    def nll_and_grad(theta):
+        # Rows alpha_pos, beta_pos, alpha_neg, beta_neg; e is also the
+        # chain factor of the exponential reparameterization.
+        e = np.exp(theta[:-1]).reshape(4, d)
+        alpha = POSITIVITY_FLOOR + e[0::2]
+        beta = POSITIVITY_FLOOR + e[1::2]
+        a_tail = alpha[:, 1:]
+        a_total = alpha.sum(axis=1)
+        lam = beta[:, 1:] / beta[:, :1]
+        log_lam = np.log(lam)
+        t = lam @ s_star
+        log1p_t = np.log1p(t)
+        inv1p_t = 1.0 / (1.0 + t)
+        z = (
+            (theta[-1] + float(sign @ (a_tail * log_lam).sum(axis=1)))
+            + (sign @ a_tail) @ log_s_star
+            - (sign * a_total) @ log1p_t
+        )
+        nll, r = _nll_and_residual(z, m)
+        # Per class, dz/dalpha_0 = -log1p(t), dz/dalpha_j = log lambda_j
+        # + log s*_j - log1p(t), and beta acts through lambda = beta_j /
+        # beta_0; the negative class enters z with the opposite sign.
+        r_mean = r.sum() / n
+        lr = log1p_t @ r / n
+        scale = a_total / beta[:, 0]
+        g = np.empty(theta.size)
+        g_blocks = g[:-1].reshape(4, d)
+        g_alpha, g_beta = g_blocks[0::2], g_blocks[1::2]
+        g_alpha[:, 0] = -lr
+        g_alpha[:, 1:] = log_lam * r_mean + (log_s_star @ r / n) - lr[:, None]
+        g_beta[:, 0] = (scale * ((t * inv1p_t) @ r) / n
+                        - a_tail.sum(axis=1) / beta[:, 0] * r_mean)
+        g_beta[:, 1:] = (a_tail / beta[:, 1:] * r_mean
+                         - scale[:, None] * ((inv1p_t * r) @ s_star.T) / n)
+        g_blocks *= block_sign * e
+        g[-1] = r_mean
+        return nll, g
 
-    return objective
+    return _ridged(ridge, nll_and_grad)
 
 
 def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFAULT_RIDGE):
     """Mean binary NLL (plus L2 ridge) and its gradient over unconstrained parameters."""
-    if method not in PARAMETRIC_METHODS:
-        raise UsageError(f"method {method!r} has no likelihood objective")
-    x = np.asarray(x, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if method == "beta_dep":
-        return _beta_dep_objective(x, m, ridge)
-    n, k = x.shape
-    if method == "beta_indep":
-        log_x, log1m_x = np.log(x), np.log1p(-x)
-
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, dtype=np.float64)
-        # Extreme line-search trial points may overflow; the resulting
-        # non-finite values are rejected by the optimizer, so the warnings
-        # are noise.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            params = unpack_params(method, theta, k)
-            if method == "beta_indep":
-                z = log_x @ params.a - log1m_x @ params.b + params.c
-            else:
-                z = _LLR[method](params, x)
-            nll, r = _nll_and_residual(z, m)
-            if method == "logistic_indep":
-                g = _grad_z_logistic_indep(theta, k, x, r, n)
-            elif method == "beta_indep":
-                g = _grad_z_beta_indep(theta, k, x, r, n, log_x, log1m_x)
-            else:
-                g = _grad_z_logistic_dep(theta, k, x, r, n)
-            return nll + ridge * float(theta @ theta), g + 2.0 * ridge * theta
-
-    return objective
-
-
-def identity_theta(method: str, k: int) -> np.ndarray:
-    """Parameter vector reproducing the identity map on the confidence dimension."""
-    theta = np.zeros(theta_size(method, k))
-    log_unit = math.log(1.0 - POSITIVITY_FLOOR)
-    if method == "logistic_indep":
-        theta[0] = 1.0
-    elif method == "beta_indep":
-        theta[0] = log_unit
-        theta[k] = log_unit
-    elif method == "logistic_dep":
-        theta[0] = 0.5
-        theta[k] = -0.5
-        eye = np.eye(k).ravel()
-        theta[2 * k : 2 * k + k * k] = eye
-        theta[2 * k + k * k : 2 * k + 2 * k * k] = eye
-    elif method == "beta_dep":
-        d = k + 1
-        alpha_pos = np.ones(d)
-        alpha_pos[1] = 2.0
-        alpha_neg = np.ones(d)
-        alpha_neg[0] = 2.0
-        theta[:d] = np.log(alpha_pos - POSITIVITY_FLOOR)
-        theta[2 * d : 3 * d] = np.log(alpha_neg - POSITIVITY_FLOOR)
-        theta[d : 2 * d] = log_unit
-        theta[3 * d : 4 * d] = log_unit
-    else:
-        raise UsageError(f"method {method!r} has no parametric form")
-    return theta
+    return _family(method).objective(
+        np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64), ridge
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +774,76 @@ def _logistic_dep_from_coef(
     )
 
 
+def _fit_bfgs(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig):
+    """BFGS over the unconstrained vector, starting from the identity map."""
+    k = x.shape[1]
+    theta, report = minimize(nll_objective(method, x, m, ridge), identity_theta(method, k), cfg)
+    return theta, report, unpack_params(method, theta, k)
+
+
+def _fit_quadratic_newton(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig):
+    """Newton on the quadratic design of the standardized features, mapped back to the normal ratio."""
+    u, center, spread = _standardize(x)
+    a, scale = _quadratic_design(u)
+    coef, report = _newton_logistic(a, m, ridge, cfg)
+    theta = coef / scale
+    return theta, report, _logistic_dep_from_coef(theta, center, spread)
+
+
+# ---------------------------------------------------------------------------
+# The family table
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One parametric family. ``shapes(k)`` lists the shape of each field of
+    ``params`` in declaration order (``c`` last, shape ``()``); ``exp_slots(k)``
+    indexes the optimizer-vector entries stored as ``POSITIVITY_FLOOR +
+    exp(theta)``; ``identity(k)`` is the identity map's block and BFGS start."""
+
+    params: type
+    encoding: str
+    shapes: Callable[[int], tuple[tuple[int, ...], ...]]
+    exp_slots: Callable[[int], slice | list[int]]
+    identity: Callable[[int], object]
+    llr: Callable[[object, np.ndarray], np.ndarray]
+    objective: Callable
+    fit: Callable
+
+
+_FAMILIES = {
+    "logistic_indep": _Family(
+        params=LogisticIndepParams, encoding="logit",
+        shapes=lambda k: ((k,), ()), exp_slots=lambda k: [],
+        identity=lambda k: LogisticIndepParams(w=np.eye(k)[0], c=0.0),
+        llr=_llr_logistic_indep, objective=_logistic_indep_objective, fit=_fit_bfgs,
+    ),
+    "beta_indep": _Family(
+        params=BetaIndepParams, encoding="probability",
+        shapes=lambda k: ((k,), (k,), ()), exp_slots=lambda k: [0, k],
+        identity=lambda k: BetaIndepParams(a=np.eye(k)[0], b=np.eye(k)[0], c=0.0),
+        llr=_llr_beta_indep, objective=_beta_indep_objective, fit=_fit_bfgs,
+    ),
+    "logistic_dep": _Family(
+        params=LogisticDepParams, encoding="logit",
+        shapes=lambda k: ((k,), (k,), (k, k), (k, k), ()), exp_slots=lambda k: [],
+        identity=lambda k: LogisticDepParams(
+            np.array([0.5] + [0.0] * (k - 1)), np.array([-0.5] + [0.0] * (k - 1)),
+            np.eye(k), np.eye(k), c=0.0,
+        ),
+        llr=_llr_logistic_dep, objective=_logistic_dep_objective, fit=_fit_quadratic_newton,
+    ),
+    "beta_dep": _Family(
+        params=BetaDepParams, encoding="probability",
+        shapes=lambda k: ((k + 1,),) * 4 + ((),), exp_slots=lambda k: slice(0, 4 * (k + 1)),
+        identity=lambda k: BetaDepParams(
+            1.0 + np.eye(k + 1)[1], np.ones(k + 1), 1.0 + np.eye(k + 1)[0], np.ones(k + 1), c=0.0
+        ),
+        llr=_llr_beta_dep, objective=_beta_dep_objective, fit=_fit_bfgs,
+    ),
+}
+
+
 def fit_parametric(
     method: str,
     samples: Sequence[MatchedSample],
@@ -867,8 +862,7 @@ def fit_parametric(
     :class:`NumericalFailureError` when the iterates stop being finite or the
     dependent logistic Newton system is singular.
     """
-    if method not in PARAMETRIC_METHODS:
-        raise UsageError(f"unknown parametric method {method!r}")
+    fam = _family(method)
     fs = _normalize_feature_set(method, fs)
     x = build_feature_matrix(samples, fs, eps)
     m = labels(samples).astype(np.float64)
@@ -879,14 +873,8 @@ def fit_parametric(
             f"out of {len(m)} samples"
         )
     cfg = config or OptimizerConfig()
-    if method == "logistic_dep":
-        u, center, spread = _standardize(x)
-        a, scale = _quadratic_design(u)
-        coef, report = _newton_logistic(a, m, ridge, cfg)
-        theta = coef / scale
-    else:
-        objective = nll_objective(method, x, m, ridge)
-        theta, report = minimize(objective, identity_theta(method, fs.k), cfg)
+    # Both fitters stop at finite iterates, so params exist even unconverged.
+    theta, report, params = fam.fit(method, x, m, ridge, cfg)
     if not report.converged:
         raise ConvergenceError(
             f"{method} fit did not converge within {cfg.max_iterations} iterations "
@@ -894,10 +882,6 @@ def fit_parametric(
             iterate=theta,
             gradient_norm=report.gradient_norm,
         )
-    if method == "logistic_dep":
-        params = _logistic_dep_from_coef(theta, center, spread)
-    else:
-        params = unpack_params(method, theta, fs.k)
     return CalibrationModel(
         method=method,
         feature_set=fs,
@@ -964,56 +948,19 @@ def _unnested(data, shape: tuple[int, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _params_to_json(method: str, params) -> dict:
-    if method == "logistic_indep":
-        return {"w": params.w.tolist(), "c": params.c}
-    if method == "beta_indep":
-        return {"a": params.a.tolist(), "b": params.b.tolist(), "c": params.c}
-    if method == "logistic_dep":
+def _params_to_json(params) -> dict:
+    if isinstance(params, HistBinningParams):
         return {
-            "mu_pos": params.mu_pos.tolist(),
-            "mu_neg": params.mu_neg.tolist(),
-            "vinv_pos": params.vinv_pos.tolist(),
-            "vinv_neg": params.vinv_neg.tolist(),
-            "c": params.c,
+            "bin_counts": list(params.bin_counts),
+            "tables": [_nested(t) for t in params.tables],
+            "global_precision": params.global_precision,
         }
-    if method == "beta_dep":
-        return {
-            "alpha_pos": params.alpha_pos.tolist(),
-            "beta_pos": params.beta_pos.tolist(),
-            "alpha_neg": params.alpha_neg.tolist(),
-            "beta_neg": params.beta_neg.tolist(),
-            "c": params.c,
-        }
-    return {
-        "bin_counts": list(params.bin_counts),
-        "tables": [_nested(t) for t in params.tables],
-        "global_precision": params.global_precision,
-    }
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
 
 def _params_from_json(method: str, data: dict):
-    try:
-        if method == "logistic_indep":
-            return LogisticIndepParams(w=data["w"], c=data["c"])
-        if method == "beta_indep":
-            return BetaIndepParams(a=data["a"], b=data["b"], c=data["c"])
-        if method == "logistic_dep":
-            return LogisticDepParams(
-                mu_pos=data["mu_pos"],
-                mu_neg=data["mu_neg"],
-                vinv_pos=data["vinv_pos"],
-                vinv_neg=data["vinv_neg"],
-                c=data["c"],
-            )
-        if method == "beta_dep":
-            return BetaDepParams(
-                alpha_pos=data["alpha_pos"],
-                beta_pos=data["beta_pos"],
-                alpha_neg=data["alpha_neg"],
-                beta_neg=data["beta_neg"],
-                c=data["c"],
-            )
+    if method == "hist_binning":
         counts = tuple(int(c) for c in data["bin_counts"])
         tables = tuple(
             _unnested(t, counts[: j + 1]) for j, t in enumerate(data["tables"])
@@ -1021,12 +968,14 @@ def _params_from_json(method: str, data: dict):
         return HistBinningParams(
             bin_counts=counts, tables=tables, global_precision=data["global_precision"]
         )
-    except KeyError as exc:
-        raise ValidationError(f"model parameter block missing field {exc}") from exc
+    cls = _FAMILIES[method].params
+    params = cls(**{f.name: data[f.name] for f in fields(cls)})
+    if not all(np.all(np.isfinite(getattr(params, f.name))) for f in fields(cls)):
+        raise ValidationError("model parameters must be finite")
+    return params
 
 
 def model_to_json(model: CalibrationModel) -> dict:
-    meta = model.fit_metadata
     return {
         "schema_version": SCHEMA_VERSION,
         "method": model.method,
@@ -1035,17 +984,18 @@ def model_to_json(model: CalibrationModel) -> dict:
             "confidence_encoding": model.feature_set.confidence_encoding,
         },
         "category_id": model.category_id,
-        "params": _params_to_json(model.method, model.params),
-        "fit_metadata": {
-            "n_samples": meta.n_samples,
-            "final_nll": meta.final_nll,
-            "n_iterations": meta.n_iterations,
-            "converged": meta.converged,
-        },
+        "params": _params_to_json(model.params),
+        "fit_metadata": asdict(model.fit_metadata),
     }
 
 
 def model_from_json(data: dict) -> CalibrationModel:
+    """Rebuild a model from its JSON form.
+
+    Any missing, malformed or non-finite field raises :class:`ValidationError`.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"model must be a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
@@ -1060,23 +1010,26 @@ def model_from_json(data: dict) -> CalibrationModel:
             confidence_encoding=data["feature_set"]["confidence_encoding"],
         )
         meta_data = data["fit_metadata"]
+        final_nll = meta_data["final_nll"]
         meta = FitMetadata(
             n_samples=int(meta_data["n_samples"]),
-            final_nll=meta_data["final_nll"],
+            final_nll=None if final_nll is None else float(final_nll),
             n_iterations=int(meta_data["n_iterations"]),
             converged=bool(meta_data["converged"]),
         )
         params = _params_from_json(method, data["params"])
         category = data["category_id"]
+        return CalibrationModel(
+            method=method,
+            feature_set=fs,
+            params=params,
+            category_id=None if category is None else int(category),
+            fit_metadata=meta,
+        )
     except KeyError as exc:
         raise ValidationError(f"model file missing field {exc}") from exc
-    return CalibrationModel(
-        method=method,
-        feature_set=fs,
-        params=params,
-        category_id=None if category is None else int(category),
-        fit_metadata=meta,
-    )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed model field: {exc}") from exc
 
 
 def save_model(model: CalibrationModel, path: str | Path) -> None:
@@ -1087,10 +1040,12 @@ def save_model(model: CalibrationModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CalibrationModel:
-    """Read a model written by :func:`save_model`, validating its schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{exc.lineno}: malformed model JSON: {exc.msg}") from exc
-    return model_from_json(data)
+    """Read a model written by :func:`save_model`, validating every field.
+
+    A malformed file raises a :class:`DataError` that names it.
+    """
+    data = read_json(Path(path))
+    try:
+        return model_from_json(data)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import ParseError, ReferentialIntegrityError, UsageError, ValidationError
 
@@ -35,6 +35,14 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_hashable_id(image_id: ImageId) -> None:
+    # Image ids key the matcher's groups and the image table.
+    try:
+        hash(image_id)
+    except TypeError:
+        raise ValidationError(f"image_id must be a string or an integer, got {image_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,7 @@ class Detection:
             raise ValidationError(f"score must lie in [0, 1], got {score}")
         object.__setattr__(self, "score", score)
         object.__setattr__(self, "category_id", int(self.category_id))
+        _require_hashable_id(self.image_id)
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,7 @@ class GroundTruthObject:
     def __post_init__(self):
         object.__setattr__(self, "category_id", int(self.category_id))
         object.__setattr__(self, "crowd_flag", bool(self.crowd_flag))
+        _require_hashable_id(self.image_id)
 
 
 @dataclass(frozen=True)
@@ -224,18 +234,31 @@ def _iter_jsonl(path: Path):
             yield lineno, obj
 
 
-def _load_json(path: Path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+def read_json(path: Path) -> Any:
+    """Parse a file holding one JSON document.
+
+    Bytes that are not UTF-8 and malformed JSON raise :class:`ParseError`
+    with ``file:line`` context.
+    """
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: file is not valid UTF-8") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def sniff_format(path: str | Path) -> str:
     """Return ``"native"`` (JSON Lines) or ``"coco"`` (single JSON document)."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes are left for the loader to report with their line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         rest = fh.read(4096)
     if not first.strip():
@@ -270,6 +293,32 @@ class _RecordPolicy:
         self.skipped += 1
         logger.warning("skipping %s: %s", context, exc)
 
+    def record(self, context: str, what: str, make: Callable[[Any], Any], rec: Any) -> Any:
+        """``make(rec)``, or None when the record is invalid and skipped.
+
+        A missing field always fails. A malformed value (``TypeError``,
+        ``ValueError``, ``OverflowError``) is an invalid record like any
+        :class:`ValidationError`.
+        """
+        try:
+            return make(rec)
+        except KeyError as exc:
+            raise ValidationError(f"{context}: {what} record missing field {exc}") from exc
+        except ValidationError as exc:
+            self.handle(exc, context)
+        except (TypeError, ValueError, OverflowError) as exc:
+            self.handle(ValidationError(f"invalid {what} record: {exc}"), context)
+        return None
+
+
+def _native_ground_truth(obj: dict[str, Any]) -> GroundTruthObject:
+    return GroundTruthObject(
+        image_id=obj["image_id"],
+        category_id=obj["category_id"],
+        box=_box_from_relative(obj["box"]),
+        crowd_flag=bool(obj.get("crowd_flag", False)),
+    )
+
 
 def _load_native_annotations(path: Path, policy: _RecordPolicy):
     images: dict[ImageId, ImageRecord] = {}
@@ -300,102 +349,95 @@ def _load_native_annotations(path: Path, policy: _RecordPolicy):
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{context}: invalid category record: {exc}") from exc
         else:
-            try:
-                ground_truth.append(
-                    GroundTruthObject(
-                        image_id=obj["image_id"],
-                        category_id=obj["category_id"],
-                        box=_box_from_relative(obj["box"]),
-                        crowd_flag=bool(obj.get("crowd_flag", False)),
-                    )
-                )
-            except KeyError as exc:
-                raise ValidationError(f"{context}: annotation record missing field {exc}") from exc
-            except ValidationError as exc:
-                policy.handle(exc, context)
+            gt = policy.record(context, "annotation", _native_ground_truth, obj)
+            if gt is not None:
+                ground_truth.append(gt)
     return images, ground_truth, categories
 
 
 def _load_native_detections(path: Path, images: dict[ImageId, ImageRecord], policy: _RecordPolicy):
+    def make(obj):
+        if images and obj["image_id"] not in images:
+            raise ReferentialIntegrityError(f"unknown image_id {obj['image_id']!r}")
+        return Detection(
+            image_id=obj["image_id"],
+            category_id=obj["category_id"],
+            score=obj["score"],
+            box=_box_from_relative(obj["box"]),
+        )
+
     detections: list[Detection] = []
     for lineno, obj in _iter_jsonl(path):
-        context = f"{path}:{lineno}"
-        try:
-            if images and obj["image_id"] not in images:
-                raise ReferentialIntegrityError(f"unknown image_id {obj['image_id']!r}")
-            detections.append(
-                Detection(
-                    image_id=obj["image_id"],
-                    category_id=obj["category_id"],
-                    score=obj["score"],
-                    box=_box_from_relative(obj["box"]),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{context}: detection record missing field {exc}") from exc
-        except ValidationError as exc:
-            policy.handle(exc, context)
+        det = policy.record(f"{path}:{lineno}", "detection", make, obj)
+        if det is not None:
+            detections.append(det)
     return detections
 
 
 def _load_coco_annotations(path: Path, policy: _RecordPolicy):
-    doc = _load_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
         raise ValidationError(f"{path}: COCO annotation file must contain an 'images' array")
     images: dict[ImageId, ImageRecord] = {}
-    for rec in doc["images"]:
-        image = ImageRecord(rec["id"], rec["width"], rec["height"])
-        if image.image_id in images:
-            raise ValidationError(f"{path}: duplicate image id {image.image_id!r}")
-        images[image.image_id] = image
-    categories: CategoryTable = {
-        int(rec["id"]): str(rec.get("name", rec["id"])) for rec in doc.get("categories", [])
-    }
+    try:
+        for rec in doc["images"]:
+            image = ImageRecord(rec["id"], rec["width"], rec["height"])
+            if image.image_id in images:
+                raise ValidationError(f"duplicate image id {image.image_id!r}")
+            images[image.image_id] = image
+        categories: CategoryTable = {
+            int(rec["id"]): str(rec.get("name", rec["id"])) for rec in doc.get("categories", [])
+        }
+    except KeyError as exc:
+        raise ValidationError(f"{path}: image or category record missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"{path}: invalid image or category record: {exc}") from exc
+
+    def make(rec):
+        image = images.get(rec["image_id"])
+        if image is None:
+            raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
+        return GroundTruthObject(
+            image_id=rec["image_id"],
+            category_id=rec["category_id"],
+            box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
+            crowd_flag=bool(rec.get("iscrowd", 0)),
+        )
+
+    annotations = doc.get("annotations", [])
+    if not isinstance(annotations, list):
+        raise ValidationError(f"{path}: COCO 'annotations' must be an array")
     ground_truth: list[GroundTruthObject] = []
-    for i, rec in enumerate(doc.get("annotations", [])):
-        context = f"{path}: annotation #{i}"
-        try:
-            image = images.get(rec["image_id"])
-            if image is None:
-                raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
-            ground_truth.append(
-                GroundTruthObject(
-                    image_id=rec["image_id"],
-                    category_id=rec["category_id"],
-                    box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
-                    crowd_flag=bool(rec.get("iscrowd", 0)),
-                )
-            )
-        except ValidationError as exc:
-            policy.handle(exc, context)
+    for i, rec in enumerate(annotations):
+        gt = policy.record(f"{path}: annotation #{i}", "annotation", make, rec)
+        if gt is not None:
+            ground_truth.append(gt)
     return images, ground_truth, categories
 
 
 def _load_coco_detections(path: Path, images: dict[ImageId, ImageRecord], policy: _RecordPolicy):
-    doc = _load_json(path)
+    doc = read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("annotations", doc.get("results"))
     if not isinstance(doc, list):
         raise ValidationError(f"{path}: COCO detection file must be a results array")
+
+    def make(rec):
+        image = images.get(rec["image_id"])
+        if image is None:
+            raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
+        return Detection(
+            image_id=rec["image_id"],
+            category_id=rec["category_id"],
+            score=rec["score"],
+            box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
+        )
+
     detections: list[Detection] = []
     for i, rec in enumerate(doc):
-        context = f"{path}: result #{i}"
-        try:
-            image = images.get(rec["image_id"])
-            if image is None:
-                raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
-            detections.append(
-                Detection(
-                    image_id=rec["image_id"],
-                    category_id=rec["category_id"],
-                    score=rec["score"],
-                    box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{context}: missing field {exc}") from exc
-        except ValidationError as exc:
-            policy.handle(exc, context)
+        det = policy.record(f"{path}: result #{i}", "result", make, rec)
+        if det is not None:
+            detections.append(det)
     return detections
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcal import calibrators, synth
 from detcal.calibrators import (
@@ -52,6 +54,7 @@ from oracles import (
     make_sample,
     random_matched_samples,
 )
+from strategies import JSON_VALUES
 
 
 def logit_fs(members=("confidence",)):
@@ -186,7 +189,7 @@ class TestParameterCounts:
 
 class TestPackUnpack:
     @pytest.mark.parametrize("method", calibrators.PARAMETRIC_METHODS)
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
     def test_round_trip(self, method, k):
         rng = np.random.default_rng(6)
         theta = identity_theta(method, k) + rng.uniform(-0.5, 0.5, theta_size(method, k))
@@ -614,10 +617,16 @@ class TestModelValidation:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("method", calibrators.METHODS)
-    def test_round_trip_applies_identically(self, method, tmp_path):
+    # K = 3 keeps the bare method id it has always had.
+    @pytest.mark.parametrize("method, members", [
+        pytest.param(method, members, id=method if len(members) == 3 else f"{method}-k{len(members)}")
+        for method in calibrators.METHODS
+        for members in (("confidence",), ("confidence", "cx", "cy"),
+                        ("confidence", "cx", "cy", "w", "h"))
+    ])
+    def test_round_trip_applies_identically(self, method, members, tmp_path):
         samples = synth.generate(synth.make_scenario("uniform_overconfident", 10000, seed=16))
-        model = fit(method, samples, ("confidence", "cx", "cy"))
+        model = fit(method, samples, members)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -677,3 +686,51 @@ class TestSerialization:
         path = tmp_path / "m.json"
         save_model(model, path)
         assert load_model(path).category_id == 17
+
+
+class TestModelFileContract:
+    """One field of a valid model replaced by any JSON yields a model or a ValidationError."""
+
+    @staticmethod
+    def valid_json(method):
+        if method == "hist_binning":
+            return model_to_json(fit_hist_binning(four_sample_dataset(), ("confidence",), 2))
+        fs = FeatureSet(("confidence", "cx", "cy"), calibrators.expected_encoding(method))
+        params = unpack_params(method, identity_theta(method, 3), 3)
+        return model_to_json(CalibrationModel(method, fs, params))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_field_replaced_by_arbitrary_json(self, data):
+        method = data.draw(st.sampled_from(calibrators.METHODS))
+        doc = self.valid_json(method)
+        block = data.draw(st.sampled_from(["params", "fit_metadata"]))
+        key = data.draw(st.sampled_from([None, *doc[block]]))
+        value = data.draw(JSON_VALUES)
+        if key is None:
+            doc[block] = value
+        else:
+            doc[block][key] = value
+        try:
+            model = model_from_json(doc)
+        except ValidationError:
+            return
+        assert isinstance(model, CalibrationModel) and model.method == method
+
+    @pytest.mark.parametrize("field", ["c", "w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        data = model_to_json(
+            CalibrationModel(
+                "logistic_indep", logit_fs(), LogisticIndepParams(w=np.ones(1), c=0.0)
+            )
+        )
+        data["params"][field] = value if field == "c" else [value]
+        with pytest.raises(ValidationError, match="finite"):
+            model_from_json(data)
+
+    def test_infinite_histogram_cell_rejected(self):
+        data = model_to_json(fit_hist_binning(four_sample_dataset(), ("confidence",), 2))
+        data["params"]["tables"][0][0] = math.inf
+        with pytest.raises(ValidationError):
+            model_from_json(data)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detcal
 from detcal.cli import main
 from detcal.detections import (
     BoxGeometry,
@@ -213,6 +218,81 @@ class TestBadMatchedInput:
         bad.write_bytes(json.dumps(self.GOOD).encode() + b"\n{\"image_id\": \"\xff\"}\n")
         assert run(["eval", "--in", bad, "--features", "conf"]) == 2
         assert "bad.jsonl:2" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A matched-sample file, an lc model fitted on it, and a native detection/annotation pair."""
+    root = tmp_path_factory.mktemp("valid")
+    matched, model = root / "matched.jsonl", root / "model.json"
+    assert run(["synth", "--scenario", "fig3_boundary_decay", "--n", 2000, "--out", matched]) == 0
+    assert run(["fit", "--in", matched, "--method", "lc", "--features", "conf", "--out", model]) == 0
+    box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
+    det, ann = root / "d.jsonl", root / "a.jsonl"
+    write_detections([Detection(0, 1, 0.9, box)], det)
+    write_annotations([GroundTruthObject(0, 1, box)], [ImageRecord(0, 100, 100)], ann)
+    return {"matched": matched, "model": model, "det": det, "ann": ann}
+
+
+class TestBadModelFile:
+    """A malformed model file exits 2 with its path, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: {**m, "params": {**m["params"], "w": "abc"}},
+            lambda m: {**m, "params": [1]},
+            lambda m: [1],
+            lambda m: {**m, "params": {**m["params"], "c": None}},
+            lambda m: {**m, "fit_metadata": {**m["fit_metadata"], "n_samples": "x"}},
+        ],
+        ids=["string-weights", "list-params", "list-model", "null-bias", "string-n-samples"],
+    )
+    def test_apply_exits_two(self, tmp_path, caplog, valid_inputs, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(valid_inputs["model"].read_text()))))
+        assert run(["apply", "--model", bad, "--in", valid_inputs["matched"],
+                    "--out", tmp_path / "c.jsonl"]) == 2
+        assert "bad.json" in caplog.text
+
+    def test_undecodable_model_exits_two(self, tmp_path, caplog, valid_inputs):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(valid_inputs["model"].read_bytes().replace(b'"method"', b'"\xffmethod"', 1))
+        assert run(["apply", "--model", bad, "--in", valid_inputs["matched"],
+                    "--out", tmp_path / "c.jsonl"]) == 2
+        assert "bad.json:3" in caplog.text
+
+
+# Every file-reading subcommand, with {bad} standing for the malformed file.
+FILE_READERS = {
+    "match-detections": ["match", "--detections", "{bad}", "--annotations", "{ann}",
+                         "--iou", "0.5", "--out", "{out}"],
+    "match-annotations": ["match", "--detections", "{det}", "--annotations", "{bad}",
+                          "--iou", "0.5", "--out", "{out}"],
+    "fit": ["fit", "--in", "{bad}", "--method", "lc", "--features", "conf", "--out", "{out}"],
+    "apply-model": ["apply", "--model", "{bad}", "--in", "{matched}", "--out", "{out}"],
+    "apply-in": ["apply", "--model", "{model}", "--in", "{bad}", "--out", "{out}"],
+    "eval": ["eval", "--in", "{bad}", "--features", "conf"],
+    "heatmap": ["heatmap", "--in", "{bad}", "--features", "conf+xy", "--axes", "cx,cy"],
+    "protocol": ["protocol", "--in", "{bad}", "--methods", "hb", "--features", "conf", "--reps", "1"],
+}
+BAD_CONTENT = {"undecodable": b'{"image_id": "\xff"}\n', "non-object": b"[1, 2]\n"}
+
+
+@pytest.mark.parametrize("content", BAD_CONTENT)
+@pytest.mark.parametrize("command", FILE_READERS)
+def test_file_reader_contract(tmp_path, valid_inputs, command, content):
+    """Exit 2 with the offending path on stderr and no traceback, in a real process."""
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(BAD_CONTENT[content])
+    argv = [a.format(bad=bad, out=tmp_path / "out", **valid_inputs) for a in FILE_READERS[command]]
+    src = str(Path(detcal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "detcal.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestHeatmapCommand:

@@ -177,6 +177,26 @@ class TestCocoIngestion:
         with pytest.raises(ParseError, match=r":2:"):
             load_dataset(det, bad)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"images": [{"id": 1, "width": 100}]},
+            {"images": [[1, 100, 200]]},
+            {"images": BASE_IMAGES, "categories": [{"name": "person"}]},
+            {"images": BASE_IMAGES, "annotations": 5},
+            {"images": BASE_IMAGES, "annotations": [{"image_id": 1, "category_id": 7}]},
+            {"images": BASE_IMAGES, "annotations": [[1, 7]]},
+        ],
+        ids=["image-missing-height", "list-image", "category-missing-id", "scalar-annotations",
+             "annotation-missing-bbox", "list-annotation"],
+    )
+    def test_malformed_annotation_document_is_validation_error(self, tmp_path, doc):
+        ann, det = tmp_path / "ann.json", tmp_path / "det.json"
+        ann.write_text(json.dumps(doc))
+        det.write_text("[]")
+        with pytest.raises(ValidationError, match=r"ann\.json"):
+            load_dataset(det, ann)
+
     def test_unknown_format_rejected(self, tmp_path):
         det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [], BASE_CATEGORIES, [])
         with pytest.raises(UsageError):
@@ -308,6 +328,67 @@ class TestNativeAnnotationRecords:
         ann_path.write_text("")
         with pytest.raises(ParseError, match=r"d\.jsonl:1"):
             load_dataset(det_path, ann_path, fmt="native")
+
+
+GOOD_DETECTION = {"image_id": 0, "category_id": 1, "score": 0.5,
+                  "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}}
+GOOD_OBJECT = {"image_id": 0, "category_id": 1, "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}}
+
+
+class TestNativeRecordFields:
+    """Malformed values in native records are invalid records under the policy."""
+
+    @pytest.mark.parametrize(
+        "kind, record",
+        [
+            ("detection", {**GOOD_DETECTION, "score": "abc"}),
+            ("detection", {**GOOD_DETECTION, "image_id": [0]}),
+            ("object", {**GOOD_OBJECT, "category_id": "x"}),
+        ],
+        ids=["string-score", "list-image-id", "string-category-id"],
+    )
+    @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
+    def test_malformed_field(self, tmp_path, kind, record, on_invalid):
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        detections = [GOOD_DETECTION] + ([record] if kind == "detection" else [])
+        objects = [GOOD_OBJECT] + ([record] if kind == "object" else [])
+        image = {"image": {"image_id": 0, "width_px": 10, "height_px": 10}}
+        det_path.write_text("".join(json.dumps(r) + "\n" for r in detections))
+        ann_path.write_text("".join(json.dumps(r) + "\n" for r in [image, *objects]))
+        if on_invalid == "fail":
+            where = r"d\.jsonl:2" if kind == "detection" else r"a\.jsonl:3"
+            with pytest.raises(ValidationError, match=where):
+                load_dataset(det_path, ann_path, on_invalid=on_invalid)
+        else:
+            loaded, ground_truth, _ = load_dataset(det_path, ann_path, on_invalid=on_invalid)
+            assert len(loaded) == 1 and len(ground_truth) == 1
+
+    def test_unhashable_image_id_without_image_table(self, tmp_path):
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_text(json.dumps({**GOOD_DETECTION, "image_id": {"a": 1}}) + "\n")
+        ann_path.write_text("")
+        with pytest.raises(ValidationError, match=r"d\.jsonl:1: image_id"):
+            load_dataset(det_path, ann_path)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a ParseError with file:line under format sniffing."""
+
+    def test_native_detection_file(self, tmp_path):
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_bytes(json.dumps(GOOD_DETECTION).encode() + b'\n{"image_id": "\xff"}\n')
+        ann_path.write_text("")
+        assert sniff_format(det_path) == "native"
+        with pytest.raises(ParseError, match=r"d\.jsonl:2"):
+            load_dataset(det_path, ann_path)
+
+    def test_coco_file(self, tmp_path):
+        det_path, ann_path = tmp_path / "det.json", tmp_path / "ann.json"
+        det_path.write_text("[]")
+        ann_path.write_bytes(b'{\n  "images": [],\n  "info": "\xff"\n}\n')
+        assert sniff_format(ann_path) == "coco"
+        with pytest.raises(ParseError, match=r"ann\.json:3"):
+            load_dataset(det_path, ann_path)
 
 
 class TestImageRecord:

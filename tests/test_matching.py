@@ -15,6 +15,7 @@ from detcal.matching import (
     write_matched_samples,
 )
 from oracles import random_matched_samples
+from strategies import JSON_VALUES
 
 
 def det(score, box, image_id=0, category_id=1):
@@ -205,12 +206,6 @@ class TestMatchedSample:
         assert [r["raw_score"] for r in recs] == [0.1, 0.2, 0.3, 0.4, 0.5]
 
 
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=8,
-)
 _MISSING = object()
 
 
