@@ -65,7 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .detections import read_json
-from .features import DEFAULT_CLIP, FeatureSet, build_feature_matrix, labels, raw_values
+from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
 from .matching import MatchedSample
 from .metrics import bin_indices
 from .optimizer import FitReport, OptimizerConfig, minimize
@@ -342,13 +342,16 @@ def loglik_ratio(model: CalibrationModel, s: np.ndarray) -> float | np.ndarray:
 
 
 def calibrate_matrix(model: CalibrationModel, x: np.ndarray) -> np.ndarray:
-    """Calibrated scores for a prebuilt feature matrix in the model's encoding."""
+    """Calibrated scores for a prebuilt feature matrix in the model's encoding; overflow saturates."""
     if model.method == "hist_binning":
         return _hist_lookup(model.params, x)
-    return sigmoid(_FAMILIES[model.method].llr(model.params, np.asarray(x, dtype=np.float64)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sigmoid(_FAMILIES[model.method].llr(model.params, np.asarray(x, dtype=np.float64)))
 
 
-def apply(model: CalibrationModel, samples: Sequence[MatchedSample], eps: float = DEFAULT_CLIP) -> np.ndarray:
+def apply(
+    model: CalibrationModel, samples: Sequence[MatchedSample] | SampleColumns, eps: float = DEFAULT_CLIP
+) -> np.ndarray:
     """Calibrated score for every sample, in input order."""
     if model.method == "hist_binning":
         x = raw_values(samples, model.feature_set.members)
@@ -366,9 +369,7 @@ def _hist_lookup(params: HistBinningParams, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != params.k:
         raise UsageError(f"value matrix of shape {values.shape} does not match K={params.k}")
-    idx = np.empty(values.shape, dtype=np.int64)
-    for k, n_k in enumerate(params.bin_counts):
-        idx[:, k] = bin_indices(values[:, k], n_k)
+    idx = bin_indices(values, params.bin_counts)
     out = params.tables[-1][tuple(idx.T)]
     for j in range(params.k - 2, -1, -1):
         missing = np.isnan(out)
@@ -379,7 +380,7 @@ def _hist_lookup(params: HistBinningParams, values: np.ndarray) -> np.ndarray:
 
 
 def fit_hist_binning(
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet | Sequence[str],
     bin_counts: int | Sequence[int] | None = None,
     *,
@@ -407,11 +408,9 @@ def fit_hist_binning(
         if len(counts) != k:
             raise UsageError(f"{len(counts)} bin counts given for K={k} dimensions")
 
-    values = raw_values(samples, fs.members)
-    m = labels(samples).astype(np.float64)
-    idx = np.empty(values.shape, dtype=np.int64)
-    for dim, n_k in enumerate(counts):
-        idx[:, dim] = bin_indices(values[:, dim], n_k)
+    cols = columns(samples)
+    idx = bin_indices(raw_values(cols, fs.members), counts)
+    m = labels(cols).astype(np.float64)
 
     tables = []
     for j in range(1, k + 1):
@@ -846,7 +845,7 @@ _FAMILIES = {
 
 def fit_parametric(
     method: str,
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet | Sequence[str],
     *,
     config: OptimizerConfig | None = None,
@@ -864,8 +863,9 @@ def fit_parametric(
     """
     fam = _family(method)
     fs = _normalize_feature_set(method, fs)
-    x = build_feature_matrix(samples, fs, eps)
-    m = labels(samples).astype(np.float64)
+    cols = columns(samples)
+    x = build_feature_matrix(cols, fs, eps)
+    m = labels(cols).astype(np.float64)
     n_pos = int(m.sum())
     if n_pos == 0 or n_pos == len(m):
         raise DegenerateDataError(
@@ -898,7 +898,7 @@ def fit_parametric(
 
 def fit(
     method: str,
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet | Sequence[str],
     *,
     bin_counts: int | Sequence[int] | None = None,

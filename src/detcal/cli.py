@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import calibrators, harness, metrics, synth
@@ -54,13 +52,6 @@ def _parse_bins(text: str | None, k: int, defaults: dict[int, int]) -> tuple[int
 def _out_path(args, path: str) -> Path:
     p = Path(path)
     return p if p.is_absolute() else Path(args.out_dir) / p
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DETCAL_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _cmd_match(args) -> int:
@@ -151,12 +142,7 @@ def _cmd_apply(args) -> int:
                 f"holds categories {foreign}; filter the input or fit with --pooled"
             )
     scores = calibrators.apply(model, samples, args.eps)
-    raw = [s.detection.score for s in samples]
-    calibrated = [
-        replace(s, detection=replace(s.detection, score=float(q)))
-        for s, q in zip(samples, scores)
-    ]
-    write_matched_samples(calibrated, _out_path(args, args.out), raw_scores=raw)
+    write_matched_samples(samples, _out_path(args, args.out), scores=scores)
     return 0
 
 
@@ -223,13 +209,12 @@ def _cmd_protocol(args) -> int:
         iou_thresholds=tuple(float(t) for t in args.ious.split(",")) if args.ious else (),
         eps=args.eps,
     )
-    threads = _threads(args)
     if args.input:
         samples = read_matched_samples(args.input)
-        tables = [run_protocol(samples, cfg, threads=threads)]
+        tables = [run_protocol(samples, cfg)]
     elif args.detections and args.annotations:
         detections, ground_truth, _ = load_dataset(args.detections, args.annotations)
-        tables = run_protocol_with_matching(detections, ground_truth, cfg, threads=threads)
+        tables = run_protocol_with_matching(detections, ground_truth, cfg)
     else:
         raise UsageError("protocol needs --in, or --detections plus --annotations")
     rendered = "".join(render_table(t, args.format) for t in tables)
@@ -246,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
     parser.add_argument("--out-dir", default=".", help="directory for relative output paths")
     parser.add_argument("--eps", type=float, default=DEFAULT_CLIP, help="feature clip value")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="parallelism bound (env DETCAL_THREADS)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("match", parents=[], help="assign detections to ground truth by IoU")

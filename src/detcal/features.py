@@ -1,5 +1,6 @@
 """Calibration input vectors built from matched samples.
 
+Readers take a record list or its :class:`SampleColumns` (:func:`columns`).
 A feature set selects an ordered subset of (confidence, cx, cy, w, h) with
 the confidence always first; its size K is the dimension of the calibration
 map and of any matching calibration-error binning. Values are clipped away
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .matching import MatchedSample
+from .matching import MatchedSample, check_scores
 
 MEMBER_NAMES = ("confidence", "cx", "cy", "w", "h")
 ENCODINGS = ("probability", "logit")
@@ -27,10 +28,6 @@ NAMED_FEATURE_SETS = {
     "conf+wh": ("confidence", "w", "h"),
     "full": ("confidence", "cx", "cy", "w", "h"),
 }
-
-# A feature vector is a plain float array of length K in the feature set's
-# member order.
-FeatureVector = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,21 +72,59 @@ def _check_eps(eps: float) -> float:
     return float(eps)
 
 
-def raw_values(samples: Sequence[MatchedSample], members: Sequence[str]) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SampleColumns:
+    """Read-only struct-of-arrays form of a sample list.
+
+    ``values`` (n, 5) holds the members in :data:`MEMBER_NAMES` order and
+    ``matched`` the int64 labels. ``values`` stays column-major because BLAS
+    products round by layout and fitted model files must keep their bits.
+    """
+
+    values: np.ndarray
+    matched: np.ndarray
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.matched.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.matched)
+
+    def take(self, idx: np.ndarray) -> SampleColumns:
+        """The samples at ``idx``, in that order (gathered via the transpose to stay column-major)."""
+        return SampleColumns(self.values.T[:, idx].T, self.matched[idx])
+
+    def with_scores(self, scores) -> SampleColumns:
+        """The same samples with ``scores`` as confidences; see :func:`check_scores`."""
+        values = self.values.copy(order="F")
+        values[:, 0] = check_scores(scores)
+        return SampleColumns(values, self.matched)
+
+
+def columns(samples: Sequence[MatchedSample] | SampleColumns) -> SampleColumns:
+    """Read a sample list into columns once; columns are returned unchanged."""
+    if isinstance(samples, SampleColumns):
+        return samples
+    n = len(samples)
+    values = np.empty((n, len(MEMBER_NAMES)), order="F")
+    values[:, 0] = np.fromiter((s.detection.score for s in samples), np.float64, n)
+    for k, member in enumerate(MEMBER_NAMES[1:], start=1):
+        values[:, k] = np.fromiter((getattr(s.detection.box, member) for s in samples), np.float64, n)
+    return SampleColumns(values, np.fromiter((s.matched for s in samples), np.int64, n))
+
+
+def raw_values(samples: Sequence[MatchedSample] | SampleColumns, members: Sequence[str]) -> np.ndarray:
     """Unclipped per-sample values for the given members, shape (n, len(members))."""
-    columns = []
-    for m in members:
-        if m == "confidence":
-            columns.append([s.detection.score for s in samples])
-        elif m in ("cx", "cy", "w", "h"):
-            columns.append([getattr(s.detection.box, m) for s in samples])
-        else:
-            raise UsageError(f"unknown feature member {m!r}")
-    return np.asarray(columns, dtype=np.float64).T.reshape(len(samples), len(list(members)))
+    try:
+        index = list(map(MEMBER_NAMES.index, members))
+    except ValueError:
+        raise UsageError(f"unknown feature member in {tuple(members)}") from None
+    return columns(samples).values[:, index]
 
 
 def build_feature_matrix(
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet,
     eps: float = DEFAULT_CLIP,
 ) -> np.ndarray:
@@ -103,11 +138,11 @@ def build_feature_matrix(
     return values
 
 
-def build_features(sample: MatchedSample, fs: FeatureSet, eps: float = DEFAULT_CLIP) -> FeatureVector:
-    """Feature vector for a single sample; see :func:`build_feature_matrix`."""
+def build_features(sample: MatchedSample, fs: FeatureSet, eps: float = DEFAULT_CLIP) -> np.ndarray:
+    """Feature vector (length K, in member order) for one sample; see :func:`build_feature_matrix`."""
     return build_feature_matrix([sample], fs, eps)[0]
 
 
-def labels(samples: Sequence[MatchedSample]) -> np.ndarray:
-    """Binary match labels as an integer vector, one entry per sample."""
-    return np.asarray([s.matched for s in samples], dtype=np.int64)
+def labels(samples: Sequence[MatchedSample] | SampleColumns) -> np.ndarray:
+    """Binary match labels as a read-only integer vector, one entry per sample."""
+    return columns(samples).matched

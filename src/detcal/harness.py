@@ -5,6 +5,9 @@ matched samples into a calibration and a test portion, fit every requested
 (method, feature set) pair on the calibration portion, and score the test
 portion with a D-ECE binning of at least the fitted dimensionality. The
 uncalibrated scores evaluated identically form the baseline row.
+
+The samples are read into :class:`SampleColumns` once per run; a split takes
+rows of them, and a cell swaps the calibrated scores into its test rows.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from . import calibrators
 from .calibrators import DEFAULT_CALIBRATION_BINS, DEFAULT_RIDGE
 from .errors import DataError, EmptyMetricError, NumericalError, UsageError
-from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, labels
+from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, SampleColumns, columns, labels
 from .matching import MatchedSample, match_detections
 from .metrics import (
     DEFAULT_EVAL_BINS,
@@ -172,23 +174,15 @@ def stratified_split(
     return train, test
 
 
-def _with_scores(samples: Sequence[MatchedSample], scores: np.ndarray) -> list[MatchedSample]:
-    return [
-        replace(s, detection=replace(s.detection, score=float(q)))
-        for s, q in zip(samples, scores)
-    ]
-
-
-def _eval_spec(cfg: ProtocolConfig, eval_fs_name: str) -> BinningSpec:
+def _d_ece(samples: SampleColumns, cfg: ProtocolConfig, eval_fs_name: str) -> float:
     members = NAMED_FEATURE_SETS[eval_fs_name]
     k = len(members)
-    return BinningSpec(
-        dims=members, counts=(cfg.eval_bin_count(k),) * k, min_samples=cfg.min_samples
-    )
+    spec = BinningSpec(dims=members, counts=(cfg.eval_bin_count(k),) * k, min_samples=cfg.min_samples)
+    return compute_d_ece(samples, FeatureSet(members=members), spec, renormalize=cfg.renormalize)[0]
 
 
 def _run_repetition(
-    samples: Sequence[MatchedSample], cfg: ProtocolConfig, rep: int
+    samples: SampleColumns, cfg: ProtocolConfig, rep: int
 ) -> tuple[
     dict[str, float | None], dict[tuple[str, str], float | None], dict[str | tuple[str, str], str]
 ]:
@@ -198,10 +192,8 @@ def _run_repetition(
     (method, feature set) for a cell, so each lands in exactly its own cell.
     """
     rng = np.random.default_rng([cfg.seed, rep])
-    m = labels(samples)
-    train_idx, test_idx = stratified_split(m, cfg.train_fraction, rng)
-    train = [samples[i] for i in train_idx]
-    test = [samples[i] for i in test_idx]
+    train_idx, test_idx = stratified_split(labels(samples), cfg.train_fraction, rng)
+    train, test = samples.take(train_idx), samples.take(test_idx)
 
     baseline: dict[str, float | None] = {}
     cells: dict[tuple[str, str], float | None] = {}
@@ -209,11 +201,8 @@ def _run_repetition(
     eval_sets = cfg.resolved_eval_sets()
 
     for eval_fs_name in dict.fromkeys(eval_sets):
-        spec = _eval_spec(cfg, eval_fs_name)
-        fs = FeatureSet(members=spec.dims)
         try:
-            value, _ = compute_d_ece(test, fs, spec, renormalize=cfg.renormalize)
-            baseline[eval_fs_name] = value
+            baseline[eval_fs_name] = _d_ece(test, cfg, eval_fs_name)
         except EmptyMetricError as exc:
             baseline[eval_fs_name] = None
             errors[eval_fs_name] = f"rep {rep} baseline {eval_fs_name}: {exc}"
@@ -223,7 +212,7 @@ def _run_repetition(
             members = NAMED_FEATURE_SETS[fit_fs_name]
             try:
                 if method == "identity":
-                    scores = np.array([s.detection.score for s in test])
+                    scores = test.values[:, 0]
                 else:
                     model = calibrators.fit(
                         method,
@@ -237,12 +226,7 @@ def _run_repetition(
                         eps=cfg.eps,
                     )
                     scores = calibrators.apply(model, test, cfg.eps)
-                spec = _eval_spec(cfg, eval_fs_name)
-                fs = FeatureSet(members=spec.dims)
-                value, _ = compute_d_ece(
-                    _with_scores(test, scores), fs, spec, renormalize=cfg.renormalize
-                )
-                cells[(method, fit_fs_name)] = value
+                cells[(method, fit_fs_name)] = _d_ece(test.with_scores(scores), cfg, eval_fs_name)
             except (EmptyMetricError, NumericalError) as exc:
                 # Fault isolation: one unevaluable cell must not kill the run.
                 cells[(method, fit_fs_name)] = None
@@ -260,7 +244,7 @@ def _aggregate(values: list[float | None], errors: list[str]) -> CellResult:
 
 
 def run_protocol(
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     cfg: ProtocolConfig,
     *,
     iou: float | None = None,
@@ -268,21 +252,17 @@ def run_protocol(
 ) -> ResultsTable:
     """Run the repeated-split protocol over pre-matched samples.
 
-    Results are identical regardless of ``threads``: repetitions are seeded
-    independently and aggregated in repetition order.
+    ``threads`` is accepted for older callers and ignored: repetitions run
+    one after another, since a thread pool over them measured slower.
     """
     if not samples:
         raise DataError("protocol needs a nonempty sample list")
+    samples = columns(samples)
     m = labels(samples)
     if m.sum() == 0 or m.sum() == len(m):
         raise DataError("protocol needs both match labels present in the samples")
 
-    reps = range(cfg.repetitions)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda r: _run_repetition(samples, cfg, r), reps))
-    else:
-        outcomes = [_run_repetition(samples, cfg, r) for r in reps]
+    outcomes = [_run_repetition(samples, cfg, r) for r in range(cfg.repetitions)]
 
     eval_sets = cfg.resolved_eval_sets()
     baseline: dict[str, CellResult] = {}
@@ -308,19 +288,13 @@ def run_protocol(
     )
 
 
-def run_protocol_with_matching(
-    detections,
-    ground_truth,
-    cfg: ProtocolConfig,
-    *,
-    threads: int = 1,
-) -> list[ResultsTable]:
+def run_protocol_with_matching(detections, ground_truth, cfg: ProtocolConfig) -> list[ResultsTable]:
     """Match at every configured IoU threshold and run the protocol for each."""
     thresholds = cfg.iou_thresholds or (0.6,)
     tables = []
     for threshold in thresholds:
         samples = match_detections(detections, ground_truth, threshold)
-        tables.append(run_protocol(samples, cfg, iou=threshold, threads=threads))
+        tables.append(run_protocol(samples, cfg, iou=threshold))
     return tables
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from .detections import (
     BoxGeometry,
     Detection,
@@ -115,7 +117,7 @@ def match_detections(
 
 def matched_sample_to_json(sample: MatchedSample) -> dict[str, Any]:
     det = sample.detection
-    rec: dict[str, Any] = {
+    return {
         "image_id": det.image_id,
         "category_id": det.category_id,
         "score": det.score,
@@ -124,21 +126,31 @@ def matched_sample_to_json(sample: MatchedSample) -> dict[str, Any]:
         "iou": sample.iou,
         "gt_index": sample.gt_index,
     }
-    return rec
 
 
-def write_matched_samples(samples: Iterable[MatchedSample], path: str | Path, *, raw_scores=None) -> None:
+def check_scores(scores) -> np.ndarray:
+    """``scores`` as floats, each checked like a :class:`Detection` score: not NaN, in [0, 1]."""
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+    if bad.size:
+        raise ValidationError(f"score must lie in [0, 1], got {scores[bad[0]]} at index {bad[0]}")
+    return scores
+
+
+def write_matched_samples(samples: Iterable[MatchedSample], path: str | Path, *, scores=None) -> None:
     """Write matched samples as JSON Lines (the native detection schema plus labels).
 
-    ``raw_scores`` optionally provides the pre-calibration score for each
-    sample, stored under ``raw_score`` when the score column was replaced.
+    ``scores`` optionally replaces the score column: ``scores[i]`` is written
+    as ``score`` and sample ``i``'s own score as ``raw_score``. The scores are
+    checked with :func:`check_scores` before the file is opened.
     """
-    raw = list(raw_scores) if raw_scores is not None else None
+    if scores is not None:
+        scores = check_scores(scores)
     with open(path, "w", encoding="utf-8") as fh:
         for i, sample in enumerate(samples):
             rec = matched_sample_to_json(sample)
-            if raw is not None:
-                rec["raw_score"] = float(raw[i])
+            if scores is not None:
+                rec["raw_score"], rec["score"] = rec["score"], float(scores[i])
             fh.write(json.dumps(rec))
             fh.write("\n")
 

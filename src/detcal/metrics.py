@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, DimensionalityError, EmptyMetricError, UsageError, ValidationError
-from .features import MEMBER_NAMES, FeatureSet, labels, raw_values
+from .features import MEMBER_NAMES, FeatureSet, SampleColumns, columns, labels, raw_values
 from .matching import MatchedSample
 
 DEFAULT_MIN_SAMPLES = 8
@@ -121,9 +121,10 @@ def bin_index(value: float, n_bins: int) -> int:
     return min(int(value * n_bins), n_bins - 1)
 
 
-def bin_indices(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Vectorized :func:`bin_index` over an array of values in [0, 1]."""
-    if n_bins < 1:
+def bin_indices(values: np.ndarray, n_bins: int | Sequence[int]) -> np.ndarray:
+    """Vectorized :func:`bin_index` over values in [0, 1]; ``n_bins`` may hold one count per column."""
+    n_bins = np.asarray(n_bins, dtype=np.int64)
+    if (n_bins < 1).any():
         raise UsageError(f"bin count must be >= 1, got {n_bins}")
     values = np.asarray(values, dtype=np.float64)
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
@@ -131,23 +132,19 @@ def bin_indices(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum((values * n_bins).astype(np.int64), n_bins - 1)
 
 
-def _binned_sums(samples: Sequence[MatchedSample], spec: BinningSpec):
+def _binned_sums(samples: Sequence[MatchedSample] | SampleColumns, spec: BinningSpec):
     """Flat-index occupancy, score sums and label sums over the full grid."""
-    values = raw_values(samples, spec.dims)
-    scores = raw_values(samples, ("confidence",))[:, 0]
-    m = labels(samples).astype(np.float64)
-    idx = np.empty((len(samples), len(spec.dims)), dtype=np.int64)
-    for k, n_k in enumerate(spec.counts):
-        idx[:, k] = bin_indices(values[:, k], n_k)
+    cols = columns(samples)
+    idx = bin_indices(raw_values(cols, spec.dims), spec.counts)
     flat = np.ravel_multi_index(tuple(idx.T), spec.counts) if len(spec.dims) > 1 else idx[:, 0]
     total = spec.total_bins
     counts = np.bincount(flat, minlength=total)
-    conf_sums = np.bincount(flat, weights=scores, minlength=total)
-    m_sums = np.bincount(flat, weights=m, minlength=total)
+    conf_sums = np.bincount(flat, weights=cols.values[:, 0], minlength=total)
+    m_sums = np.bincount(flat, weights=labels(cols), minlength=total)
     return counts, conf_sums, m_sums
 
 
-def binned_stats(samples: Sequence[MatchedSample], spec: BinningSpec) -> BinnedStats:
+def binned_stats(samples: Sequence[MatchedSample] | SampleColumns, spec: BinningSpec) -> BinnedStats:
     """Per-bin statistics after dropping bins below the occupancy threshold."""
     if not samples:
         raise DataError("cannot bin an empty sample list")
@@ -179,7 +176,7 @@ def binned_stats(samples: Sequence[MatchedSample], spec: BinningSpec) -> BinnedS
 
 
 def compute_d_ece(
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet,
     spec: BinningSpec,
     *,
@@ -207,7 +204,7 @@ def compute_d_ece(
 
 
 def reliability_curve(
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet,
     n_bins: int,
     *,
@@ -228,7 +225,7 @@ def reliability_curve(
 
 
 def heatmap(
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet,
     spec: BinningSpec,
     axes: tuple[str, str],

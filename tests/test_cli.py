@@ -19,7 +19,7 @@ from detcal.detections import (
     write_annotations,
     write_detections,
 )
-from detcal.matching import read_matched_samples, write_matched_samples
+from detcal.matching import MatchedSample, read_matched_samples, write_matched_samples
 from detcal.synth import generate, make_scenario
 
 
@@ -169,6 +169,46 @@ class TestFitApplyEval:
             ["fit", "--in", path, "--method", "hb", "--features", "conf", "--out", model, "--pooled"]
         ) == 0
         assert json.loads(model.read_text())["category_id"] is None
+
+
+class TestApplyOverflow:
+    """A loaded model whose ratio overflows saturates its scores; a NaN score exits 2."""
+
+    def _model(self, tmp_path, matched, method, params):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--in", matched, "--method", method, "--features", "conf+xy",
+                    "--out", model]) == 0
+        doc = json.loads(model.read_text())
+        doc["params"].update(params)
+        model.write_text(json.dumps(doc))
+        return model
+
+    def test_saturates_without_warnings(self, tmp_path):
+        matched = synth_file(tmp_path, n=2000)
+        model = self._model(tmp_path, matched, "lc", {"w": [1.7e308, 1.7e308, 0.0]})
+        out = tmp_path / "cal.jsonl"
+        src = str(Path(detcal.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "detcal.cli", "apply", "--model", str(model),
+                               "--in", str(matched), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        scores = {json.loads(line)["score"] for line in out.read_text().splitlines()}
+        assert scores <= {0.0, 1.0}
+
+    def test_nan_score_exits_two(self, tmp_path, caplog):
+        matched = synth_file(tmp_path, n=2000)
+        # log(s) * a0 runs to -inf for a low score and -log1p(-cx) * b1 to +inf
+        # for a box near the right edge, so such a sample's ratio is NaN.
+        model = self._model(tmp_path, matched, "bc", {"a": [1e308, 0.0, 0.0], "b": [1.0, 1e308, 0.0]})
+        probe = tmp_path / "probe.jsonl"
+        box = BoxGeometry(0.9, 0.5, 0.1, 0.1)
+        write_matched_samples([MatchedSample(Detection(0, 1, 0.01, box), 0)], probe)
+        out = tmp_path / "cal.jsonl"
+        assert run(["apply", "--model", model, "--in", probe, "--out", out]) == 2
+        assert "score must lie in [0, 1]" in caplog.text
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -389,11 +429,3 @@ class TestGlobalFlags:
             ["--out-dir", sub, "synth", "--scenario", "perfectly_calibrated", "--n", 20, "--out", "s.jsonl"]
         ) == 0
         assert (sub / "s.jsonl").exists()
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DETCAL_THREADS", "2")
-        matched = synth_file(tmp_path, n=4000)
-        assert run(
-            ["protocol", "--in", matched, "--methods", "identity", "--features", "conf", "--reps", 2]
-        ) == 0
-        assert "baseline" in capsys.readouterr().out

@@ -1,18 +1,27 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detcal.calibrators import apply, fit, model_to_json
 from detcal.errors import UsageError, ValidationError
 from detcal.features import (
+    NAMED_FEATURE_SETS,
     FeatureSet,
     build_feature_matrix,
     build_features,
+    columns,
     feature_set,
     labels,
     raw_values,
 )
+from detcal.matching import write_matched_samples
+from detcal.metrics import compute_d_ece, default_eval_spec
 from oracles import make_sample, random_matched_samples
+from test_acceptance import _with_scores
 
 
 class TestFeatureSet:
@@ -115,3 +124,54 @@ class TestLabels:
         flags = [True, False, False, True]
         samples = [make_sample(0.5, f) for f in flags]
         assert labels(samples).tolist() == [int(f) for f in flags]
+
+
+class TestSampleColumns:
+    def test_columns_follow_member_order(self):
+        samples = [make_sample(0.3, False, box=(0.4, 0.5, 0.2, 0.1)), make_sample(0.8, True)]
+        cols = columns(samples)
+        assert cols.values.tolist() == [[0.3, 0.4, 0.5, 0.2, 0.1], [0.8, 0.5, 0.5, 0.2, 0.2]]
+        assert cols.matched.tolist() == [0, 1]
+        assert columns(cols) is cols
+        assert cols.take(np.array([1])).values.tolist() == [[0.8, 0.5, 0.5, 0.2, 0.2]]
+
+    def test_columns_are_read_only(self):
+        cols = columns(random_matched_samples(np.random.default_rng(4), 10))
+        with pytest.raises(ValueError):
+            labels(cols)[0] = 1
+        with pytest.raises(ValueError):
+            cols.values[0, 0] = 0.5
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
+    def test_bad_scores_rejected(self, bad, tmp_path):
+        samples = random_matched_samples(np.random.default_rng(5), 3)
+        scores = [0.5, bad, 0.5]
+        with pytest.raises(ValidationError):
+            columns(samples).with_scores(scores)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValidationError):
+            write_matched_samples(samples, path, scores=scores)
+        assert not path.exists()
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 400))
+def test_columns_and_records_agree_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    samples = random_matched_samples(rng, n)
+    cols = columns(samples)
+    q = rng.random(n)
+    for members in NAMED_FEATURE_SETS.values():
+        fs = FeatureSet(members=members)
+        spec = default_eval_spec(members, min_samples=0)
+        assert _bits(compute_d_ece(samples, fs, spec)[0]) == _bits(compute_d_ece(cols, fs, spec)[0])
+        rebuilt = compute_d_ece(_with_scores(samples, q), fs, spec)[0]
+        assert _bits(rebuilt) == _bits(compute_d_ece(cols.with_scores(q), fs, spec)[0])
+        for method in ("hist_binning", "logistic_indep"):
+            from_records, from_columns = fit(method, samples, members), fit(method, cols, members)
+            assert json.dumps(model_to_json(from_records)) == json.dumps(model_to_json(from_columns))
+            assert _bits(apply(from_records, samples)) == _bits(apply(from_columns, cols))

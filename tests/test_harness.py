@@ -108,13 +108,6 @@ class TestRunProtocol:
         t2 = run_protocol(samples, cfg)
         assert t1 == t2
 
-    def test_threads_do_not_change_results(self):
-        samples = fig3_samples(8000)
-        cfg = ProtocolConfig(
-            methods=("lc", "hb"), feature_sets=("conf",), repetitions=4, seed=5
-        )
-        assert run_protocol(samples, cfg, threads=1) == run_protocol(samples, cfg, threads=3)
-
     def test_lc_reduces_global_ece_on_fig3(self):
         samples = fig3_samples(20000)
         cfg = ProtocolConfig(methods=("lc",), feature_sets=("conf",), repetitions=2, seed=1)

@@ -199,11 +199,12 @@ class TestMatchedSample:
         rng = np.random.default_rng(29)
         samples = random_matched_samples(rng, 5)
         path = tmp_path / "matched.jsonl"
-        write_matched_samples(samples, path, raw_scores=[0.1, 0.2, 0.3, 0.4, 0.5])
+        write_matched_samples(samples, path, scores=[0.1, 0.2, 0.3, 0.4, 0.5])
         import json
 
         recs = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["raw_score"] for r in recs] == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert [r["score"] for r in recs] == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert [r["raw_score"] for r in recs] == [s.detection.score for s in samples]
 
 
 _MISSING = object()

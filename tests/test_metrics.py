@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcal.errors import (
     DataError,
@@ -8,7 +10,7 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from detcal.features import FeatureSet
+from detcal.features import NAMED_FEATURE_SETS, FeatureSet
 from detcal.metrics import (
     BinningSpec,
     bin_index,
@@ -61,6 +63,15 @@ class TestBinIndex:
         values[:5] = [0.0, 1.0, 0.5, 0.999999, 1e-9]
         for n in (1, 2, 7, 20):
             assert bin_indices(values, n).tolist() == [bin_index(v, n) for v in values]
+
+    def test_one_count_per_column(self):
+        values = np.random.default_rng(1).random((250, 4))
+        values[0] = [0.0, 1.0, 0.5, 1e-9]
+        counts = (1, 2, 7, 20)
+        expected = np.stack([bin_indices(values[:, k], n) for k, n in enumerate(counts)], axis=1)
+        assert np.array_equal(bin_indices(values, counts), expected)
+        with pytest.raises(UsageError):
+            bin_indices(values, (1, 0, 7, 20))
 
 
 class TestBinningSpec:
@@ -179,6 +190,31 @@ class TestComputeDece:
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=0)
         with pytest.raises(DataError):
             compute_d_ece([], CONF, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    name=st.sampled_from(sorted(NAMED_FEATURE_SETS)),
+    min_samples=st.integers(0, 10),
+    renormalize=st.booleans(),
+)
+def test_d_ece_is_order_free_and_bounded(seed, n, name, min_samples, renormalize):
+    rng = np.random.default_rng(seed)
+    samples = random_matched_samples(rng, n)
+    shuffled = [samples[i] for i in rng.permutation(n)]
+    fs = FeatureSet(members=NAMED_FEATURE_SETS[name])
+    spec = default_eval_spec(fs.members, min_samples)
+    try:
+        value, _ = compute_d_ece(samples, fs, spec, renormalize=renormalize)
+    except EmptyMetricError:
+        with pytest.raises(EmptyMetricError):
+            compute_d_ece(shuffled, fs, spec, renormalize=renormalize)
+        return
+    permuted, _ = compute_d_ece(shuffled, fs, spec, renormalize=renormalize)
+    assert abs(value - permuted) <= 1e-12
+    assert 0.0 <= value <= 1.0
 
 
 class TestReliabilityCurve:
