@@ -21,7 +21,15 @@ from .detections import (
 )
 from .features import FeatureSet, build_features, build_feature_matrix, feature_set, labels
 from .harness import ProtocolConfig, ResultsTable, render_table, run_protocol
-from .matching import MatchedSample, iou, match_detections, read_matched_samples, write_matched_samples
+from .matching import (
+    MatchedSample,
+    SampleColumns,
+    columns,
+    iou,
+    match_detections,
+    read_matched_samples,
+    write_matched_samples,
+)
 from .metrics import BinningSpec, bin_index, compute_d_ece, heatmap, reliability_curve
 from .optimizer import FitReport, OptimizerConfig, check_gradient, minimize
 from .synth import ScenarioSpec, builtin_scenarios, generate, make_scenario
@@ -41,6 +49,7 @@ __all__ = [
     "OptimizerConfig",
     "ProtocolConfig",
     "ResultsTable",
+    "SampleColumns",
     "ScenarioSpec",
     "apply",
     "bin_index",
@@ -48,6 +57,7 @@ __all__ = [
     "build_feature_matrix",
     "builtin_scenarios",
     "check_gradient",
+    "columns",
     "compute_d_ece",
     "feature_set",
     "fit",

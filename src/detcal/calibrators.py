@@ -342,7 +342,10 @@ def loglik_ratio(model: CalibrationModel, s: np.ndarray) -> float | np.ndarray:
 
 
 def calibrate_matrix(model: CalibrationModel, x: np.ndarray) -> np.ndarray:
-    """Calibrated scores for a prebuilt feature matrix in the model's encoding; overflow saturates."""
+    """Calibrated scores for a prebuilt feature matrix in the model's encoding; overflow saturates.
+
+    A histogram model raises :class:`UsageError` on a NaN or infinite entry.
+    """
     if model.method == "hist_binning":
         return _hist_lookup(model.params, x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -917,17 +920,15 @@ def fit(
 
 def fit_per_class(
     method: str,
-    samples: Sequence[MatchedSample],
+    samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet | Sequence[str],
     **kwargs,
 ) -> dict[int, CalibrationModel]:
     """Fit one model per category_id present in the samples."""
-    by_class: dict[int, list[MatchedSample]] = {}
-    for s in samples:
-        by_class.setdefault(s.detection.category_id, []).append(s)
+    cols = columns(samples)
     return {
-        cid: fit(method, class_samples, fs, category_id=cid, **kwargs)
-        for cid, class_samples in sorted(by_class.items())
+        cid: fit(method, cols.take(np.flatnonzero(cols.category_id == cid)), fs, category_id=cid, **kwargs)
+        for cid in np.unique(cols.category_id).tolist()
     }
 
 

@@ -13,6 +13,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import calibrators, harness, metrics, synth
 from .detections import load_dataset
 from .errors import DataError, DetcalError, UsageError
@@ -76,14 +78,16 @@ def _cmd_synth(args) -> int:
 
 
 def _select_category(samples, args):
-    categories = sorted({s.detection.category_id for s in samples})
+    if not len(samples):
+        raise DataError(f"{args.input}: no samples to fit")
     if args.pooled:
         return samples, None
     if args.category is not None:
-        chosen = [s for s in samples if s.detection.category_id == args.category]
-        if not chosen:
+        chosen = np.flatnonzero(samples.category_id == args.category)
+        if not chosen.size:
             raise DataError(f"no samples with category {args.category}")
-        return chosen, args.category
+        return samples.take(chosen), args.category
+    categories = np.unique(samples.category_id).tolist()
     if len(categories) > 1:
         raise DataError(
             f"input holds categories {categories}; fit per class with --category "
@@ -133,9 +137,7 @@ def _cmd_apply(args) -> int:
     model = calibrators.load_model(args.model)
     samples = read_matched_samples(args.input)
     if model.category_id is not None:
-        foreign = sorted(
-            {s.detection.category_id for s in samples} - {model.category_id}
-        )
+        foreign = sorted(set(np.unique(samples.category_id).tolist()) - {model.category_id})
         if foreign:
             raise DataError(
                 f"model is fitted for category {model.category_id} but the input "

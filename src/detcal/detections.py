@@ -25,6 +25,8 @@ logger = logging.getLogger(__name__)
 # Maximum fraction of an image dimension a box may extend beyond the image
 # before the record is rejected instead of clamped.
 EDGE_CLAMP_TOLERANCE = 0.02
+# Category ids and ground-truth indices are stored as int64.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 ImageId = str | int
 CategoryTable = dict[int, str]
@@ -106,7 +108,10 @@ class Detection:
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"score must lie in [0, 1], got {score}")
         object.__setattr__(self, "score", score)
-        object.__setattr__(self, "category_id", int(self.category_id))
+        category_id = int(self.category_id)
+        if not INT64_MIN <= category_id <= INT64_MAX:
+            raise ValidationError(f"category_id must fit in 64 bits, got {category_id}")
+        object.__setattr__(self, "category_id", category_id)
         _require_hashable_id(self.image_id)
 
 
@@ -311,6 +316,12 @@ class _RecordPolicy:
         return None
 
 
+def _category(rec: Any) -> tuple[int, str]:
+    """``(id, name)`` of a category record; the name defaults to the id."""
+    cid = rec["id"]  # only a JSON object gets this far
+    return int(cid), str(rec.get("name", cid))
+
+
 def _native_ground_truth(obj: dict[str, Any]) -> GroundTruthObject:
     return GroundTruthObject(
         image_id=obj["image_id"],
@@ -342,8 +353,8 @@ def _load_native_annotations(path: Path, policy: _RecordPolicy):
             images[image.image_id] = image
         elif "category" in obj:
             try:
-                rec = obj["category"]
-                categories[int(rec["id"])] = str(rec.get("name", rec["id"]))
+                cid, name = _category(obj["category"])
+                categories[cid] = name
             except KeyError as exc:
                 raise ValidationError(f"{context}: category record missing field {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
@@ -385,9 +396,7 @@ def _load_coco_annotations(path: Path, policy: _RecordPolicy):
             if image.image_id in images:
                 raise ValidationError(f"duplicate image id {image.image_id!r}")
             images[image.image_id] = image
-        categories: CategoryTable = {
-            int(rec["id"]): str(rec.get("name", rec["id"])) for rec in doc.get("categories", [])
-        }
+        categories: CategoryTable = dict(map(_category, doc.get("categories", [])))
     except KeyError as exc:
         raise ValidationError(f"{path}: image or category record missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
@@ -484,7 +493,8 @@ def load_dataset(
         for d in detections:
             if d.category_id not in categories:
                 raise ReferentialIntegrityError(
-                    f"detection category {d.category_id} missing from the category table"
+                    f"{detections_path}: detection category {d.category_id} missing from "
+                    f"the category table of {annotations_path}"
                 )
     if policy.skipped:
         logger.warning("skipped %d invalid records", policy.skipped)

@@ -1,7 +1,8 @@
 """Calibration input vectors built from matched samples.
 
-Readers take a record list or its :class:`SampleColumns` (:func:`columns`).
-A feature set selects an ordered subset of (confidence, cx, cy, w, h) with
+Readers take a record list or its :class:`SampleColumns` (:func:`columns`),
+both defined in :mod:`detcal.matching`, whose file reader returns the table,
+and re-exported here. A feature set selects an ordered subset of (confidence, cx, cy, w, h) with
 the confidence always first; its size K is the dimension of the calibration
 map and of any matching calibration-error binning. Values are clipped away
 from {0, 1} so log and odds terms stay finite, and the confidence can be
@@ -16,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .matching import MatchedSample, check_scores
+from .matching import MEMBER_NAMES, MatchedSample, SampleColumns, columns
 
-MEMBER_NAMES = ("confidence", "cx", "cy", "w", "h")
 ENCODINGS = ("probability", "logit")
 DEFAULT_CLIP = 1e-6
 
@@ -70,48 +70,6 @@ def _check_eps(eps: float) -> float:
     if not 0.0 < eps < 0.5:
         raise UsageError(f"clip value must lie in (0, 0.5), got {eps}")
     return float(eps)
-
-
-@dataclass(frozen=True, eq=False)
-class SampleColumns:
-    """Read-only struct-of-arrays form of a sample list.
-
-    ``values`` (n, 5) holds the members in :data:`MEMBER_NAMES` order and
-    ``matched`` the int64 labels. ``values`` stays column-major because BLAS
-    products round by layout and fitted model files must keep their bits.
-    """
-
-    values: np.ndarray
-    matched: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.matched.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.matched)
-
-    def take(self, idx: np.ndarray) -> SampleColumns:
-        """The samples at ``idx``, in that order (gathered via the transpose to stay column-major)."""
-        return SampleColumns(self.values.T[:, idx].T, self.matched[idx])
-
-    def with_scores(self, scores) -> SampleColumns:
-        """The same samples with ``scores`` as confidences; see :func:`check_scores`."""
-        values = self.values.copy(order="F")
-        values[:, 0] = check_scores(scores)
-        return SampleColumns(values, self.matched)
-
-
-def columns(samples: Sequence[MatchedSample] | SampleColumns) -> SampleColumns:
-    """Read a sample list into columns once; columns are returned unchanged."""
-    if isinstance(samples, SampleColumns):
-        return samples
-    n = len(samples)
-    values = np.empty((n, len(MEMBER_NAMES)), order="F")
-    values[:, 0] = np.fromiter((s.detection.score for s in samples), np.float64, n)
-    for k, member in enumerate(MEMBER_NAMES[1:], start=1):
-        values[:, k] = np.fromiter((getattr(s.detection.box, member) for s in samples), np.float64, n)
-    return SampleColumns(values, np.fromiter((s.matched for s in samples), np.int64, n))
 
 
 def raw_values(samples: Sequence[MatchedSample] | SampleColumns, members: Sequence[str]) -> np.ndarray:

@@ -1,35 +1,54 @@
-"""Greedy IoU assignment of detections to ground-truth objects.
+"""Greedy IoU matching, and the matched-sample table and its JSON Lines file.
 
 Within each (image, category) group, detections are processed in descending
 score order and each claims the still-unclaimed ground-truth box with the
 highest IoU, provided that IoU reaches the threshold. The resulting binary
 match label is the supervision signal for every calibration map and metric
 in this package.
+
+:func:`match_detections` returns :class:`MatchedSample` records. Everything
+downstream works on :class:`SampleColumns`, the same samples as one table
+of arrays (:func:`columns` converts a record list once).
+:func:`read_matched_samples` parses the file straight into that table, a
+chunk of lines per ``json.loads`` call with vectorized checks, and hands any
+file those checks do not pass to the per-record reader, which gives the
+verdict and the ``file:line`` error. :func:`write_matched_samples` writes
+the table back with one line template.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+import re
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .detections import (
+    EDGE_CLAMP_TOLERANCE,
+    INT64_MAX,
     BoxGeometry,
     Detection,
     GroundTruthObject,
     _box_from_relative,
     _iter_jsonl,
-    box_to_json,
 )
 from .errors import UsageError, ValidationError
+
+# Column order of SampleColumns.values.
+MEMBER_NAMES = ("confidence", "cx", "cy", "w", "h")
 
 
 @dataclass(frozen=True)
 class MatchedSample:
-    """A detection joined with its binary match label at some IoU threshold."""
+    """A detection joined with its binary match label at some IoU threshold.
+
+    A matched sample carries the index (an integer in ``[0, 2**63)``) of the
+    ground-truth object it claimed; an unmatched one carries None and IoU 0.
+    """
 
     detection: Detection
     matched: int
@@ -49,6 +68,14 @@ class MatchedSample:
             raise ValidationError("unmatched sample carries a ground-truth index")
         if matched == 0 and self.iou != 0.0:
             raise ValidationError("unmatched sample must store iou = 0")
+        if matched == 1:
+            gt = self.gt_index
+            try:
+                valid = not isinstance(gt, bool) and 0 <= operator.index(gt) <= INT64_MAX
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValidationError(f"ground-truth index must be an integer in [0, 2**63), got {gt!r}")
 
 
 def iou(a: BoxGeometry, b: BoxGeometry) -> float:
@@ -115,17 +142,71 @@ def match_detections(
     return [r for r in results if r is not None]
 
 
-def matched_sample_to_json(sample: MatchedSample) -> dict[str, Any]:
-    det = sample.detection
-    return {
-        "image_id": det.image_id,
-        "category_id": det.category_id,
-        "score": det.score,
-        "box": box_to_json(det.box),
-        "matched": sample.matched,
-        "iou": sample.iou,
-        "gt_index": sample.gt_index,
-    }
+# ---------------------------------------------------------------------------
+# The sample table
+
+
+@dataclass(frozen=True, eq=False)
+class SampleColumns:
+    """Read-only table of matched samples, one entry per sample in every field.
+
+    ``values`` (n, 5) holds confidence, cx, cy, w, h in that order.
+    ``matched`` and ``category_id`` are int64, ``iou`` float64, ``gt_index``
+    int64 with -1 for an unmatched sample, and ``image_id`` a tuple of the
+    original str or int ids. The constructor checks nothing; :func:`columns`
+    and :func:`read_matched_samples` build validated tables.
+    """
+
+    values: np.ndarray
+    matched: np.ndarray
+    category_id: np.ndarray
+    iou: np.ndarray
+    gt_index: np.ndarray
+    image_id: tuple
+
+    def __post_init__(self):
+        for array in (self.values, self.matched, self.category_id, self.iou, self.gt_index):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.matched)
+
+    def take(self, idx: np.ndarray) -> SampleColumns:
+        """The samples at integer indices ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return SampleColumns(
+            self.values[idx],
+            self.matched[idx],
+            self.category_id[idx],
+            self.iou[idx],
+            self.gt_index[idx],
+            tuple(map(self.image_id.__getitem__, idx.tolist())),
+        )
+
+    def with_scores(self, scores) -> SampleColumns:
+        """The same samples with ``scores`` as confidences; see :func:`check_scores`."""
+        values = self.values.copy(order="F")
+        values[:, 0] = check_scores(scores)
+        return replace(self, values=values)
+
+
+def columns(samples: Sequence[MatchedSample] | SampleColumns) -> SampleColumns:
+    """Read a sample list into columns once; columns are returned unchanged."""
+    if isinstance(samples, SampleColumns):
+        return samples
+    n = len(samples)
+    values = np.empty((n, len(MEMBER_NAMES)), order="F")
+    values[:, 0] = np.fromiter((s.detection.score for s in samples), np.float64, n)
+    for k, member in enumerate(MEMBER_NAMES[1:], start=1):
+        values[:, k] = np.fromiter((getattr(s.detection.box, member) for s in samples), np.float64, n)
+    return SampleColumns(
+        values,
+        np.fromiter((s.matched for s in samples), np.int64, n),
+        np.fromiter((s.detection.category_id for s in samples), np.int64, n),
+        np.fromiter((s.iou for s in samples), np.float64, n),
+        np.fromiter((-1 if s.gt_index is None else s.gt_index for s in samples), np.int64, n),
+        tuple(s.detection.image_id for s in samples),
+    )
 
 
 def check_scores(scores) -> np.ndarray:
@@ -137,31 +218,78 @@ def check_scores(scores) -> np.ndarray:
     return scores
 
 
-def write_matched_samples(samples: Iterable[MatchedSample], path: str | Path, *, scores=None) -> None:
+# ---------------------------------------------------------------------------
+# JSON Lines file
+
+# One record per line, byte for byte what ``json.dumps`` wrote for the record
+# dict: ``%r`` of a Python float is ``float.__repr__``, as in ``json``.
+_LINE = (
+    '{"image_id": %s, "category_id": %d, "score": %r, "box": {"cx": %r, "cy": %r, '
+    '"w": %r, "h": %r}, "matched": %d, "iou": %r, "gt_index": %s'
+)
+
+
+def write_matched_samples(
+    samples: Sequence[MatchedSample] | SampleColumns, path: str | Path, *, scores=None
+) -> None:
     """Write matched samples as JSON Lines (the native detection schema plus labels).
 
     ``scores`` optionally replaces the score column: ``scores[i]`` is written
     as ``score`` and sample ``i``'s own score as ``raw_score``. The scores are
-    checked with :func:`check_scores` before the file is opened.
+    checked with :func:`check_scores` before the file is opened, as are the
+    table's values, which must be finite.
     """
+    cols = columns(samples)
+    if not (np.isfinite(cols.values).all() and np.isfinite(cols.iou).all()):
+        raise ValidationError("matched samples hold non-finite values")
+    score, raw = cols.values[:, 0], ()
+    template = _LINE + "}\n"
     if scores is not None:
-        scores = check_scores(scores)
+        score, raw = check_scores(scores), (score.tolist(),)
+        if score.shape != (len(cols),):
+            raise UsageError(f"{score.size} scores given for {len(cols)} samples")
+        template = _LINE + ', "raw_score": %r}\n'
+    rows = zip(
+        [i if type(i) is int else json.dumps(i) for i in cols.image_id],
+        cols.category_id.tolist(),
+        score.tolist(),
+        *cols.values[:, 1:].T.tolist(),
+        cols.matched.tolist(),
+        cols.iou.tolist(),
+        ["null" if g < 0 else g for g in cols.gt_index.tolist()],
+        *raw,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for i, sample in enumerate(samples):
-            rec = matched_sample_to_json(sample)
-            if scores is not None:
-                rec["raw_score"], rec["score"] = rec["score"], float(scores[i])
-            fh.write(json.dumps(rec))
-            fh.write("\n")
+        fh.writelines(map(template.__mod__, rows))
 
 
-def read_matched_samples(path: str | Path) -> list[MatchedSample]:
-    """Read matched samples from a JSON Lines file, preserving order.
+# Lines per json.loads call: one call per line spends most of its time in
+# call overhead, one call per file holds every parsed record at once.
+_CHUNK_LINES = 1024
+_NUMBER = {int, float}
+# Two top-level objects on one line must meet in a "}", "," and "{" run on
+# that line (a line holds no newline, and a string no raw newline). With
+# none, a chunk parsing to as many objects as it has lines has one object
+# per line.
+_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
+
+
+def read_matched_samples(path: str | Path) -> SampleColumns:
+    """Read matched samples from a JSON Lines file into columns, preserving order.
 
     Malformed lines raise :class:`ParseError` and invalid records
     :class:`ValidationError`, both with ``file:line`` context.
     """
     path = Path(path)
+    # Blank lines are skipped by the same test as _iter_jsonl's.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = [line for line in fh if line.strip()]
+    cols = _parse_lines(lines)
+    return columns(_read_records(path)) if cols is None else cols
+
+
+def _read_records(path: Path) -> list[MatchedSample]:
+    """Per-record reader: the reference for, and the fallback of, :func:`read_matched_samples`."""
     samples: list[MatchedSample] = []
     for lineno, obj in _iter_jsonl(path):
         try:
@@ -186,3 +314,89 @@ def read_matched_samples(path: str | Path) -> list[MatchedSample]:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: invalid matched record: {exc}") from exc
     return samples
+
+
+def _field(objs: list, key: str, kinds: set = _NUMBER) -> list:
+    """``obj[key]`` of every object; a value of another type than ``kinds`` raises TypeError."""
+    values = list(map(operator.itemgetter(key), objs))
+    if not set(map(type, values)) <= kinds:
+        raise TypeError(key)
+    return values
+
+
+def _parse_lines(lines: list[str]) -> SampleColumns | None:
+    """The columns of nonblank ``lines``, or None when the per-record reader must decide.
+
+    Accepts only what :func:`_read_records` accepts, with the same values:
+    exact int/float numbers (no bools or numeric strings), str/int image
+    ids, and every check of :class:`Detection`, :func:`_box_from_relative`
+    and :class:`MatchedSample`, with the same float arithmetic.
+    """
+    n = len(lines)
+    score, cx, cy, w, h, iou_ = (np.empty(n) for _ in range(6))
+    matched, category_id, gt_index = (np.empty(n, np.int64) for _ in range(3))
+    image_id: list = []
+    n_null = 0
+    for start in range(0, n, _CHUNK_LINES):
+        chunk = slice(start, min(start + _CHUNK_LINES, n))
+        part = lines[chunk]
+        text = "[" + ",".join(part) + "]"
+        if _TWO_OBJECTS.search(text):
+            return None
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                return None
+        try:
+            objs = json.loads(text)
+        except (ValueError, RecursionError):
+            return None
+        if len(objs) != len(part) or set(map(type, objs)) != {dict}:
+            return None
+        try:
+            boxes = _field(objs, "box", {dict})
+            image_id += _field(objs, "image_id", {str, int})
+            category_id[chunk] = np.array(_field(objs, "category_id", {int}), np.int64)
+            score[chunk] = np.array(_field(objs, "score"), np.float64)
+            for array, key in ((cx, "cx"), (cy, "cy"), (w, "w"), (h, "h")):
+                array[chunk] = np.array(_field(boxes, key), np.float64)
+            matched[chunk] = np.array(_field(objs, "matched", {int}), np.int64)
+            ious = [obj.get("iou", 0.0) for obj in objs]
+            gts = [obj.get("gt_index") for obj in objs]
+            if not (set(map(type, ious)) <= _NUMBER and set(map(type, gts)) <= {int, type(None)}):
+                return None
+            iou_[chunk] = np.array(ious, np.float64)
+            n_null += gts.count(None)
+            gt_index[chunk] = np.array([-1 if g is None else g for g in gts], np.int64)
+        except (KeyError, TypeError, OverflowError):
+            return None
+
+    values = np.empty((n, len(MEMBER_NAMES)), order="F")
+    values[:, 0] = score
+    # Rows with an infinity make NaN on the way; the finiteness test rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # _box_from_relative: clamp an overhang of at most the tolerance.
+        ok = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)
+        x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
+        overhang = np.maximum.reduce([np.zeros(n), -x1, x2 - 1.0, -y1, y2 - 1.0])
+        ok &= overhang <= EDGE_CLAMP_TOLERANCE
+        x1, y1 = np.where(x1 < 0.0, 0.0, x1), np.where(y1 < 0.0, 0.0, y1)
+        x2, y2 = np.where(x2 > 1.0, 1.0, x2), np.where(y2 > 1.0, 1.0, y2)
+        clamp = overhang > 0.0
+        values[:, 1] = cx = np.where(clamp, (x1 + x2) / 2.0, cx)
+        values[:, 2] = cy = np.where(clamp, (y1 + y2) / 2.0, cy)
+        values[:, 3] = w = np.where(clamp, x2 - x1, w)
+        values[:, 4] = h = np.where(clamp, y2 - y1, h)
+        # BoxGeometry
+        ok &= (cx >= 0.0) & (cx <= 1.0) & (cy >= 0.0) & (cy <= 1.0)
+        ok &= (w > 0.0) & (w <= 1.0) & (h > 0.0) & (h <= 1.0)
+        edge = np.maximum.reduce([0.5 * w - cx, cx + 0.5 * w - 1.0, 0.5 * h - cy, cy + 0.5 * h - 1.0])
+        ok &= edge <= EDGE_CLAMP_TOLERANCE + 1e-12
+    # Detection and MatchedSample
+    hit = matched == 1
+    ok &= (score >= 0.0) & (score <= 1.0) & (hit | (matched == 0))
+    ok &= (iou_ >= 0.0) & (iou_ <= 1.0) & (hit | (iou_ == 0.0)) & ((gt_index >= 0) == hit)
+    if not ok.all() or n_null != n - np.count_nonzero(hit):
+        return None
+    return SampleColumns(values, matched, category_id, iou_, gt_index, tuple(image_id))

@@ -122,13 +122,16 @@ def bin_index(value: float, n_bins: int) -> int:
 
 
 def bin_indices(values: np.ndarray, n_bins: int | Sequence[int]) -> np.ndarray:
-    """Vectorized :func:`bin_index` over values in [0, 1]; ``n_bins`` may hold one count per column."""
+    """Vectorized :func:`bin_index` over values in [0, 1]; ``n_bins`` may hold one count per column.
+
+    A value outside [0, 1], NaN included, raises :class:`UsageError`.
+    """
     n_bins = np.asarray(n_bins, dtype=np.int64)
     if (n_bins < 1).any():
         raise UsageError(f"bin count must be >= 1, got {n_bins}")
     values = np.asarray(values, dtype=np.float64)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise UsageError("binned values must lie in [0, 1]")
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise UsageError("binned values must be finite and lie in [0, 1]")
     return np.minimum((values * n_bins).astype(np.int64), n_bins - 1)
 
 

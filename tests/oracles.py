@@ -134,3 +134,39 @@ def generalized_beta_log_density(s, alpha, beta) -> float:
         )
     value -= float(sum(alpha)) * math.log(1.0 + float(lam @ s_star))
     return value
+
+
+def assert_same_columns(a, b):
+    """Two ``SampleColumns`` hold the same bits, dtypes and layouts, and the same ids."""
+    for name in ("values", "matched", "category_id", "iou", "gt_index"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.flags.f_contiguous) == (y.dtype, y.shape, y.flags.f_contiguous), name
+        assert x.tobytes() == y.tobytes(), name
+    # repr tells 1 from 1.0 and matches NaN ids.
+    assert [(type(i), repr(i)) for i in a.image_id] == [(type(i), repr(i)) for i in b.image_id]
+
+
+def greedy_match(detections, ground_truth, threshold, iou, exclude_crowd=True):
+    """``(matched, iou, gt_index)`` per detection by the greedy rule, spelled out.
+
+    Detections claim in (descending score, input order); each takes the
+    unclaimed, non-excluded ground truth of its image and category with the
+    highest IoU at or above ``threshold``, the lowest index among equals.
+    """
+    out = [(0, 0.0, None)] * len(detections)
+    claimed = set()
+    for i in sorted(range(len(detections)), key=lambda i: (-detections[i].score, i)):
+        d = detections[i]
+        candidates = [
+            (iou(d.box, g.box), j)
+            for j, g in enumerate(ground_truth)
+            if j not in claimed
+            and (g.image_id, g.category_id) == (d.image_id, d.category_id)
+            and not (exclude_crowd and g.crowd_flag)
+        ]
+        candidates = [(v, j) for v, j in candidates if v >= threshold]
+        if candidates:
+            v, j = min(candidates, key=lambda c: (-c[0], c[1]))
+            claimed.add(j)
+            out[i] = (1, v, j)
+    return out

@@ -422,6 +422,12 @@ class TestFusedObjectives:
 
 
 class TestHistBinning:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        model = fit_hist_binning(four_sample_dataset(), ("confidence",), 2)
+        with pytest.raises(UsageError, match="finite"):
+            calibrators.calibrate_matrix(model, np.array([[0.5], [bad]]))
+
     def test_all_matched_stores_ones(self):
         samples = [make_sample(p, True) for p in (0.1, 0.5, 0.9)]
         model = fit_hist_binning(samples, ("confidence",), 4)

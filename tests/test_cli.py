@@ -19,7 +19,7 @@ from detcal.detections import (
     write_annotations,
     write_detections,
 )
-from detcal.matching import MatchedSample, read_matched_samples, write_matched_samples
+from detcal.matching import MatchedSample, _read_records, read_matched_samples, write_matched_samples
 from detcal.synth import generate, make_scenario
 
 
@@ -72,6 +72,29 @@ class TestSynthCommand:
         assert run(["synth", "--scenario", "nope", "--n", 10, "--out", tmp_path / "x.jsonl"]) == 1
 
 
+class TestEmptyInput:
+    """An empty or all-blank matched file exits 2 from every command that reads it."""
+
+    @pytest.mark.parametrize("content", ["", "\n  \n\t\n"])
+    def test_fit_names_the_file(self, tmp_path, caplog, content):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(content)
+        assert run(["fit", "--in", path, "--method", "lc", "--features", "conf",
+                    "--out", tmp_path / "m.json"]) == 2
+        assert "empty.jsonl: no samples to fit" in caplog.text
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--method", "hb", "--features", "conf", "--pooled", "--out", "m.json"],
+        ["eval", "--features", "conf"],
+        ["heatmap", "--features", "conf+xy", "--axes", "cx,cy"],
+        ["protocol", "--reps", "1"],
+    ], ids=["fit-pooled", "eval", "heatmap", "protocol"])
+    def test_other_commands_exit_two(self, tmp_path, argv):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        assert run(["--out-dir", tmp_path, argv[0], "--in", path, *argv[1:]]) == 2
+
+
 class TestMatchCommand:
     def test_end_to_end(self, tmp_path):
         box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
@@ -89,8 +112,7 @@ class TestMatchCommand:
             ["match", "--detections", det_path, "--annotations", ann_path, "--iou", 0.5, "--out", out]
         )
         assert code == 0
-        samples = read_matched_samples(out)
-        assert [s.matched for s in samples] == [1, 0]
+        assert read_matched_samples(out).matched.tolist() == [1, 0]
         recs = [json.loads(line) for line in out.read_text().splitlines()]
         assert set(recs[0]) == {"image_id", "category_id", "score", "box", "matched", "iou", "gt_index"}
 
@@ -141,7 +163,7 @@ class TestFitApplyEval:
         matched = synth_file(tmp_path, n=3000)
         model = tmp_path / "model.json"
         assert run(["fit", "--in", matched, "--method", "hb", "--features", "conf", "--out", model]) == 0
-        samples = read_matched_samples(matched)
+        samples = _read_records(matched)
         from dataclasses import replace
 
         other = [replace(s, detection=replace(s.detection, category_id=2)) for s in samples[:5]]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcal.detections import (
     BoxGeometry,
@@ -15,12 +17,15 @@ from detcal.detections import (
     write_detections,
 )
 from detcal.errors import (
+    DataError,
+    DetcalError,
     ParseError,
     ReferentialIntegrityError,
     UsageError,
     ValidationError,
 )
 from oracles import random_matched_samples
+from strategies import JSON_VALUES
 
 
 def write_coco(tmp_path, images, annotations, categories, results):
@@ -395,3 +400,97 @@ class TestImageRecord:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValidationError):
             ImageRecord(1, 0, 100)
+
+
+# Valid inputs of each loader; the property below edits one entry of one.
+NATIVE_DETECTIONS = [GOOD_DETECTION, {**GOOD_DETECTION, "image_id": 1, "score": 0.25}]
+NATIVE_ANNOTATIONS = [
+    {"image": {"image_id": 0, "width_px": 10, "height_px": 10}},
+    {"image": {"image_id": 1, "width_px": 20, "height_px": 10}},
+    {"category": {"id": 1, "name": "car"}},
+    GOOD_OBJECT,
+    {**GOOD_OBJECT, "image_id": 1, "crowd_flag": True},
+]
+COCO_RESULTS = [
+    {"image_id": 1, "category_id": 7, "bbox": [12, 20, 30, 40], "score": 0.9},
+    {"image_id": 2, "category_id": 7, "bbox": [0, 0, 5, 5], "score": 0.1},
+]
+COCO_ANNOTATIONS = {
+    "images": [*BASE_IMAGES, {"id": 2, "width": 50, "height": 50}],
+    "annotations": [{"image_id": 1, "category_id": 7, "bbox": [10, 20, 30, 40], "iscrowd": 0},
+                    {"image_id": 2, "category_id": 7, "bbox": [1, 1, 4, 4], "iscrowd": 1}],
+    "categories": BASE_CATEGORIES,
+}
+
+
+def _entries(value, path=()):
+    """Paths to every entry nested in ``value``, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _entries(child, path + (key,))
+
+
+_REMOVE = object()
+
+
+@st.composite
+def edited(draw, document):
+    """``document`` with one nested entry replaced by arbitrary JSON or removed, or unchanged.
+
+    Small numbers are drawn often, as they make ids that miss a table and
+    boxes that leave the image.
+    """
+    document = json.loads(json.dumps(document))
+    path = draw(st.sampled_from([None, *_entries(document)]))
+    if path is not None:
+        owner = document
+        for key in path[:-1]:
+            owner = owner[key]
+        value = draw(st.just(_REMOVE) | st.integers(-3, 300) | st.floats(-1.0, 2.0) | JSON_VALUES)
+        if value is _REMOVE:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+    return document
+
+
+def _json_lines(records) -> bytes:
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+# (fuzzed side, counterpart file name and bytes, strategy for the fuzzed file's bytes)
+LOADER_CASES = {
+    "native detections": ("det", ("a.jsonl", _json_lines(NATIVE_ANNOTATIONS)),
+                          edited(NATIVE_DETECTIONS).map(_json_lines)),
+    "native annotations": ("ann", ("d.jsonl", _json_lines(NATIVE_DETECTIONS)),
+                           edited(NATIVE_ANNOTATIONS).map(_json_lines)),
+    "coco detections": ("det", ("ann.json", json.dumps(COCO_ANNOTATIONS).encode()),
+                        edited(COCO_RESULTS).map(lambda d: json.dumps(d, indent=1).encode())),
+    "coco annotations": ("ann", ("det.json", json.dumps(COCO_RESULTS).encode()),
+                         edited(COCO_ANNOTATIONS).map(lambda d: json.dumps(d).encode())),
+}
+ARBITRARY_FILES = (
+    st.lists(JSON_VALUES, max_size=4).map(_json_lines)
+    | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+    | st.lists(st.binary(max_size=32), max_size=4).map(b"\n".join)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(LOADER_CASES)),
+       fmt=st.sampled_from(["auto", "auto", "native", "coco"]), on_invalid=st.sampled_from(["fail", "skip"]))
+def test_loaders_succeed_or_name_the_file(tmp_path_factory, data, case, fmt, on_invalid):
+    """Any detection or annotation file loads, or fails with exit code 2 naming a file."""
+    side, (other_name, other_bytes), contents = LOADER_CASES[case]
+    base = tmp_path_factory.mktemp("loader")
+    fuzzed = base / ("fuzzed.json" if "coco" in case else "fuzzed.jsonl")
+    fuzzed.write_bytes(data.draw(contents | ARBITRARY_FILES))
+    other = base / other_name
+    other.write_bytes(other_bytes)
+    det_path, ann_path = (fuzzed, other) if side == "det" else (other, fuzzed)
+    try:
+        load_dataset(det_path, ann_path, fmt=fmt, on_invalid=on_invalid)
+    except DetcalError as exc:
+        assert isinstance(exc, DataError) and exc.exit_code == 2, repr(exc)
+        assert str(fuzzed) in str(exc) or str(other) in str(exc), str(exc)

@@ -135,6 +135,21 @@ class TestSampleColumns:
         assert columns(cols) is cols
         assert cols.take(np.array([1])).values.tolist() == [[0.8, 0.5, 0.5, 0.2, 0.2]]
 
+    def test_take_and_with_scores_carry_every_field(self):
+        samples = [make_sample(0.3, False, image_id="a", category_id=4),
+                   make_sample(0.8, True, image_id=7, category_id=2, gt_index=5)]
+        cols = columns(samples)
+        assert (cols.category_id.tolist(), cols.iou.tolist(), cols.gt_index.tolist(), cols.image_id) == (
+            [4, 2], [0.0, 1.0], [-1, 5], ("a", 7))
+        picked = cols.take(np.array([1, 0, 1]))
+        assert picked.values.tolist() == cols.values[[1, 0, 1]].tolist()
+        assert (picked.matched.tolist(), picked.category_id.tolist(), picked.iou.tolist(),
+                picked.gt_index.tolist(), picked.image_id) == ([1, 0, 1], [2, 4, 2], [1.0, 0.0, 1.0],
+                                                               [5, -1, 5], (7, "a", 7))
+        rescored = cols.with_scores([0.1, 0.2])
+        assert rescored.values[:, 0].tolist() == [0.1, 0.2]
+        assert rescored.image_id is cols.image_id and rescored.gt_index is cols.gt_index
+
     def test_columns_are_read_only(self):
         cols = columns(random_matched_samples(np.random.default_rng(4), 10))
         with pytest.raises(ValueError):

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcal import matching
 from detcal.detections import BoxGeometry, Detection, GroundTruthObject
 from detcal.errors import DataError, ParseError, UsageError, ValidationError
 from detcal.matching import (
     MatchedSample,
+    SampleColumns,
+    _read_records,
+    columns,
     iou,
     match_detections,
     read_matched_samples,
     write_matched_samples,
 )
-from oracles import random_matched_samples
+from detcal.synth import generate, make_scenario
+from oracles import assert_same_columns, greedy_match, random_matched_samples
 from strategies import JSON_VALUES
 
 
@@ -193,15 +198,14 @@ class TestMatchedSample:
         samples = random_matched_samples(rng, 200)
         path = tmp_path / "matched.jsonl"
         write_matched_samples(samples, path)
-        assert read_matched_samples(path) == samples
+        assert _read_records(path) == samples
+        assert_same_columns(read_matched_samples(path), columns(samples))
 
     def test_raw_scores_column(self, tmp_path):
         rng = np.random.default_rng(29)
         samples = random_matched_samples(rng, 5)
         path = tmp_path / "matched.jsonl"
         write_matched_samples(samples, path, scores=[0.1, 0.2, 0.3, 0.4, 0.5])
-        import json
-
         recs = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["score"] for r in recs] == [0.1, 0.2, 0.3, 0.4, 0.5]
         assert [r["raw_score"] for r in recs] == [s.detection.score for s in samples]
@@ -210,24 +214,36 @@ class TestMatchedSample:
 _MISSING = object()
 
 
+# Values at the edges of the record contract: bools and numeric strings
+# where numbers go, integers just inside and outside int64, negative and
+# non-integer ground-truth indices, an integer IoU.
+CONTRACT_EDGES = st.sampled_from([True, False, 0, 1, -1, 1.0, 0.5, "1", 2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
+
+
+def _center(size):
+    """A box centre inside, or at either edge of, the image: near an edge the reader clamps or rejects."""
+    edge = st.floats(-0.03, 0.03)
+    return st.floats(0.2, 0.8) | edge.map(lambda d: size / 2 + d) | edge.map(lambda d: 1 - size / 2 + d)
+
+
 @st.composite
-def matched_records(draw):
-    """A valid matched record, or one with a single field replaced or removed."""
+def matched_records(draw, edit=True):
+    """A valid matched record, or (with ``edit``) one with a single field replaced or removed."""
     matched = draw(st.sampled_from([0, 1]))
+    w, h = draw(st.floats(0.01, 0.2)), draw(st.floats(0.01, 0.2))
     rec = {
         "image_id": draw(st.integers(0, 3) | st.text(max_size=4)),
         "category_id": draw(st.integers(1, 3)),
         "score": draw(st.floats(0.0, 1.0)),
-        "box": {"cx": draw(st.floats(0.2, 0.8)), "cy": draw(st.floats(0.2, 0.8)),
-                "w": draw(st.floats(0.01, 0.2)), "h": draw(st.floats(0.01, 0.2))},
+        "box": {"cx": draw(_center(w)), "cy": draw(_center(h)), "w": w, "h": h},
         "matched": matched,
-        "iou": draw(st.floats(0.5, 1.0)) if matched else 0.0,
+        "iou": draw(st.floats(0.5, 1.0) | st.just(1)) if matched else 0.0,
         "gt_index": draw(st.integers(0, 5)) if matched else None,
     }
-    target = draw(st.sampled_from([None, *rec, *(f"box.{k}" for k in rec["box"])]))
+    target = draw(st.sampled_from([None, *rec, *(f"box.{k}" for k in rec["box"])])) if edit else None
     if target is not None:
         owner, key = (rec["box"], target[4:]) if target.startswith("box.") else (rec, target)
-        value = draw(st.just(_MISSING) | JSON_VALUES)
+        value = draw(st.just(_MISSING) | CONTRACT_EDGES | JSON_VALUES)
         if value is _MISSING:
             del owner[key]
         else:
@@ -235,18 +251,67 @@ def matched_records(draw):
     return rec
 
 
+LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def jsonl_files(draw, values=matched_records() | JSON_VALUES):
+    """File bytes: JSON values one per line, with mixed line endings and blank lines.
+
+    Text is written with or without ASCII escapes; a lone surrogate in a
+    string then becomes bytes that are not UTF-8.
+    """
+    parts = []
+    for value in draw(st.lists(values, max_size=5)):
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(["", " ", "\t "])) + draw(LINE_ENDINGS))
+        parts.append(json.dumps(value, ensure_ascii=draw(st.booleans())) + draw(LINE_ENDINGS))
+    text = "".join(parts)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def byte_files(draw):
+    lines = draw(st.lists(st.binary(max_size=48), max_size=4))
+    return b"".join(line + draw(LINE_ENDINGS).encode() for line in lines)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # compared, type and message, with the reference's
+        return type(exc), str(exc)
+
+
+def _reference(path):
+    return columns(_read_records(path))
+
+
+def _read_lines(path):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return [line for line in fh if line.strip()]
+
+
+def _check_parity(path, content: bytes):
+    """Read ``content`` both ways: the same columns, or the same DataError naming the file.
+
+    Returns the columns, or None for an error.
+    """
+    path.write_bytes(content)
+    fast, ref = _outcome(read_matched_samples, path), _outcome(_reference, path)
+    if not isinstance(ref, SampleColumns):
+        assert fast == ref
+        assert issubclass(ref[0], DataError) and str(path) in ref[1], ref
+        return None
+    assert isinstance(fast, SampleColumns), fast
+    assert_same_columns(fast, ref)
+    return fast
+
+
 class TestReadMatchedSamplesContract:
     """Any file content yields samples or a DataError, never another exception."""
-
-    def _read(self, path, content: bytes):
-        path.write_bytes(content)
-        try:
-            samples = read_matched_samples(path)
-        except DataError as exc:
-            assert str(path) in str(exc)
-            return None
-        assert all(isinstance(s, MatchedSample) for s in samples)
-        return samples
 
     def test_non_object_line_is_parse_error(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -267,11 +332,220 @@ class TestReadMatchedSamplesContract:
     def test_arbitrary_json_lines(self, tmp_path_factory, lines):
         path = tmp_path_factory.getbasetemp() / "json_lines.jsonl"
         content = "".join(json.dumps(v) + "\n" for v in lines).encode("utf-8")
-        samples = self._read(path, content)
+        samples = _check_parity(path, content)
         if samples is not None:
             assert len(samples) == len(lines)
 
     @settings(max_examples=200, deadline=None)
     @given(lines=st.lists(st.binary(max_size=48), max_size=4))
     def test_arbitrary_bytes(self, tmp_path_factory, lines):
-        self._read(tmp_path_factory.getbasetemp() / "byte_lines.jsonl", b"\n".join(lines))
+        _check_parity(tmp_path_factory.getbasetemp() / "byte_lines.jsonl", b"\n".join(lines))
+
+
+class TestColumnarReaderParity:
+    """The columnar reader gives the per-record reference reader's columns, or its error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=jsonl_files() | byte_files())
+    def test_any_file(self, tmp_path_factory, content):
+        _check_parity(tmp_path_factory.getbasetemp() / "parity.jsonl", content)
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid=st.lists(matched_records(edit=False), max_size=4), edited=matched_records(),
+           at=st.integers(0, 4))
+    def test_one_edited_record_among_valid_ones(self, tmp_path_factory, valid, edited, at):
+        records = valid[:at] + [edited] + valid[at:]
+        content = "".join(json.dumps(r) + "\n" for r in records).encode()
+        _check_parity(tmp_path_factory.getbasetemp() / "edited.jsonl", content)
+
+    BASE = {"image_id": 0, "category_id": 1, "score": 0.5,
+            "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, "matched": 1, "iou": 0.7, "gt_index": 3}
+    # One field per case, set to a value (_MISSING removes it): every check
+    # of the per-record reader, each number's type, and the clamp.
+    EDITS = [
+        *((k, v) for k in ("image_id", "category_id", "score", "box", "matched", "iou", "gt_index")
+          for v in (_MISSING, None, True, "1", [1], {})),
+        ("image_id", 1.5), ("image_id", "a"), ("image_id", -3),
+        ("category_id", 1.5), ("category_id", 2**63), ("category_id", -7),
+        ("score", 0), ("score", 1), ("score", -0.1), ("score", 1.1), ("score", float("nan")), ("score", 1e400),
+        ("matched", 0), ("matched", 2), ("matched", -1), ("matched", 1.0), ("matched", 0.5),
+        ("iou", 0), ("iou", 0.0), ("iou", -0.0), ("iou", 1), ("iou", 1.5), ("iou", -0.1), ("iou", float("nan")),
+        ("gt_index", 0), ("gt_index", -1), ("gt_index", 1.0), ("gt_index", 2**63),
+        *((f"box.{k}", v) for k in ("cx", "cy", "w", "h")
+          for v in (_MISSING, None, True, "0.1", 0, 1, -0.1, 1.5, float("nan"), float("inf"), 2**1100)),
+        ("box.cx", 0.04), ("box.cx", 0.03), ("box.cx", 0.96), ("box.cx", 0.97), ("box.cx", 0.0),
+        ("box.cy", 0.04), ("box.cy", 0.03), ("box.cy", 0.96), ("box.cy", 0.97), ("box.cy", 1.0),
+        ("box.w", 1), ("box.w", 1e-300),
+        # Boxes that clamping collapses to zero width or height.
+        ("box", {"cx": -0.005, "cy": 0.5, "w": 0.01, "h": 0.1}),
+        ("box", {"cx": 0.5, "cy": 1.005, "w": 0.1, "h": 0.01}),
+    ]
+
+    @pytest.mark.parametrize("matched", [0, 1])
+    @pytest.mark.parametrize("field, value", EDITS)
+    def test_single_field_edit(self, tmp_path, matched, field, value):
+        rec = json.loads(json.dumps(self.BASE))
+        if not matched:
+            rec.update(matched=0, iou=0.0, gt_index=None)
+        owner, key = (rec["box"], field[4:]) if field.startswith("box.") else (rec, field)
+        if value is _MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
+        good = json.dumps(rec if matched else self.BASE)
+        _check_parity(tmp_path / "m.jsonl", f"{good}\n{json.dumps(rec)}\n".encode())
+
+    def test_clamped_boxes(self, tmp_path, monkeypatch):
+        """Boxes overhanging either edge by up to 2% are clamped with the per-record arithmetic."""
+        rng = np.random.default_rng(8)
+        n = 3000
+        w, h = rng.uniform(0.05, 0.3, n), rng.uniform(0.05, 0.3, n)
+        side = rng.integers(0, 3, (2, n))
+        cx = np.choose(side[0], [w / 2, np.full(n, 0.5), 1 - w / 2]) + rng.uniform(-0.02, 0.02, n)
+        cy = np.choose(side[1], [h / 2, np.full(n, 0.5), 1 - h / 2]) + rng.uniform(-0.02, 0.02, n)
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(
+            json.dumps({"image_id": i, "category_id": 1, "score": 0.5, "matched": 0,
+                        "box": {"cx": cx[i], "cy": cy[i], "w": w[i], "h": h[i]}}) + "\n"
+            for i in range(n)
+        ))
+        ref = _reference(path)
+        assert not np.array_equal(ref.values[:, 1:], np.column_stack([cx, cy, w, h]))
+        monkeypatch.setattr(matching, "_read_records", None)
+        assert_same_columns(read_matched_samples(path), ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=jsonl_files(matched_records(edit=False)))
+    def test_valid_records_take_the_columnar_path(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "valid.jsonl"
+        if _check_parity(path, content) is not None:
+            assert matching._parse_lines(_read_lines(path)) is not None
+
+    def test_synth_file_takes_the_columnar_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        samples = generate(make_scenario("fig3_boundary_decay", 2500, seed=4))
+        write_matched_samples(samples, path)
+        ref = _reference(path)
+        monkeypatch.setattr(matching, "_read_records", None)
+        assert_same_columns(read_matched_samples(path), ref)
+        assert_same_columns(ref, columns(samples))
+
+    def test_error_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_matched_samples(generate(make_scenario("fig3_boundary_decay", 2500, seed=4)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1999] = lines[1999].replace('"matched": ', '"matched": 2, "x": ', 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValidationError, match=r"m\.jsonl:2000: match label must be 0 or 1"):
+            read_matched_samples(path)
+
+    def test_two_objects_on_a_line(self, tmp_path):
+        """A line holding two records, offset by a record split over two lines, is still malformed."""
+        rec = json.dumps({"image_id": 0, "category_id": 1, "score": 0.5,
+                          "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, "matched": 0})
+        path = tmp_path / "m.jsonl"
+        path.write_text(f"{rec}, {rec}\n{rec[:-1]}, \"x\": [1\n2]}}\n")
+        assert len(json.loads("[" + ",".join(_read_lines(path)) + "]")) == 3
+        with pytest.raises(ParseError, match=r"m\.jsonl:1: malformed JSON"):
+            read_matched_samples(path)
+
+
+class TestRecordContract:
+    """Ground-truth indices and category ids must fit the int64 columns."""
+
+    BASE = {"image_id": 0, "category_id": 1, "score": 0.5,
+            "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, "matched": 1, "iou": 0.7, "gt_index": 3}
+
+    @pytest.mark.parametrize("field, value", [
+        ("gt_index", True), ("gt_index", -1), ("gt_index", 1.0), ("gt_index", "1"), ("gt_index", 2**63),
+        ("category_id", 2**63), ("category_id", -(2**63) - 1),
+    ])
+    def test_rejected(self, tmp_path, field, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(self.BASE) + "\n" + json.dumps({**self.BASE, field: value}) + "\n")
+        with pytest.raises(ValidationError, match=r"m\.jsonl:2: "):
+            read_matched_samples(path)
+
+    @pytest.mark.parametrize("gt_index", [-1, 0])
+    def test_unmatched_record_carries_no_index(self, tmp_path, gt_index):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**self.BASE, "matched": 0, "iou": 0.0, "gt_index": gt_index}) + "\n")
+        with pytest.raises(ValidationError, match=r"m\.jsonl:1: unmatched sample carries a ground-truth index"):
+            read_matched_samples(path)
+
+    @pytest.mark.parametrize("category_id", [2**63 - 1, -(2**63)])
+    def test_int64_bounds_accepted(self, tmp_path, category_id):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**self.BASE, "category_id": category_id}) + "\n")
+        assert read_matched_samples(path).category_id.tolist() == [category_id]
+
+    def test_integer_iou_is_written_as_float(self, tmp_path):
+        path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+        path.write_text(json.dumps({**self.BASE, "iou": 1}) + "\n")
+        cols = read_matched_samples(path)
+        assert cols.iou.tolist() == [1.0]
+        write_matched_samples(cols, out)
+        assert json.loads(out.read_text())["iou"] == 1.0
+        assert '"iou": 1.0,' in out.read_text()
+
+
+class TestWriter:
+    def test_non_finite_values_rejected(self, tmp_path):
+        cols = columns(random_matched_samples(np.random.default_rng(3), 4))
+        values = cols.values.copy(order="F")
+        values[2, 3] = np.nan
+        bad = SampleColumns(values, cols.matched, cols.category_id, cols.iou, cols.gt_index, cols.image_id)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValidationError):
+            write_matched_samples(bad, path)
+        assert not path.exists()
+
+    def test_score_count_must_match(self, tmp_path):
+        samples = random_matched_samples(np.random.default_rng(3), 4)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(UsageError):
+            write_matched_samples(samples, path, scores=[0.5] * 3)
+        assert not path.exists()
+
+    def test_json_ids_and_null_index(self, tmp_path):
+        box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
+        samples = [MatchedSample(det(0.5, (0.5, 0.5, 0.2, 0.2), image_id=i), 0) for i in ("a\u00e9\"", 7, True)]
+        path = tmp_path / "out.jsonl"
+        write_matched_samples(samples, path)
+        expected = "".join(
+            json.dumps({"image_id": s.detection.image_id, "category_id": 1, "score": 0.5,
+                        "box": {"cx": box.cx, "cy": box.cy, "w": box.w, "h": box.h},
+                        "matched": 0, "iou": 0.0, "gt_index": None}) + "\n"
+            for s in samples
+        )
+        assert path.read_text() == expected
+
+
+_GRID_BOXES = [BoxGeometry(cx, cy, w, h) for cx in (0.4, 0.5) for cy in (0.5, 0.6) for w in (0.2, 0.4) for h in (0.2,)]
+
+
+@st.composite
+def matching_groups(draw):
+    """Few detections and ground truths on two images and two categories.
+
+    Scores come from three values and boxes from a small grid, so score ties
+    and IoU ties (identical ground-truth boxes) are common.
+    """
+    box = st.sampled_from(_GRID_BOXES)
+    group = st.tuples(st.integers(0, 1), st.integers(1, 2))
+    detections = [Detection(i, c, s, b) for (i, c), s, b in draw(
+        st.lists(st.tuples(group, st.sampled_from([0.25, 0.5, 0.75]), box), max_size=7))]
+    truth = [GroundTruthObject(i, c, b, crowd_flag=f) for (i, c), b, f in draw(
+        st.lists(st.tuples(group, box, st.booleans()), max_size=6))]
+    return detections, truth
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=matching_groups(), threshold=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]), exclude_crowd=st.booleans())
+def test_matcher_agrees_with_greedy_reference(case, threshold, exclude_crowd):
+    detections, truth = case
+    samples = match_detections(detections, truth, threshold, exclude_crowd=exclude_crowd)
+    assert [s.detection for s in samples] == detections
+    assert [(s.matched, s.iou, s.gt_index) for s in samples] == greedy_match(
+        detections, truth, threshold, iou, exclude_crowd=exclude_crowd
+    )

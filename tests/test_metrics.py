@@ -10,7 +10,7 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from detcal.features import NAMED_FEATURE_SETS, FeatureSet
+from detcal.features import NAMED_FEATURE_SETS, FeatureSet, SampleColumns, columns
 from detcal.metrics import (
     BinningSpec,
     bin_index,
@@ -72,6 +72,22 @@ class TestBinIndex:
         assert np.array_equal(bin_indices(values, counts), expected)
         with pytest.raises(UsageError):
             bin_indices(values, (1, 0, 7, 20))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            bin_indices(np.array([0.5, bad]), 10)
+        with pytest.raises(UsageError, match="finite"):
+            bin_indices(np.array([[0.5, 0.5], [0.5, bad]]), (10, 4))
+
+    def test_nan_in_hand_built_columns(self):
+        cols = columns(random_matched_samples(np.random.default_rng(2), 50))
+        values = cols.values.copy(order="F")
+        values[7, 1] = np.nan
+        bad = SampleColumns(values, cols.matched, cols.category_id, cols.iou, cols.gt_index, cols.image_id)
+        spec = BinningSpec(dims=("confidence", "cx"), counts=(4, 4), min_samples=0)
+        with pytest.raises(UsageError, match="finite"):
+            compute_d_ece(bad, FeatureSet(members=("confidence", "cx")), spec)
 
 
 class TestBinningSpec:
