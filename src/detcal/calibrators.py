@@ -27,18 +27,19 @@ start and the JSON form are generic walks over that record and
 ``dataclasses.fields``.
 
 All parametric fits minimize the mean binary negative log-likelihood plus a
-tiny L2 ridge and are deterministic for a fixed configuration. The
-dependent logistic ratio is a full quadratic form in the features, so its
-fit is convex logistic regression on the design ``[1, u_i, u_i u_j]`` of the
-standardized features ``u``, with unit-RMS columns; damped Newton steps solve
-it, the ridge acts on those design coefficients, and the solution is mapped
-back to the stored normal parameters. The other three families are fitted
-by BFGS from the identity map over their unconstrained vector. Every
-objective shares one NLL/residual kernel, which computes ``exp(-|z|)`` once
-for both the loss and ``sigmoid(z) - m``. The dependent beta objective is
-non-convex and stays on BFGS, but each evaluation is a single pass: the odds
-transform is computed once per fit, and the ratio and its gradient share
-every per-class term.
+tiny L2 ridge through one call of :func:`detcal.optimizer.minimize` and are
+deterministic for a fixed configuration. The dependent logistic ratio is a
+full quadratic form in the features, so its fit is convex logistic
+regression on the design ``[1, u_i, u_i u_j]`` of the standardized features
+``u``, with unit-RMS columns; it passes its exact Hessian, so the minimizer
+takes Newton steps, the ridge acts on those design coefficients, and the
+solution is mapped back to the stored normal parameters. The other three
+families pass no Hessian and take BFGS steps from the identity map over
+their unconstrained vector. Every objective shares one NLL/residual kernel,
+which computes ``exp(-|z|)`` once for both the loss and ``sigmoid(z) - m``.
+The dependent beta objective is non-convex, but each evaluation is a single
+pass: the odds transform is computed once per fit, and the ratio and its
+gradient share every per-class term.
 
 Model files are validated on load; a malformed one raises a
 :class:`DataError` naming the file.
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -59,7 +59,6 @@ from .errors import (
     ConvergenceError,
     DataError,
     DegenerateDataError,
-    NumericalFailureError,
     UnsupportedOperationError,
     UsageError,
     ValidationError,
@@ -68,7 +67,7 @@ from .detections import read_json
 from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
 from .matching import MatchedSample
 from .metrics import bin_indices
-from .optimizer import FitReport, OptimizerConfig, minimize
+from .optimizer import OptimizerConfig, minimize
 
 METHODS = ("hist_binning", "logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
 PARAMETRIC_METHODS = ("logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
@@ -680,62 +679,6 @@ def _quadratic_design(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, scale
 
 
-def _newton_logistic(
-    a: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig
-) -> tuple[np.ndarray, FitReport]:
-    """Minimize ``mean(softplus(a b) - m a b) + ridge |b|^2`` by damped Newton steps from 0.
-
-    The objective is convex, so each Newton direction is a descent direction;
-    the Armijo backtracking and step cap of ``cfg`` damp it. Budget
-    exhaustion yields a non-converged report, as :func:`minimize` does; a
-    singular Hessian or a non-finite step raises :class:`NumericalFailureError`.
-    """
-    start = time.perf_counter()
-    n, p = a.shape
-    beta = np.zeros(p)
-    f, r = _nll_and_residual(np.zeros(n), m)
-    iterations = 0
-    while True:
-        g = a.T @ r / n + 2.0 * ridge * beta
-        converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
-        if converged or iterations >= cfg.max_iterations:
-            break
-        q = r + m
-        h = (a * (q * (1.0 - q))[:, None]).T @ a / n
-        h.flat[:: p + 1] += 2.0 * ridge
-        try:
-            d = -np.linalg.solve(h, g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                f"singular Newton system at iterate {iterations}", iterate=beta.copy()
-            ) from exc
-        if not np.all(np.isfinite(d)):
-            raise NumericalFailureError(
-                f"non-finite Newton step at iterate {iterations}", iterate=beta.copy()
-            )
-        gd = float(g @ d)
-        step = min(cfg.initial_step, cfg.max_step / float(np.max(np.abs(d))))
-        for _ in range(cfg.max_backtracks):
-            beta_new = beta + step * d
-            nll, r_new = _nll_and_residual(a @ beta_new, m)
-            f_new = nll + ridge * float(beta_new @ beta_new)
-            if np.isfinite(f_new) and f_new <= f + cfg.sufficient_decrease * step * gd:
-                break
-            step *= cfg.backtrack_factor
-        else:
-            break
-        beta, r, f = beta_new, r_new, f_new
-        iterations += 1
-    report = FitReport(
-        final_value=f,
-        gradient_norm=float(np.max(np.abs(g))),
-        iterations=iterations,
-        converged=converged,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return beta, report
-
-
 def _logistic_dep_params(q: np.ndarray, b: np.ndarray, c0: float) -> LogisticDepParams:
     """Normal-ratio parameters whose LLR is ``x^T q x + b^T x + c0`` for symmetric ``q``.
 
@@ -784,10 +727,28 @@ def _fit_bfgs(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: Opti
 
 
 def _fit_quadratic_newton(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig):
-    """Newton on the quadratic design of the standardized features, mapped back to the normal ratio."""
+    """Newton on the quadratic design of the standardized features, mapped back to the normal ratio.
+
+    The objective ``mean(softplus(a b) - m a b) + ridge |b|^2`` is convex, so
+    its exact Hessian ``a^T diag(q (1 - q)) a / n + 2 ridge I`` gives descent
+    directions from the zero start.
+    """
     u, center, spread = _standardize(x)
     a, scale = _quadratic_design(u)
-    coef, report = _newton_logistic(a, m, ridge, cfg)
+    n, p = a.shape
+
+    def nll_and_grad(b):
+        nll, r = _nll_and_residual(a @ b, m)
+        return nll, a.T @ r / n
+
+    def hessian(b):
+        # Weights q(1 - q) with q = r + m, the form the NLL kernel returns.
+        q = _nll_and_residual(a @ b, m)[1] + m
+        h = (a * (q * (1.0 - q))[:, None]).T @ a / n
+        h.flat[:: p + 1] += 2.0 * ridge
+        return h
+
+    coef, report = minimize(_ridged(ridge, nll_and_grad), np.zeros(p), cfg, hessian=hessian)
     theta = coef / scale
     return theta, report, _logistic_dep_from_coef(theta, center, spread)
 

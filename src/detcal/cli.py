@@ -77,15 +77,21 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _select_category(samples, args):
+def _read_nonempty(path: str, empty_message: str):
+    """Read a matched-sample file; an empty one is a data error naming the file."""
+    samples = read_matched_samples(path)
     if not len(samples):
-        raise DataError(f"{args.input}: no samples to fit")
+        raise DataError(f"{path}: {empty_message}")
+    return samples
+
+
+def _select_category(samples, args):
     if args.pooled:
         return samples, None
     if args.category is not None:
         chosen = np.flatnonzero(samples.category_id == args.category)
         if not chosen.size:
-            raise DataError(f"no samples with category {args.category}")
+            raise DataError(f"{args.input}: no samples with category {args.category}")
         return samples.take(chosen), args.category
     categories = np.unique(samples.category_id).tolist()
     if len(categories) > 1:
@@ -97,7 +103,7 @@ def _select_category(samples, args):
 
 
 def _cmd_fit(args) -> int:
-    samples = read_matched_samples(args.input)
+    samples = _read_nonempty(args.input, "no samples to fit")
     samples, category_id = _select_category(samples, args)
     method = harness.canonical_method(args.method)
     if method == "identity":
@@ -154,7 +160,7 @@ def _eval_binning(args, members) -> BinningSpec:
 
 
 def _cmd_eval(args) -> int:
-    samples = read_matched_samples(args.input)
+    samples = _read_nonempty(args.input, "cannot bin an empty sample list")
     members = NAMED_FEATURE_SETS.get(args.features)
     if members is None:
         raise UsageError(f"unknown feature set {args.features!r}")
@@ -173,7 +179,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    samples = read_matched_samples(args.input)
+    samples = _read_nonempty(args.input, "cannot bin an empty sample list")
     members = NAMED_FEATURE_SETS.get(args.features)
     if members is None:
         raise UsageError(f"unknown feature set {args.features!r}")
@@ -212,7 +218,7 @@ def _cmd_protocol(args) -> int:
         eps=args.eps,
     )
     if args.input:
-        samples = read_matched_samples(args.input)
+        samples = _read_nonempty(args.input, "protocol needs a nonempty sample list")
         tables = [run_protocol(samples, cfg)]
     elif args.detections and args.annotations:
         detections, ground_truth, _ = load_dataset(args.detections, args.annotations)

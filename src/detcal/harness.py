@@ -16,22 +16,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import calibrators
-from .calibrators import DEFAULT_CALIBRATION_BINS, DEFAULT_RIDGE
 from .errors import DataError, EmptyMetricError, NumericalError, UsageError
 from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, SampleColumns, columns, labels
 from .matching import MatchedSample, match_detections
-from .metrics import (
-    DEFAULT_EVAL_BINS,
-    DEFAULT_MIN_SAMPLES,
-    BinningSpec,
-    compute_d_ece,
-    require_dimensionality_match,
-)
+from .metrics import DEFAULT_MIN_SAMPLES, compute_d_ece, default_eval_spec, require_dimensionality_match
 from .optimizer import OptimizerConfig
 
 # Short command-line keys for the calibration methods; "identity" is a
@@ -73,12 +66,8 @@ class ProtocolConfig:
     min_samples: int = DEFAULT_MIN_SAMPLES
     iou_thresholds: tuple[float, ...] = ()
     eval_feature_sets: tuple[str, ...] | None = None
-    calibration_bins: Mapping[int, int] | None = None
-    eval_bins: Mapping[int, int] | None = None
     eps: float = DEFAULT_CLIP
-    ridge: float = DEFAULT_RIDGE
     optimizer: OptimizerConfig | None = None
-    renormalize: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(canonical_method(m) for m in self.methods))
@@ -112,18 +101,6 @@ class ProtocolConfig:
 
     def resolved_eval_sets(self) -> tuple[str, ...]:
         return self.eval_feature_sets or self.feature_sets
-
-    def calibration_bin_count(self, k: int) -> int:
-        table = self.calibration_bins or DEFAULT_CALIBRATION_BINS
-        if k not in table:
-            raise UsageError(f"no calibration bin count configured for K={k}")
-        return int(table[k])
-
-    def eval_bin_count(self, k: int) -> int:
-        table = self.eval_bins or DEFAULT_EVAL_BINS
-        if k not in table:
-            raise UsageError(f"no evaluation bin count configured for K={k}")
-        return int(table[k])
 
 
 @dataclass(frozen=True)
@@ -176,9 +153,8 @@ def stratified_split(
 
 def _d_ece(samples: SampleColumns, cfg: ProtocolConfig, eval_fs_name: str) -> float:
     members = NAMED_FEATURE_SETS[eval_fs_name]
-    k = len(members)
-    spec = BinningSpec(dims=members, counts=(cfg.eval_bin_count(k),) * k, min_samples=cfg.min_samples)
-    return compute_d_ece(samples, FeatureSet(members=members), spec, renormalize=cfg.renormalize)[0]
+    spec = default_eval_spec(members, cfg.min_samples)
+    return compute_d_ece(samples, FeatureSet(members=members), spec)[0]
 
 
 def _run_repetition(
@@ -214,17 +190,7 @@ def _run_repetition(
                 if method == "identity":
                     scores = test.values[:, 0]
                 else:
-                    model = calibrators.fit(
-                        method,
-                        train,
-                        members,
-                        bin_counts=cfg.calibration_bin_count(len(members))
-                        if method == "hist_binning"
-                        else None,
-                        config=cfg.optimizer,
-                        ridge=cfg.ridge,
-                        eps=cfg.eps,
-                    )
+                    model = calibrators.fit(method, train, members, config=cfg.optimizer, eps=cfg.eps)
                     scores = calibrators.apply(model, test, cfg.eps)
                 cells[(method, fit_fs_name)] = _d_ece(test.with_scores(scores), cfg, eval_fs_name)
             except (EmptyMetricError, NumericalError) as exc:

@@ -1,11 +1,14 @@
-"""Deterministic quasi-Newton minimizer with backtracking line search.
+"""Deterministic line-search minimizer: BFGS, or Newton with a given Hessian.
 
-The objective callable must return ``(value, gradient)``. BFGS inverse
-Hessian updates are combined with an Armijo backtracking line search, which
-keeps the accepted objective sequence monotone and the whole trajectory
-bit-reproducible for fixed inputs. Budget exhaustion yields a non-converged
-report rather than an exception; non-finite values at an accepted iterate
-raise :class:`NumericalFailureError`.
+The objective callable must return ``(value, gradient)``. One driver serves
+both directions (Nocedal & Wright, *Numerical Optimization*, ch. 3 and 6):
+without a Hessian callable it builds BFGS inverse Hessian updates, and with
+one it takes the Newton direction ``-H^-1 g``. Every step goes through the
+same capped Armijo backtracking line search, which keeps the accepted
+objective sequence monotone and the whole trajectory bit-reproducible for
+fixed inputs. Budget exhaustion yields a non-converged report rather than
+an exception; non-finite values at an accepted iterate, a singular Newton
+system or a non-finite Newton step raise :class:`NumericalFailureError`.
 """
 
 from __future__ import annotations
@@ -20,32 +23,30 @@ from .errors import NumericalFailureError, UsageError
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# Line-search settings. A step starts at INITIAL_STEP, capped so that its
+# infinity norm stays within MAX_STEP (keeping badly scaled directions from
+# overshooting into overflow territory), and shrinks by BACKTRACK_FACTOR
+# until it gives the Armijo decrease SUFFICIENT_DECREASE * step * g.d, for
+# at most MAX_BACKTRACKS trials.
+INITIAL_STEP = 1.0
+BACKTRACK_FACTOR = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_BACKTRACKS = 60
+MAX_STEP = 20.0
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budget and step-control settings for :func:`minimize`."""
+    """Budget and stopping tolerance for :func:`minimize`."""
 
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-6
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 60
-    # Cap on the infinity norm of a single step; keeps badly scaled
-    # quasi-Newton directions from overshooting into overflow territory.
-    max_step: float = 20.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise UsageError("max_iterations must be >= 1")
         if self.gradient_tolerance <= 0:
             raise UsageError("gradient_tolerance must be > 0")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise UsageError("backtrack_factor must lie in (0, 1)")
-        if self.initial_step <= 0 or self.sufficient_decrease <= 0:
-            raise UsageError("initial_step and sufficient_decrease must be > 0")
-        if self.max_step <= 0:
-            raise UsageError("max_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,32 @@ def _check_finite(value: float, grad: np.ndarray, x: np.ndarray, where: str) -> 
         )
 
 
+def _newton_direction(h: np.ndarray, g: np.ndarray, x: np.ndarray, iteration: int) -> np.ndarray:
+    try:
+        d = -np.linalg.solve(h, g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"singular Newton system at iterate {iteration}", iterate=x.copy()
+        ) from exc
+    if not np.all(np.isfinite(d)):
+        raise NumericalFailureError(f"non-finite Newton step at iterate {iteration}", iterate=x.copy())
+    return d
+
+
 def minimize(
     objective: Objective,
     x0: np.ndarray,
     cfg: OptimizerConfig = OptimizerConfig(),
     callback: Callable[[np.ndarray, float], None] | None = None,
+    *,
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, FitReport]:
     """Minimize a smooth objective from ``x0``; returns the iterate and a report.
 
-    ``callback``, when given, is invoked with every accepted iterate and its
-    objective value.
+    ``hessian``, when given, returns the Hessian at an accepted iterate and
+    turns the BFGS direction into the Newton direction. A direction that
+    does not descend falls back to steepest descent. ``callback``, when
+    given, is invoked with every accepted iterate and its objective value.
     """
     start = time.perf_counter()
     x = np.array(x0, dtype=np.float64).copy()
@@ -90,25 +107,28 @@ def minimize(
     converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance) if n else True
 
     while not converged and iterations < cfg.max_iterations:
-        d = -h_inv @ g
+        if hessian is None:
+            d = -h_inv @ g
+        else:
+            d = _newton_direction(hessian(x), g, x, iterations)
         gd = float(g @ d)
         if gd >= 0.0 or not np.all(np.isfinite(d)):
             h_inv = np.eye(n)
             d = -g
             gd = float(g @ d)
 
-        step = cfg.initial_step
+        step = INITIAL_STEP
         d_inf = float(np.max(np.abs(d)))
-        if d_inf * step > cfg.max_step:
-            step = cfg.max_step / d_inf
+        if d_inf * step > MAX_STEP:
+            step = MAX_STEP / d_inf
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             f_new, g_new = objective(x_new)
-            if np.isfinite(f_new) and f_new <= f + cfg.sufficient_decrease * step * gd:
+            if np.isfinite(f_new) and f_new <= f + SUFFICIENT_DECREASE * step * gd:
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             # Line search exhausted at machine precision; stop with whatever
             # gradient norm remains and report non-convergence if above tol.
@@ -124,7 +144,7 @@ def minimize(
             callback(x.copy(), f)
 
         sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if hessian is None and sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             if first_update:
                 # Scale the initial inverse Hessian to the first curvature
                 # pair; standard remedy for badly scaled objectives.

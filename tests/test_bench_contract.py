@@ -5,6 +5,8 @@
 drops one makes traced benchmark runs crash with ``AttributeError``. The
 tracer also counts records with ``len()`` on what the wrapped readers
 return and writers take, so those counts are checked on a small CLI chain.
+Solver work is counted through ``calibrators.minimize``, which every
+parametric fit calls, so an lc-dep fit must show nonzero counts.
 """
 
 import sys
@@ -67,3 +69,19 @@ def test_tracer_counts_records_read_and_written(tmp_path):
     counts = tracer.layer_metrics()
     assert counts["matching.read_matched_samples.records"] == read
     assert counts["matching.write_matched_samples.records"] == written
+
+
+def test_tracer_counts_lc_dep_solver_work(tmp_path):
+    raw, model = tmp_path / "raw.jsonl", tmp_path / "lc_dep.json"
+    assert cli.main(["synth", "--scenario", "fig3_boundary_decay", "--n", "600", "--seed", "2",
+                     "--out", str(raw)]) == 0
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert cli.main(["fit", "--in", str(raw), "--method", "lc-dep", "--features", "conf+xy",
+                         "--out", str(model)]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.layer_metrics()
+    assert counts["calibrators.fit.lc-dep.conf_xy.iterations"] > 0
+    assert counts["calibrators.fit.lc-dep.conf_xy.obj_evals"] > 0

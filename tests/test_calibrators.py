@@ -561,6 +561,22 @@ class TestFitParametric:
         q = apply(model, [make_sample(p, False) for p in grid])
         assert np.all(np.diff(q) >= -1e-9)
 
+    @pytest.mark.parametrize("method", calibrators.PARAMETRIC_METHODS)
+    def test_every_family_fits_through_one_minimize_call(self, method, monkeypatch):
+        reports = []
+        solver = calibrators.minimize
+
+        def counting(*args, **kwargs):
+            x, report = solver(*args, **kwargs)
+            reports.append(report)
+            return x, report
+
+        monkeypatch.setattr(calibrators, "minimize", counting)
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 2000, seed=4))
+        model = fit_parametric(method, samples, ("confidence", "cx"))
+        assert len(reports) == 1
+        assert model.fit_metadata.n_iterations == reports[0].iterations > 0
+
     def test_fit_dispatch(self):
         rng = np.random.default_rng(14)
         samples = random_matched_samples(rng, 300, extreme_scores=False)

@@ -73,7 +73,7 @@ class TestSynthCommand:
 
 
 class TestEmptyInput:
-    """An empty or all-blank matched file exits 2 from every command that reads it."""
+    """An empty or all-blank matched file exits 2, naming the file, from every command that reads it."""
 
     @pytest.mark.parametrize("content", ["", "\n  \n\t\n"])
     def test_fit_names_the_file(self, tmp_path, caplog, content):
@@ -83,16 +83,25 @@ class TestEmptyInput:
                     "--out", tmp_path / "m.json"]) == 2
         assert "empty.jsonl: no samples to fit" in caplog.text
 
-    @pytest.mark.parametrize("argv", [
-        ["fit", "--method", "hb", "--features", "conf", "--pooled", "--out", "m.json"],
-        ["eval", "--features", "conf"],
-        ["heatmap", "--features", "conf+xy", "--axes", "cx,cy"],
-        ["protocol", "--reps", "1"],
+    @pytest.mark.parametrize("argv,message", [
+        (["fit", "--method", "hb", "--features", "conf", "--pooled", "--out", "m.json"],
+         "no samples to fit"),
+        (["eval", "--features", "conf"], "cannot bin an empty sample list"),
+        (["heatmap", "--features", "conf+xy", "--axes", "cx,cy"], "cannot bin an empty sample list"),
+        (["protocol", "--reps", "1"], "protocol needs a nonempty sample list"),
     ], ids=["fit-pooled", "eval", "heatmap", "protocol"])
-    def test_other_commands_exit_two(self, tmp_path, argv):
+    def test_other_commands_exit_two(self, tmp_path, caplog, argv, message):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
         assert run(["--out-dir", tmp_path, argv[0], "--in", path, *argv[1:]]) == 2
+        assert f"empty.jsonl: {message}" in caplog.text
+
+    def test_missing_category_names_the_file(self, tmp_path, caplog):
+        path = tmp_path / "category_1.jsonl"
+        write_matched_samples(generate(make_scenario("fig3_boundary_decay", 200, seed=1)), path)
+        assert run(["fit", "--in", path, "--method", "lc", "--features", "conf", "--category", 5,
+                    "--out", tmp_path / "m.json"]) == 2
+        assert "category_1.jsonl: no samples with category 5" in caplog.text
 
 
 class TestMatchCommand:

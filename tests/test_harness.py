@@ -22,6 +22,7 @@ from detcal.harness import (
     run_protocol,
     stratified_split,
 )
+from detcal.metrics import default_eval_spec
 from oracles import make_sample
 
 
@@ -82,13 +83,10 @@ class TestProtocolConfig:
         assert cfg.resolved_eval_sets() == ("conf+xy",)
 
     def test_bin_defaults_follow_protocol(self):
-        cfg = ProtocolConfig(methods=("hb",), feature_sets=("conf",))
-        assert cfg.calibration_bin_count(1) == 15
-        assert cfg.calibration_bin_count(3) == 5
-        assert cfg.calibration_bin_count(5) == 3
-        assert cfg.eval_bin_count(1) == 20
-        assert cfg.eval_bin_count(3) == 8
-        assert cfg.eval_bin_count(5) == 5
+        for fs, fit_bins, eval_bins in (("conf", 15, 20), ("conf+xy", 5, 8), ("full", 3, 5)):
+            k = len(NAMED_FEATURE_SETS[fs])
+            assert calibrators.DEFAULT_CALIBRATION_BINS[k] == fit_bins
+            assert default_eval_spec(NAMED_FEATURE_SETS[fs]).counts == (eval_bins,) * k
 
 
 class TestRunProtocol:

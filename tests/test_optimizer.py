@@ -20,8 +20,16 @@ def rosenbrock(x):
     return f, g
 
 
+def rosenbrock_hessian(x):
+    a, b = x
+    return np.array([[2.0 - 400.0 * (b - 3.0 * a * a), -400.0 * a], [-400.0 * a, 200.0]])
+
+
+SEPARABLE_X = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
 def separable_logistic_objective(ridge=1e-6):
-    x = np.array([-2.0, -1.0, 1.0, 2.0])
+    x = SEPARABLE_X
     y = np.array([0.0, 0.0, 1.0, 1.0])
 
     def objective(theta):
@@ -32,6 +40,16 @@ def separable_logistic_objective(ridge=1e-6):
         return f, g
 
     return objective
+
+
+def separable_logistic_hessian(ridge=1e-6):
+    design = np.column_stack([SEPARABLE_X, np.ones(SEPARABLE_X.size)])
+
+    def hessian(theta):
+        q = 1.0 / (1.0 + np.exp(-(design @ theta)))
+        return (design * (q * (1.0 - q))[:, None]).T @ design / SEPARABLE_X.size + 2.0 * ridge * np.eye(2)
+
+    return hessian
 
 
 class TestMinimize:
@@ -121,8 +139,49 @@ class TestMinimize:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(UsageError):
             OptimizerConfig(gradient_tolerance=0.0)
-        with pytest.raises(UsageError):
-            OptimizerConfig(backtrack_factor=1.5)
+
+
+class TestNewtonDirection:
+    """``minimize`` with a Hessian takes Newton steps through the same line search."""
+
+    def test_exact_quadratic_converges_in_one_iteration(self):
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        b = np.array([1.0, -2.0, 0.5])
+
+        def bowl(x):
+            return 0.5 * float(x @ a @ x) - float(b @ x), a @ x - b
+
+        x, report = minimize(bowl, np.zeros(3), OptimizerConfig(gradient_tolerance=1e-12),
+                             hessian=lambda x: a)
+        assert report.converged and report.iterations == 1
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
+
+    def test_separable_logistic_matches_high_precision_oracle(self):
+        objective = separable_logistic_objective()
+        x, report = minimize(objective, np.zeros(2), OptimizerConfig(gradient_tolerance=1e-10),
+                             hessian=separable_logistic_hessian())
+        oracle = scipy.optimize.minimize(
+            objective, np.zeros(2), jac=True, method="L-BFGS-B",
+            options={"gtol": 1e-12, "ftol": 1e-18, "maxiter": 50000},
+        )
+        assert report.converged and np.all(np.isfinite(x))
+        assert abs(report.final_value - oracle.fun) < 1e-12
+
+    def test_nonfinite_step_raises(self):
+        with pytest.raises(NumericalFailureError, match="non-finite Newton step"):
+            minimize(quadratic, np.ones(2), hessian=lambda x: np.full((2, 2), np.nan))
+
+    def test_budget_exhaustion_reports_instead_of_raising(self):
+        x, report = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(max_iterations=1),
+                             hessian=rosenbrock_hessian)
+        assert not report.converged and report.iterations == 1 and report.gradient_norm > 0
+
+    def test_accepted_objective_monotone(self):
+        values = []
+        minimize(separable_logistic_objective(), np.zeros(2), hessian=separable_logistic_hessian(),
+                 callback=lambda x, f: values.append(f))
+        assert len(values) > 2
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 class TestCheckGradient:
