@@ -11,13 +11,14 @@ import argparse
 import csv
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import calibrators, harness, metrics, synth
 from .detections import load_dataset
-from .errors import DataError, DetcalError, UsageError
+from .errors import DataError, DetcalError, EmptyMetricError, UsageError
 from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet
 from .harness import ProtocolConfig, render_table, run_protocol, run_protocol_with_matching
 from .matching import match_detections, read_matched_samples, write_matched_samples
@@ -83,6 +84,15 @@ def _read_nonempty(path: str, empty_message: str):
     if not len(samples):
         raise DataError(f"{path}: {empty_message}")
     return samples
+
+
+@contextmanager
+def _binning(path: str):
+    """Name the input file in an error for bins that all fall below ``--min-samples``."""
+    try:
+        yield
+    except EmptyMetricError as exc:
+        raise EmptyMetricError(f"{path}: {exc}", exc.bin_histogram) from exc
 
 
 def _select_category(samples, args):
@@ -165,9 +175,10 @@ def _cmd_eval(args) -> int:
     if members is None:
         raise UsageError(f"unknown feature set {args.features!r}")
     spec = _eval_binning(args, members)
-    value, stats = compute_d_ece(
-        samples, FeatureSet(members=members), spec, renormalize=not args.no_renormalize
-    )
+    with _binning(args.input):
+        value, stats = compute_d_ece(
+            samples, FeatureSet(members=members), spec, renormalize=not args.no_renormalize
+        )
     logger.info(
         "%d bins retained, %d samples of %d",
         len(stats.bin_counts),
@@ -187,7 +198,8 @@ def _cmd_heatmap(args) -> int:
     if len(axes) != 2:
         raise UsageError(f"--axes expects two comma-separated dimensions, got {args.axes!r}")
     spec = _eval_binning(args, members)
-    grid = heatmap(samples, FeatureSet(members=members), spec, axes)  # type: ignore[arg-type]
+    with _binning(args.input):
+        grid = heatmap(samples, FeatureSet(members=members), spec, axes)  # type: ignore[arg-type]
     rows = grid.rows()
     header = ["axis1_bin", "axis2_bin", "d_ece_contrib", "count", "precision", "confidence"]
     if args.out:

@@ -7,6 +7,16 @@ four values in ``[0, 1]``. Two on-disk layouts are supported:
   one record per line;
 * COCO-compatible JSON (``images``/``annotations``/``categories`` objects or
   a results array) with absolute top-left pixel boxes, converted on read.
+
+A COCO annotation or results array is read as columns: each field once,
+with exact types (str or int image ids, int category ids, int or float
+numbers), every box converted and every check of :func:`box_from_absolute`,
+:class:`BoxGeometry`, :class:`Detection`, :class:`GroundTruthObject` and the
+image table applied over arrays (:func:`valid_boxes` is the vectorized
+:class:`BoxGeometry` check), and each record built once. A document those
+checks do not pass goes to the per-record loop, the reference, which gives
+the verdict, the ``file: result #i`` message and the ``on_invalid="skip"``
+count.
 """
 
 from __future__ import annotations
@@ -14,9 +24,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from .errors import ParseError, ReferentialIntegrityError, UsageError, ValidationError
 
@@ -30,6 +44,7 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 ImageId = str | int
 CategoryTable = dict[int, str]
+_NUMBER = {int, float}
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -92,6 +107,16 @@ class BoxGeometry:
             self.w * width_px,
             self.h * height_px,
         )
+
+
+def valid_boxes(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Where :class:`BoxGeometry` accepts ``(cx, cy, w, h)``: its checks over float arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The range tests also reject NaN and infinities.
+        ok = (cx >= 0.0) & (cx <= 1.0) & (cy >= 0.0) & (cy <= 1.0)
+        ok &= (w > 0.0) & (w <= 1.0) & (h > 0.0) & (h <= 1.0)
+        edge = np.maximum.reduce([0.5 * w - cx, cx + 0.5 * w - 1.0, 0.5 * h - cy, cy + 0.5 * h - 1.0])
+        return ok & (edge <= EDGE_CLAMP_TOLERANCE + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -184,6 +209,28 @@ def box_from_absolute(
     )
 
 
+def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`box_from_absolute` over the rows of ``xywh`` (n, 4), in images of ``size`` (n, 2).
+
+    Returns ``(ok, cx, cy, w, h)`` with the same float arithmetic; ``ok``
+    marks the rows it accepts and whose box :class:`BoxGeometry` accepts.
+    """
+    x, y, w, h = xywh.T
+    width, height = size.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2, y2 = x + w, y + h
+        zero = np.zeros(len(xywh))
+        ok = np.isfinite(xywh).all(axis=1) & (w > 0.0) & (h > 0.0)
+        ok &= np.maximum.reduce([zero, -x, x2 - width]) / width <= EDGE_CLAMP_TOLERANCE
+        ok &= np.maximum.reduce([zero, -y, y2 - height]) / height <= EDGE_CLAMP_TOLERANCE
+        x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
+        x2, y2 = np.minimum(x2, width), np.minimum(y2, height)
+        ok &= (x2 > x) & (y2 > y)
+        cx, cy = (x + x2) / (2.0 * width), (y + y2) / (2.0 * height)
+        w, h = (x2 - x) / width, (y2 - y) / height
+    return ok & valid_boxes(cx, cy, w, h), cx, cy, w, h
+
+
 def _box_from_relative(obj: dict[str, Any], *, clamp_tol: float = EDGE_CLAMP_TOLERANCE) -> BoxGeometry:
     """Build a box from a native-format ``{cx, cy, w, h}`` mapping, clamping small overhangs."""
     try:
@@ -268,6 +315,10 @@ def sniff_format(path: str | Path) -> str:
         rest = fh.read(4096)
     if not first.strip():
         return "native"
+    if first.lstrip().startswith("["):
+        # A native line holds an object; an array is a COCO results document,
+        # left unparsed here, since its first line is often the whole file.
+        return "coco"
     try:
         value = json.loads(first)
     except json.JSONDecodeError:
@@ -385,6 +436,89 @@ def _load_native_detections(path: Path, images: dict[ImageId, ImageRecord], poli
     return detections
 
 
+def _field(objs: list, key: str, kinds: set = _NUMBER) -> list:
+    """``obj[key]`` of every object; a value of another type than ``kinds`` raises TypeError."""
+    values = list(map(operator.itemgetter(key), objs))
+    if not set(map(type, values)) <= kinds:
+        raise TypeError(key)
+    return values
+
+
+def _records(cls, *columns) -> list:
+    """Instances of the frozen dataclass ``cls``, one per row of ``columns`` (a column per field).
+
+    Each record's fields are set in declaration order before the next record
+    exists, as ``__init__`` sets them, so the records share one key table as
+    theirs do. ``__post_init__`` does not run: the columns have passed its
+    checks.
+    """
+    names = [f.name for f in fields(cls)]
+    new, set_field = object.__new__, object.__setattr__
+    out = []
+    for row in zip(*columns):
+        rec = new(cls)
+        for name, value in zip(names, row):
+            set_field(rec, name, value)
+        out.append(rec)
+    return out
+
+
+def _coco_boxes(recs: list, images: dict[ImageId, ImageRecord]) -> tuple[list, list, list] | None:
+    """The ``image_id``, ``category_id`` and converted ``bbox`` columns of COCO records.
+
+    Reads exact types only: a str or int image id found in ``images``, an int
+    category id, and a list of four int or float coordinates, converted by
+    :func:`_boxes_from_absolute`. Returns None when a record fails any of
+    this, for the per-record loop to decide.
+    """
+    try:
+        image_id = _field(recs, "image_id", {str, int})
+        category_id = _field(recs, "category_id", {int})
+        bbox = _field(recs, "bbox", {list})
+        if not (set(map(len, bbox)) <= {4} and set(map(type, chain.from_iterable(bbox))) <= _NUMBER):
+            return None
+        xywh = np.array(bbox, np.float64).reshape(-1, 4)
+        size = np.array([(float(im.width_px), float(im.height_px)) for im in images.values()])
+    except (KeyError, TypeError, OverflowError):
+        return None
+    index = dict(zip(images, range(len(images))))
+    rows = list(map(index.get, image_id))
+    if None in rows:
+        return None
+    ok, *box = _boxes_from_absolute(xywh, size.reshape(-1, 2)[rows])
+    if not ok.all():
+        return None
+    return image_id, category_id, _records(BoxGeometry, *(column.tolist() for column in box))
+
+
+def _coco_ground_truth(recs: list, images: dict[ImageId, ImageRecord]) -> list[GroundTruthObject] | None:
+    """The objects :func:`_load_coco_annotations` builds record by record, or None when it must decide."""
+    columns = _coco_boxes(recs, images)
+    if columns is None:
+        return None
+    crowd = [rec.get("iscrowd", 0) for rec in recs]
+    if not set(map(type, crowd)) <= {int, bool}:
+        return None
+    return _records(GroundTruthObject, *columns, list(map(bool, crowd)))
+
+
+def _coco_detections(recs: list, images: dict[ImageId, ImageRecord]) -> list[Detection] | None:
+    """The detections :func:`_load_coco_detections` builds record by record, or None when it must decide."""
+    try:
+        score = np.array(_field(recs, "score"), np.float64)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    if not ((score >= 0.0) & (score <= 1.0)).all():
+        return None
+    columns = _coco_boxes(recs, images)
+    if columns is None:
+        return None
+    image_id, category_id, boxes = columns
+    if category_id and not INT64_MIN <= min(category_id) <= max(category_id) <= INT64_MAX:
+        return None
+    return _records(Detection, image_id, category_id, score.tolist(), boxes)
+
+
 def _load_coco_annotations(path: Path, policy: _RecordPolicy):
     doc = read_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
@@ -416,7 +550,10 @@ def _load_coco_annotations(path: Path, policy: _RecordPolicy):
     annotations = doc.get("annotations", [])
     if not isinstance(annotations, list):
         raise ValidationError(f"{path}: COCO 'annotations' must be an array")
-    ground_truth: list[GroundTruthObject] = []
+    ground_truth = _coco_ground_truth(annotations, images)
+    if ground_truth is not None:
+        return images, ground_truth, categories
+    ground_truth = []
     for i, rec in enumerate(annotations):
         gt = policy.record(f"{path}: annotation #{i}", "annotation", make, rec)
         if gt is not None:
@@ -442,7 +579,10 @@ def _load_coco_detections(path: Path, images: dict[ImageId, ImageRecord], policy
             box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
         )
 
-    detections: list[Detection] = []
+    detections = _coco_detections(doc, images)
+    if detections is not None:
+        return detections
+    detections = []
     for i, rec in enumerate(doc):
         det = policy.record(f"{path}: result #{i}", "result", make, rec)
         if det is not None:

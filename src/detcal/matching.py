@@ -30,11 +30,14 @@ import numpy as np
 from .detections import (
     EDGE_CLAMP_TOLERANCE,
     INT64_MAX,
+    _NUMBER,
     BoxGeometry,
     Detection,
     GroundTruthObject,
     _box_from_relative,
+    _field,
     _iter_jsonl,
+    valid_boxes,
 )
 from .errors import UsageError, ValidationError
 
@@ -266,7 +269,6 @@ def write_matched_samples(
 # Lines per json.loads call: one call per line spends most of its time in
 # call overhead, one call per file holds every parsed record at once.
 _CHUNK_LINES = 1024
-_NUMBER = {int, float}
 # Two top-level objects on one line must meet in a "}", "," and "{" run on
 # that line (a line holds no newline, and a string no raw newline). With
 # none, a chunk parsing to as many objects as it has lines has one object
@@ -314,14 +316,6 @@ def _read_records(path: Path) -> list[MatchedSample]:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: invalid matched record: {exc}") from exc
     return samples
-
-
-def _field(objs: list, key: str, kinds: set = _NUMBER) -> list:
-    """``obj[key]`` of every object; a value of another type than ``kinds`` raises TypeError."""
-    values = list(map(operator.itemgetter(key), objs))
-    if not set(map(type, values)) <= kinds:
-        raise TypeError(key)
-    return values
 
 
 def _parse_lines(lines: list[str]) -> SampleColumns | None:
@@ -388,11 +382,7 @@ def _parse_lines(lines: list[str]) -> SampleColumns | None:
         values[:, 2] = cy = np.where(clamp, (y1 + y2) / 2.0, cy)
         values[:, 3] = w = np.where(clamp, x2 - x1, w)
         values[:, 4] = h = np.where(clamp, y2 - y1, h)
-        # BoxGeometry
-        ok &= (cx >= 0.0) & (cx <= 1.0) & (cy >= 0.0) & (cy <= 1.0)
-        ok &= (w > 0.0) & (w <= 1.0) & (h > 0.0) & (h <= 1.0)
-        edge = np.maximum.reduce([0.5 * w - cx, cx + 0.5 * w - 1.0, 0.5 * h - cy, cy + 0.5 * h - 1.0])
-        ok &= edge <= EDGE_CLAMP_TOLERANCE + 1e-12
+    ok &= valid_boxes(cx, cy, w, h)
     # Detection and MatchedSample
     hit = matched == 1
     ok &= (score >= 0.0) & (score <= 1.0) & (hit | (matched == 0))

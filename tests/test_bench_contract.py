@@ -6,11 +6,18 @@ drops one makes traced benchmark runs crash with ``AttributeError``. The
 tracer also counts records with ``len()`` on what the wrapped readers
 return and writers take, so those counts are checked on a small CLI chain.
 Solver work is counted through ``calibrators.minimize``, which every
-parametric fit calls, so an lc-dep fit must show nonzero counts.
+parametric fit calls, so an lc-dep fit must show nonzero counts. The
+matching counts read ``image_id``, ``category_id``, ``crowd_flag`` and
+``matched`` on the records that ``load_dataset`` and ``match_detections``
+return, so they are checked on a COCO pair.
 """
 
+import json
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from detcal import calibrators, cli, features, harness, metrics, synth
 
@@ -85,3 +92,47 @@ def test_tracer_counts_lc_dep_solver_work(tmp_path):
     counts = tracer.layer_metrics()
     assert counts["calibrators.fit.lc-dep.conf_xy.iterations"] > 0
     assert counts["calibrators.fit.lc-dep.conf_xy.obj_evals"] > 0
+
+
+def _coco_pair(tmp_path: Path) -> tuple[Path, Path, dict, list]:
+    """A COCO annotation document and results array; about half the detections repeat an object's box."""
+    rng = np.random.default_rng(4)
+    images, annotations, results = [], [], []
+    for image_id in range(1, 5):
+        images.append({"id": image_id, "width": 200, "height": 100})
+        for _ in range(6):
+            x, y = rng.uniform(0.0, 150.0), rng.uniform(0.0, 60.0)
+            bbox = [x, y, rng.uniform(10.0, 50.0), rng.uniform(10.0, 40.0)]
+            category_id = int(rng.integers(1, 3))
+            annotations.append({"image_id": image_id, "category_id": category_id, "bbox": bbox,
+                                "iscrowd": int(rng.random() < 0.2)})
+            for _ in range(2):
+                box = bbox if rng.random() < 0.5 else [x + rng.uniform(-5.0, 5.0), y, 10.0, 10.0]
+                results.append({"image_id": image_id, "category_id": category_id,
+                                "bbox": [min(max(v, 0.0), 150.0) for v in box],
+                                "score": float(rng.random())})
+    doc = {"images": images, "annotations": annotations}
+    ann_path, det_path = tmp_path / "instances.json", tmp_path / "results.json"
+    ann_path.write_text(json.dumps(doc))
+    det_path.write_text(json.dumps(results))
+    return det_path, ann_path, doc, results
+
+
+def test_tracer_counts_coco_records_and_pairs(tmp_path):
+    det_path, ann_path, doc, results = _coco_pair(tmp_path)
+    out = tmp_path / "matched.jsonl"
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert cli.main(["match", "--detections", str(det_path), "--annotations", str(ann_path),
+                         "--format", "coco", "--iou", "0.5", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    objects = Counter((a["image_id"], a["category_id"]) for a in doc["annotations"] if not a["iscrowd"])
+    pairs = sum(objects[(r["image_id"], r["category_id"])] for r in results)
+    matched = [json.loads(line)["matched"] for line in out.read_text().splitlines()]
+    assert len(matched) == len(results) and 0 < sum(matched) < len(results) and pairs > 0
+    counts = tracer.layer_metrics()
+    assert counts["detections.load_dataset.records"] == len(results) + len(doc["annotations"])
+    assert counts["matching.match_detections.pairs"] == pairs
+    assert counts["matching.match_detections.matched_frac"] == sum(matched) / len(results)

@@ -96,6 +96,17 @@ class TestEmptyInput:
         assert run(["--out-dir", tmp_path, argv[0], "--in", path, *argv[1:]]) == 2
         assert f"empty.jsonl: {message}" in caplog.text
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--features", "conf", "--bins", "200"],
+        ["heatmap", "--features", "conf+xy", "--bins", "200,200,200", "--axes", "cx,cy"],
+    ], ids=["eval", "heatmap"])
+    def test_bins_below_min_samples_name_the_file(self, tmp_path, caplog, argv):
+        path = synth_file(tmp_path, "sparse.jsonl", n=300, seed=1)
+        assert run(["--out-dir", tmp_path, argv[0], "--in", path, *argv[1:],
+                    "--min-samples", 50]) == 2
+        assert "sparse.jsonl: all " in caplog.text
+        assert "occupied bins fall below min_samples=50" in caplog.text
+
     def test_missing_category_names_the_file(self, tmp_path, caplog):
         path = tmp_path / "category_1.jsonl"
         write_matched_samples(generate(make_scenario("fig3_boundary_decay", 200, seed=1)), path)

@@ -1,18 +1,28 @@
+import contextlib
 import json
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detcal import detections
 from detcal.detections import (
+    EDGE_CLAMP_TOLERANCE,
+    INT64_MAX,
+    INT64_MIN,
     BoxGeometry,
     Detection,
     GroundTruthObject,
     ImageRecord,
+    _boxes_from_absolute,
+    _RecordPolicy,
     box_from_absolute,
     load_dataset,
     sniff_format,
+    valid_boxes,
     write_annotations,
     write_detections,
 )
@@ -67,6 +77,58 @@ class TestBoxGeometry:
     def test_score_range_validated(self):
         with pytest.raises(ValidationError):
             Detection(1, 1, 1.5, BoxGeometry(0.5, 0.5, 0.1, 0.1))
+
+
+def _hex_box(box):
+    return tuple(v.hex() for v in (box.cx, box.cy, box.w, box.h))
+
+
+def _scalar_box(make):
+    """The box ``make()`` returns as hex floats, or None when it raises ValidationError."""
+    try:
+        box = make()
+    except ValidationError:
+        return None
+    return _hex_box(box)
+
+
+# Values near the ends of the ranges the box checks test, with non-finite ones.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.01, 0.02, 0.99, 1.02, -0.02, 1e-300,
+                               float("nan"), float("inf"), -float("inf")]) | st.floats(-0.1, 1.1)
+
+
+class TestVectorizedBoxChecks:
+    """The array forms of the box checks against the scalar ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=20))
+    @example([(0.5, 0.5, 1.0, 1.0), (0.5, 0.5, 1.02, 0.5), (0.5, 0.5, 0.5, 1.02),
+              (-0.001, 0.5, 0.001, 0.1), (0.5, -0.001, 0.1, 0.001), (1.001, 0.5, 0.001, 0.1),
+              (0.5, 1.001, 0.1, 0.001), (0.5, 0.5, 0.0, 0.1), (0.5, 0.5, 0.1, -0.0),
+              (0.01, 0.5, 0.05, 0.1), (0.05, 0.5, 0.4, 0.1), (0.5, 0.99, 0.1, 0.06)])
+    def test_valid_boxes_matches_box_geometry(self, rows):
+        ok = valid_boxes(*np.array(rows).T)
+        assert ok.tolist() == [_scalar_box(lambda: BoxGeometry(*row)) is not None for row in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 640), st.integers(1, 480),
+                              st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)),
+                    min_size=1, max_size=20))
+    @example([(100, 200, (-0.01, 0.0, 0.5, 0.5)), (100, 200, (0.6, 0.0, 0.41, 0.5)),
+              (100, 200, (0.0, -0.01, 0.5, 0.5)), (100, 200, (0.0, 0.6, 0.5, 0.41)),
+              (100, 200, (-0.02, -0.0, 0.5, 0.5)), (100, 200, (-0.021, 0.0, 0.5, 0.5)),
+              (100, 200, (1.0, 0.0, 0.01, 0.5)), (100, 200, (0.5, 0.5, 0.0, 0.5))])
+    def test_boxes_from_absolute_matches_the_scalar_conversion(self, rows):
+        # Relative draws scaled to pixels, so that boxes land in and around each image.
+        size = np.array([(w, h) for w, h, _ in rows], np.float64)
+        with np.errstate(all="ignore"):
+            xywh = np.array([b for _, _, b in rows]) * np.tile(size, 2)
+        ok, *box = _boxes_from_absolute(xywh, size)
+        expected = [_scalar_box(lambda: box_from_absolute(b, w, h))
+                    for (w, h, _), b in zip(rows, xywh.tolist())]
+        got = [_hex_box(BoxGeometry(*row)) if accepted else None
+               for accepted, row in zip(ok.tolist(), np.array(box).T.tolist())]
+        assert got == expected
 
 
 class TestAbsoluteConversion:
@@ -290,6 +352,17 @@ class TestNativeFormat:
         native = tmp_path / "n.jsonl"
         write_detections([Detection(1, 1, 0.5, BoxGeometry(0.5, 0.5, 0.1, 0.1))], native)
         assert sniff_format(native) == "native"
+        results = [{"image_id": 1, "category_id": 7, "bbox": [0, 0, 10, 10], "score": 0.5}]
+        assert sniff_format(det_path) == "coco"
+        det_path.write_text(json.dumps(results))
+        assert sniff_format(det_path) == "coco"
+        det_path.write_text(" " + json.dumps(results, indent=1))
+        assert sniff_format(det_path) == "coco"
+        # A whole array on the first line of several is no native file either.
+        det_path.write_text(json.dumps(results) + "\n" + json.dumps(results) + "\n")
+        assert sniff_format(det_path) == "coco"
+        with pytest.raises(ParseError, match=r"det\.json:2: malformed JSON"):
+            load_dataset(det_path, ann_path)
 
 
 class TestNativeAnnotationRecords:
@@ -494,3 +567,178 @@ def test_loaders_succeed_or_name_the_file(tmp_path_factory, data, case, fmt, on_
     except DetcalError as exc:
         assert isinstance(exc, DataError) and exc.exit_code == 2, repr(exc)
         assert str(fuzzed) in str(exc) or str(other) in str(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# COCO documents: the array path against the per-record loop
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _load(det_path, ann_path, on_invalid="fail", *, reference=False):
+    """What ``load_dataset`` gives for a COCO pair, floats as ``float.hex``, with its warnings.
+
+    ``reference`` turns the array path off, leaving the per-record loop.
+    """
+    handler = _Messages()
+    with contextlib.ExitStack() as stack:
+        if reference:
+            for name in ("_coco_detections", "_coco_ground_truth"):
+                stack.enter_context(mock.patch.object(detections, name, return_value=None))
+        detections.logger.addHandler(handler)
+        stack.callback(detections.logger.removeHandler, handler)
+        try:
+            dets, ground_truth, categories = load_dataset(det_path, ann_path, fmt="coco",
+                                                          on_invalid=on_invalid)
+        except Exception as exc:
+            return type(exc), str(exc), handler.messages
+    return (
+        [(d.image_id, type(d.image_id), d.category_id, type(d.category_id), d.score.hex(),
+          _hex_box(d.box)) for d in dets],
+        [(g.image_id, type(g.image_id), g.category_id, type(g.category_id), _hex_box(g.box),
+          type(g.crowd_flag), g.crowd_flag) for g in ground_truth],
+        categories,
+        handler.messages,
+    )
+
+
+def _array_loaded(det_path, ann_path) -> bool:
+    """Whether ``load_dataset`` loads the COCO pair without the per-record loop."""
+    with mock.patch.object(_RecordPolicy, "record", side_effect=AssertionError("per-record loop")):
+        try:
+            load_dataset(det_path, ann_path, fmt="coco")
+        except AssertionError:
+            return False
+    return True
+
+
+def _coordinate(size):
+    return st.integers(0, size // 2) | st.floats(-0.03 * size, size / 2) | st.sampled_from([-0.0, -0.02 * size])
+
+
+def _extent(size):
+    return st.integers(1, max(1, size // 2)) | st.floats(0.0, size / 2)
+
+
+@st.composite
+def coco_documents(draw):
+    """A COCO annotation document and results array on one to three images, mostly valid."""
+    ids = draw(st.lists(st.integers(0, 3) | st.sampled_from(["a", "b"]), min_size=1, max_size=3,
+                        unique=True))
+    images = [{"id": i, "width": draw(st.integers(1, 640)), "height": draw(st.integers(1, 480))}
+              for i in ids]
+
+    def record():
+        image = draw(st.sampled_from(images))
+        bbox = [draw(_coordinate(image["width"])), draw(_coordinate(image["height"])),
+                draw(_extent(image["width"])), draw(_extent(image["height"]))]
+        return {"image_id": image["id"], "category_id": draw(st.integers(1, 2)), "bbox": bbox}
+
+    annotations = []
+    for _ in range(draw(st.integers(0, 3))):
+        rec = record()
+        crowd = draw(st.sampled_from([_REMOVE, 0, 1, True, False]))
+        if crowd is not _REMOVE:
+            rec["iscrowd"] = crowd
+        annotations.append(rec)
+    results = [{**record(), "score": draw(st.sampled_from([0, 1]) | st.floats(0.0, 1.0))}
+               for _ in range(draw(st.integers(0, 4)))]
+    return {"images": images, "annotations": annotations}, results
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), edit=st.sampled_from(["annotations", "results"]),
+       on_invalid=st.sampled_from(["fail", "skip"]))
+def test_coco_array_path_matches_the_record_loop(tmp_path_factory, data, edit, on_invalid):
+    """The array path gives the loop's records bit for bit, or leaves the verdict to it."""
+    doc, results = data.draw(coco_documents())
+    if edit == "annotations":
+        doc = data.draw(edited(doc))
+    else:
+        results = data.draw(edited(results))
+    base = tmp_path_factory.mktemp("coco")
+    ann_path, det_path = base / "ann.json", base / "det.json"
+    ann_path.write_text(json.dumps(doc))
+    det_path.write_text(json.dumps(results))
+    assert _load(det_path, ann_path, on_invalid) == _load(det_path, ann_path, on_invalid, reference=True)
+
+
+EDGE_IMAGES = [*BASE_IMAGES, {"id": "img-2", "width": 50, "height": 50}]
+EDGE_ANNOTATION = {"image_id": 1, "category_id": 7, "bbox": [10.5, 20, 30, 40], "iscrowd": 0}
+EDGE_RESULT = {"image_id": 1, "category_id": 7, "bbox": [12.25, 20, 30, 40], "score": 0.9}
+TOLERANCE_PX = EDGE_CLAMP_TOLERANCE * 100  # of BASE_IMAGES' 100-pixel width
+
+
+class TestCocoArrayPath:
+    """Edge cases of the array path: it gives the loop's records or leaves the file to it."""
+
+    @pytest.mark.parametrize(
+        "side, change, array",
+        [
+            ("results", {"bbox": [-0.0, -0.0, 10, 10]}, True),
+            ("annotations", {"bbox": [-0.0, 5, 10, 10]}, True),
+            ("results", {"bbox": [-TOLERANCE_PX, 0, 10, 10]}, True),
+            ("annotations", {"bbox": [90 + TOLERANCE_PX, 0, 10, 10]}, True),
+            ("results", {"bbox": [-TOLERANCE_PX - 0.5, 0, 10, 10]}, False),
+            ("results", {"bbox": [10, 20, 30, 40]}, True),
+            ("results", {"category_id": True}, False),
+            ("results", {"category_id": "7"}, False),
+            ("annotations", {"category_id": 7.0}, False),
+            ("annotations", {"iscrowd": True}, True),
+            ("annotations", {"iscrowd": 2}, True),
+            ("annotations", {"iscrowd": _REMOVE}, True),
+            ("annotations", {"iscrowd": "yes"}, False),
+            ("results", {"image_id": "img-2", "bbox": [0, 0, 50, 50]}, True),
+            ("results", {"image_id": "img-3"}, False),
+            ("annotations", {"image_id": 3}, False),
+            ("results", {"score": 0}, True),
+            ("results", {"score": 1}, True),
+            ("results", {"score": 1.0}, True),
+            ("results", {"category_id": INT64_MAX}, True),
+            ("results", {"category_id": INT64_MIN}, True),
+            ("results", {"category_id": INT64_MAX + 1}, False),
+            ("annotations", {"category_id": INT64_MAX + 1}, True),
+        ],
+        ids=["neg-zero-result", "neg-zero-annotation", "tolerance-left", "tolerance-right",
+             "past-tolerance", "int-bbox", "bool-category", "str-category", "float-category",
+             "bool-crowd", "int-crowd", "no-crowd", "str-crowd", "str-image-id",
+             "unknown-str-image-id", "unknown-image-id", "score-int-0", "score-int-1", "score-1.0",
+             "category-int64-max", "category-int64-min", "category-past-int64",
+             "annotation-category-past-int64"],
+    )
+    def test_edge_case(self, tmp_path, side, change, array):
+        annotation, result = dict(EDGE_ANNOTATION), dict(EDGE_RESULT)
+        for key, value in change.items():
+            rec = annotation if side == "annotations" else result
+            if value is _REMOVE:
+                del rec[key]
+            else:
+                rec[key] = value
+        det_path, ann_path = write_coco(tmp_path, EDGE_IMAGES, [annotation], [], [result])
+        assert _array_loaded(det_path, ann_path) == array
+        for on_invalid in ("fail", "skip"):
+            reference = _load(det_path, ann_path, on_invalid, reference=True)
+            assert _load(det_path, ann_path, on_invalid) == reference
+
+    def test_overhang_at_tolerance_is_clamped(self, tmp_path):
+        result = {**EDGE_RESULT, "bbox": [-TOLERANCE_PX, 0, 10, 10]}
+        det_path, ann_path = write_coco(tmp_path, EDGE_IMAGES, [], [], [result])
+        (det,), _, _ = load_dataset(det_path, ann_path)
+        assert det.box == box_from_absolute([0, 0, 10 - TOLERANCE_PX, 10], 100, 200)
+
+    def test_large_document_takes_the_array_path(self, tmp_path):
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(0.0, 80.0, (2000, 2))
+        results = [{"image_id": 1, "category_id": 7, "bbox": [x, y, 10.0, 20.0], "score": s}
+                   for (x, y), s in zip(xy.tolist(), rng.random(2000).tolist())]
+        det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [EDGE_ANNOTATION], BASE_CATEGORIES, results)
+        assert _array_loaded(det_path, ann_path)
+        loaded = _load(det_path, ann_path)
+        assert len(loaded[0]) == 2000 and loaded == _load(det_path, ann_path, reference=True)
