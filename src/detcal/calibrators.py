@@ -33,13 +33,17 @@ full quadratic form in the features, so its fit is convex logistic
 regression on the design ``[1, u_i, u_i u_j]`` of the standardized features
 ``u``, with unit-RMS columns; it passes its exact Hessian, so the minimizer
 takes Newton steps, the ridge acts on those design coefficients, and the
-solution is mapped back to the stored normal parameters. The other three
-families pass no Hessian and take BFGS steps from the identity map over
-their unconstrained vector. Every objective shares one NLL/residual kernel,
-which computes ``exp(-|z|)`` once for both the loss and ``sigmoid(z) - m``.
-The dependent beta objective is non-convex, but each evaluation is a single
-pass: the odds transform is computed once per fit, and the ratio and its
-gradient share every per-class term.
+solution is mapped back to the stored normal parameters. The independent
+logistic and beta ratios are linear in their coefficients too, over
+``[x, 1]`` and ``[log x, -log(1 - x), 1]``; both pass a Hessian and take
+Newton steps from the identity map over their unconstrained vector (the
+beta one drops the negative curvature that its two ``exp`` slots can add
+away from the optimum). The dependent beta family passes none and takes
+BFGS steps from the identity map. Every objective shares one NLL/residual
+kernel, which computes ``exp(-|z|)`` once for both the loss and
+``sigmoid(z) - m``. The dependent beta objective is non-convex, but each
+evaluation is a single pass: the odds transform is computed once per fit,
+and the ratio and its gradient share every per-class term.
 
 Model files are validated on load; a malformed one raises a
 :class:`DataError` naming the file.
@@ -454,7 +458,7 @@ def _nll_and_residual(z: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
     ``z >= 0`` and ``e / (1 + e)`` otherwise, so neither overflows.
     """
     e = np.exp(-np.abs(z))
-    nll = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - m * z))
+    nll = float((np.maximum(z, 0.0) + np.log1p(e) - m * z).sum() / z.size)
     q = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
     return nll, q - m
 
@@ -517,14 +521,28 @@ def _ridged(ridge: float, nll_and_grad):
     Extreme line-search trial points may overflow; the resulting non-finite
     values are rejected by the optimizer, so the warnings are noise.
     """
+    two_ridge = 2.0 * ridge
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = np.asarray(theta, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             nll, g = nll_and_grad(theta)
-            return nll + ridge * float(theta @ theta), g + 2.0 * ridge * theta
+            return nll + ridge * float(theta @ theta), g + two_ridge * theta
 
     return objective
+
+
+def _gauss_newton(a: np.ndarray, r: np.ndarray, m: np.ndarray, ridge: float) -> np.ndarray:
+    """``a^T diag(q (1 - q)) a / n + 2 ridge I`` with ``q = r + m``, ``r`` the NLL kernel's residual.
+
+    The Hessian of the ridged mean NLL of a ratio that is linear in its
+    coefficients over the design ``a``.
+    """
+    n, p = a.shape
+    q = r + m
+    h = (a * (q * (1.0 - q))[:, None]).T @ a / n
+    h.flat[:: p + 1] += 2.0 * ridge
+    return h
 
 
 def _logistic_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
@@ -537,16 +555,33 @@ def _logistic_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
     return _ridged(ridge, nll_and_grad)
 
 
+def _logistic_indep_hessian(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Exact Hessian of the independent logistic objective, over the design ``[x, 1]``."""
+    n, k = x.shape
+    a = np.column_stack([x, np.ones(n)])
+    return lambda theta: _gauss_newton(a, _nll_and_residual(x @ theta[:k] + theta[k], m)[1], m, ridge)
+
+
+def _beta_indep_ratio(log_x: np.ndarray, log1m_x: np.ndarray, theta: np.ndarray):
+    """Independent beta ratio and the factors ``exp(theta)`` of ``a[0]``, ``b[0]``.
+
+    ``a[0]``, ``b[0]`` are built as :func:`unpack_params` builds them, with
+    scalar ``math.exp``.
+    """
+    k = log_x.shape[1]
+    e_a, e_b = math.exp(theta[0]), math.exp(theta[k])
+    a, b = theta[:k].copy(), theta[k : 2 * k].copy()
+    a[0], b[0] = POSITIVITY_FLOOR + e_a, POSITIVITY_FLOOR + e_b
+    return log_x @ a - log1m_x @ b + theta[2 * k], e_a, e_b
+
+
 def _beta_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
     n, k = x.shape
     log_x, log1m_x = np.log(x), np.log1p(-x)
 
     def nll_and_grad(theta):
-        # a[0], b[0] as unpack_params builds them, with scalar math.exp.
-        e_a, e_b = math.exp(theta[0]), math.exp(theta[k])
-        a, b = theta[:k].copy(), theta[k : 2 * k].copy()
-        a[0], b[0] = POSITIVITY_FLOOR + e_a, POSITIVITY_FLOOR + e_b
-        nll, r = _nll_and_residual(log_x @ a - log1m_x @ b + theta[2 * k], m)
+        z, e_a, e_b = _beta_indep_ratio(log_x, log1m_x, theta)
+        nll, r = _nll_and_residual(z, m)
         g = np.concatenate([log_x.T @ r, -(log1m_x.T @ r), [r.sum()]]) / n
         # Chain through the exponential reparameterization of a[0], b[0].
         g[0] *= e_a
@@ -554,6 +589,34 @@ def _beta_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
         return nll, g
 
     return _ridged(ridge, nll_and_grad)
+
+
+def _beta_indep_hessian(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Hessian of the independent beta objective over its unconstrained vector.
+
+    The ratio is linear in ``(a, b, c)`` over ``j = [log x, -log(1 - x), 1]``;
+    ``a[0]`` and ``b[0]`` enter as ``exp(theta)``, which scales columns 0 and
+    K of ``j`` by that factor and adds the NLL's own gradient in ``theta``
+    to those two diagonal entries. That chain-rule term is clipped at 0, so
+    the Hessian stays positive definite away from the optimum. At the
+    optimum the term equals ``-2 ridge theta`` there, so the clip moves the
+    Hessian by at most that much.
+    """
+    n, k = x.shape
+    log_x, log1m_x = np.log(x), np.log1p(-x)
+    j = np.column_stack([log_x, -log1m_x, np.ones(n)])
+
+    def hessian(theta):
+        z, e_a, e_b = _beta_indep_ratio(log_x, log1m_x, theta)
+        r = _nll_and_residual(z, m)[1]
+        col_scale = np.ones(2 * k + 1)
+        col_scale[[0, k]] = e_a, e_b
+        h = _gauss_newton(j * col_scale, r, m, ridge)
+        h[0, 0] += max(e_a * float(j[:, 0] @ r) / n, 0.0)
+        h[k, k] += max(e_b * float(j[:, k] @ r) / n, 0.0)
+        return h
+
+    return hessian
 
 
 def _logistic_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
@@ -590,6 +653,7 @@ def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
     n, k = x.shape
     d = k + 1
     s_star = np.ascontiguousarray((x / (1.0 - x)).T)
+    s_star_t = s_star.T
     log_s_star = np.log(s_star)
     sign = np.array([1.0, -1.0])
     block_sign = np.repeat(sign, 2)[:, None]
@@ -600,6 +664,7 @@ def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
         e = np.exp(theta[:-1]).reshape(4, d)
         alpha = POSITIVITY_FLOOR + e[0::2]
         beta = POSITIVITY_FLOOR + e[1::2]
+        beta_0 = beta[:, 0]
         a_tail = alpha[:, 1:]
         a_total = alpha.sum(axis=1)
         lam = beta[:, 1:] / beta[:, :1]
@@ -618,16 +683,16 @@ def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
         # beta_0; the negative class enters z with the opposite sign.
         r_mean = r.sum() / n
         lr = log1p_t @ r / n
-        scale = a_total / beta[:, 0]
+        scale = a_total / beta_0
         g = np.empty(theta.size)
         g_blocks = g[:-1].reshape(4, d)
         g_alpha, g_beta = g_blocks[0::2], g_blocks[1::2]
         g_alpha[:, 0] = -lr
         g_alpha[:, 1:] = log_lam * r_mean + (log_s_star @ r / n) - lr[:, None]
         g_beta[:, 0] = (scale * ((t * inv1p_t) @ r) / n
-                        - a_tail.sum(axis=1) / beta[:, 0] * r_mean)
+                        - a_tail.sum(axis=1) / beta_0 * r_mean)
         g_beta[:, 1:] = (a_tail / beta[:, 1:] * r_mean
-                         - scale[:, None] * ((inv1p_t * r) @ s_star.T) / n)
+                         - scale[:, None] * ((inv1p_t * r) @ s_star_t) / n)
         g_blocks *= block_sign * e
         g[-1] = r_mean
         return nll, g
@@ -719,10 +784,17 @@ def _logistic_dep_from_coef(
     )
 
 
-def _fit_bfgs(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig):
-    """BFGS over the unconstrained vector, starting from the identity map."""
-    k = x.shape[1]
-    theta, report = minimize(nll_objective(method, x, m, ridge), identity_theta(method, k), cfg)
+def _fit_from_identity(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig):
+    """Line search over the unconstrained vector from the identity map.
+
+    The steps are Newton steps where the family has a Hessian (lc, bc) and
+    BFGS steps otherwise (bc-dep).
+    """
+    fam, k = _family(method), x.shape[1]
+    hessian = fam.hessian(x, m, ridge) if fam.hessian else None
+    theta, report = minimize(
+        nll_objective(method, x, m, ridge), identity_theta(method, k), cfg, hessian=hessian
+    )
     return theta, report, unpack_params(method, theta, k)
 
 
@@ -742,11 +814,7 @@ def _fit_quadratic_newton(method: str, x: np.ndarray, m: np.ndarray, ridge: floa
         return nll, a.T @ r / n
 
     def hessian(b):
-        # Weights q(1 - q) with q = r + m, the form the NLL kernel returns.
-        q = _nll_and_residual(a @ b, m)[1] + m
-        h = (a * (q * (1.0 - q))[:, None]).T @ a / n
-        h.flat[:: p + 1] += 2.0 * ridge
-        return h
+        return _gauss_newton(a, _nll_and_residual(a @ b, m)[1], m, ridge)
 
     coef, report = minimize(_ridged(ridge, nll_and_grad), np.zeros(p), cfg, hessian=hessian)
     theta = coef / scale
@@ -762,7 +830,9 @@ class _Family:
     """One parametric family. ``shapes(k)`` lists the shape of each field of
     ``params`` in declaration order (``c`` last, shape ``()``); ``exp_slots(k)``
     indexes the optimizer-vector entries stored as ``POSITIVITY_FLOOR +
-    exp(theta)``; ``identity(k)`` is the identity map's block and BFGS start."""
+    exp(theta)``; ``identity(k)`` is the identity map's block and the start
+    of :func:`_fit_from_identity`; ``hessian(x, m, ridge)``, where given,
+    returns the objective's Hessian as a function of the vector."""
 
     params: type
     encoding: str
@@ -772,6 +842,7 @@ class _Family:
     llr: Callable[[object, np.ndarray], np.ndarray]
     objective: Callable
     fit: Callable
+    hessian: Callable | None = None
 
 
 _FAMILIES = {
@@ -779,13 +850,15 @@ _FAMILIES = {
         params=LogisticIndepParams, encoding="logit",
         shapes=lambda k: ((k,), ()), exp_slots=lambda k: [],
         identity=lambda k: LogisticIndepParams(w=np.eye(k)[0], c=0.0),
-        llr=_llr_logistic_indep, objective=_logistic_indep_objective, fit=_fit_bfgs,
+        llr=_llr_logistic_indep, objective=_logistic_indep_objective, fit=_fit_from_identity,
+        hessian=_logistic_indep_hessian,
     ),
     "beta_indep": _Family(
         params=BetaIndepParams, encoding="probability",
         shapes=lambda k: ((k,), (k,), ()), exp_slots=lambda k: [0, k],
         identity=lambda k: BetaIndepParams(a=np.eye(k)[0], b=np.eye(k)[0], c=0.0),
-        llr=_llr_beta_indep, objective=_beta_indep_objective, fit=_fit_bfgs,
+        llr=_llr_beta_indep, objective=_beta_indep_objective, fit=_fit_from_identity,
+        hessian=_beta_indep_hessian,
     ),
     "logistic_dep": _Family(
         params=LogisticDepParams, encoding="logit",
@@ -802,7 +875,7 @@ _FAMILIES = {
         identity=lambda k: BetaDepParams(
             1.0 + np.eye(k + 1)[1], np.ones(k + 1), 1.0 + np.eye(k + 1)[0], np.ones(k + 1), c=0.0
         ),
-        llr=_llr_beta_dep, objective=_beta_dep_objective, fit=_fit_bfgs,
+        llr=_llr_beta_dep, objective=_beta_dep_objective, fit=_fit_from_identity,
     ),
 }
 
@@ -822,8 +895,8 @@ def fit_parametric(
     Requires both match labels in the training data. Deterministic for a
     fixed configuration; raises :class:`ConvergenceError` when the optimizer
     budget runs out before the gradient tolerance is met, and
-    :class:`NumericalFailureError` when the iterates stop being finite or the
-    dependent logistic Newton system is singular.
+    :class:`NumericalFailureError` when the iterates stop being finite or a
+    Newton system is singular.
     """
     fam = _family(method)
     fs = _normalize_feature_set(method, fs)

@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="conf|conf+xy|conf+wh|full")
     p.add_argument("--bins", default=None, help="per-dimension bin counts (histogram binning)")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--max-iter", type=int, default=2000,
+                   help="solver step budget: Newton steps for lc, lc-dep and bc, BFGS steps for bc-dep")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--ridge", type=float, default=calibrators.DEFAULT_RIDGE)
     p.add_argument("--seed", type=int, default=0,

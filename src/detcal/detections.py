@@ -164,13 +164,25 @@ class ImageRecord:
     height_px: int
 
     def __post_init__(self):
-        if int(self.width_px) <= 0 or int(self.height_px) <= 0:
+        if isinstance(self.image_id, bool) or not isinstance(self.image_id, (str, int)):
+            raise ValidationError(f"image id must be a str or int, got {self.image_id!r}")
+        width, height = (_pixels(self.image_id, v) for v in (self.width_px, self.height_px))
+        if width <= 0 or height <= 0:
             raise ValidationError(
                 f"image {self.image_id!r} has nonpositive dimensions "
                 f"{self.width_px}x{self.height_px}"
             )
-        object.__setattr__(self, "width_px", int(self.width_px))
-        object.__setattr__(self, "height_px", int(self.height_px))
+        object.__setattr__(self, "width_px", width)
+        object.__setattr__(self, "height_px", height)
+
+
+def _pixels(image_id: ImageId, value: Any) -> int:
+    """An image side as an int: an integer (not a bool) or an integral float, never truncated."""
+    if (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer()
+    ):
+        return int(value)
+    raise ValidationError(f"image {image_id!r} needs a whole number of pixels per side, got {value!r}")
 
 
 def box_from_absolute(

@@ -13,6 +13,7 @@ system or a non-finite Newton step raise :class:`NumericalFailureError`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -60,8 +61,10 @@ class FitReport:
     wall_time_s: float
 
 
-def _check_finite(value: float, grad: np.ndarray, x: np.ndarray, where: str) -> None:
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+def _check_finite(value: float, g_inf: float, x: np.ndarray, iteration: int | None) -> None:
+    """Raise unless the value and the gradient's infinity norm (NaN if any entry is) are finite."""
+    if not (math.isfinite(value) and math.isfinite(g_inf)):
+        where = "the starting point" if iteration is None else f"accepted iterate {iteration}"
         raise NumericalFailureError(
             f"objective or gradient non-finite at {where} (value={value!r})", iterate=x.copy()
         )
@@ -74,7 +77,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, x: np.ndarray, iteration: in
         raise NumericalFailureError(
             f"singular Newton system at iterate {iteration}", iterate=x.copy()
         ) from exc
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise NumericalFailureError(f"non-finite Newton step at iterate {iteration}", iterate=x.copy())
     return d
 
@@ -95,37 +98,41 @@ def minimize(
     given, is invoked with every accepted iterate and its objective value.
     """
     start = time.perf_counter()
-    x = np.array(x0, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
     f, g = objective(x)
     g = np.asarray(g, dtype=np.float64)
-    _check_finite(f, g, x, "the starting point")
-
     n = x.size
+    # Infinity norm of the gradient: the stopping test, and NaN or inf
+    # exactly when some entry is.
+    g_inf = float(abs(g).max()) if n else 0.0
+    _check_finite(f, g_inf, x, None)
+
     h_inv = np.eye(n)
     first_update = True
     iterations = 0
-    converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance) if n else True
+    converged = g_inf <= cfg.gradient_tolerance
 
     while not converged and iterations < cfg.max_iterations:
         if hessian is None:
-            d = -h_inv @ g
+            d = -(h_inv @ g)
         else:
             d = _newton_direction(hessian(x), g, x, iterations)
         gd = float(g @ d)
-        if gd >= 0.0 or not np.all(np.isfinite(d)):
+        d_inf = float(abs(d).max())
+        if gd >= 0.0 or not math.isfinite(d_inf):
             h_inv = np.eye(n)
             d = -g
             gd = float(g @ d)
+            d_inf = g_inf
 
         step = INITIAL_STEP
-        d_inf = float(np.max(np.abs(d)))
         if d_inf * step > MAX_STEP:
             step = MAX_STEP / d_inf
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             f_new, g_new = objective(x_new)
-            if np.isfinite(f_new) and f_new <= f + SUFFICIENT_DECREASE * step * gd:
+            if math.isfinite(f_new) and f_new <= f + SUFFICIENT_DECREASE * step * gd:
                 accepted = True
                 break
             step *= BACKTRACK_FACTOR
@@ -135,7 +142,8 @@ def minimize(
             break
 
         g_new = np.asarray(g_new, dtype=np.float64)
-        _check_finite(f_new, g_new, x_new, f"accepted iterate {iterations + 1}")
+        g_inf = float(abs(g_new).max())
+        _check_finite(f_new, g_inf, x_new, iterations + 1)
         s = x_new - x
         y = g_new - g
         x, f, g = x_new, f_new, g_new
@@ -143,26 +151,29 @@ def minimize(
         if callback is not None:
             callback(x.copy(), f)
 
-        sy = float(s @ y)
-        if hessian is None and sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            if first_update:
-                # Scale the initial inverse Hessian to the first curvature
-                # pair; standard remedy for badly scaled objectives.
-                h_inv = (sy / float(y @ y)) * np.eye(n)
-                first_update = False
-            rho = 1.0 / sy
-            hy = h_inv @ y
-            h_inv = (
-                h_inv
-                - rho * (np.outer(s, hy) + np.outer(hy, s))
-                + (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
-            )
-        converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
+        if hessian is None:
+            sy = float(s @ y)
+            if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
+                if first_update:
+                    # Scale the initial inverse Hessian to the first curvature
+                    # pair; standard remedy for badly scaled objectives.
+                    h_inv = (sy / float(y @ y)) * np.eye(n)
+                    first_update = False
+                rho = 1.0 / sy
+                hy = h_inv @ y
+                # h_inv - rho (s hy^T + hy s^T) + (rho^2 y.hy + rho) s s^T;
+                # the broadcast products are np.outer's, without its overhead.
+                shy = s[:, None] * hy
+                h_inv = (
+                    h_inv
+                    - rho * (shy + shy.T)
+                    + (rho * rho * float(y @ hy) + rho) * (s[:, None] * s)
+                )
+        converged = g_inf <= cfg.gradient_tolerance
 
-    grad_norm = float(np.max(np.abs(g))) if n else 0.0
     report = FitReport(
         final_value=float(f),
-        gradient_norm=grad_norm,
+        gradient_norm=g_inf,
         iterations=iterations,
         converged=converged,
         wall_time_s=time.perf_counter() - start,

@@ -8,11 +8,24 @@ meaningful.
 from __future__ import annotations
 
 import math
+import time
+from typing import Callable
 
 import numpy as np
 
 from detcal.detections import BoxGeometry, Detection
+from detcal.errors import NumericalFailureError
 from detcal.matching import MatchedSample
+from detcal.optimizer import (
+    BACKTRACK_FACTOR,
+    INITIAL_STEP,
+    MAX_BACKTRACKS,
+    MAX_STEP,
+    SUFFICIENT_DECREASE,
+    FitReport,
+    Objective,
+    OptimizerConfig,
+)
 
 
 def make_sample(score, matched, box=(0.5, 0.5, 0.2, 0.2), image_id=0, category_id=1, gt_index=None):
@@ -170,3 +183,118 @@ def greedy_match(detections, ground_truth, threshold, iou, exclude_crowd=True):
             claimed.add(j)
             out[i] = (1, v, j)
     return out
+
+
+# The line-search loop of ``detcal.optimizer.minimize`` as it stood before its
+# per-iteration costs were cut, kept verbatim (helpers renamed): ``minimize``
+# must reproduce its iterates, reports, exceptions and callbacks bit for bit.
+
+
+def _reference_check_finite(value: float, grad: np.ndarray, x: np.ndarray, where: str) -> None:
+    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        raise NumericalFailureError(
+            f"objective or gradient non-finite at {where} (value={value!r})", iterate=x.copy()
+        )
+
+
+def _reference_newton_direction(h: np.ndarray, g: np.ndarray, x: np.ndarray, iteration: int) -> np.ndarray:
+    try:
+        d = -np.linalg.solve(h, g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"singular Newton system at iterate {iteration}", iterate=x.copy()
+        ) from exc
+    if not np.all(np.isfinite(d)):
+        raise NumericalFailureError(f"non-finite Newton step at iterate {iteration}", iterate=x.copy())
+    return d
+
+
+def reference_minimize(
+    objective: Objective,
+    x0: np.ndarray,
+    cfg: OptimizerConfig = OptimizerConfig(),
+    callback: Callable[[np.ndarray, float], None] | None = None,
+    *,
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, FitReport]:
+    """Minimize a smooth objective from ``x0``; returns the iterate and a report.
+
+    ``hessian``, when given, returns the Hessian at an accepted iterate and
+    turns the BFGS direction into the Newton direction. A direction that
+    does not descend falls back to steepest descent. ``callback``, when
+    given, is invoked with every accepted iterate and its objective value.
+    """
+    start = time.perf_counter()
+    x = np.array(x0, dtype=np.float64).copy()
+    f, g = objective(x)
+    g = np.asarray(g, dtype=np.float64)
+    _reference_check_finite(f, g, x, "the starting point")
+
+    n = x.size
+    h_inv = np.eye(n)
+    first_update = True
+    iterations = 0
+    converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance) if n else True
+
+    while not converged and iterations < cfg.max_iterations:
+        if hessian is None:
+            d = -h_inv @ g
+        else:
+            d = _reference_newton_direction(hessian(x), g, x, iterations)
+        gd = float(g @ d)
+        if gd >= 0.0 or not np.all(np.isfinite(d)):
+            h_inv = np.eye(n)
+            d = -g
+            gd = float(g @ d)
+
+        step = INITIAL_STEP
+        d_inf = float(np.max(np.abs(d)))
+        if d_inf * step > MAX_STEP:
+            step = MAX_STEP / d_inf
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            x_new = x + step * d
+            f_new, g_new = objective(x_new)
+            if np.isfinite(f_new) and f_new <= f + SUFFICIENT_DECREASE * step * gd:
+                accepted = True
+                break
+            step *= BACKTRACK_FACTOR
+        if not accepted:
+            # Line search exhausted at machine precision; stop with whatever
+            # gradient norm remains and report non-convergence if above tol.
+            break
+
+        g_new = np.asarray(g_new, dtype=np.float64)
+        _reference_check_finite(f_new, g_new, x_new, f"accepted iterate {iterations + 1}")
+        s = x_new - x
+        y = g_new - g
+        x, f, g = x_new, f_new, g_new
+        iterations += 1
+        if callback is not None:
+            callback(x.copy(), f)
+
+        sy = float(s @ y)
+        if hessian is None and sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            if first_update:
+                # Scale the initial inverse Hessian to the first curvature
+                # pair; standard remedy for badly scaled objectives.
+                h_inv = (sy / float(y @ y)) * np.eye(n)
+                first_update = False
+            rho = 1.0 / sy
+            hy = h_inv @ y
+            h_inv = (
+                h_inv
+                - rho * (np.outer(s, hy) + np.outer(hy, s))
+                + (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+            )
+        converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
+
+    grad_norm = float(np.max(np.abs(g))) if n else 0.0
+    report = FitReport(
+        final_value=float(f),
+        gradient_norm=grad_norm,
+        iterations=iterations,
+        converged=converged,
+        wall_time_s=time.perf_counter() - start,
+    )
+    return x, report

@@ -6,7 +6,8 @@ drops one makes traced benchmark runs crash with ``AttributeError``. The
 tracer also counts records with ``len()`` on what the wrapped readers
 return and writers take, so those counts are checked on a small CLI chain.
 Solver work is counted through ``calibrators.minimize``, which every
-parametric fit calls, so an lc-dep fit must show nonzero counts. The
+parametric fit calls, so the Newton fits (lc-dep, lc, bc) must show nonzero
+counts. The
 matching counts read ``image_id``, ``category_id``, ``crowd_flag`` and
 ``matched`` on the records that ``load_dataset`` and ``match_detections``
 return, so they are checked on a COCO pair.
@@ -79,19 +80,22 @@ def test_tracer_counts_records_read_and_written(tmp_path):
 
 
 def test_tracer_counts_lc_dep_solver_work(tmp_path):
-    raw, model = tmp_path / "raw.jsonl", tmp_path / "lc_dep.json"
+    """Named for lc-dep, its first case; lc and bc take Newton steps through the same call."""
+    raw = tmp_path / "raw.jsonl"
     assert cli.main(["synth", "--scenario", "fig3_boundary_decay", "--n", "600", "--seed", "2",
                      "--out", str(raw)]) == 0
     tracer = _tracer()
     tracer.install()
     try:
-        assert cli.main(["fit", "--in", str(raw), "--method", "lc-dep", "--features", "conf+xy",
-                         "--out", str(model)]) == 0
+        for method in ("lc-dep", "lc", "bc"):
+            assert cli.main(["fit", "--in", str(raw), "--method", method, "--features", "conf+xy",
+                             "--out", str(tmp_path / f"{method}.json")]) == 0
     finally:
         tracer.uninstall()
     counts = tracer.layer_metrics()
-    assert counts["calibrators.fit.lc-dep.conf_xy.iterations"] > 0
-    assert counts["calibrators.fit.lc-dep.conf_xy.obj_evals"] > 0
+    for method in ("lc-dep", "lc", "bc"):
+        assert counts[f"calibrators.fit.{method}.conf_xy.iterations"] > 0
+        assert counts[f"calibrators.fit.{method}.conf_xy.obj_evals"] > 0
 
 
 def _coco_pair(tmp_path: Path) -> tuple[Path, Path, dict, list]:

@@ -421,6 +421,75 @@ class TestFusedObjectives:
             np.testing.assert_allclose(r, sigmoid(z) - m, rtol=0.0, atol=1e-15)
 
 
+FIG3_MEMBERS = {"conf": ("confidence",), "conf+xy": ("confidence", "cx", "cy"),
+                "conf+wh": ("confidence", "w", "h"), "full": ("confidence", "cx", "cy", "w", "h")}
+
+
+def _fig3_design(method, n, seed, members):
+    samples = synth.generate(synth.make_scenario("fig3_boundary_decay", n, seed=seed))
+    fs = calibrators._normalize_feature_set(method, members)
+    return build_feature_matrix(samples, fs), labels(samples).astype(np.float64)
+
+
+class TestIndependentNewtonFits:
+    """lc and bc pass an exact Hessian (bc's clipped where not convex) and take Newton steps."""
+
+    @staticmethod
+    def _fd_hessian(objective, theta, h=1e-5):
+        """Central differences of the analytic gradient, one column per coordinate."""
+        cols = []
+        for i in range(theta.size):
+            e = np.zeros(theta.size)
+            e[i] = h
+            cols.append((objective(theta + e)[1] - objective(theta - e)[1]) / (2.0 * h))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("method", ["logistic_indep", "beta_indep"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_hessian_matches_differenced_gradient(self, method, k):
+        rng = np.random.default_rng(70 + k)
+        members = {1: FIG3_MEMBERS["conf"], 3: FIG3_MEMBERS["conf+xy"], 5: FIG3_MEMBERS["full"]}[k]
+        x, m = _fig3_design(method, 1500, 9, members)
+        ridge = 1e-3
+        objective = nll_objective(method, x, m, ridge)
+        hessian = calibrators._FAMILIES[method].hessian(x, m, ridge)
+        nll_grad = nll_objective(method, x, m, ridge=0.0)
+        clipped = 0
+        # Near the identity start, and far from any optimum.
+        for spread in (0.3, 0.3, 2.0, 2.0, 4.0):
+            theta = identity_theta(method, k) + rng.normal(0.0, spread, theta_size(method, k))
+            h = hessian(theta)
+            np.testing.assert_allclose(h, h.T, rtol=1e-12, atol=1e-15)
+            assert np.linalg.eigvalsh(h).min() > 0.0
+            exact = h.copy()
+            if method == "beta_indep":
+                # The chain-rule term of an exp slot is the NLL's gradient there;
+                # the Hessian drops it where it is negative.
+                g = nll_grad(theta)[1]
+                for slot in (0, k):
+                    exact[slot, slot] += min(g[slot], 0.0)
+                    clipped += g[slot] < 0.0
+            fd = self._fd_hessian(objective, theta)
+            assert np.max(np.abs(fd - exact)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+        if method == "beta_indep":
+            assert clipped > 0
+
+    @pytest.mark.parametrize("method", ["logistic_indep", "beta_indep"])
+    @pytest.mark.parametrize("fs", list(FIG3_MEMBERS))
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_newton_reaches_the_bfgs_optimum(self, method, fs, seed):
+        x, m = _fig3_design(method, 8000, seed, FIG3_MEMBERS[fs])
+        k = x.shape[1]
+        theta, report, _ = calibrators._fit_from_identity(
+            method, x, m, calibrators.DEFAULT_RIDGE, OptimizerConfig()
+        )
+        assert report.converged and report.iterations <= 20
+        bfgs, bfgs_report = minimize(nll_objective(method, x, m), identity_theta(method, k))
+        assert bfgs_report.converged and bfgs_report.iterations > report.iterations
+        unpenalized = nll_objective(method, x, m, ridge=0.0)
+        assert abs(unpenalized(theta)[0] - unpenalized(bfgs)[0]) <= 1e-6
+
+
 class TestHistBinning:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):

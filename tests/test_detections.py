@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detcal import detections
+from detcal import cli, detections
 from detcal.detections import (
     EDGE_CLAMP_TOLERANCE,
     INT64_MAX,
@@ -473,6 +473,37 @@ class TestImageRecord:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValidationError):
             ImageRecord(1, 0, 100)
+
+    def test_integral_float_sides_become_ints(self):
+        image = ImageRecord("a", 640.0, 480)
+        assert (image.width_px, image.height_px) == (640, 480)
+        assert type(image.width_px) is int
+
+    # Each would otherwise load as another image: int() truncates 100.9,
+    # takes True as 1 and '7' as 7, and None is no image id.
+    @pytest.mark.parametrize(
+        "image_id, width, height",
+        [(1, 100.9, 50), (1, True, 50), (1, 50, "7"), (None, 3, 4)],
+        ids=["fractional-width", "bool-width", "string-height", "null-id"],
+    )
+    def test_rejected_in_both_annotation_loaders(self, tmp_path, image_id, width, height):
+        with pytest.raises(ValidationError):
+            ImageRecord(image_id, width, height)
+        det_path, ann_path = write_coco(
+            tmp_path, [{"id": image_id, "width": width, "height": height}], [], BASE_CATEGORIES, []
+        )
+        with pytest.raises(ValidationError, match=r"ann\.json: invalid image"):
+            load_dataset(det_path, ann_path)
+        native_det, native_ann = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        native_det.write_text("")
+        native_ann.write_text(
+            json.dumps({"image": {"image_id": image_id, "width_px": width, "height_px": height}}) + "\n"
+        )
+        with pytest.raises(ValidationError, match=r"a\.jsonl:1: "):
+            load_dataset(native_det, native_ann, fmt="native")
+        for det, ann in ((det_path, ann_path), (native_det, native_ann)):
+            assert cli.main(["match", "--detections", str(det), "--annotations", str(ann),
+                             "--iou", "0.5", "--out", str(tmp_path / "m.jsonl")]) == 2
 
 
 # Valid inputs of each loader; the property below edits one entry of one.

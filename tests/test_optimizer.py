@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from detcal import synth
 from detcal.calibrators import identity_theta, nll_objective, theta_size
 from detcal.errors import NumericalFailureError, UsageError
 from detcal.features import FeatureSet, build_feature_matrix, labels
 from detcal.optimizer import OptimizerConfig, check_gradient, minimize
-from oracles import random_matched_samples
+from oracles import random_matched_samples, reference_minimize
 
 
 def quadratic(x):
@@ -182,6 +183,83 @@ class TestNewtonDirection:
                  callback=lambda x, f: values.append(f))
         assert len(values) > 2
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def _outcome(solver, objective, x0, cfg=OptimizerConfig(), hessian=None):
+    """Everything a minimizer run shows, as bits: iterate, report, callbacks, or the exception."""
+    calls = []
+
+    def callback(x, f):
+        calls.append((x.tobytes(), float(f).hex()))
+
+    try:
+        x, report = solver(objective, x0, cfg, callback, hessian=hessian)
+    except NumericalFailureError as exc:
+        return "raised", type(exc), str(exc), exc.iterate.tobytes(), calls
+    return (x.tobytes(), float(report.final_value).hex(), float(report.gradient_norm).hex(),
+            report.iterations, report.converged, calls)
+
+
+FIG3_MEMBERS = {1: ("confidence",), 3: ("confidence", "cx", "cy"),
+                5: ("confidence", "cx", "cy", "w", "h")}
+
+
+class TestSameBitsAsTheReferenceLoop:
+    """``minimize`` reproduces the reference loop (``oracles.reference_minimize``) bit for bit."""
+
+    def _same(self, objective, x0, cfg=OptimizerConfig(), hessian=None):
+        got = _outcome(minimize, objective, x0, cfg, hessian)
+        assert got == _outcome(reference_minimize, objective, x0, cfg, hessian)
+        return got
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_beta_dep_fit_on_fig3(self, k):
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 3000, seed=k))
+        fs = FeatureSet(members=FIG3_MEMBERS[k], confidence_encoding="probability")
+        objective = nll_objective("beta_dep", build_feature_matrix(samples, fs), labels(samples))
+        got = self._same(objective, identity_theta("beta_dep", k))
+        assert got[4] and got[3] > 10  # converged, after real BFGS work
+
+    def test_non_convex_objective(self):
+        got = self._same(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(gradient_tolerance=1e-9))
+        assert got[4] and len(got[5]) == got[3]
+
+    @pytest.mark.parametrize("later", [10.0, float("nan")])
+    def test_line_search_exhaustion(self, later):
+        # Every trial point is worse than the start (or not finite), so all
+        # backtracks fail; a fresh objective per run, since it counts calls.
+        def fresh():
+            calls = iter(range(1000))
+
+            def objective(x):
+                return 0.5 * float(x @ x) + (later if next(calls) else 0.0), x
+
+            return objective
+
+        x0 = np.array([1.0, -2.0])
+        got = _outcome(minimize, fresh(), x0)
+        assert got == _outcome(reference_minimize, fresh(), x0)
+        assert (got[3], got[4], got[5]) == (0, False, [])
+
+    def test_steepest_descent_fallback(self):
+        # A negative definite Hessian gives ascent directions, replaced by -g.
+        got = self._same(quadratic, np.array([3.0, -4.0]), hessian=lambda x: -np.eye(2))
+        assert got[4] and got[3] >= 1
+
+    def test_singular_newton_system(self):
+        got = self._same(rosenbrock, np.array([-1.2, 1.0]), hessian=lambda x: np.zeros((2, 2)))
+        assert got[:3] == ("raised", NumericalFailureError, "singular Newton system at iterate 0")
+
+    def test_non_finite_start_and_accepted_iterate(self):
+        def trap(x):
+            return float(x[0]), np.array([1.0 if x[0] > -0.5 else float("inf")])
+
+        assert self._same(trap, np.array([0.0]))[0] == "raised"
+        assert self._same(lambda x: (float("nan"), x), np.zeros(2))[0] == "raised"
+
+    def test_budget_exhaustion(self):
+        got = self._same(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(max_iterations=7))
+        assert (got[3], got[4]) == (7, False)
 
 
 class TestCheckGradient:
