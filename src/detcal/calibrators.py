@@ -55,7 +55,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -532,34 +532,51 @@ def _ridged(ridge: float, nll_and_grad):
     return objective
 
 
-def _gauss_newton(a: np.ndarray, r: np.ndarray, m: np.ndarray, ridge: float) -> np.ndarray:
+def _last_point(evaluate: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], Any]:
+    """``evaluate`` with a one-entry cache, shared by an objective and its Hessian.
+
+    :func:`~detcal.optimizer.minimize` asks for the Hessian at the point the
+    objective evaluated last. A call with that same array, still holding the
+    same values, returns the stored result instead of evaluating again.
+    """
+    last: tuple | None = None  # (theta, a copy of its values, result)
+
+    def cached(theta: np.ndarray):
+        nonlocal last
+        if last is None or theta is not last[0] or not np.array_equal(theta, last[1]):
+            last = (theta, theta.copy(), evaluate(theta))
+        return last[2]
+
+    return cached
+
+
+def _gauss_newton(
+    a: np.ndarray, r: np.ndarray, m: np.ndarray, ridge: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """``a^T diag(q (1 - q)) a / n + 2 ridge I`` with ``q = r + m``, ``r`` the NLL kernel's residual.
 
     The Hessian of the ridged mean NLL of a ratio that is linear in its
-    coefficients over the design ``a``.
+    coefficients over the design ``a``. ``out``, when given, is an array
+    shaped like ``a`` that receives the weighted design.
     """
     n, p = a.shape
     q = r + m
-    h = (a * (q * (1.0 - q))[:, None]).T @ a / n
+    h = np.multiply(a, (q * (1.0 - q))[:, None], out=out).T @ a / n
     h.flat[:: p + 1] += 2.0 * ridge
     return h
 
 
-def _logistic_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
+def _logistic_indep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Objective of the independent logistic map and its exact Hessian, over the design ``[x, 1]``."""
     n, k = x.shape
+    residual = _last_point(lambda theta: _nll_and_residual(x @ theta[:k] + theta[k], m))
+    a = np.column_stack([x, np.ones(n)])
 
     def nll_and_grad(theta):
-        nll, r = _nll_and_residual(x @ theta[:k] + theta[k], m)
+        nll, r = residual(theta)
         return nll, np.append(x.T @ r, r.sum()) / n
 
-    return _ridged(ridge, nll_and_grad)
-
-
-def _logistic_indep_hessian(x: np.ndarray, m: np.ndarray, ridge: float):
-    """Exact Hessian of the independent logistic objective, over the design ``[x, 1]``."""
-    n, k = x.shape
-    a = np.column_stack([x, np.ones(n)])
-    return lambda theta: _gauss_newton(a, _nll_and_residual(x @ theta[:k] + theta[k], m)[1], m, ridge)
+    return _ridged(ridge, nll_and_grad), lambda theta: _gauss_newton(a, residual(theta)[1], m, ridge)
 
 
 def _beta_indep_ratio(log_x: np.ndarray, log1m_x: np.ndarray, theta: np.ndarray):
@@ -575,24 +592,8 @@ def _beta_indep_ratio(log_x: np.ndarray, log1m_x: np.ndarray, theta: np.ndarray)
     return log_x @ a - log1m_x @ b + theta[2 * k], e_a, e_b
 
 
-def _beta_indep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
-    n, k = x.shape
-    log_x, log1m_x = np.log(x), np.log1p(-x)
-
-    def nll_and_grad(theta):
-        z, e_a, e_b = _beta_indep_ratio(log_x, log1m_x, theta)
-        nll, r = _nll_and_residual(z, m)
-        g = np.concatenate([log_x.T @ r, -(log1m_x.T @ r), [r.sum()]]) / n
-        # Chain through the exponential reparameterization of a[0], b[0].
-        g[0] *= e_a
-        g[k] *= e_b
-        return nll, g
-
-    return _ridged(ridge, nll_and_grad)
-
-
-def _beta_indep_hessian(x: np.ndarray, m: np.ndarray, ridge: float):
-    """Hessian of the independent beta objective over its unconstrained vector.
+def _beta_indep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Objective of the independent beta map and its Hessian over the unconstrained vector.
 
     The ratio is linear in ``(a, b, c)`` over ``j = [log x, -log(1 - x), 1]``;
     ``a[0]`` and ``b[0]`` enter as ``exp(theta)``, which scales columns 0 and
@@ -604,23 +605,43 @@ def _beta_indep_hessian(x: np.ndarray, m: np.ndarray, ridge: float):
     """
     n, k = x.shape
     log_x, log1m_x = np.log(x), np.log1p(-x)
+
+    def evaluate(theta):
+        z, e_a, e_b = _beta_indep_ratio(log_x, log1m_x, theta)
+        return (*_nll_and_residual(z, m), e_a, e_b)
+
+    residual = _last_point(evaluate)
+
+    def nll_and_grad(theta):
+        nll, r, e_a, e_b = residual(theta)
+        g = np.concatenate([log_x.T @ r, -(log1m_x.T @ r), [r.sum()]]) / n
+        # Chain through the exponential reparameterization of a[0], b[0].
+        g[0] *= e_a
+        g[k] *= e_b
+        return nll, g
+
+    # j and its weighted copy live in two buffers across steps; a step
+    # rescales only columns 0 and K of j, after using them unscaled.
     j = np.column_stack([log_x, -log1m_x, np.ones(n)])
+    weighted = np.empty_like(j)
 
     def hessian(theta):
-        z, e_a, e_b = _beta_indep_ratio(log_x, log1m_x, theta)
-        r = _nll_and_residual(z, m)[1]
-        col_scale = np.ones(2 * k + 1)
-        col_scale[[0, k]] = e_a, e_b
-        h = _gauss_newton(j * col_scale, r, m, ridge)
-        h[0, 0] += max(e_a * float(j[:, 0] @ r) / n, 0.0)
-        h[k, k] += max(e_b * float(j[:, k] @ r) / n, 0.0)
+        _, r, e_a, e_b = residual(theta)
+        j[:, 0] = log_x[:, 0]
+        np.negative(log1m_x[:, 0], out=j[:, k])
+        chain_a, chain_b = float(j[:, 0] @ r), float(j[:, k] @ r)
+        j[:, 0] *= e_a
+        j[:, k] *= e_b
+        h = _gauss_newton(j, r, m, ridge, out=weighted)
+        h[0, 0] += max(e_a * chain_a / n, 0.0)
+        h[k, k] += max(e_b * chain_b / n, 0.0)
         return h
 
-    return hessian
+    return _ridged(ridge, nll_and_grad), hessian
 
 
-def _logistic_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
-    """Reference objective over the normal parameters; fits use :func:`_fit_quadratic_newton`."""
+def _logistic_dep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Reference objective over the normal parameters, with no Hessian; fits use :func:`_fit_quadratic_newton`."""
     n, k = x.shape
 
     def nll_and_grad(theta):
@@ -636,11 +657,11 @@ def _logistic_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
             [r.sum() / n],
         ])
 
-    return _ridged(ridge, nll_and_grad)
+    return _ridged(ridge, nll_and_grad), None
 
 
-def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
-    """Single-pass NLL and gradient of the dependent beta map over its unconstrained vector.
+def _beta_dep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
+    """Single-pass NLL and gradient of the dependent beta map over its unconstrained vector, with no Hessian.
 
     ``s* = x / (1 - x)`` and its log are computed once per fit, stored
     feature-major so the small products below run along contiguous rows. Per
@@ -697,14 +718,14 @@ def _beta_dep_objective(x: np.ndarray, m: np.ndarray, ridge: float):
         g[-1] = r_mean
         return nll, g
 
-    return _ridged(ridge, nll_and_grad)
+    return _ridged(ridge, nll_and_grad), None
 
 
 def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFAULT_RIDGE):
     """Mean binary NLL (plus L2 ridge) and its gradient over unconstrained parameters."""
-    return _family(method).objective(
+    return _family(method).problem(
         np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64), ridge
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +811,9 @@ def _fit_from_identity(method: str, x: np.ndarray, m: np.ndarray, ridge: float, 
     The steps are Newton steps where the family has a Hessian (lc, bc) and
     BFGS steps otherwise (bc-dep).
     """
-    fam, k = _family(method), x.shape[1]
-    hessian = fam.hessian(x, m, ridge) if fam.hessian else None
-    theta, report = minimize(
-        nll_objective(method, x, m, ridge), identity_theta(method, k), cfg, hessian=hessian
-    )
+    k = x.shape[1]
+    objective, hessian = _family(method).problem(x, m, ridge)
+    theta, report = minimize(objective, identity_theta(method, k), cfg, hessian=hessian)
     return theta, report, unpack_params(method, theta, k)
 
 
@@ -809,12 +828,14 @@ def _fit_quadratic_newton(method: str, x: np.ndarray, m: np.ndarray, ridge: floa
     a, scale = _quadratic_design(u)
     n, p = a.shape
 
+    residual = _last_point(lambda b: _nll_and_residual(a @ b, m))
+
     def nll_and_grad(b):
-        nll, r = _nll_and_residual(a @ b, m)
+        nll, r = residual(b)
         return nll, a.T @ r / n
 
     def hessian(b):
-        return _gauss_newton(a, _nll_and_residual(a @ b, m)[1], m, ridge)
+        return _gauss_newton(a, residual(b)[1], m, ridge)
 
     coef, report = minimize(_ridged(ridge, nll_and_grad), np.zeros(p), cfg, hessian=hessian)
     theta = coef / scale
@@ -831,8 +852,9 @@ class _Family:
     ``params`` in declaration order (``c`` last, shape ``()``); ``exp_slots(k)``
     indexes the optimizer-vector entries stored as ``POSITIVITY_FLOOR +
     exp(theta)``; ``identity(k)`` is the identity map's block and the start
-    of :func:`_fit_from_identity`; ``hessian(x, m, ridge)``, where given,
-    returns the objective's Hessian as a function of the vector."""
+    of :func:`_fit_from_identity`; ``problem(x, m, ridge)`` returns the
+    ridged objective of the vector and its Hessian function, or None where
+    the family has none, sharing one evaluation per point."""
 
     params: type
     encoding: str
@@ -840,9 +862,8 @@ class _Family:
     exp_slots: Callable[[int], slice | list[int]]
     identity: Callable[[int], object]
     llr: Callable[[object, np.ndarray], np.ndarray]
-    objective: Callable
+    problem: Callable
     fit: Callable
-    hessian: Callable | None = None
 
 
 _FAMILIES = {
@@ -850,15 +871,13 @@ _FAMILIES = {
         params=LogisticIndepParams, encoding="logit",
         shapes=lambda k: ((k,), ()), exp_slots=lambda k: [],
         identity=lambda k: LogisticIndepParams(w=np.eye(k)[0], c=0.0),
-        llr=_llr_logistic_indep, objective=_logistic_indep_objective, fit=_fit_from_identity,
-        hessian=_logistic_indep_hessian,
+        llr=_llr_logistic_indep, problem=_logistic_indep_problem, fit=_fit_from_identity,
     ),
     "beta_indep": _Family(
         params=BetaIndepParams, encoding="probability",
         shapes=lambda k: ((k,), (k,), ()), exp_slots=lambda k: [0, k],
         identity=lambda k: BetaIndepParams(a=np.eye(k)[0], b=np.eye(k)[0], c=0.0),
-        llr=_llr_beta_indep, objective=_beta_indep_objective, fit=_fit_from_identity,
-        hessian=_beta_indep_hessian,
+        llr=_llr_beta_indep, problem=_beta_indep_problem, fit=_fit_from_identity,
     ),
     "logistic_dep": _Family(
         params=LogisticDepParams, encoding="logit",
@@ -867,7 +886,7 @@ _FAMILIES = {
             np.array([0.5] + [0.0] * (k - 1)), np.array([-0.5] + [0.0] * (k - 1)),
             np.eye(k), np.eye(k), c=0.0,
         ),
-        llr=_llr_logistic_dep, objective=_logistic_dep_objective, fit=_fit_quadratic_newton,
+        llr=_llr_logistic_dep, problem=_logistic_dep_problem, fit=_fit_quadratic_newton,
     ),
     "beta_dep": _Family(
         params=BetaDepParams, encoding="probability",
@@ -875,7 +894,7 @@ _FAMILIES = {
         identity=lambda k: BetaDepParams(
             1.0 + np.eye(k + 1)[1], np.ones(k + 1), 1.0 + np.eye(k + 1)[0], np.ones(k + 1), c=0.0
         ),
-        llr=_llr_beta_dep, objective=_beta_dep_objective, fit=_fit_from_identity,
+        llr=_llr_beta_dep, problem=_beta_dep_problem, fit=_fit_from_identity,
     ),
 }
 

@@ -21,6 +21,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -318,32 +319,65 @@ def read_json(path: Path) -> Any:
         raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
 
 
+# Characters per read while sniffing: enough for the first line of a native
+# file, and for the opening bracket of a results array on one long line.
+_SNIFF_CHARS = 4096
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def sniff_format(path: str | Path) -> str:
     """Return ``"native"`` (JSON Lines) or ``"coco"`` (single JSON document)."""
-    path = Path(path)
+    return _sniff(Path(path))[0]
+
+
+def _sniff(path: Path) -> tuple[str, Any]:
+    """:func:`sniff_format`'s verdict, and the document when that parsed the whole file.
+
+    A first line that opens an array is a results document, decided from
+    its first characters. Any other first line is parsed; when it is the
+    whole file, as in a one-line COCO annotation document, that parse is
+    returned for the loader (None otherwise, and for a file holding
+    ``null``).
+    """
     # Undecodable bytes are left for the loader to report with their line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        first = fh.readline()
-        rest = fh.read(4096)
-    if not first.strip():
-        return "native"
-    if first.lstrip().startswith("["):
-        # A native line holds an object; an array is a COCO results document,
-        # left unparsed here, since its first line is often the whole file.
-        return "coco"
+        first = fh.readline(_SNIFF_CHARS)
+        # A first line that is blank so far and goes on is read on.
+        while first.isspace() and not first.endswith("\n"):
+            more = fh.readline(_SNIFF_CHARS)
+            if not more:
+                break
+            first += more
+        if not first.strip():
+            return "native", None
+        if first.lstrip().startswith("["):
+            # A native line holds an object; an array is a COCO results document,
+            # left unparsed here, since its first line is often the whole file.
+            return "coco", None
+        if not first.endswith("\n"):
+            first += fh.readline()
+        rest = fh.read(_SNIFF_CHARS)
+        whole = not rest.strip(_JSON_WHITESPACE) and not fh.read(1)
     try:
         value = json.loads(first)
-    except json.JSONDecodeError:
-        # Single pretty-printed JSON document spanning several lines.
-        return "coco"
+    except (ValueError, RecursionError):
+        # Single pretty-printed JSON document spanning several lines, or one
+        # the loader reports as unreadable.
+        return "coco", None
     if rest.strip():
-        return "native"
+        return "native", None
     # One-line file: a native record is a flat object carrying a relative box.
-    if isinstance(value, dict) and "box" in value:
-        return "native"
-    if isinstance(value, dict) and ("image" in value or "category" in value):
-        return "native"
-    return "coco"
+    if isinstance(value, dict) and ("box" in value or "image" in value or "category" in value):
+        return "native", None
+    if not whole:
+        return "coco", None
+    # The parse stands for the loader's own: nothing but JSON whitespace
+    # follows, and the loader takes only UTF-8.
+    try:
+        first.encode("utf-8")
+    except UnicodeEncodeError:
+        return "coco", None
+    return "coco", value
 
 
 class _RecordPolicy:
@@ -456,23 +490,32 @@ def _field(objs: list, key: str, kinds: set = _NUMBER) -> list:
     return values
 
 
+@functools.cache
+def _constructor(cls) -> Callable:
+    """A function of one value per field that builds an instance of the frozen dataclass ``cls``.
+
+    It is generated once per class, as ``dataclasses`` generates
+    ``__init__``: one ``object.__setattr__`` per field in declaration order,
+    with no ``__post_init__``.
+    """
+    names = [f.name for f in fields(cls)]
+    args = ", ".join(f"v{i}" for i in range(len(names)))
+    body = "".join(f"    set_field(rec, {name!r}, v{i})\n" for i, name in enumerate(names))
+    namespace = {"new": object.__new__, "cls": cls, "set_field": object.__setattr__}
+    exec(f"def make({args}):\n    rec = new(cls)\n{body}    return rec\n", namespace)
+    return namespace["make"]
+
+
 def _records(cls, *columns) -> list:
     """Instances of the frozen dataclass ``cls``, one per row of ``columns`` (a column per field).
 
-    Each record's fields are set in declaration order before the next record
-    exists, as ``__init__`` sets them, so the records share one key table as
-    theirs do. ``__post_init__`` does not run: the columns have passed its
-    checks.
+    Each record is built by the class's generated constructor
+    (:func:`_constructor`), which sets its fields in declaration order
+    before the next record exists, as ``__init__`` does, so the records
+    share one key table as theirs do. ``__post_init__`` does not run: the
+    columns must have passed its checks, and hold the types it would store.
     """
-    names = [f.name for f in fields(cls)]
-    new, set_field = object.__new__, object.__setattr__
-    out = []
-    for row in zip(*columns):
-        rec = new(cls)
-        for name, value in zip(names, row):
-            set_field(rec, name, value)
-        out.append(rec)
-    return out
+    return list(map(_constructor(cls), *columns))
 
 
 def _coco_boxes(recs: list, images: dict[ImageId, ImageRecord]) -> tuple[list, list, list] | None:
@@ -531,8 +574,10 @@ def _coco_detections(recs: list, images: dict[ImageId, ImageRecord]) -> list[Det
     return _records(Detection, image_id, category_id, score.tolist(), boxes)
 
 
-def _load_coco_annotations(path: Path, policy: _RecordPolicy):
-    doc = read_json(path)
+def _load_coco_annotations(path: Path, policy: _RecordPolicy, doc: Any = None):
+    """The annotation document at ``path``; ``doc``, when not None, is its parse."""
+    if doc is None:
+        doc = read_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
         raise ValidationError(f"{path}: COCO annotation file must contain an 'images' array")
     images: dict[ImageId, ImageRecord] = {}
@@ -573,8 +618,12 @@ def _load_coco_annotations(path: Path, policy: _RecordPolicy):
     return images, ground_truth, categories
 
 
-def _load_coco_detections(path: Path, images: dict[ImageId, ImageRecord], policy: _RecordPolicy):
-    doc = read_json(path)
+def _load_coco_detections(
+    path: Path, images: dict[ImageId, ImageRecord], policy: _RecordPolicy, doc: Any = None
+):
+    """The results document at ``path``; ``doc``, when not None, is its parse."""
+    if doc is None:
+        doc = read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("annotations", doc.get("results"))
     if not isinstance(doc, list):
@@ -619,14 +668,16 @@ def load_dataset(
     detections_path, annotations_path = Path(detections_path), Path(annotations_path)
     if fmt not in ("auto", "native", "coco"):
         raise UsageError(f"unknown dataset format {fmt!r}")
-    ann_fmt = sniff_format(annotations_path) if fmt == "auto" else fmt
-    det_fmt = sniff_format(detections_path) if fmt == "auto" else fmt
+    # Sniffing hands on a one-line document it parsed whole.
+    ann_fmt, ann_doc = _sniff(annotations_path) if fmt == "auto" else (fmt, None)
+    det_fmt, det_doc = _sniff(detections_path) if fmt == "auto" else (fmt, None)
     policy = _RecordPolicy(on_invalid)
 
     if ann_fmt == "native":
         images, ground_truth, categories = _load_native_annotations(annotations_path, policy)
     else:
-        images, ground_truth, categories = _load_coco_annotations(annotations_path, policy)
+        images, ground_truth, categories = _load_coco_annotations(annotations_path, policy, ann_doc)
+    del ann_doc  # the records stand for the parsed document from here on
     if det_fmt == "native":
         detections = _load_native_detections(detections_path, images, policy)
     else:
@@ -634,7 +685,7 @@ def load_dataset(
             raise ValidationError(
                 f"{detections_path}: COCO detections need image dimensions from the annotation file"
             )
-        detections = _load_coco_detections(detections_path, images, policy)
+        detections = _load_coco_detections(detections_path, images, policy, det_doc)
 
     if not categories:
         categories = {

@@ -37,6 +37,7 @@ from .detections import (
     _box_from_relative,
     _field,
     _iter_jsonl,
+    _records,
     valid_boxes,
 )
 from .errors import UsageError, ValidationError
@@ -113,6 +114,12 @@ def match_detections(
     ``iou_threshold``; IoU ties go to the lowest ground-truth index. Output
     preserves input order, one sample per detection. ``gt_index`` values index
     into ``ground_truth`` as passed in.
+
+    Labels, IoUs and ground-truth indices are collected as lists, the IoUs
+    are checked once over an array, and the samples are built in one
+    :func:`~detcal.detections._records` call; an IoU outside ``[0, 1]``
+    raises the error of :class:`MatchedSample` for the first such sample
+    visited.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise UsageError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
@@ -124,9 +131,11 @@ def match_detections(
         gt_groups.setdefault((gt.image_id, gt.category_id), []).append(j)
 
     # Stable sort on negative score keeps input order among equal scores.
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    order = sorted(range(len(detections)), key=[-det.score for det in detections].__getitem__)
     claimed: set[int] = set()
-    results: list[MatchedSample | None] = [None] * len(detections)
+    matched = [0] * len(detections)
+    ious = [0.0] * len(detections)
+    gt_index: list[int | None] = [None] * len(detections)
     for i in order:
         det = detections[i]
         best_iou = 0.0
@@ -137,12 +146,15 @@ def match_detections(
             v = iou(det.box, ground_truth[j].box)
             if v >= iou_threshold and v > best_iou:
                 best_iou, best_j = v, j
-        if best_j is None:
-            results[i] = MatchedSample(det, matched=0)
-        else:
+        if best_j is not None:
             claimed.add(best_j)
-            results[i] = MatchedSample(det, matched=1, iou=best_iou, gt_index=best_j)
-    return [r for r in results if r is not None]
+            matched[i], ious[i], gt_index[i] = 1, best_iou, best_j
+    iou_ = np.array(ious)
+    if not ((iou_ >= 0.0) & (iou_ <= 1.0)).all():
+        # The first sample in visiting order that MatchedSample rejects raises its error.
+        for i in order:
+            MatchedSample(detections[i], matched[i], ious[i], gt_index[i])
+    return _records(MatchedSample, detections, matched, ious, gt_index)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .detections import BoxGeometry, Detection
+from .detections import BoxGeometry, Detection, _constructor, _records, valid_boxes
 from .errors import ScenarioError, UsageError
 from .matching import MatchedSample
 
@@ -200,6 +201,12 @@ def generate(spec: ScenarioSpec) -> list[MatchedSample]:
     Matched samples receive a synthetic ground-truth index and an IoU of 1;
     the records use the matcher's output schema so downstream tooling cannot
     tell them from real matched detections.
+
+    Boxes are checked once over the array with :func:`valid_boxes` and
+    scores by :func:`_check_field`; a bad box raises the error of
+    :class:`BoxGeometry` for the first such row. Each record is then built
+    once, from ``.tolist()`` columns, so it holds Python numbers as the
+    checked constructors would store them.
     """
     rng = np.random.default_rng(spec.seed)
     boxes = np.asarray(spec.box_sampler(rng, spec.n_samples), dtype=np.float64)
@@ -212,20 +219,19 @@ def generate(spec: ScenarioSpec) -> list[MatchedSample]:
     confidence = np.asarray(spec.confidence_field(boxes, precision), dtype=np.float64)
     _check_field("confidence", confidence, spec.n_samples)
     matched = rng.random(spec.n_samples) < precision
+    ok = valid_boxes(*boxes.T)
+    if not ok.all():
+        # The first row BoxGeometry rejects raises its own error.
+        for row in boxes[~ok].tolist():
+            BoxGeometry(*row)
 
-    samples = []
-    for i in range(spec.n_samples):
-        detection = Detection(
-            image_id=i,
-            category_id=1,
-            score=float(confidence[i]),
-            box=BoxGeometry(*boxes[i]),
-        )
-        if matched[i]:
-            samples.append(MatchedSample(detection, matched=1, iou=1.0, gt_index=i))
-        else:
-            samples.append(MatchedSample(detection, matched=0))
-    return samples
+    # Boxes and detections are streamed into the samples, so no full-length
+    # list is held but the samples, their labels and the input columns.
+    label = matched.astype(np.int64).tolist()
+    box = map(_constructor(BoxGeometry), *boxes.T.tolist())
+    detection = map(_constructor(Detection), range(spec.n_samples), repeat(1), confidence.tolist(), box)
+    gt_index = (i if m else None for i, m in enumerate(label))
+    return _records(MatchedSample, detection, label, map(float, label), gt_index)
 
 
 def _check_field(name: str, values: np.ndarray, n: int) -> None:

@@ -8,6 +8,7 @@ meaningful.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from typing import Callable
 
@@ -33,6 +34,39 @@ def make_sample(score, matched, box=(0.5, 0.5, 0.2, 0.2), image_id=0, category_i
     if matched:
         return MatchedSample(det, 1, iou=1.0, gt_index=0 if gt_index is None else gt_index)
     return MatchedSample(det, 0)
+
+
+def record_bits(rec) -> tuple:
+    """A record as ``(class, size of its instance dict, fields)``, nested, floats as ``float.hex``.
+
+    Two records give equal tuples exactly when they hold the same values of
+    the same types, bit for bit, set in the same order into dicts of the
+    same size (key-shared dicts are smaller than unshared ones).
+    """
+    items = tuple(
+        (name, record_bits(v) if hasattr(v, "__dataclass_fields__")
+         else (type(v), v.hex() if type(v) is float else v))
+        for name, v in vars(rec).items()
+    )
+    return type(rec), sys.getsizeof(vars(rec)), items
+
+
+def reference_generate(spec) -> list[MatchedSample]:
+    """``synth.generate`` with one checked constructor call per record, as it stood before it
+    built records from columns; the field checks are left out."""
+    rng = np.random.default_rng(spec.seed)
+    boxes = np.asarray(spec.box_sampler(rng, spec.n_samples), dtype=np.float64)
+    precision = np.asarray(spec.precision_field(boxes), dtype=np.float64)
+    confidence = np.asarray(spec.confidence_field(boxes, precision), dtype=np.float64)
+    matched = rng.random(spec.n_samples) < precision
+    samples = []
+    for i in range(spec.n_samples):
+        detection = Detection(image_id=i, category_id=1, score=float(confidence[i]), box=BoxGeometry(*boxes[i]))
+        if matched[i]:
+            samples.append(MatchedSample(detection, matched=1, iou=1.0, gt_index=i))
+        else:
+            samples.append(MatchedSample(detection, matched=0))
+    return samples
 
 
 def random_matched_samples(rng: np.random.Generator, n: int, extreme_scores=True):

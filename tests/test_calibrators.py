@@ -452,7 +452,7 @@ class TestIndependentNewtonFits:
         x, m = _fig3_design(method, 1500, 9, members)
         ridge = 1e-3
         objective = nll_objective(method, x, m, ridge)
-        hessian = calibrators._FAMILIES[method].hessian(x, m, ridge)
+        hessian = calibrators._FAMILIES[method].problem(x, m, ridge)[1]
         nll_grad = nll_objective(method, x, m, ridge=0.0)
         clipped = 0
         # Near the identity start, and far from any optimum.

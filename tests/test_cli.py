@@ -136,6 +136,32 @@ class TestMatchCommand:
         recs = [json.loads(line) for line in out.read_text().splitlines()]
         assert set(recs[0]) == {"image_id", "category_id", "score", "box", "matched", "iou", "gt_index"}
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["results-array", "results-object"])
+    def test_auto_format_writes_the_coco_bytes(self, tmp_path, wrapped):
+        rng = np.random.default_rng(4)
+        images = [{"id": 1, "width": 640, "height": 480}, {"id": "b", "width": 300, "height": 500}]
+        annotations, results = [], []
+        for image in images:
+            size = np.array([image["width"], image["height"]] * 2, np.float64)
+            for box in rng.uniform(0.05, 0.45, (6, 4)) * size:
+                annotations.append({"image_id": image["id"], "category_id": 1, "bbox": box.tolist(),
+                                    "iscrowd": int(rng.random() < 0.2)})
+                jitter = box + rng.normal(0.0, 4.0, 4) * [1, 1, 0, 0]
+                results.append({"image_id": image["id"], "category_id": 1, "bbox": jitter.tolist(),
+                                "score": float(rng.random())})
+        ann_path, det_path = tmp_path / "ann.json", tmp_path / "det.json"
+        ann_path.write_text(json.dumps({"images": images, "annotations": annotations,
+                                        "categories": [{"id": 1, "name": "thing"}]}))
+        det_path.write_text(json.dumps({"annotations": results} if wrapped else results))
+        outputs = []
+        for fmt in ("auto", "coco"):
+            out = tmp_path / f"matched-{fmt}.jsonl"
+            assert run(["match", "--detections", det_path, "--annotations", ann_path, "--format", fmt,
+                        "--iou", 0.5, "--out", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == len(results)
+        assert b'"matched": 1' in outputs[0]
+
     def test_bad_iou_exits_one(self, tmp_path):
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
         write_detections([], det_path)

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import logging
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from detcal.detections import (
     ImageRecord,
     _boxes_from_absolute,
     _RecordPolicy,
+    _records,
     box_from_absolute,
     load_dataset,
     sniff_format,
@@ -34,7 +36,8 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from oracles import random_matched_samples
+from detcal.matching import MatchedSample
+from oracles import random_matched_samples, record_bits
 from strategies import JSON_VALUES
 
 
@@ -363,6 +366,66 @@ class TestNativeFormat:
         assert sniff_format(det_path) == "coco"
         with pytest.raises(ParseError, match=r"det\.json:2: malformed JSON"):
             load_dataset(det_path, ann_path)
+
+    def test_one_line_document_is_parsed_once(self, tmp_path):
+        results = {"annotations": [{"image_id": 1, "category_id": 7, "bbox": [0, 0, 10, 10], "score": 0.5}]}
+        det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [], BASE_CATEGORIES, results)
+        with mock.patch.object(detections, "read_json", wraps=detections.read_json) as read:
+            auto = load_dataset(det_path, ann_path)
+        assert read.call_count == 0
+        assert auto == load_dataset(det_path, ann_path, fmt="coco")
+
+    def test_parse_is_handed_on_only_for_the_whole_file(self, tmp_path):
+        path = tmp_path / "ann.json"
+        doc = {"images": [], "annotations": []}
+        for tail, handed in [("", True), ("\r\n \t\n", True), ("\n" + " " * 5000 + "{}", False),
+                             ("\n\x0c", False)]:
+            path.write_text(json.dumps(doc) + tail)
+            assert detections._sniff(path) == ("coco", doc if handed else None)
+
+    @pytest.mark.parametrize("first", ['{"n": ' + "1" * 5000 + "}", '{"a": ' * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_unreadable_first_line_is_a_parse_error(self, tmp_path, first):
+        det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [], BASE_CATEGORIES, [])
+        ann_path.write_text(first + "\n")
+        assert sniff_format(ann_path) == "coco"
+        with pytest.raises(ParseError, match=r"ann\.json"):
+            load_dataset(det_path, ann_path)
+
+    def test_long_results_line_is_decided_from_its_start(self, tmp_path):
+        path = tmp_path / "det.json"
+        path.write_text(" " * 10_000 + "[" + "1, " * 10_000 + "1]")
+        with mock.patch.object(json, "loads", side_effect=AssertionError("parsed")):
+            assert sniff_format(path) == "coco"
+        path.write_text(" " * 10_000 + "\n[]")
+        assert sniff_format(path) == "native"
+
+
+# Values of the types each record class stores, drawn within its checks.
+_UNIT = st.floats(0.0, 1.0)
+_BOXES = st.builds(BoxGeometry, st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.01, 0.2), st.floats(0.01, 0.2))
+_IMAGE_IDS = st.integers(INT64_MIN, INT64_MAX) | st.text(max_size=4)
+_CATEGORY_IDS = st.integers(INT64_MIN, INT64_MAX)
+RECORD_ROWS = {
+    BoxGeometry: st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.01, 0.2), st.floats(0.01, 0.2)),
+    Detection: st.tuples(_IMAGE_IDS, _CATEGORY_IDS, _UNIT, _BOXES),
+    GroundTruthObject: st.tuples(_IMAGE_IDS, _CATEGORY_IDS, _BOXES, st.booleans()),
+    MatchedSample: st.tuples(st.builds(Detection, _IMAGE_IDS, _CATEGORY_IDS, _UNIT, _BOXES), st.just(0),
+                             st.just(0.0), st.none())
+    | st.tuples(st.builds(Detection, _IMAGE_IDS, _CATEGORY_IDS, _UNIT, _BOXES), st.just(1), _UNIT,
+                st.integers(0, INT64_MAX)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cls=st.sampled_from(list(RECORD_ROWS)))
+def test_records_equal_constructor_built_records(data, cls):
+    """Records built from columns hold what the constructor stores, in key-shared dicts."""
+    rows = data.draw(st.lists(RECORD_ROWS[cls], max_size=6))
+    built = [cls(*row) for row in rows]
+    records = _records(cls, *([row[i] for row in rows] for i in range(len(fields(cls)))))
+    assert records == built
+    assert [record_bits(rec) for rec in records] == [record_bits(rec) for rec in built]
 
 
 class TestNativeAnnotationRecords:

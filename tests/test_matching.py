@@ -71,6 +71,11 @@ class TestIoU:
 
 
 class TestMatchDetections:
+    def test_iou_above_one_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(matching, "iou", lambda a, b: 1.5)
+        with pytest.raises(ValidationError, match=r"^iou must lie in \[0, 1\], got 1\.5$"):
+            match_detections([det(0.8, (0.5, 0.5, 0.2, 0.2))], [gt((0.5, 0.5, 0.2, 0.2))], 0.5)
+
     def test_exact_overlay(self):
         samples = match_detections([det(0.8, (0.5, 0.5, 0.2, 0.2))], [gt((0.5, 0.5, 0.2, 0.2))], 0.6)
         (s,) = samples

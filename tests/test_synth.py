@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from detcal import synth
-from detcal.errors import ScenarioError, UsageError
+from detcal.errors import ScenarioError, UsageError, ValidationError
 from detcal.features import FeatureSet
 from detcal.matching import MatchedSample
 from detcal.metrics import BinningSpec, compute_d_ece, heatmap
 from detcal.synth import ScenarioSpec, builtin_scenarios, generate, make_scenario
+from oracles import record_bits, reference_generate
 
 CONF = FeatureSet(members=("confidence",))
 
@@ -83,6 +84,41 @@ class TestGenerate:
         )
         with pytest.raises(ScenarioError):
             generate(spec)
+
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_records_match_per_row_construction(self, name):
+        spec = make_scenario(name, 700, seed=11)
+        assert [record_bits(s) for s in generate(spec)] == [record_bits(s) for s in reference_generate(spec)]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((0.01, 0.5, 0.2, 0.1), r"box extends 0\.0900 beyond the image, above the 2% clamping tolerance: "
+                                    r"BoxGeometry\(cx=0\.01, cy=0\.5, w=0\.2, h=0\.1\)$"),
+            ((1.5, 0.5, 0.1, 0.1), r"box center out of range: cx=1\.5, cy=0\.5$"),
+            ((0.5, 0.5, 0.0, 0.1), r"box size out of range: w=0\.0, h=0\.1$"),
+        ],
+        ids=["out-of-image", "center", "size"],
+    )
+    def test_bad_box_raises_the_constructor_error(self, bad, message):
+        def sampler(rng, n):
+            boxes = synth.interior_box_sampler(rng, n)
+            boxes[3] = bad
+            boxes[7] = (0.5, 0.5, 2.0, 2.0)
+            return boxes
+
+        spec = ScenarioSpec(
+            name="bad box",
+            n_samples=10,
+            precision_field=lambda boxes: np.full(len(boxes), 0.5),
+            confidence_field=lambda boxes, p: p.copy(),
+            box_sampler=sampler,
+        )
+        with pytest.raises(ValidationError, match=message) as raised:
+            generate(spec)
+        with pytest.raises(ValidationError) as reference:
+            reference_generate(spec)
+        assert str(raised.value) == str(reference.value)
 
     def test_sample_count_validated(self):
         with pytest.raises(UsageError):
