@@ -14,7 +14,9 @@ from .calibrators import (
 from .detections import (
     BoxGeometry,
     Detection,
+    DetectionTable,
     GroundTruthObject,
+    GroundTruthTable,
     ImageRecord,
     load_dataset,
     write_detections,
@@ -41,9 +43,11 @@ __all__ = [
     "BinningSpec",
     "CalibrationModel",
     "Detection",
+    "DetectionTable",
     "FeatureSet",
     "FitReport",
     "GroundTruthObject",
+    "GroundTruthTable",
     "ImageRecord",
     "MatchedSample",
     "OptimizerConfig",

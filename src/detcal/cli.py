@@ -65,7 +65,7 @@ def _cmd_match(args) -> int:
         detections, ground_truth, args.iou, exclude_crowd=not args.include_crowd
     )
     write_matched_samples(samples, _out_path(args, args.out))
-    matched = sum(s.matched for s in samples)
+    matched = samples.matched.sum()
     logger.info("matched %d of %d detections at IoU %.2f", matched, len(samples), args.iou)
     return 0
 

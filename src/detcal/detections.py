@@ -8,15 +8,21 @@ four values in ``[0, 1]``. Two on-disk layouts are supported:
 * COCO-compatible JSON (``images``/``annotations``/``categories`` objects or
   a results array) with absolute top-left pixel boxes, converted on read.
 
+:func:`load_dataset` returns a :class:`DetectionTable` and a
+:class:`GroundTruthTable`: read-only columns that read as immutable
+sequences of :class:`Detection` and :class:`GroundTruthObject` records, each
+record built only when it is read (:class:`RecordTable`).
+
 A COCO annotation or results array is read as columns: each field once,
 with exact types (str or int image ids, int category ids, int or float
 numbers), every box converted and every check of :func:`box_from_absolute`,
 :class:`BoxGeometry`, :class:`Detection`, :class:`GroundTruthObject` and the
 image table applied over arrays (:func:`valid_boxes` is the vectorized
-:class:`BoxGeometry` check), and each record built once. A document those
-checks do not pass goes to the per-record loop, the reference, which gives
-the verdict, the ``file: result #i`` message and the ``on_invalid="skip"``
-count.
+:class:`BoxGeometry` check); the table holds those columns, and no record is
+built. A document those checks do not pass goes to the per-record loop, the
+reference, which gives the verdict, the ``file: result #i`` message and the
+``on_invalid="skip"`` count; its records, like the native loaders', are
+converted to a table once.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import json
 import logging
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -53,6 +60,28 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _whole_number(value: Any) -> int | None:
+    """``value`` as an int when it is an integer (not a bool) or an integral float, else None."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _category_id(value: Any) -> int:
+    """A category id as an int: a whole number (see :func:`_whole_number`) within int64, never truncated."""
+    category_id = _whole_number(value)
+    if category_id is None:
+        raise ValidationError(f"category_id must be a whole number, got {value!r}")
+    if not INT64_MIN <= category_id <= INT64_MAX:
+        raise ValidationError(f"category_id must fit in 64 bits, got {category_id}")
+    return category_id
 
 
 def _require_hashable_id(image_id: ImageId) -> None:
@@ -134,10 +163,7 @@ class Detection:
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"score must lie in [0, 1], got {score}")
         object.__setattr__(self, "score", score)
-        category_id = int(self.category_id)
-        if not INT64_MIN <= category_id <= INT64_MAX:
-            raise ValidationError(f"category_id must fit in 64 bits, got {category_id}")
-        object.__setattr__(self, "category_id", category_id)
+        object.__setattr__(self, "category_id", _category_id(self.category_id))
         _require_hashable_id(self.image_id)
 
 
@@ -151,7 +177,7 @@ class GroundTruthObject:
     crowd_flag: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "category_id", int(self.category_id))
+        object.__setattr__(self, "category_id", _category_id(self.category_id))
         object.__setattr__(self, "crowd_flag", bool(self.crowd_flag))
         _require_hashable_id(self.image_id)
 
@@ -178,11 +204,10 @@ class ImageRecord:
 
 
 def _pixels(image_id: ImageId, value: Any) -> int:
-    """An image side as an int: an integer (not a bool) or an integral float, never truncated."""
-    if (isinstance(value, int) and not isinstance(value, bool)) or (
-        isinstance(value, float) and value.is_integer()
-    ):
-        return int(value)
+    """An image side as an int: a whole number (see :func:`_whole_number`), never truncated."""
+    pixels = _whole_number(value)
+    if pixels is not None:
+        return pixels
     raise ValidationError(f"image {image_id!r} needs a whole number of pixels per side, got {value!r}")
 
 
@@ -416,7 +441,7 @@ class _RecordPolicy:
 def _category(rec: Any) -> tuple[int, str]:
     """``(id, name)`` of a category record; the name defaults to the id."""
     cid = rec["id"]  # only a JSON object gets this far
-    return int(cid), str(rec.get("name", cid))
+    return _category_id(cid), str(rec.get("name", cid))
 
 
 def _native_ground_truth(obj: dict[str, Any]) -> GroundTruthObject:
@@ -454,7 +479,7 @@ def _load_native_annotations(path: Path, policy: _RecordPolicy):
                 categories[cid] = name
             except KeyError as exc:
                 raise ValidationError(f"{context}: category record missing field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (ValidationError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{context}: invalid category record: {exc}") from exc
         else:
             gt = policy.record(context, "annotation", _native_ground_truth, obj)
@@ -518,17 +543,149 @@ def _records(cls, *columns) -> list:
     return list(map(_constructor(cls), *columns))
 
 
-def _coco_boxes(recs: list, images: dict[ImageId, ImageRecord]) -> tuple[list, list, list] | None:
+def _column(records: Sequence, name: str, dtype=np.float64) -> np.ndarray:
+    """The ``name`` attribute of every record, as an array of ``dtype``."""
+    return np.fromiter(map(operator.attrgetter(name), records), dtype, len(records))
+
+
+class RecordTable(Sequence):
+    """Read-only columns that read as an immutable sequence of records.
+
+    A subclass is a frozen dataclass of columns, one entry per row in each:
+    read-only numpy arrays and an ``image_id`` tuple of the original ids.
+    Records are built only when read, by the class's generated constructor
+    (:func:`_records`): an int index, numpy ints included, builds one,
+    iteration builds them all from ``.tolist()`` columns, and a slice
+    returns a table. A table equals a list, or a table, of equal records.
+    """
+
+    image_id: tuple
+
+    def __post_init__(self):
+        for column in self._columns():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def _build(self, rows: slice) -> list:
+        """The records of ``rows``."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.image_id)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        i = range(len(self))[key]
+        return self._build(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._build(slice(None)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RecordTable)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+    def take(self, idx) -> RecordTable:
+        """The rows at integer indices ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        picked = idx.tolist()
+        return type(self)(*(
+            tuple(map(column.__getitem__, picked)) if isinstance(column, tuple) else column[idx]
+            for column in self._columns()
+        ))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable(RecordTable):
+    """Detections as columns, read as a sequence of :class:`Detection` records.
+
+    ``image_id`` is a tuple of the original ids, ``category_id`` int64, and
+    the box columns ``cx``, ``cy``, ``w``, ``h`` and ``score`` float64. The
+    constructor checks nothing: the columns hold what :class:`Detection`
+    accepts, as the loaders and :meth:`from_records` build them.
+    """
+
+    image_id: tuple
+    category_id: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    score: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Sequence[Detection]) -> DetectionTable:
+        """The table of a record sequence; a table is returned unchanged."""
+        if isinstance(records, cls):
+            return records
+        boxes = [rec.box for rec in records]
+        return cls(
+            tuple(rec.image_id for rec in records),
+            _column(records, "category_id", np.int64),
+            *(_column(boxes, name) for name in ("cx", "cy", "w", "h")),
+            _column(records, "score"),
+        )
+
+    def _build(self, rows: slice) -> list[Detection]:
+        boxes = _records(BoxGeometry, *(c[rows].tolist() for c in (self.cx, self.cy, self.w, self.h)))
+        return _records(Detection, self.image_id[rows], self.category_id[rows].tolist(),
+                        self.score[rows].tolist(), boxes)
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthTable(RecordTable):
+    """Ground truth as columns, read as a sequence of :class:`GroundTruthObject` records.
+
+    As :class:`DetectionTable`, with a bool ``crowd`` column in place of
+    ``score``.
+    """
+
+    image_id: tuple
+    category_id: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    crowd: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Sequence[GroundTruthObject]) -> GroundTruthTable:
+        """The table of a record sequence; a table is returned unchanged."""
+        if isinstance(records, cls):
+            return records
+        boxes = [rec.box for rec in records]
+        return cls(
+            tuple(rec.image_id for rec in records),
+            _column(records, "category_id", np.int64),
+            *(_column(boxes, name) for name in ("cx", "cy", "w", "h")),
+            _column(records, "crowd_flag", bool),
+        )
+
+    def _build(self, rows: slice) -> list[GroundTruthObject]:
+        boxes = _records(BoxGeometry, *(c[rows].tolist() for c in (self.cx, self.cy, self.w, self.h)))
+        return _records(GroundTruthObject, self.image_id[rows], self.category_id[rows].tolist(),
+                        boxes, self.crowd[rows].tolist())
+
+
+def _coco_columns(recs: list, images: dict[ImageId, ImageRecord]) -> tuple | None:
     """The ``image_id``, ``category_id`` and converted ``bbox`` columns of COCO records.
 
     Reads exact types only: a str or int image id found in ``images``, an int
-    category id, and a list of four int or float coordinates, converted by
-    :func:`_boxes_from_absolute`. Returns None when a record fails any of
-    this, for the per-record loop to decide.
+    category id within int64, and a list of four int or float coordinates,
+    converted by :func:`_boxes_from_absolute`. Returns ``(image_id,
+    category_id, cx, cy, w, h)``, or None when a record fails any of this,
+    for the per-record loop to decide.
     """
     try:
         image_id = _field(recs, "image_id", {str, int})
-        category_id = _field(recs, "category_id", {int})
+        category_id = np.array(_field(recs, "category_id", {int}), np.int64)
         bbox = _field(recs, "bbox", {list})
         if not (set(map(len, bbox)) <= {4} and set(map(type, chain.from_iterable(bbox))) <= _NUMBER):
             return None
@@ -543,21 +700,21 @@ def _coco_boxes(recs: list, images: dict[ImageId, ImageRecord]) -> tuple[list, l
     ok, *box = _boxes_from_absolute(xywh, size.reshape(-1, 2)[rows])
     if not ok.all():
         return None
-    return image_id, category_id, _records(BoxGeometry, *(column.tolist() for column in box))
+    return tuple(image_id), category_id, *box
 
 
-def _coco_ground_truth(recs: list, images: dict[ImageId, ImageRecord]) -> list[GroundTruthObject] | None:
+def _coco_ground_truth(recs: list, images: dict[ImageId, ImageRecord]) -> GroundTruthTable | None:
     """The objects :func:`_load_coco_annotations` builds record by record, or None when it must decide."""
-    columns = _coco_boxes(recs, images)
+    columns = _coco_columns(recs, images)
     if columns is None:
         return None
     crowd = [rec.get("iscrowd", 0) for rec in recs]
     if not set(map(type, crowd)) <= {int, bool}:
         return None
-    return _records(GroundTruthObject, *columns, list(map(bool, crowd)))
+    return GroundTruthTable(*columns, np.fromiter(map(bool, crowd), bool, len(crowd)))
 
 
-def _coco_detections(recs: list, images: dict[ImageId, ImageRecord]) -> list[Detection] | None:
+def _coco_detections(recs: list, images: dict[ImageId, ImageRecord]) -> DetectionTable | None:
     """The detections :func:`_load_coco_detections` builds record by record, or None when it must decide."""
     try:
         score = np.array(_field(recs, "score"), np.float64)
@@ -565,13 +722,10 @@ def _coco_detections(recs: list, images: dict[ImageId, ImageRecord]) -> list[Det
         return None
     if not ((score >= 0.0) & (score <= 1.0)).all():
         return None
-    columns = _coco_boxes(recs, images)
+    columns = _coco_columns(recs, images)
     if columns is None:
         return None
-    image_id, category_id, boxes = columns
-    if category_id and not INT64_MIN <= min(category_id) <= max(category_id) <= INT64_MAX:
-        return None
-    return _records(Detection, image_id, category_id, score.tolist(), boxes)
+    return DetectionTable(*columns, score)
 
 
 def _load_coco_annotations(path: Path, policy: _RecordPolicy, doc: Any = None):
@@ -657,13 +811,14 @@ def load_dataset(
     *,
     fmt: str = "auto",
     on_invalid: str = "fail",
-) -> tuple[list[Detection], list[GroundTruthObject], CategoryTable]:
+) -> tuple[DetectionTable, GroundTruthTable, CategoryTable]:
     """Load a detection file and its annotation file into the relative data model.
 
     ``fmt`` selects ``"native"`` JSON Lines, ``"coco"`` JSON, or ``"auto"``
     sniffing per file. ``on_invalid`` controls record-level validation
     failures: ``"fail"`` raises, ``"skip"`` drops the record with a warning.
-    Input order is preserved for all surviving records.
+    Input order is preserved for all surviving records, which are returned
+    as a :class:`DetectionTable` and a :class:`GroundTruthTable`.
     """
     detections_path, annotations_path = Path(detections_path), Path(annotations_path)
     if fmt not in ("auto", "native", "coco"):
@@ -686,19 +841,20 @@ def load_dataset(
                 f"{detections_path}: COCO detections need image dimensions from the annotation file"
             )
         detections = _load_coco_detections(detections_path, images, policy, det_doc)
+    detections = DetectionTable.from_records(detections)
+    ground_truth = GroundTruthTable.from_records(ground_truth)
 
     if not categories:
-        categories = {
-            cid: str(cid)
-            for cid in sorted({g.category_id for g in ground_truth} | {d.category_id for d in detections})
-        }
+        ids = np.union1d(ground_truth.category_id, detections.category_id).tolist()
+        categories = {cid: str(cid) for cid in ids}
     else:
-        for d in detections:
-            if d.category_id not in categories:
-                raise ReferentialIntegrityError(
-                    f"{detections_path}: detection category {d.category_id} missing from "
-                    f"the category table of {annotations_path}"
-                )
+        known = np.fromiter(categories, np.int64, len(categories))
+        missing = np.flatnonzero(~np.isin(detections.category_id, known))
+        if missing.size:
+            raise ReferentialIntegrityError(
+                f"{detections_path}: detection category {detections.category_id[missing[0]]} missing "
+                f"from the category table of {annotations_path}"
+            )
     if policy.skipped:
         logger.warning("skipped %d invalid records", policy.skipped)
     return detections, ground_truth, categories

@@ -6,14 +6,16 @@ highest IoU, provided that IoU reaches the threshold. The resulting binary
 match label is the supervision signal for every calibration map and metric
 in this package.
 
-:func:`match_detections` returns :class:`MatchedSample` records. Everything
-downstream works on :class:`SampleColumns`, the same samples as one table
-of arrays (:func:`columns` converts a record list once).
-:func:`read_matched_samples` parses the file straight into that table, a
-chunk of lines per ``json.loads`` call with vectorized checks, and hands any
-file those checks do not pass to the per-record reader, which gives the
-verdict and the ``file:line`` error. :func:`write_matched_samples` writes
-the table back with one line template.
+Matched samples live in :class:`SampleColumns`, one table of arrays that
+reads as a sequence of :class:`MatchedSample` records, each built only when
+read. :func:`match_detections` takes the loaders' detection and
+ground-truth tables, computes the IoU of every candidate pair in one
+:func:`pair_iou` pass and returns the table; :func:`columns` converts a
+record list once. :func:`read_matched_samples` parses the file straight
+into that table, a chunk of lines per ``json.loads`` call with vectorized
+checks, and hands any file those checks do not pass to the per-record
+reader, which gives the verdict and the ``file:line`` error.
+:func:`write_matched_samples` writes the table back with one line template.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -33,7 +36,10 @@ from .detections import (
     _NUMBER,
     BoxGeometry,
     Detection,
+    DetectionTable,
     GroundTruthObject,
+    GroundTruthTable,
+    RecordTable,
     _box_from_relative,
     _field,
     _iter_jsonl,
@@ -99,13 +105,31 @@ def iou(a: BoxGeometry, b: BoxGeometry) -> float:
     return inter / union
 
 
+def pair_iou(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
+    """:func:`iou` of box pairs: ``a`` and ``b`` are ``(cx, cy, w, h)`` columns of equal length.
+
+    The same float operations in the same order, so each value equals
+    :func:`iou` of the pair bit for bit (which of two equal zeros a
+    ``min`` or ``max`` picks cannot reach the result).
+    """
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
+    ax1, ay1, ax2, ay2 = acx - 0.5 * aw, acy - 0.5 * ah, acx + 0.5 * aw, acy + 0.5 * ah
+    bx1, by1, bx2, by2 = bcx - 0.5 * bw, bcy - 0.5 * bh, bcx + 0.5 * bw, bcy + 0.5 * bh
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((iw <= 0.0) | (ih <= 0.0), 0.0, inter / union)
+
+
 def match_detections(
     detections: Sequence[Detection],
     ground_truth: Sequence[GroundTruthObject],
     iou_threshold: float,
     *,
     exclude_crowd: bool = True,
-) -> list[MatchedSample]:
+) -> SampleColumns:
     """Assign detections to ground truth greedily and label each as matched or not.
 
     Detections are grouped by (image_id, category_id); within a group they are
@@ -115,46 +139,63 @@ def match_detections(
     preserves input order, one sample per detection. ``gt_index`` values index
     into ``ground_truth`` as passed in.
 
-    Labels, IoUs and ground-truth indices are collected as lists, the IoUs
-    are checked once over an array, and the samples are built in one
-    :func:`~detcal.detections._records` call; an IoU outside ``[0, 1]``
-    raises the error of :class:`MatchedSample` for the first such sample
-    visited.
+    Works on a :class:`~detcal.detections.DetectionTable` and a
+    :class:`~detcal.detections.GroundTruthTable`; record lists are converted
+    once. The IoU of every candidate pair is computed in one
+    :func:`pair_iou` pass, and the claim loop visits only the pairs at or
+    above the threshold. The matched IoUs are checked once over an array;
+    one outside ``[0, 1]`` raises the error of :class:`MatchedSample` for the
+    first such sample visited.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise UsageError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    dets = DetectionTable.from_records(detections)
+    gts = GroundTruthTable.from_records(ground_truth)
+    n = len(dets)
 
-    gt_groups: dict[tuple[Any, int], list[int]] = {}
-    for j, gt in enumerate(ground_truth):
-        if exclude_crowd and gt.crowd_flag:
-            continue
-        gt_groups.setdefault((gt.image_id, gt.category_id), []).append(j)
+    # Eligible ground truth by (image_id, category_id), ascending index; a
+    # dict, so that ids compare as dict keys do.
+    eligible = np.flatnonzero(~gts.crowd) if exclude_crowd else np.arange(len(gts))
+    groups: dict[tuple[Any, int], list[int]] = {}
+    category = gts.category_id.tolist()
+    for j in eligible.tolist():
+        groups.setdefault((gts.image_id[j], category[j]), []).append(j)
+    candidates = list(map(groups.get, zip(dets.image_id, dets.category_id.tolist()), repeat(())))
+    count = np.fromiter(map(len, candidates), np.intp, n)
+    pair_det = np.repeat(np.arange(n), count)
+    pair_gt = np.fromiter(chain.from_iterable(candidates), np.intp, len(pair_det))
+    pair_v = pair_iou(
+        tuple(c[pair_det] for c in (dets.cx, dets.cy, dets.w, dets.h)),
+        tuple(c[pair_gt] for c in (gts.cx, gts.cy, gts.w, gts.h)),
+    )
+    feasible = pair_v >= iou_threshold
+    pair_gt, pair_v = pair_gt[feasible].tolist(), pair_v[feasible].tolist()
+    # Detection i's feasible pairs are first[i]:first[i + 1].
+    first = np.searchsorted(pair_det[feasible], np.arange(n + 1)).tolist()
 
     # Stable sort on negative score keeps input order among equal scores.
-    order = sorted(range(len(detections)), key=[-det.score for det in detections].__getitem__)
+    order = np.argsort(-dets.score, kind="stable").tolist()
     claimed: set[int] = set()
-    matched = [0] * len(detections)
-    ious = [0.0] * len(detections)
-    gt_index: list[int | None] = [None] * len(detections)
+    matched = np.zeros(n, np.int64)
+    ious = np.zeros(n)
+    gt_index = np.full(n, -1, np.int64)
     for i in order:
-        det = detections[i]
-        best_iou = 0.0
-        best_j: int | None = None
-        for j in gt_groups.get((det.image_id, det.category_id), ()):
-            if j in claimed:
-                continue
-            v = iou(det.box, ground_truth[j].box)
-            if v >= iou_threshold and v > best_iou:
-                best_iou, best_j = v, j
-        if best_j is not None:
+        best_iou, best_j = 0.0, -1
+        for k in range(first[i], first[i + 1]):
+            if pair_v[k] > best_iou and pair_gt[k] not in claimed:
+                best_iou, best_j = pair_v[k], pair_gt[k]
+        if best_j >= 0:
             claimed.add(best_j)
             matched[i], ious[i], gt_index[i] = 1, best_iou, best_j
-    iou_ = np.array(ious)
-    if not ((iou_ >= 0.0) & (iou_ <= 1.0)).all():
+    if not ((ious >= 0.0) & (ious <= 1.0)).all():
         # The first sample in visiting order that MatchedSample rejects raises its error.
         for i in order:
-            MatchedSample(detections[i], matched[i], ious[i], gt_index[i])
-    return _records(MatchedSample, detections, matched, ious, gt_index)
+            j = int(gt_index[i])
+            MatchedSample(dets[i], int(matched[i]), float(ious[i]), None if j < 0 else j)
+    values = np.empty((n, len(MEMBER_NAMES)), order="F")
+    for k, column in enumerate((dets.score, dets.cx, dets.cy, dets.w, dets.h)):
+        values[:, k] = column
+    return SampleColumns(values, matched, dets.category_id, ious, gt_index, dets.image_id)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +203,17 @@ def match_detections(
 
 
 @dataclass(frozen=True, eq=False)
-class SampleColumns:
+class SampleColumns(RecordTable):
     """Read-only table of matched samples, one entry per sample in every field.
 
     ``values`` (n, 5) holds confidence, cx, cy, w, h in that order.
     ``matched`` and ``category_id`` are int64, ``iou`` float64, ``gt_index``
     int64 with -1 for an unmatched sample, and ``image_id`` a tuple of the
-    original str or int ids. The constructor checks nothing; :func:`columns`
-    and :func:`read_matched_samples` build validated tables.
+    original str or int ids. It reads as a sequence of :class:`MatchedSample`
+    records (see :class:`~detcal.detections.RecordTable`). The constructor
+    checks nothing; :func:`columns`, :func:`read_matched_samples`,
+    :func:`match_detections` and :func:`~detcal.synth.generate` build
+    validated tables.
     """
 
     values: np.ndarray
@@ -179,24 +223,12 @@ class SampleColumns:
     gt_index: np.ndarray
     image_id: tuple
 
-    def __post_init__(self):
-        for array in (self.values, self.matched, self.category_id, self.iou, self.gt_index):
-            array.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.matched)
-
-    def take(self, idx: np.ndarray) -> SampleColumns:
-        """The samples at integer indices ``idx``, in that order."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return SampleColumns(
-            self.values[idx],
-            self.matched[idx],
-            self.category_id[idx],
-            self.iou[idx],
-            self.gt_index[idx],
-            tuple(map(self.image_id.__getitem__, idx.tolist())),
-        )
+    def _build(self, rows: slice) -> list[MatchedSample]:
+        score, *box = self.values[rows].T.tolist()
+        dets = _records(Detection, self.image_id[rows], self.category_id[rows].tolist(), score,
+                        _records(BoxGeometry, *box))
+        gt_index = [None if j < 0 else j for j in self.gt_index[rows].tolist()]
+        return _records(MatchedSample, dets, self.matched[rows].tolist(), self.iou[rows].tolist(), gt_index)
 
     def with_scores(self, scores) -> SampleColumns:
         """The same samples with ``scores`` as confidences; see :func:`check_scores`."""

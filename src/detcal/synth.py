@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .detections import BoxGeometry, Detection, _constructor, _records, valid_boxes
+from .detections import BoxGeometry, valid_boxes
 from .errors import ScenarioError, UsageError
-from .matching import MatchedSample
+from .matching import MEMBER_NAMES, SampleColumns
 
 BoxSampler = Callable[[np.random.Generator, int], np.ndarray]
 PrecisionField = Callable[[np.ndarray], np.ndarray]
@@ -195,18 +194,19 @@ def make_scenario(name: str, n_samples: int, seed: int = 0) -> ScenarioSpec:
     return factory(n_samples, seed)
 
 
-def generate(spec: ScenarioSpec) -> list[MatchedSample]:
+def generate(spec: ScenarioSpec) -> SampleColumns:
     """Draw a matched-sample dataset from the scenario, deterministically per seed.
 
     Matched samples receive a synthetic ground-truth index and an IoU of 1;
-    the records use the matcher's output schema so downstream tooling cannot
-    tell them from real matched detections.
+    the samples use the matcher's output schema so downstream tooling cannot
+    tell them from real matched detections. Sample ``i`` has image id ``i``
+    and category 1.
 
     Boxes are checked once over the array with :func:`valid_boxes` and
     scores by :func:`_check_field`; a bad box raises the error of
-    :class:`BoxGeometry` for the first such row. Each record is then built
-    once, from ``.tolist()`` columns, so it holds Python numbers as the
-    checked constructors would store them.
+    :class:`BoxGeometry` for the first such row. The sampler's arrays become
+    the columns of the returned :class:`SampleColumns`, which reads as a
+    sequence of :class:`~detcal.matching.MatchedSample` records.
     """
     rng = np.random.default_rng(spec.seed)
     boxes = np.asarray(spec.box_sampler(rng, spec.n_samples), dtype=np.float64)
@@ -225,13 +225,18 @@ def generate(spec: ScenarioSpec) -> list[MatchedSample]:
         for row in boxes[~ok].tolist():
             BoxGeometry(*row)
 
-    # Boxes and detections are streamed into the samples, so no full-length
-    # list is held but the samples, their labels and the input columns.
-    label = matched.astype(np.int64).tolist()
-    box = map(_constructor(BoxGeometry), *boxes.T.tolist())
-    detection = map(_constructor(Detection), range(spec.n_samples), repeat(1), confidence.tolist(), box)
-    gt_index = (i if m else None for i, m in enumerate(label))
-    return _records(MatchedSample, detection, label, map(float, label), gt_index)
+    n = spec.n_samples
+    values = np.empty((n, len(MEMBER_NAMES)), order="F")
+    values[:, 0] = confidence
+    values[:, 1:] = boxes
+    return SampleColumns(
+        values,
+        matched.astype(np.int64),
+        np.ones(n, np.int64),
+        matched.astype(np.float64),
+        np.where(matched, np.arange(n), -1),
+        tuple(range(n)),
+    )
 
 
 def _check_field(name: str, values: np.ndarray, n: int) -> None:

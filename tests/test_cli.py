@@ -16,11 +16,13 @@ from detcal.detections import (
     Detection,
     GroundTruthObject,
     ImageRecord,
+    box_from_absolute,
     write_annotations,
     write_detections,
 )
-from detcal.matching import MatchedSample, _read_records, read_matched_samples, write_matched_samples
+from detcal.matching import MatchedSample, _read_records, iou, read_matched_samples, write_matched_samples
 from detcal.synth import generate, make_scenario
+from oracles import greedy_match
 
 
 def run(args):
@@ -161,6 +163,60 @@ class TestMatchCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == len(results)
         assert b'"matched": 1' in outputs[0]
+
+    @staticmethod
+    def _coco_pair(seed):
+        """A COCO annotation document and results array with str and int image ids, crowd
+        boxes, boxes clamped at the left or top edge, and tied scores."""
+        rng = np.random.default_rng(seed)
+        images = [{"id": 1, "width": 640, "height": 480}, {"id": "b", "width": 300, "height": 500}]
+        annotations, results = [], []
+        for image in images:
+            width, height = image["width"], image["height"]
+            for _ in range(10):
+                w, h = rng.uniform(0.1, 0.5) * width, rng.uniform(0.1, 0.5) * height
+                # One box in four overhangs an edge by at most 1%, within the clamping tolerance.
+                x = rng.uniform(0.0, width - w) if rng.random() < 0.75 else -0.01 * width * rng.random()
+                y = rng.uniform(0.0, height - h) if rng.random() < 0.75 else -0.01 * height * rng.random()
+                category = int(rng.integers(1, 3))
+                annotations.append({"image_id": image["id"], "category_id": category, "bbox": [x, y, w, h],
+                                    "iscrowd": int(rng.random() < 0.25)})
+                for _ in range(int(rng.integers(1, 4))):
+                    dx, dy = rng.normal(0.0, 0.1, 2) * (w, h)
+                    results.append({
+                        "image_id": image["id"],
+                        "category_id": category if rng.random() < 0.8 else 3 - category,
+                        "bbox": [float(np.clip(x + dx, -0.01 * width, width - w)),
+                                 float(np.clip(y + dy, -0.01 * height, height - h)), w, h],
+                        "score": float(rng.choice([0.25, 0.5, 0.75, 1.0])),
+                    })
+        return images, annotations, results
+
+    @pytest.mark.parametrize("include_crowd", [False, True], ids=["no-crowd", "crowd"])
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
+    def test_output_is_the_greedy_reference_byte_for_byte(self, tmp_path, threshold, include_crowd):
+        images, annotations, results = self._coco_pair(seed=19)
+        ann_path, det_path, out = tmp_path / "ann.json", tmp_path / "det.json", tmp_path / "m.jsonl"
+        ann_path.write_text(json.dumps({"images": images, "annotations": annotations}))
+        det_path.write_text(json.dumps(results))
+        assert run(["match", "--detections", det_path, "--annotations", ann_path, "--iou", threshold,
+                    "--out", out] + ["--include-crowd"] * include_crowd) == 0
+
+        sizes = {image["id"]: (image["width"], image["height"]) for image in images}
+        detections = [Detection(r["image_id"], r["category_id"], r["score"],
+                                box_from_absolute(r["bbox"], *sizes[r["image_id"]])) for r in results]
+        truth = [GroundTruthObject(a["image_id"], a["category_id"],
+                                   box_from_absolute(a["bbox"], *sizes[a["image_id"]]), a["iscrowd"])
+                 for a in annotations]
+        labels = greedy_match(detections, truth, threshold, iou, exclude_crowd=not include_crowd)
+        expected = [
+            json.dumps({"image_id": d.image_id, "category_id": d.category_id, "score": d.score,
+                        "box": {"cx": d.box.cx, "cy": d.box.cy, "w": d.box.w, "h": d.box.h},
+                        "matched": matched, "iou": value, "gt_index": j})
+            for d, (matched, value, j) in zip(detections, labels)
+        ]
+        assert out.read_text().splitlines() == expected
+        assert 0 < sum(matched for matched, _, _ in labels) < len(labels)
 
     def test_bad_iou_exits_one(self, tmp_path):
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
@@ -311,8 +367,12 @@ class TestBadMatchedInput:
             json.dumps({**GOOD, "box": [0.5, 0.5, 0.1, 0.1]}),
             json.dumps({**GOOD, "matched": None}),
             json.dumps({**GOOD, "matched": 1e400}),
+            json.dumps({**GOOD, "category_id": 1.5}),
+            json.dumps({**GOOD, "category_id": "3"}),
+            json.dumps({**GOOD, "category_id": True}),
         ],
-        ids=["non-object", "string-score", "list-box", "null-label", "infinite-label"],
+        ids=["non-object", "string-score", "list-box", "null-label", "infinite-label",
+             "fractional-category", "numeric-string-category", "bool-category"],
     )
     def test_eval_exits_two(self, tmp_path, caplog, line):
         bad = tmp_path / "bad.jsonl"

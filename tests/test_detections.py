@@ -16,7 +16,9 @@ from detcal.detections import (
     INT64_MIN,
     BoxGeometry,
     Detection,
+    DetectionTable,
     GroundTruthObject,
+    GroundTruthTable,
     ImageRecord,
     _boxes_from_absolute,
     _RecordPolicy,
@@ -36,7 +38,7 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from detcal.matching import MatchedSample
+from detcal.matching import MatchedSample, columns
 from oracles import random_matched_samples, record_bits
 from strategies import JSON_VALUES
 
@@ -222,6 +224,30 @@ class TestCocoIngestion:
         )
         with pytest.raises(ReferentialIntegrityError):
             load_dataset(det_path, ann_path)
+
+    # Each would otherwise load as another category: int() truncates 1.7 and
+    # 1.2 to 1, so both boxes matched each other; it takes "3" as 3 and True
+    # as 1, and no int64 column holds 2**70.
+    @pytest.mark.parametrize(
+        "side, value",
+        [("annotations", 1.7), ("results", 1.2), ("results", "3"), ("annotations", True),
+         ("annotations", 2**70)],
+        ids=["fractional-annotation", "fractional-result", "numeric-string-result",
+             "bool-annotation", "annotation-past-int64"],
+    )
+    def test_category_id_must_be_a_whole_int64(self, tmp_path, caplog, side, value):
+        annotation = {"image_id": 1, "category_id": 1, "bbox": [10, 20, 30, 40]}
+        result = {**annotation, "score": 0.9}
+        bad = {**(annotation if side == "annotations" else result), "category_id": value}
+        annotations, results = [annotation], [result]
+        (annotations if side == "annotations" else results).append(bad)
+        det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, annotations, [], results)
+        assert cli.main(["match", "--detections", str(det_path), "--annotations", str(ann_path),
+                         "--iou", "0.5", "--out", str(tmp_path / "m.jsonl")]) == 2
+        where = "ann.json: annotation #1" if side == "annotations" else "det.json: result #1"
+        assert f"{where}: category_id must" in caplog.text
+        loaded, ground_truth, categories = load_dataset(det_path, ann_path, on_invalid="skip")
+        assert (len(loaded), len(ground_truth), categories) == (1, 1, {1: "1"})
 
     def test_skip_policy_drops_bad_records(self, tmp_path):
         det_path, ann_path = write_coco(
@@ -428,6 +454,33 @@ def test_records_equal_constructor_built_records(data, cls):
     assert [record_bits(rec) for rec in records] == [record_bits(rec) for rec in built]
 
 
+TABLES = {Detection: DetectionTable.from_records, GroundTruthObject: GroundTruthTable.from_records,
+          MatchedSample: columns}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cls=st.sampled_from(list(TABLES)))
+def test_tables_read_as_record_sequences(data, cls):
+    """A table iterates, indexes and slices to the records it was built from, bit for bit."""
+    records = [cls(*row) for row in data.draw(st.lists(RECORD_ROWS[cls], max_size=6))]
+    table = TABLES[cls](records)
+    # Every record exists before record_bits reads one: an instance dict
+    # read out through vars() changes the size of those read out after it.
+    read = [list(table), [table[i] for i in np.arange(len(table))], [table[i] for i in range(-len(table), 0)]]
+    bits = [record_bits(rec) for rec in records]
+    for built in read:
+        assert [record_bits(rec) for rec in built] == bits
+    assert table == records and records == table and table != records + [None]
+    for part in (slice(1, None), slice(None, None, -2), slice(5, 0)):
+        assert type(table[part]) is type(table) and table[part] == records[part]
+    with pytest.raises(IndexError):
+        table[np.int64(len(table))]
+    with pytest.raises(TypeError):
+        table[1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        table.category_id[...] = 0
+
+
 class TestNativeAnnotationRecords:
     @pytest.mark.parametrize(
         "record, missing",
@@ -485,8 +538,15 @@ class TestNativeRecordFields:
             ("detection", {**GOOD_DETECTION, "score": "abc"}),
             ("detection", {**GOOD_DETECTION, "image_id": [0]}),
             ("object", {**GOOD_OBJECT, "category_id": "x"}),
+            ("detection", {**GOOD_DETECTION, "category_id": 1.7}),
+            ("detection", {**GOOD_DETECTION, "category_id": "3"}),
+            ("object", {**GOOD_OBJECT, "category_id": 1.7}),
+            ("object", {**GOOD_OBJECT, "category_id": True}),
+            ("object", {**GOOD_OBJECT, "category_id": 2**70}),
         ],
-        ids=["string-score", "list-image-id", "string-category-id"],
+        ids=["string-score", "list-image-id", "string-category-id", "fractional-category",
+             "numeric-string-category", "fractional-object-category", "bool-object-category",
+             "object-category-past-int64"],
     )
     @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
     def test_malformed_field(self, tmp_path, kind, record, on_invalid):
@@ -764,6 +824,34 @@ def test_coco_array_path_matches_the_record_loop(tmp_path_factory, data, edit, o
     assert _load(det_path, ann_path, on_invalid) == _load(det_path, ann_path, on_invalid, reference=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(document=coco_documents())
+def test_coco_tables_iterate_to_the_per_record_loaders_records(tmp_path_factory, document):
+    """The loaded tables read as the records the checked constructors build, bit for bit."""
+    doc, results = document
+    sizes = {image["id"]: (image["width"], image["height"]) for image in doc["images"]}
+    base = tmp_path_factory.mktemp("coco")
+    ann_path, det_path = base / "ann.json", base / "det.json"
+    ann_path.write_text(json.dumps(doc))
+    det_path.write_text(json.dumps(results))
+    try:
+        truth = [GroundTruthObject(a["image_id"], a["category_id"],
+                                   box_from_absolute(a["bbox"], *sizes[a["image_id"]]),
+                                   bool(a.get("iscrowd", 0))) for a in doc["annotations"]]
+        expected = [Detection(r["image_id"], r["category_id"], r["score"],
+                              box_from_absolute(r["bbox"], *sizes[r["image_id"]])) for r in results]
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            load_dataset(det_path, ann_path, fmt="coco")
+        return
+    loaded, ground_truth, _ = load_dataset(det_path, ann_path, fmt="coco")
+    assert type(loaded) is DetectionTable and type(ground_truth) is GroundTruthTable
+    # Every record exists before record_bits reads one (see above).
+    read = list(loaded), list(ground_truth)
+    assert [record_bits(rec) for rec in read[0]] == [record_bits(rec) for rec in expected]
+    assert [record_bits(rec) for rec in read[1]] == [record_bits(rec) for rec in truth]
+
+
 EDGE_IMAGES = [*BASE_IMAGES, {"id": "img-2", "width": 50, "height": 50}]
 EDGE_ANNOTATION = {"image_id": 1, "category_id": 7, "bbox": [10.5, 20, 30, 40], "iscrowd": 0}
 EDGE_RESULT = {"image_id": 1, "category_id": 7, "bbox": [12.25, 20, 30, 40], "score": 0.9}
@@ -798,7 +886,7 @@ class TestCocoArrayPath:
             ("results", {"category_id": INT64_MAX}, True),
             ("results", {"category_id": INT64_MIN}, True),
             ("results", {"category_id": INT64_MAX + 1}, False),
-            ("annotations", {"category_id": INT64_MAX + 1}, True),
+            ("annotations", {"category_id": INT64_MAX + 1}, False),
         ],
         ids=["neg-zero-result", "neg-zero-annotation", "tolerance-left", "tolerance-right",
              "past-tolerance", "int-bbox", "bool-category", "str-category", "float-category",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcal import matching
-from detcal.detections import BoxGeometry, Detection, GroundTruthObject
+from detcal.detections import BoxGeometry, Detection, GroundTruthObject, box_from_absolute
 from detcal.errors import DataError, ParseError, UsageError, ValidationError
 from detcal.matching import (
     MatchedSample,
@@ -15,6 +15,7 @@ from detcal.matching import (
     columns,
     iou,
     match_detections,
+    pair_iou,
     read_matched_samples,
     write_matched_samples,
 )
@@ -70,9 +71,33 @@ class TestIoU:
         assert iou(a, b) == 0.0
 
 
+# Identical and touching boxes (on a 0.2 grid), the whole image, boxes clamped
+# at an image edge, and arbitrary interior boxes.
+PAIR_BOXES = (
+    st.sampled_from([BoxGeometry(cx, cy, 0.2, 0.2) for cx in (0.3, 0.5, 0.7) for cy in (0.3, 0.5)]
+                    + [BoxGeometry(0.5, 0.5, 1.0, 1.0), BoxGeometry(0.1, 0.9, 0.2, 0.2)])
+    | st.builds(lambda x, y, w, h: box_from_absolute([x, y, w, h], 100, 80),
+                st.floats(-2.0, 60.0), st.floats(-1.6, 50.0), st.floats(3.0, 40.0), st.floats(2.0, 30.0))
+    | st.builds(BoxGeometry, st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.01, 0.2), st.floats(0.01, 0.2))
+)
+
+
+def _box_columns(boxes):
+    return tuple(np.array([getattr(b, name) for b in boxes]) for name in ("cx", "cy", "w", "h"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(PAIR_BOXES, PAIR_BOXES), min_size=1, max_size=8))
+def test_pair_iou_equals_iou_bit_for_bit(pairs):
+    a, b = ([pair[side] for pair in pairs] for side in (0, 1))
+    values = pair_iou(_box_columns(a), _box_columns(b))
+    assert [v.hex() for v in values.tolist()] == [iou(x, y).hex() for x, y in pairs]
+    assert (pair_iou(_box_columns(a), _box_columns(a)) == 1.0).all()
+
+
 class TestMatchDetections:
     def test_iou_above_one_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(matching, "iou", lambda a, b: 1.5)
+        monkeypatch.setattr(matching, "pair_iou", lambda a, b: np.full(len(a[0]), 1.5))
         with pytest.raises(ValidationError, match=r"^iou must lie in \[0, 1\], got 1\.5$"):
             match_detections([det(0.8, (0.5, 0.5, 0.2, 0.2))], [gt((0.5, 0.5, 0.2, 0.2))], 0.5)
 
