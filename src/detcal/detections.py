@@ -13,16 +13,13 @@ four values in ``[0, 1]``. Two on-disk layouts are supported:
 sequences of :class:`Detection` and :class:`GroundTruthObject` records, each
 record built only when it is read (:class:`RecordTable`).
 
-A COCO annotation or results array is read as columns: each field once,
-with exact types (str or int image ids, int category ids, int or float
-numbers), every box converted and every check of :func:`box_from_absolute`,
-:class:`BoxGeometry`, :class:`Detection`, :class:`GroundTruthObject` and the
-image table applied over arrays (:func:`valid_boxes` is the vectorized
-:class:`BoxGeometry` check); the table holds those columns, and no record is
-built. A document those checks do not pass goes to the per-record loop, the
-reference, which gives the verdict, the ``file: result #i`` message and the
-``on_invalid="skip"`` count; its records, like the native loaders', are
-converted to a table once.
+The loaders read each field once as a column and apply the constructors'
+checks over arrays, a field of unexpected types value by value with the
+constructor's own check. Only the records these checks reject are built, by
+the checked constructors in file order, which raise their ``file:line`` or
+``file: result #i`` error (or warn under ``on_invalid="skip"``). Numbers are
+ints or floats, never bools or numeric strings. The native annotation file,
+which mixes image, category and object lines, is read line by line.
 """
 
 from __future__ import annotations
@@ -31,10 +28,12 @@ import functools
 import json
 import logging
 import math
+import numbers
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -55,8 +54,16 @@ CategoryTable = dict[int, str]
 _NUMBER = {int, float}
 
 
+def _real(value: Any, name: str = "value") -> float:
+    """``value`` as a float when it is a real number: not a bool, and not a numeric string."""
+    number = float(value)  # first, for the errors of a value no float holds
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return number
+
+
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -84,12 +91,20 @@ def _category_id(value: Any) -> int:
     return category_id
 
 
-def _require_hashable_id(image_id: ImageId) -> None:
+def _require_hashable_id(image_id: ImageId) -> ImageId:
     # Image ids key the matcher's groups and the image table.
     try:
         hash(image_id)
     except TypeError:
         raise ValidationError(f"image_id must be a string or an integer, got {image_id!r}") from None
+    return image_id
+
+
+def _crowd_flag(value: Any) -> bool:
+    """A crowd flag as a bool: a bool or an integer, never a string such as ``"false"``."""
+    if not isinstance(value, (bool, np.bool_, numbers.Integral)):
+        raise ValidationError(f"crowd flag must be a bool or an integer, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -178,7 +193,7 @@ class GroundTruthObject:
 
     def __post_init__(self):
         object.__setattr__(self, "category_id", _category_id(self.category_id))
-        object.__setattr__(self, "crowd_flag", bool(self.crowd_flag))
+        object.__setattr__(self, "crowd_flag", _crowd_flag(self.crowd_flag))
         _require_hashable_id(self.image_id)
 
 
@@ -224,7 +239,7 @@ def box_from_absolute(
     dimension are clamped back inside; larger overhangs raise
     :class:`ValidationError`, as do nonpositive box sizes.
     """
-    x, y, w, h = (float(v) for v in bbox)
+    x, y, w, h = (_real(v, "bbox value") for v in bbox)
     if w <= 0 or h <= 0:
         raise ValidationError(f"box has nonpositive width/height: {[x, y, w, h]}")
     x2, y2 = x + w, y + h
@@ -272,7 +287,7 @@ def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple[np.ndarray
 def _box_from_relative(obj: dict[str, Any], *, clamp_tol: float = EDGE_CLAMP_TOLERANCE) -> BoxGeometry:
     """Build a box from a native-format ``{cx, cy, w, h}`` mapping, clamping small overhangs."""
     try:
-        cx, cy, w, h = (float(obj[k]) for k in ("cx", "cy", "w", "h"))
+        cx, cy, w, h = (_real(obj[k], k) for k in ("cx", "cy", "w", "h"))
     except KeyError as exc:
         raise ValidationError(f"box record missing field {exc}") from exc
     if w <= 0 or h <= 0:
@@ -291,37 +306,88 @@ def _box_from_relative(obj: dict[str, Any], *, clamp_tol: float = EDGE_CLAMP_TOL
     return BoxGeometry(cx=cx, cy=cy, w=w, h=h)
 
 
+def _boxes_from_relative(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.ndarray) -> tuple:
+    """:func:`_box_from_relative` over float columns; returns as :func:`_boxes_from_absolute` does."""
+    # Rows with an infinity make NaN on the way; the finiteness test rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)
+        x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
+        overhang = np.maximum.reduce([np.zeros(len(cx)), -x1, x2 - 1.0, -y1, y2 - 1.0])
+        ok &= overhang <= EDGE_CLAMP_TOLERANCE
+        x1, y1 = np.where(x1 < 0.0, 0.0, x1), np.where(y1 < 0.0, 0.0, y1)
+        x2, y2 = np.where(x2 > 1.0, 1.0, x2), np.where(y2 > 1.0, 1.0, y2)
+        clamp = overhang > 0.0
+        cx, cy = np.where(clamp, (x1 + x2) / 2.0, cx), np.where(clamp, (y1 + y2) / 2.0, cy)
+        w, h = np.where(clamp, x2 - x1, w), np.where(clamp, y2 - y1, h)
+    return ok & valid_boxes(cx, cy, w, h), cx, cy, w, h
+
+
 def box_to_json(box: BoxGeometry) -> dict[str, float]:
     return {"cx": box.cx, "cy": box.cy, "w": box.w, "h": box.h}
 
 
-def _iter_jsonl(path: Path):
-    """Yield ``(lineno, record)`` for each nonblank line, which must hold one JSON object.
+def _parse_line(path: Path, lineno: int, line: str) -> dict:
+    """The JSON object on a nonblank line; anything else raises :class:`ParseError` with ``file:line``."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"{path}:{lineno}: line is not valid UTF-8") from exc
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past the interpreter's digit limit, or nesting past its
+        # recursion limit.
+        raise ParseError(f"{path}:{lineno}: unreadable JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}:{lineno}: expected a JSON object per line")
+    return obj
 
-    Bytes that are not UTF-8 and values other than an object raise
-    :class:`ParseError` with ``file:line`` context.
+
+# Lines per json.loads call: one call per line spends most of its time in
+# call overhead, one call per file holds every parsed record at once.
+_CHUNK_LINES = 1024
+# Two top-level objects on one line must meet in a "}", "," and "{" run on
+# that line (a line holds no newline, and a string no raw newline). With
+# none, a chunk parsing to as many objects as it has lines has one object
+# per line.
+_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
+
+
+def _jsonl_chunks(path: Path):
+    """Yield the line numbers and objects of each chunk of nonblank lines, one ``json.loads`` call each.
+
+    A chunk that does not parse to one object per line is parsed line by line
+    (:func:`_parse_line`), and a bad line raises after the lines before it are yielded.
     """
     # surrogateescape keeps undecodable bytes attributable to their line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: line is not valid UTF-8") from exc
+        lines = fh.readlines()
+    numbers = range(1, len(lines) + 1)
+    if not all(map(str.strip, lines)):
+        numbers = [i for i in numbers if lines[i - 1].strip()]
+        lines = [lines[i - 1] for i in numbers]
+    for start in range(0, len(lines), _CHUNK_LINES):
+        part, lineno = lines[start:start + _CHUNK_LINES], numbers[start:start + _CHUNK_LINES]
+        text, objs = "[" + ",".join(part) + "]", []
+        if not _TWO_OBJECTS.search(text):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-            except (ValueError, RecursionError) as exc:
-                # An integer past the interpreter's digit limit, or nesting
-                # past its recursion limit.
-                raise ParseError(f"{path}:{lineno}: unreadable JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object per line")
-            yield lineno, obj
+                if not text.isascii():
+                    text.encode("utf-8")
+                objs = json.loads(text)
+            except (ValueError, RecursionError):
+                pass
+        if len(objs) != len(part) or set(map(type, objs)) != {dict}:
+            objs = []
+            for k, line in zip(lineno, part):
+                try:
+                    objs.append(_parse_line(path, k, line))
+                except ParseError:
+                    yield lineno, objs  # the lines before the bad one first
+                    raise
+        yield lineno, objs
 
 
 def read_json(path: Path) -> Any:
@@ -414,12 +480,6 @@ class _RecordPolicy:
         self.on_invalid = on_invalid
         self.skipped = 0
 
-    def handle(self, exc: ValidationError, context: str) -> None:
-        if self.on_invalid == "fail":
-            raise type(exc)(f"{context}: {exc}") from exc
-        self.skipped += 1
-        logger.warning("skipping %s: %s", context, exc)
-
     def record(self, context: str, what: str, make: Callable[[Any], Any], rec: Any) -> Any:
         """``make(rec)``, or None when the record is invalid and skipped.
 
@@ -432,10 +492,24 @@ class _RecordPolicy:
         except KeyError as exc:
             raise ValidationError(f"{context}: {what} record missing field {exc}") from exc
         except ValidationError as exc:
-            self.handle(exc, context)
+            error = exc
         except (TypeError, ValueError, OverflowError) as exc:
-            self.handle(ValidationError(f"invalid {what} record: {exc}"), context)
+            error = ValidationError(f"invalid {what} record: {exc}")
+        if self.on_invalid == "fail":
+            raise type(error)(f"{context}: {error}") from error
+        self.skipped += 1
+        logger.warning("skipping %s: %s", context, error)
         return None
+
+    def keep(self, ok: np.ndarray, what: str, make: Callable, recs: list, context: Callable,
+             columns: list) -> list:
+        """The rows of ``columns`` that ``ok`` marks (lists as tuples), once :meth:`record` has decided,
+        in order, each record ``ok`` rejects, for which ``make`` raises."""
+        for i in np.flatnonzero(~ok).tolist():
+            self.record(context(i), what, make, recs[i])
+        if not ok.all():
+            columns = [c[ok] if isinstance(c, np.ndarray) else compress(c, ok) for c in columns]
+        return [c if isinstance(c, np.ndarray) else tuple(c) for c in columns]
 
 
 def _category(rec: Any) -> tuple[int, str]:
@@ -445,74 +519,119 @@ def _category(rec: Any) -> tuple[int, str]:
 
 
 def _native_ground_truth(obj: dict[str, Any]) -> GroundTruthObject:
-    return GroundTruthObject(
-        image_id=obj["image_id"],
-        category_id=obj["category_id"],
-        box=_box_from_relative(obj["box"]),
-        crowd_flag=bool(obj.get("crowd_flag", False)),
-    )
+    return GroundTruthObject(obj["image_id"], obj["category_id"], _box_from_relative(obj["box"]),
+                             obj.get("crowd_flag", False))
+
+
+def _native_image(rec: Any) -> ImageRecord:
+    return ImageRecord(rec["image_id"], rec["width_px"], rec["height_px"])
 
 
 def _load_native_annotations(path: Path, policy: _RecordPolicy):
+    """Images, ground truth and categories of a native annotation file, line by line."""
     images: dict[ImageId, ImageRecord] = {}
     ground_truth: list[GroundTruthObject] = []
     categories: CategoryTable = {}
-    for lineno, obj in _iter_jsonl(path):
-        context = f"{path}:{lineno}"
-        if "image" in obj:
-            try:
-                rec = obj["image"]
-                image = ImageRecord(rec["image_id"], rec["width_px"], rec["height_px"])
-                duplicate = image.image_id in images
-            except KeyError as exc:
-                raise ValidationError(f"{context}: image record missing field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{context}: invalid image record: {exc}") from exc
-            except ValidationError as exc:
-                raise ValidationError(f"{context}: {exc}") from exc
-            if duplicate:
-                raise ValidationError(f"{context}: duplicate image record {image.image_id!r}")
-            images[image.image_id] = image
-        elif "category" in obj:
-            try:
-                cid, name = _category(obj["category"])
-                categories[cid] = name
-            except KeyError as exc:
-                raise ValidationError(f"{context}: category record missing field {exc}") from exc
-            except (ValidationError, TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{context}: invalid category record: {exc}") from exc
-        else:
-            gt = policy.record(context, "annotation", _native_ground_truth, obj)
-            if gt is not None:
-                ground_truth.append(gt)
+    strict = _RecordPolicy("fail")  # an image record is never skipped
+    for numbers, objs in _jsonl_chunks(path):
+        for lineno, obj in zip(numbers, objs):
+            context = f"{path}:{lineno}"
+            if "image" in obj:
+                image = strict.record(context, "image", _native_image, obj["image"])
+                if image.image_id in images:
+                    raise ValidationError(f"{context}: duplicate image record {image.image_id!r}")
+                images[image.image_id] = image
+            elif "category" in obj:
+                try:
+                    cid, name = _category(obj["category"])
+                    categories[cid] = name
+                except KeyError as exc:
+                    raise ValidationError(f"{context}: category record missing field {exc}") from exc
+                except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+                    raise ValidationError(f"{context}: invalid category record: {exc}") from exc
+            else:
+                gt = policy.record(context, "annotation", _native_ground_truth, obj)
+                if gt is not None:
+                    ground_truth.append(gt)
     return images, ground_truth, categories
 
 
-def _load_native_detections(path: Path, images: dict[ImageId, ImageRecord], policy: _RecordPolicy):
-    def make(obj):
-        if images and obj["image_id"] not in images:
-            raise ReferentialIntegrityError(f"unknown image_id {obj['image_id']!r}")
-        return Detection(
-            image_id=obj["image_id"],
-            category_id=obj["category_id"],
-            score=obj["score"],
-            box=_box_from_relative(obj["box"]),
-        )
-
-    detections: list[Detection] = []
-    for lineno, obj in _iter_jsonl(path):
-        det = policy.record(f"{path}:{lineno}", "detection", make, obj)
-        if det is not None:
-            detections.append(det)
-    return detections
+# A field a record lacks, and a record that is no object: an empty object,
+# unhashable and no number, which every field check rejects.
+_MISSING: dict = {}
 
 
-def _field(objs: list, key: str, kinds: set = _NUMBER) -> list:
-    """``obj[key]`` of every object; a value of another type than ``kinds`` raises TypeError."""
-    values = list(map(operator.itemgetter(key), objs))
-    if not set(map(type, values)) <= kinds:
-        raise TypeError(key)
-    return values
+def _get(objs: list, key: str, default: Any = _MISSING) -> list:
+    """``obj[key]`` of every record, ``default`` where it is missing (:data:`_MISSING` too for a non-dict)."""
+    try:
+        if default is _MISSING:
+            return list(map(operator.itemgetter(key), objs))
+        return [obj.get(key, default) for obj in objs]
+    except (KeyError, TypeError, AttributeError):
+        return [obj.get(key, default) if type(obj) is dict else _MISSING for obj in objs]
+
+
+def _checked(values: list, typed: bool, convert: Callable, ok: np.ndarray, dtype: Any = np.float64, fill=0):
+    """``values`` as an array of ``dtype`` (a list for None), as they are when ``typed`` holds and they fit.
+
+    Otherwise each goes through ``convert``, the constructor's own check of the
+    field; a value it rejects clears its row in ``ok`` and is replaced by ``fill``.
+    """
+    if typed:
+        try:
+            return values if dtype is None else np.array(values, dtype)
+        except OverflowError:  # an int past the range of dtype
+            pass
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(convert(value))
+        except (ValidationError, TypeError, ValueError, OverflowError):
+            ok[i] = False
+            out.append(fill)
+    return out if dtype is None else np.array(out, dtype)
+
+
+def _field(objs: list, key: str, ok: np.ndarray, kinds: set = _NUMBER, convert: Callable = _real,
+           dtype: Any = np.float64, fill: Any = 0, default: Any = _MISSING):
+    """:func:`_checked` of ``obj[key]`` of every record, typed when every value's type is in ``kinds``."""
+    values = _get(objs, key, default)
+    return _checked(values, set(map(type, values)) <= kinds, convert, ok, dtype, fill)
+
+
+def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, columns: Callable) -> list:
+    """The columns of the accepted records of a JSON Lines file (lists as tuples), in file order.
+
+    ``columns(objs)`` gives ``[ok, *columns]`` of each chunk, whose rejected records ``policy`` decides.
+    """
+    parts = []
+    for numbers, objs in _jsonl_chunks(path):
+        ok, *cols = columns(objs)
+        parts.append(policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols))
+    return [np.concatenate(c) if isinstance(c[0], np.ndarray) else tuple(chain.from_iterable(c))
+            for c in zip(*parts or [columns([])[1:]])]
+
+
+def _detection_columns(objs: list, images: dict[ImageId, ImageRecord] | None = None) -> list:
+    """``[ok, image_id, category_id, cx, cy, w, h, score]`` of native records; ``ok`` marks what
+    :func:`_native_detection` accepts."""
+    ok = np.ones(len(objs), bool)
+    image_id = _field(objs, "image_id", ok, {str, int}, _require_hashable_id, dtype=None, fill=None)
+    if images:
+        ok &= np.fromiter(map(images.__contains__, image_id), bool, len(objs))
+    category_id = _field(objs, "category_id", ok, {int}, _category_id, np.int64)
+    score = _field(objs, "score", ok)
+    boxes = _get(objs, "box")
+    box_ok, *box = _boxes_from_relative(*(_field(boxes, key, ok) for key in ("cx", "cy", "w", "h")))
+    ok &= box_ok & (score >= 0.0) & (score <= 1.0)
+    return [ok, image_id, category_id, *box, score]
+
+
+def _native_detection(obj: dict[str, Any], images: dict[ImageId, ImageRecord] | None = None) -> Detection:
+    """The detection of a native record, of an image in ``images`` when that is not empty."""
+    if images and obj["image_id"] not in images:
+        raise ReferentialIntegrityError(f"unknown image_id {obj['image_id']!r}")
+    return Detection(obj["image_id"], obj["category_id"], obj["score"], _box_from_relative(obj["box"]))
 
 
 @functools.cache
@@ -674,58 +793,29 @@ class GroundTruthTable(RecordTable):
                         boxes, self.crowd[rows].tolist())
 
 
-def _coco_columns(recs: list, images: dict[ImageId, ImageRecord]) -> tuple | None:
-    """The ``image_id``, ``category_id`` and converted ``bbox`` columns of COCO records.
-
-    Reads exact types only: a str or int image id found in ``images``, an int
-    category id within int64, and a list of four int or float coordinates,
-    converted by :func:`_boxes_from_absolute`. Returns ``(image_id,
-    category_id, cx, cy, w, h)``, or None when a record fails any of this,
-    for the per-record loop to decide.
-    """
-    try:
-        image_id = _field(recs, "image_id", {str, int})
-        category_id = np.array(_field(recs, "category_id", {int}), np.int64)
-        bbox = _field(recs, "bbox", {list})
-        if not (set(map(len, bbox)) <= {4} and set(map(type, chain.from_iterable(bbox))) <= _NUMBER):
-            return None
-        xywh = np.array(bbox, np.float64).reshape(-1, 4)
-        size = np.array([(float(im.width_px), float(im.height_px)) for im in images.values()])
-    except (KeyError, TypeError, OverflowError):
-        return None
-    index = dict(zip(images, range(len(images))))
-    rows = list(map(index.get, image_id))
-    if None in rows:
-        return None
-    ok, *box = _boxes_from_absolute(xywh, size.reshape(-1, 2)[rows])
-    if not ok.all():
-        return None
-    return tuple(image_id), category_id, *box
+def _bbox(value: Any) -> tuple[float, ...]:
+    """A COCO ``bbox`` as :func:`box_from_absolute` unpacks it: four real numbers."""
+    x, y, w, h = map(_real, value)
+    return x, y, w, h
 
 
-def _coco_ground_truth(recs: list, images: dict[ImageId, ImageRecord]) -> GroundTruthTable | None:
-    """The objects :func:`_load_coco_annotations` builds record by record, or None when it must decide."""
-    columns = _coco_columns(recs, images)
-    if columns is None:
-        return None
-    crowd = [rec.get("iscrowd", 0) for rec in recs]
-    if not set(map(type, crowd)) <= {int, bool}:
-        return None
-    return GroundTruthTable(*columns, np.fromiter(map(bool, crowd), bool, len(crowd)))
-
-
-def _coco_detections(recs: list, images: dict[ImageId, ImageRecord]) -> DetectionTable | None:
-    """The detections :func:`_load_coco_detections` builds record by record, or None when it must decide."""
-    try:
-        score = np.array(_field(recs, "score"), np.float64)
-    except (KeyError, TypeError, OverflowError):
-        return None
-    if not ((score >= 0.0) & (score <= 1.0)).all():
-        return None
-    columns = _coco_columns(recs, images)
-    if columns is None:
-        return None
-    return DetectionTable(*columns, score)
+def _coco_columns(recs: list, images: dict[ImageId, ImageRecord]) -> list:
+    """``[ok, image_id, category_id, cx, cy, w, h]`` of COCO records; ``ok`` marks those of a known image
+    whose fields the constructors accept."""
+    ok = np.ones(len(recs), bool)
+    image_id = _field(recs, "image_id", ok, {str, int}, _require_hashable_id, dtype=None, fill=None)
+    # Row 0 of the sizes stands for an unknown image.
+    index = dict(zip(images, range(1, len(images) + 1)))
+    rows = np.fromiter(map(index.get, image_id, repeat(0)), np.intp, len(recs))
+    ok &= rows > 0
+    category_id = _field(recs, "category_id", ok, {int}, _category_id, np.int64)
+    bbox = _get(recs, "bbox")
+    typed = (set(map(type, bbox)) <= {list} and set(map(len, bbox)) <= {4}
+             and set(map(type, chain.from_iterable(bbox))) <= _NUMBER)
+    xywh = _checked(bbox, typed, _bbox, ok, fill=(0.0, 0.0, 1.0, 1.0)).reshape(-1, 4)
+    size = np.array([(1.0, 1.0)] + [(float(im.width_px), float(im.height_px)) for im in images.values()])
+    box_ok, *box = _boxes_from_absolute(xywh, size[rows])
+    return [ok & box_ok, image_id, category_id, *box]
 
 
 def _load_coco_annotations(path: Path, policy: _RecordPolicy, doc: Any = None):
@@ -751,25 +841,18 @@ def _load_coco_annotations(path: Path, policy: _RecordPolicy, doc: Any = None):
         image = images.get(rec["image_id"])
         if image is None:
             raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
-        return GroundTruthObject(
-            image_id=rec["image_id"],
-            category_id=rec["category_id"],
-            box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
-            crowd_flag=bool(rec.get("iscrowd", 0)),
-        )
+        return GroundTruthObject(rec["image_id"], rec["category_id"],
+                                 box_from_absolute(rec["bbox"], image.width_px, image.height_px),
+                                 rec.get("iscrowd", 0))
 
     annotations = doc.get("annotations", [])
     if not isinstance(annotations, list):
         raise ValidationError(f"{path}: COCO 'annotations' must be an array")
-    ground_truth = _coco_ground_truth(annotations, images)
-    if ground_truth is not None:
-        return images, ground_truth, categories
-    ground_truth = []
-    for i, rec in enumerate(annotations):
-        gt = policy.record(f"{path}: annotation #{i}", "annotation", make, rec)
-        if gt is not None:
-            ground_truth.append(gt)
-    return images, ground_truth, categories
+    ok, *columns = _coco_columns(annotations, images)
+    crowd = _field(annotations, "iscrowd", ok, {int, bool}, _crowd_flag, dtype=bool, fill=False, default=0)
+    columns = policy.keep(ok, "annotation", make, annotations, lambda i: f"{path}: annotation #{i}",
+                          [*columns, crowd])
+    return images, GroundTruthTable(*columns), categories
 
 
 def _load_coco_detections(
@@ -787,22 +870,14 @@ def _load_coco_detections(
         image = images.get(rec["image_id"])
         if image is None:
             raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
-        return Detection(
-            image_id=rec["image_id"],
-            category_id=rec["category_id"],
-            score=rec["score"],
-            box=box_from_absolute(rec["bbox"], image.width_px, image.height_px),
-        )
+        return Detection(rec["image_id"], rec["category_id"], rec["score"],
+                         box_from_absolute(rec["bbox"], image.width_px, image.height_px))
 
-    detections = _coco_detections(doc, images)
-    if detections is not None:
-        return detections
-    detections = []
-    for i, rec in enumerate(doc):
-        det = policy.record(f"{path}: result #{i}", "result", make, rec)
-        if det is not None:
-            detections.append(det)
-    return detections
+    ok, *columns = _coco_columns(doc, images)
+    score = _field(doc, "score", ok)
+    ok &= (score >= 0.0) & (score <= 1.0)
+    columns = policy.keep(ok, "result", make, doc, lambda i: f"{path}: result #{i}", [*columns, score])
+    return DetectionTable(*columns)
 
 
 def load_dataset(
@@ -834,14 +909,14 @@ def load_dataset(
         images, ground_truth, categories = _load_coco_annotations(annotations_path, policy, ann_doc)
     del ann_doc  # the records stand for the parsed document from here on
     if det_fmt == "native":
-        detections = _load_native_detections(detections_path, images, policy)
+        make, columns = (functools.partial(f, images=images) for f in (_native_detection, _detection_columns))
+        detections = DetectionTable(*_read_jsonl(detections_path, policy, "detection", make, columns))
     else:
         if not images:
             raise ValidationError(
                 f"{detections_path}: COCO detections need image dimensions from the annotation file"
             )
         detections = _load_coco_detections(detections_path, images, policy, det_doc)
-    detections = DetectionTable.from_records(detections)
     ground_truth = GroundTruthTable.from_records(ground_truth)
 
     if not categories:

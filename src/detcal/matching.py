@@ -12,17 +12,17 @@ read. :func:`match_detections` takes the loaders' detection and
 ground-truth tables, computes the IoU of every candidate pair in one
 :func:`pair_iou` pass and returns the table; :func:`columns` converts a
 record list once. :func:`read_matched_samples` parses the file straight
-into that table, a chunk of lines per ``json.loads`` call with vectorized
-checks, and hands any file those checks do not pass to the per-record
-reader, which gives the verdict and the ``file:line`` error.
-:func:`write_matched_samples` writes the table back with one line template.
+into that table, a chunk of lines per ``json.loads`` call, through the
+native detection reader's column checks and those of :class:`MatchedSample`;
+a record they reject is built by the checked constructors, which raise its
+``file:line`` error. :func:`write_matched_samples` writes the table back
+with one line template.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import re
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -31,20 +31,23 @@ from typing import Any, Sequence
 import numpy as np
 
 from .detections import (
-    EDGE_CLAMP_TOLERANCE,
     INT64_MAX,
-    _NUMBER,
     BoxGeometry,
     Detection,
     DetectionTable,
     GroundTruthObject,
     GroundTruthTable,
     RecordTable,
-    _box_from_relative,
+    _checked,
+    _detection_columns,
     _field,
-    _iter_jsonl,
+    _get,
+    _native_detection,
+    _read_jsonl,
+    _real,
+    _RecordPolicy,
     _records,
-    valid_boxes,
+    _whole_number,
 )
 from .errors import UsageError, ValidationError
 
@@ -66,11 +69,11 @@ class MatchedSample:
     gt_index: int | None = None
 
     def __post_init__(self):
-        matched = int(self.matched)
+        matched = _whole_number(self.matched)
         if matched not in (0, 1):
             raise ValidationError(f"match label must be 0 or 1, got {self.matched!r}")
         object.__setattr__(self, "matched", matched)
-        if not 0.0 <= self.iou <= 1.0:
+        if not 0.0 <= _real(self.iou, "iou") <= 1.0:
             raise ValidationError(f"iou must lie in [0, 1], got {self.iou}")
         if matched == 1 and self.gt_index is None:
             raise ValidationError("matched sample lacks a ground-truth index")
@@ -79,13 +82,18 @@ class MatchedSample:
         if matched == 0 and self.iou != 0.0:
             raise ValidationError("unmatched sample must store iou = 0")
         if matched == 1:
-            gt = self.gt_index
-            try:
-                valid = not isinstance(gt, bool) and 0 <= operator.index(gt) <= INT64_MAX
-            except TypeError:
-                valid = False
-            if not valid:
-                raise ValidationError(f"ground-truth index must be an integer in [0, 2**63), got {gt!r}")
+            _gt_index(self.gt_index)
+
+
+def _gt_index(value: Any) -> int:
+    """A ground-truth index: an integer, not a bool, in ``[0, 2**63)``."""
+    try:
+        valid = not isinstance(value, bool) and 0 <= operator.index(value) <= INT64_MAX
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValidationError(f"ground-truth index must be an integer in [0, 2**63), got {value!r}")
+    return operator.index(value)
 
 
 def iou(a: BoxGeometry, b: BoxGeometry) -> float:
@@ -310,127 +318,40 @@ def write_matched_samples(
         fh.writelines(map(template.__mod__, rows))
 
 
-# Lines per json.loads call: one call per line spends most of its time in
-# call overhead, one call per file holds every parsed record at once.
-_CHUNK_LINES = 1024
-# Two top-level objects on one line must meet in a "}", "," and "{" run on
-# that line (a line holds no newline, and a string no raw newline). With
-# none, a chunk parsing to as many objects as it has lines has one object
-# per line.
-_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
-
-
 def read_matched_samples(path: str | Path) -> SampleColumns:
     """Read matched samples from a JSON Lines file into columns, preserving order.
 
     Malformed lines raise :class:`ParseError` and invalid records
     :class:`ValidationError`, both with ``file:line`` context.
     """
-    path = Path(path)
-    # Blank lines are skipped by the same test as _iter_jsonl's.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = [line for line in fh if line.strip()]
-    cols = _parse_lines(lines)
-    return columns(_read_records(path)) if cols is None else cols
+    image_id, category_id, cx, cy, w, h, score, matched, iou_, gt_index = _read_jsonl(
+        Path(path), _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns
+    )
+    # The transpose of the stacked members is their Fortran-ordered table.
+    values = np.array((score, cx, cy, w, h)).T
+    return SampleColumns(values, matched, category_id, iou_, gt_index, image_id)
 
 
-def _read_records(path: Path) -> list[MatchedSample]:
-    """Per-record reader: the reference for, and the fallback of, :func:`read_matched_samples`."""
-    samples: list[MatchedSample] = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            det = Detection(
-                image_id=obj["image_id"],
-                category_id=obj["category_id"],
-                score=obj["score"],
-                box=_box_from_relative(obj["box"]),
-            )
-            samples.append(
-                MatchedSample(
-                    detection=det,
-                    matched=obj["matched"],
-                    iou=obj.get("iou", 0.0),
-                    gt_index=obj.get("gt_index"),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}:{lineno}: matched record missing field {exc}") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid matched record: {exc}") from exc
-    return samples
+def _matched_sample(obj: dict) -> MatchedSample:
+    """The record of a matched-sample line, built by the checked constructors."""
+    return MatchedSample(_native_detection(obj), obj["matched"], obj.get("iou", 0.0), obj.get("gt_index"))
 
 
-def _parse_lines(lines: list[str]) -> SampleColumns | None:
-    """The columns of nonblank ``lines``, or None when the per-record reader must decide.
-
-    Accepts only what :func:`_read_records` accepts, with the same values:
-    exact int/float numbers (no bools or numeric strings), str/int image
-    ids, and every check of :class:`Detection`, :func:`_box_from_relative`
-    and :class:`MatchedSample`, with the same float arithmetic.
-    """
-    n = len(lines)
-    score, cx, cy, w, h, iou_ = (np.empty(n) for _ in range(6))
-    matched, category_id, gt_index = (np.empty(n, np.int64) for _ in range(3))
-    image_id: list = []
-    n_null = 0
-    for start in range(0, n, _CHUNK_LINES):
-        chunk = slice(start, min(start + _CHUNK_LINES, n))
-        part = lines[chunk]
-        text = "[" + ",".join(part) + "]"
-        if _TWO_OBJECTS.search(text):
-            return None
-        if not text.isascii():
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                return None
-        try:
-            objs = json.loads(text)
-        except (ValueError, RecursionError):
-            return None
-        if len(objs) != len(part) or set(map(type, objs)) != {dict}:
-            return None
-        try:
-            boxes = _field(objs, "box", {dict})
-            image_id += _field(objs, "image_id", {str, int})
-            category_id[chunk] = np.array(_field(objs, "category_id", {int}), np.int64)
-            score[chunk] = np.array(_field(objs, "score"), np.float64)
-            for array, key in ((cx, "cx"), (cy, "cy"), (w, "w"), (h, "h")):
-                array[chunk] = np.array(_field(boxes, key), np.float64)
-            matched[chunk] = np.array(_field(objs, "matched", {int}), np.int64)
-            ious = [obj.get("iou", 0.0) for obj in objs]
-            gts = [obj.get("gt_index") for obj in objs]
-            if not (set(map(type, ious)) <= _NUMBER and set(map(type, gts)) <= {int, type(None)}):
-                return None
-            iou_[chunk] = np.array(ious, np.float64)
-            n_null += gts.count(None)
-            gt_index[chunk] = np.array([-1 if g is None else g for g in gts], np.int64)
-        except (KeyError, TypeError, OverflowError):
-            return None
-
-    values = np.empty((n, len(MEMBER_NAMES)), order="F")
-    values[:, 0] = score
-    # Rows with an infinity make NaN on the way; the finiteness test rejects them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # _box_from_relative: clamp an overhang of at most the tolerance.
-        ok = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)
-        x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
-        overhang = np.maximum.reduce([np.zeros(n), -x1, x2 - 1.0, -y1, y2 - 1.0])
-        ok &= overhang <= EDGE_CLAMP_TOLERANCE
-        x1, y1 = np.where(x1 < 0.0, 0.0, x1), np.where(y1 < 0.0, 0.0, y1)
-        x2, y2 = np.where(x2 > 1.0, 1.0, x2), np.where(y2 > 1.0, 1.0, y2)
-        clamp = overhang > 0.0
-        values[:, 1] = cx = np.where(clamp, (x1 + x2) / 2.0, cx)
-        values[:, 2] = cy = np.where(clamp, (y1 + y2) / 2.0, cy)
-        values[:, 3] = w = np.where(clamp, x2 - x1, w)
-        values[:, 4] = h = np.where(clamp, y2 - y1, h)
-    ok &= valid_boxes(cx, cy, w, h)
-    # Detection and MatchedSample
-    hit = matched == 1
-    ok &= (score >= 0.0) & (score <= 1.0) & (hit | (matched == 0))
-    ok &= (iou_ >= 0.0) & (iou_ <= 1.0) & (hit | (iou_ == 0.0)) & ((gt_index >= 0) == hit)
-    if not ok.all() or n_null != n - np.count_nonzero(hit):
-        return None
-    return SampleColumns(values, matched, category_id, iou_, gt_index, tuple(image_id))
+def _sample_columns(objs: list) -> list:
+    """:func:`~detcal.detections._detection_columns` with ``matched``, ``iou`` and ``gt_index`` (-1 for None),
+    and the checks of :class:`MatchedSample`."""
+    ok, *detection = _detection_columns(objs)
+    # A match label is a whole number 0 or 1: an int or a float equal to either.
+    label = _field(objs, "matched", ok)
+    hit = label == 1.0
+    ok &= hit | (label == 0.0)
+    matched = hit.astype(np.int64)
+    iou_ = _field(objs, "iou", ok, default=0.0)
+    gts = _get(objs, "gt_index", None)
+    null = np.fromiter(map(operator.is_, gts, repeat(None)), bool, len(gts))
+    typed = set(map(type, gts)) <= {int, type(None)}
+    gt_index = _checked([0 if g is None else g for g in gts], typed, _gt_index, ok, np.int64)
+    ok &= (iou_ >= 0.0) & (iou_ <= 1.0) & (hit | (iou_ == 0.0))
+    ok &= np.where(hit, ~null & (gt_index >= 0), null)
+    gt_index[null] = -1
+    return [ok, *detection, matched, iou_, gt_index]

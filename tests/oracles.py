@@ -7,15 +7,31 @@ meaningful.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import logging
 import math
 import sys
 import time
+from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
-from detcal.detections import BoxGeometry, Detection
-from detcal.errors import NumericalFailureError
+from detcal.detections import (
+    BoxGeometry,
+    Detection,
+    GroundTruthObject,
+    ImageRecord,
+    _box_from_relative,
+    _category_id,
+    _parse_line,
+    _RecordPolicy,
+    box_from_absolute,
+    read_json,
+)
+from detcal.errors import NumericalFailureError, ReferentialIntegrityError, ValidationError
 from detcal.matching import MatchedSample
 from detcal.optimizer import (
     BACKTRACK_FACTOR,
@@ -332,3 +348,161 @@ def reference_minimize(
         wall_time_s=time.perf_counter() - start,
     )
     return x, report
+
+
+# The per-record loaders as they stood before the loaders checked columns,
+# with the type rules of today's constructors: every record is built by the
+# checked constructors, one call per record, and the first error raised
+# names its record. The loaders must give their records, errors and warnings.
+
+
+@contextlib.contextmanager
+def constructor_calls():
+    """Count the runs of the checked record constructors while the block runs.
+
+    Yields a Counter of ``__post_init__`` runs by class name, and of the
+    records handed to ``_RecordPolicy.record`` by kind (``"detection
+    records"``, ``"image records"``, ...).
+    """
+    calls = collections.Counter()
+
+    def counted_post_init(self):
+        calls[type(self).__name__] += 1
+        return post_init[type(self)](self)
+
+    def counted_record(self, context, what, make, rec):
+        calls[f"{what} records"] += 1
+        return record(self, context, what, make, rec)
+
+    classes = (BoxGeometry, Detection, GroundTruthObject, MatchedSample)
+    post_init, record = {cls: cls.__post_init__ for cls in classes}, _RecordPolicy.record
+    with contextlib.ExitStack() as stack:
+        for cls in classes:
+            stack.enter_context(mock.patch.object(cls, "__post_init__", counted_post_init))
+        stack.enter_context(mock.patch.object(_RecordPolicy, "record", counted_record))
+        yield calls
+
+
+def _iter_jsonl(path: Path):
+    """``(lineno, record)`` of each nonblank line, read and parsed one line at a time."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, _parse_line(path, lineno, line)
+
+
+def reference_read_matched_samples(path: Path) -> list[MatchedSample]:
+    """``read_matched_samples`` record by record."""
+    samples: list[MatchedSample] = []
+    for lineno, obj in _iter_jsonl(path):
+        try:
+            det = Detection(
+                image_id=obj["image_id"],
+                category_id=obj["category_id"],
+                score=obj["score"],
+                box=_box_from_relative(obj["box"]),
+            )
+            samples.append(
+                MatchedSample(
+                    detection=det,
+                    matched=obj["matched"],
+                    iou=obj.get("iou", 0.0),
+                    gt_index=obj.get("gt_index"),
+                )
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: matched record missing field {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: invalid matched record: {exc}") from exc
+    return samples
+
+
+def reference_native_detections(path: Path, images: dict, on_invalid: str = "fail") -> list[Detection]:
+    """The detections of a native file, known to ``images`` when it is not empty, record by record."""
+    policy = _RecordPolicy(on_invalid)
+
+    def make(obj):
+        if images and obj["image_id"] not in images:
+            raise ReferentialIntegrityError(f"unknown image_id {obj['image_id']!r}")
+        return Detection(
+            image_id=obj["image_id"],
+            category_id=obj["category_id"],
+            score=obj["score"],
+            box=_box_from_relative(obj["box"]),
+        )
+
+    detections = []
+    for lineno, obj in _iter_jsonl(path):
+        det = policy.record(f"{path}:{lineno}", "detection", make, obj)
+        if det is not None:
+            detections.append(det)
+    return detections
+
+
+def reference_load_coco(det_path: Path, ann_path: Path, on_invalid: str = "fail"):
+    """``load_dataset(det_path, ann_path, fmt="coco", on_invalid=on_invalid)`` record by record."""
+    policy = _RecordPolicy(on_invalid)
+    doc = read_json(ann_path)
+    if not isinstance(doc, dict) or "images" not in doc:
+        raise ValidationError(f"{ann_path}: COCO annotation file must contain an 'images' array")
+    images = {}
+    try:
+        for rec in doc["images"]:
+            image = ImageRecord(rec["id"], rec["width"], rec["height"])
+            if image.image_id in images:
+                raise ValidationError(f"duplicate image id {image.image_id!r}")
+            images[image.image_id] = image
+        categories = {}
+        for rec in doc.get("categories", []):
+            categories[_category_id(rec["id"])] = str(rec.get("name", rec["id"]))
+    except KeyError as exc:
+        raise ValidationError(f"{ann_path}: image or category record missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"{ann_path}: invalid image or category record: {exc}") from exc
+
+    def image_of(rec):
+        image = images.get(rec["image_id"])
+        if image is None:
+            raise ReferentialIntegrityError(f"unknown image_id {rec['image_id']!r}")
+        return image
+
+    def make_object(rec):
+        image = image_of(rec)
+        return GroundTruthObject(rec["image_id"], rec["category_id"],
+                                 box_from_absolute(rec["bbox"], image.width_px, image.height_px),
+                                 rec.get("iscrowd", 0))
+
+    def make_detection(rec):
+        image = image_of(rec)
+        return Detection(rec["image_id"], rec["category_id"], rec["score"],
+                         box_from_absolute(rec["bbox"], image.width_px, image.height_px))
+
+    annotations = doc.get("annotations", [])
+    if not isinstance(annotations, list):
+        raise ValidationError(f"{ann_path}: COCO 'annotations' must be an array")
+    ground_truth = [policy.record(f"{ann_path}: annotation #{i}", "annotation", make_object, rec)
+                    for i, rec in enumerate(annotations)]
+    if not images:
+        raise ValidationError(f"{det_path}: COCO detections need image dimensions from the annotation file")
+    results = read_json(det_path)
+    if isinstance(results, dict):
+        results = results.get("annotations", results.get("results"))
+    if not isinstance(results, list):
+        raise ValidationError(f"{det_path}: COCO detection file must be a results array")
+    detections = [policy.record(f"{det_path}: result #{i}", "result", make_detection, rec)
+                  for i, rec in enumerate(results)]
+    detections = [d for d in detections if d is not None]
+    ground_truth = [g for g in ground_truth if g is not None]
+    if not categories:
+        categories = {cid: str(cid) for cid in sorted({r.category_id for r in detections + ground_truth})}
+    for det in detections:
+        if det.category_id not in categories:
+            raise ReferentialIntegrityError(
+                f"{det_path}: detection category {det.category_id} missing "
+                f"from the category table of {ann_path}"
+            )
+    if policy.skipped:
+        logging.getLogger("detcal.detections").warning("skipped %d invalid records", policy.skipped)
+    return detections, ground_truth, categories

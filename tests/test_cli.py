@@ -20,9 +20,9 @@ from detcal.detections import (
     write_annotations,
     write_detections,
 )
-from detcal.matching import MatchedSample, _read_records, iou, read_matched_samples, write_matched_samples
+from detcal.matching import MatchedSample, iou, read_matched_samples, write_matched_samples
 from detcal.synth import generate, make_scenario
-from oracles import greedy_match
+from oracles import greedy_match, reference_read_matched_samples
 
 
 def run(args):
@@ -265,7 +265,7 @@ class TestFitApplyEval:
         matched = synth_file(tmp_path, n=3000)
         model = tmp_path / "model.json"
         assert run(["fit", "--in", matched, "--method", "hb", "--features", "conf", "--out", model]) == 0
-        samples = _read_records(matched)
+        samples = reference_read_matched_samples(matched)
         from dataclasses import replace
 
         other = [replace(s, detection=replace(s.detection, category_id=2)) for s in samples[:5]]

@@ -1,4 +1,4 @@
-import contextlib
+import functools
 import json
 import logging
 from dataclasses import fields
@@ -21,9 +21,9 @@ from detcal.detections import (
     GroundTruthTable,
     ImageRecord,
     _boxes_from_absolute,
-    _RecordPolicy,
     _records,
     box_from_absolute,
+    detection_to_json,
     load_dataset,
     sniff_format,
     valid_boxes,
@@ -38,8 +38,14 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from detcal.matching import MatchedSample, columns
-from oracles import random_matched_samples, record_bits
+from detcal.matching import MatchedSample, columns, read_matched_samples, write_matched_samples
+from oracles import (
+    constructor_calls,
+    random_matched_samples,
+    record_bits,
+    reference_load_coco,
+    reference_native_detections,
+)
 from strategies import JSON_VALUES
 
 
@@ -543,10 +549,21 @@ class TestNativeRecordFields:
             ("object", {**GOOD_OBJECT, "category_id": 1.7}),
             ("object", {**GOOD_OBJECT, "category_id": True}),
             ("object", {**GOOD_OBJECT, "category_id": 2**70}),
+            # Each of these loaded before: float() took "0.5" and true (a box of
+            # full width), and bool() read any crowd flag, "false" as a crowd.
+            ("detection", {**GOOD_DETECTION, "score": "0.5"}),
+            ("detection", {**GOOD_DETECTION, "score": True}),
+            ("detection", {**GOOD_DETECTION, "box": {**GOOD_DETECTION["box"], "cx": "0.5"}}),
+            ("detection", {**GOOD_DETECTION, "box": {**GOOD_DETECTION["box"], "w": True}}),
+            ("object", {**GOOD_OBJECT, "crowd_flag": "false"}),
+            ("object", {**GOOD_OBJECT, "crowd_flag": "no"}),
+            ("object", {**GOOD_OBJECT, "crowd_flag": 0.5}),
+            ("object", {**GOOD_OBJECT, "crowd_flag": None}),
         ],
         ids=["string-score", "list-image-id", "string-category-id", "fractional-category",
              "numeric-string-category", "fractional-object-category", "bool-object-category",
-             "object-category-past-int64"],
+             "object-category-past-int64", "numeric-string-score", "bool-score", "numeric-string-cx",
+             "bool-width", "string-crowd-false", "string-crowd-no", "fractional-crowd", "null-crowd"],
     )
     @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
     def test_malformed_field(self, tmp_path, kind, record, on_invalid):
@@ -560,6 +577,8 @@ class TestNativeRecordFields:
             where = r"d\.jsonl:2" if kind == "detection" else r"a\.jsonl:3"
             with pytest.raises(ValidationError, match=where):
                 load_dataset(det_path, ann_path, on_invalid=on_invalid)
+            assert cli.main(["match", "--detections", str(det_path), "--annotations", str(ann_path),
+                             "--iou", "0.5", "--out", str(tmp_path / "m.jsonl")]) == 2
         else:
             loaded, ground_truth, _ = load_dataset(det_path, ann_path, on_invalid=on_invalid)
             assert len(loaded) == 1 and len(ground_truth) == 1
@@ -724,7 +743,7 @@ def test_loaders_succeed_or_name_the_file(tmp_path_factory, data, case, fmt, on_
 
 
 # ---------------------------------------------------------------------------
-# COCO documents: the array path against the per-record loop
+# COCO documents: the column checks against the per-record reference loader
 
 
 class _Messages(logging.Handler):
@@ -739,20 +758,17 @@ class _Messages(logging.Handler):
 def _load(det_path, ann_path, on_invalid="fail", *, reference=False):
     """What ``load_dataset`` gives for a COCO pair, floats as ``float.hex``, with its warnings.
 
-    ``reference`` turns the array path off, leaving the per-record loop.
+    ``reference`` loads the pair record by record instead (``reference_load_coco``).
     """
     handler = _Messages()
-    with contextlib.ExitStack() as stack:
-        if reference:
-            for name in ("_coco_detections", "_coco_ground_truth"):
-                stack.enter_context(mock.patch.object(detections, name, return_value=None))
-        detections.logger.addHandler(handler)
-        stack.callback(detections.logger.removeHandler, handler)
-        try:
-            dets, ground_truth, categories = load_dataset(det_path, ann_path, fmt="coco",
-                                                          on_invalid=on_invalid)
-        except Exception as exc:
-            return type(exc), str(exc), handler.messages
+    detections.logger.addHandler(handler)
+    try:
+        load = reference_load_coco if reference else functools.partial(load_dataset, fmt="coco")
+        dets, ground_truth, categories = load(det_path, ann_path, on_invalid=on_invalid)
+    except Exception as exc:
+        return type(exc), str(exc), handler.messages
+    finally:
+        detections.logger.removeHandler(handler)
     return (
         [(d.image_id, type(d.image_id), d.category_id, type(d.category_id), d.score.hex(),
           _hex_box(d.box)) for d in dets],
@@ -763,14 +779,21 @@ def _load(det_path, ann_path, on_invalid="fail", *, reference=False):
     )
 
 
-def _array_loaded(det_path, ann_path) -> bool:
-    """Whether ``load_dataset`` loads the COCO pair without the per-record loop."""
-    with mock.patch.object(_RecordPolicy, "record", side_effect=AssertionError("per-record loop")):
+def _array_loaded(det_path, ann_path, fmt="coco") -> bool:
+    """Whether ``load_dataset`` loads the pair, or ``read_matched_samples`` the matched file
+    ``det_path`` (``fmt="matched"``), without running a checked constructor.
+
+    Image records, which native annotation files give one per line, do not count.
+    """
+    with constructor_calls() as calls:
         try:
-            load_dataset(det_path, ann_path, fmt="coco")
-        except AssertionError:
-            return False
-    return True
+            if fmt == "matched":
+                read_matched_samples(det_path)
+            else:
+                load_dataset(det_path, ann_path, fmt=fmt)
+        except DataError:
+            pass
+    return not set(calls) - {"image records"}
 
 
 def _coordinate(size):
@@ -811,7 +834,7 @@ def coco_documents(draw):
 @given(data=st.data(), edit=st.sampled_from(["annotations", "results"]),
        on_invalid=st.sampled_from(["fail", "skip"]))
 def test_coco_array_path_matches_the_record_loop(tmp_path_factory, data, edit, on_invalid):
-    """The array path gives the loop's records bit for bit, or leaves the verdict to it."""
+    """The loader gives the reference loop's records bit for bit, or its error and warnings."""
     doc, results = data.draw(coco_documents())
     if edit == "annotations":
         doc = data.draw(edited(doc))
@@ -859,10 +882,14 @@ TOLERANCE_PX = EDGE_CLAMP_TOLERANCE * 100  # of BASE_IMAGES' 100-pixel width
 
 
 class TestCocoArrayPath:
-    """Edge cases of the array path: it gives the loop's records or leaves the file to it."""
+    """Edge cases of the column checks: they accept what the record loop accepts, with its records.
+
+    ``valid`` pairs load with no checked constructor run; the others fail
+    with the loop's error, or are skipped with its warning.
+    """
 
     @pytest.mark.parametrize(
-        "side, change, array",
+        "side, change, valid",
         [
             ("results", {"bbox": [-0.0, -0.0, 10, 10]}, True),
             ("annotations", {"bbox": [-0.0, 5, 10, 10]}, True),
@@ -872,7 +899,7 @@ class TestCocoArrayPath:
             ("results", {"bbox": [10, 20, 30, 40]}, True),
             ("results", {"category_id": True}, False),
             ("results", {"category_id": "7"}, False),
-            ("annotations", {"category_id": 7.0}, False),
+            ("annotations", {"category_id": 7.0}, True),
             ("annotations", {"iscrowd": True}, True),
             ("annotations", {"iscrowd": 2}, True),
             ("annotations", {"iscrowd": _REMOVE}, True),
@@ -887,15 +914,20 @@ class TestCocoArrayPath:
             ("results", {"category_id": INT64_MIN}, True),
             ("results", {"category_id": INT64_MAX + 1}, False),
             ("annotations", {"category_id": INT64_MAX + 1}, False),
+            ("results", {"bbox": [12.25, "20", 30, 40]}, False),
+            ("results", {"bbox": "1234"}, False),
+            ("results", {"score": True}, False),
+            ("annotations", {"iscrowd": 0.5}, False),
         ],
         ids=["neg-zero-result", "neg-zero-annotation", "tolerance-left", "tolerance-right",
              "past-tolerance", "int-bbox", "bool-category", "str-category", "float-category",
              "bool-crowd", "int-crowd", "no-crowd", "str-crowd", "str-image-id",
              "unknown-str-image-id", "unknown-image-id", "score-int-0", "score-int-1", "score-1.0",
              "category-int64-max", "category-int64-min", "category-past-int64",
-             "annotation-category-past-int64"],
+             "annotation-category-past-int64", "str-bbox-entry", "str-bbox", "bool-score",
+             "fractional-crowd"],
     )
-    def test_edge_case(self, tmp_path, side, change, array):
+    def test_edge_case(self, tmp_path, side, change, valid):
         annotation, result = dict(EDGE_ANNOTATION), dict(EDGE_RESULT)
         for key, value in change.items():
             rec = annotation if side == "annotations" else result
@@ -904,10 +936,12 @@ class TestCocoArrayPath:
             else:
                 rec[key] = value
         det_path, ann_path = write_coco(tmp_path, EDGE_IMAGES, [annotation], [], [result])
-        assert _array_loaded(det_path, ann_path) == array
+        assert _array_loaded(det_path, ann_path) == valid
         for on_invalid in ("fail", "skip"):
             reference = _load(det_path, ann_path, on_invalid, reference=True)
             assert _load(det_path, ann_path, on_invalid) == reference
+            if on_invalid == "fail":
+                assert isinstance(reference[0], list) == valid
 
     def test_overhang_at_tolerance_is_clamped(self, tmp_path):
         result = {**EDGE_RESULT, "bbox": [-TOLERANCE_PX, 0, 10, 10]}
@@ -924,3 +958,60 @@ class TestCocoArrayPath:
         assert _array_loaded(det_path, ann_path)
         loaded = _load(det_path, ann_path)
         assert len(loaded[0]) == 2000 and loaded == _load(det_path, ann_path, reference=True)
+
+
+# ---------------------------------------------------------------------------
+# One path per format: the checked constructors build only the rejected records
+
+
+def _native_files(tmp_path, n, bad=()):
+    """A native detection file of ``n`` rows on 50 images, rows ``bad`` invalid, and its annotation file."""
+    rng = np.random.default_rng(11)
+    det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+    detections = [s.detection for s in random_matched_samples(rng, n)]
+    rows = [{**detection_to_json(d), "image_id": i % 50} for i, d in enumerate(detections)]
+    for i, change in zip(bad, [{"score": 1.5}, {"category_id": "3"}, {"image_id": 99}]):
+        rows[i].update(change)
+    det_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    write_annotations([], [ImageRecord(i, 640, 480) for i in range(50)], ann_path)
+    return det_path, ann_path
+
+
+def _coco_files(tmp_path, n, bad=()):
+    """A COCO results array of ``n`` rows on one image, rows ``bad`` invalid, and its annotation document."""
+    rng = np.random.default_rng(5)
+    xy = rng.uniform(0.0, 80.0, (n, 2))
+    results = [{"image_id": 1, "category_id": 7, "bbox": [x, y, 10.0, 20.0], "score": s}
+               for (x, y), s in zip(xy.tolist(), rng.random(n).tolist())]
+    for i, change in zip(bad, [{"score": 1.5}, {"bbox": [0, 0, "20", 10]}, {"image_id": 99}]):
+        results[i].update(change)
+    return write_coco(tmp_path, BASE_IMAGES, [EDGE_ANNOTATION], BASE_CATEGORIES, results)
+
+
+def test_large_valid_jsonl_files_build_no_record(tmp_path):
+    det_path, ann_path = _native_files(tmp_path, 2000)
+    assert _array_loaded(det_path, ann_path, "native")
+    matched = tmp_path / "m.jsonl"
+    write_matched_samples(random_matched_samples(np.random.default_rng(2), 2000), matched)
+    assert _array_loaded(matched, None, "matched")
+
+
+@pytest.mark.parametrize("fmt", ["native", "coco"])
+def test_skip_builds_only_the_bad_records(tmp_path, fmt, caplog):
+    """On 5,000 rows with 3 bad ones, the constructors run 3 times and warn as the per-record loop does."""
+    bad = (17, 2500, 4999)
+    det_path, ann_path = (_native_files if fmt == "native" else _coco_files)(tmp_path, 5000, bad)
+    with constructor_calls() as calls:
+        loaded, _, _ = load_dataset(det_path, ann_path, fmt=fmt, on_invalid="skip")
+    kind = "detection" if fmt == "native" else "result"
+    assert calls[f"{kind} records"] == 3 and len(loaded) == 4997
+    warnings = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    if fmt == "native":
+        images = {i: ImageRecord(i, 640, 480) for i in range(50)}
+        expected = reference_native_detections(det_path, images, "skip")
+    else:
+        expected = reference_load_coco(det_path, ann_path, "skip")[0]
+    assert warnings[:3] == [r.getMessage() for r in caplog.records][:3]
+    assert len(warnings) == 4 and warnings[3] == "skipped 3 invalid records"
+    assert loaded == expected

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcal import matching
-from detcal.detections import BoxGeometry, Detection, GroundTruthObject, box_from_absolute
+from detcal.cli import main as cli_main
+from detcal.detections import BoxGeometry, Detection, GroundTruthObject, box_from_absolute, load_dataset
 from detcal.errors import DataError, ParseError, UsageError, ValidationError
 from detcal.matching import (
     MatchedSample,
     SampleColumns,
-    _read_records,
     columns,
     iou,
     match_detections,
@@ -20,7 +20,13 @@ from detcal.matching import (
     write_matched_samples,
 )
 from detcal.synth import generate, make_scenario
-from oracles import assert_same_columns, greedy_match, random_matched_samples
+from oracles import (
+    assert_same_columns,
+    constructor_calls,
+    greedy_match,
+    random_matched_samples,
+    reference_read_matched_samples,
+)
 from strategies import JSON_VALUES
 
 
@@ -228,7 +234,7 @@ class TestMatchedSample:
         samples = random_matched_samples(rng, 200)
         path = tmp_path / "matched.jsonl"
         write_matched_samples(samples, path)
-        assert _read_records(path) == samples
+        assert reference_read_matched_samples(path) == samples
         assert_same_columns(read_matched_samples(path), columns(samples))
 
     def test_raw_scores_column(self, tmp_path):
@@ -316,7 +322,15 @@ def _outcome(read, path):
 
 
 def _reference(path):
-    return columns(_read_records(path))
+    return columns(reference_read_matched_samples(path))
+
+
+def _read_checked(path):
+    """``read_matched_samples(path)``, asserting that no checked constructor ran."""
+    with constructor_calls() as calls:
+        cols = read_matched_samples(path)
+    assert not calls, calls
+    return cols
 
 
 def _read_lines(path):
@@ -425,7 +439,23 @@ class TestColumnarReaderParity:
         good = json.dumps(rec if matched else self.BASE)
         _check_parity(tmp_path / "m.jsonl", f"{good}\n{json.dumps(rec)}\n".encode())
 
-    def test_clamped_boxes(self, tmp_path, monkeypatch):
+    # Values that loaded before, coerced: "1", true and 1.7 as label 1, 0.5 as
+    # label 0, numeric strings as numbers and true as 1 (a box of full width).
+    COERCED = [("matched", 1.7), ("matched", "1"), ("matched", True), ("matched", 0.5), ("score", "0.5"),
+               ("score", True), ("box.cx", "0.5"), ("box.w", True), ("iou", True)]
+
+    @pytest.mark.parametrize("field, value", COERCED)
+    def test_coerced_value_is_rejected(self, tmp_path, field, value):
+        rec = json.loads(json.dumps(self.BASE))
+        owner, key = (rec["box"], field[4:]) if field.startswith("box.") else (rec, field)
+        owner[key] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text(f"{json.dumps(self.BASE)}\n{json.dumps(rec)}\n")
+        with pytest.raises(ValidationError, match=r"m\.jsonl:2: "):
+            read_matched_samples(path)
+        assert cli_main(["eval", "--in", str(path), "--features", "conf"]) == 2
+
+    def test_clamped_boxes(self, tmp_path):
         """Boxes overhanging either edge by up to 2% are clamped with the per-record arithmetic."""
         rng = np.random.default_rng(8)
         n = 3000
@@ -441,24 +471,44 @@ class TestColumnarReaderParity:
         ))
         ref = _reference(path)
         assert not np.array_equal(ref.values[:, 1:], np.column_stack([cx, cy, w, h]))
-        monkeypatch.setattr(matching, "_read_records", None)
-        assert_same_columns(read_matched_samples(path), ref)
+        assert_same_columns(_read_checked(path), ref)
 
     @settings(max_examples=200, deadline=None)
     @given(content=jsonl_files(matched_records(edit=False)))
     def test_valid_records_take_the_columnar_path(self, tmp_path_factory, content):
         path = tmp_path_factory.getbasetemp() / "valid.jsonl"
         if _check_parity(path, content) is not None:
-            assert matching._parse_lines(_read_lines(path)) is not None
+            _read_checked(path)
 
-    def test_synth_file_takes_the_columnar_path(self, tmp_path, monkeypatch):
+    def test_synth_file_takes_the_columnar_path(self, tmp_path):
         path = tmp_path / "m.jsonl"
         samples = generate(make_scenario("fig3_boundary_decay", 2500, seed=4))
         write_matched_samples(samples, path)
         ref = _reference(path)
-        monkeypatch.setattr(matching, "_read_records", None)
-        assert_same_columns(read_matched_samples(path), ref)
+        assert_same_columns(_read_checked(path), ref)
         assert_same_columns(ref, columns(samples))
+
+    @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
+    def test_invalid_record_beats_a_later_malformed_line(self, tmp_path, caplog, on_invalid):
+        """Line 1,999's error, or under skip its warning, comes before line 2,000's parse error."""
+        samples = generate(make_scenario("fig3_boundary_decay", 2500, seed=4))
+        det_path, ann_path = tmp_path / "m.jsonl", tmp_path / "a.jsonl"
+        write_matched_samples(samples, det_path)
+        ann_path.write_text("")
+        lines = det_path.read_text().splitlines(keepends=True)
+        lines[1998] = lines[1998].replace('"score": ', '"score": 2, "x": ', 1)
+        lines[1999] = "{not json\n"
+        det_path.write_text("".join(lines))
+        if on_invalid == "fail":
+            with pytest.raises(ValidationError, match=r"m\.jsonl:1999: score must lie in \[0, 1\]"):
+                read_matched_samples(det_path)
+            with pytest.raises(ValidationError, match=r"m\.jsonl:1999: score must lie in \[0, 1\]"):
+                load_dataset(det_path, ann_path, fmt="native")
+        else:
+            with pytest.raises(ParseError, match=r"m\.jsonl:2000: malformed JSON"):
+                load_dataset(det_path, ann_path, fmt="native", on_invalid="skip")
+            assert [r.getMessage() for r in caplog.records] == [
+                f"skipping {det_path}:1999: score must lie in [0, 1], got 2.0"]
 
     def test_error_past_the_first_chunk(self, tmp_path):
         path = tmp_path / "m.jsonl"
