@@ -67,7 +67,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .detections import read_json
+from .detections import _category_id, _real, _whole_number, read_json
 from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
 from .matching import MatchedSample
 from .metrics import bin_indices
@@ -998,8 +998,23 @@ def _nested(table: np.ndarray):
 
 def _unnested(data, shape: tuple[int, ...]) -> np.ndarray:
     flat = np.asarray(data, dtype=object).reshape(-1)
-    arr = np.array([np.nan if v is None else float(v) for v in flat], dtype=np.float64)
+    arr = np.array([np.nan if v is None else _real(v, "table cell") for v in flat], dtype=np.float64)
     return arr.reshape(shape)
+
+
+def _reals(data, name: str):
+    """A JSON number, or nested lists of them, as floats; a bool, a string or null raises ``TypeError``."""
+    if isinstance(data, list):
+        return [_reals(v, name) for v in data]
+    return _real(data, name)
+
+
+def _count(value, name: str) -> int:
+    """A count in a model file: a whole number (see :func:`~detcal.detections._whole_number`), not negative."""
+    count = _whole_number(value)
+    if count is None or count < 0:
+        raise ValidationError(f"{name} must be a whole number >= 0, got {value!r}")
+    return count
 
 
 def _params_to_json(params) -> dict:
@@ -1015,15 +1030,16 @@ def _params_to_json(params) -> dict:
 
 def _params_from_json(method: str, data: dict):
     if method == "hist_binning":
-        counts = tuple(int(c) for c in data["bin_counts"])
+        counts = tuple(_count(c, "bin count") for c in data["bin_counts"])
         tables = tuple(
             _unnested(t, counts[: j + 1]) for j, t in enumerate(data["tables"])
         )
         return HistBinningParams(
-            bin_counts=counts, tables=tables, global_precision=data["global_precision"]
+            bin_counts=counts, tables=tables,
+            global_precision=_real(data["global_precision"], "global_precision"),
         )
     cls = _FAMILIES[method].params
-    params = cls(**{f.name: data[f.name] for f in fields(cls)})
+    params = cls(**{f.name: _reals(data[f.name], f.name) for f in fields(cls)})
     if not all(np.all(np.isfinite(getattr(params, f.name))) for f in fields(cls)):
         raise ValidationError("model parameters must be finite")
     return params
@@ -1047,11 +1063,14 @@ def model_from_json(data: dict) -> CalibrationModel:
     """Rebuild a model from its JSON form.
 
     Any missing, malformed or non-finite field raises :class:`ValidationError`.
+    Fields are read by the dataset loaders' rules and never coerced: numbers
+    are ints or floats, not bools or strings; counts and ids are whole
+    numbers; ``converged`` is a JSON bool, and ``schema_version`` the int 1.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"model must be a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION})"
         )
@@ -1065,11 +1084,14 @@ def model_from_json(data: dict) -> CalibrationModel:
         )
         meta_data = data["fit_metadata"]
         final_nll = meta_data["final_nll"]
+        converged = meta_data["converged"]
+        if type(converged) is not bool:
+            raise ValidationError(f"converged must be true or false, got {converged!r}")
         meta = FitMetadata(
-            n_samples=int(meta_data["n_samples"]),
-            final_nll=None if final_nll is None else float(final_nll),
-            n_iterations=int(meta_data["n_iterations"]),
-            converged=bool(meta_data["converged"]),
+            n_samples=_count(meta_data["n_samples"], "n_samples"),
+            final_nll=None if final_nll is None else _real(final_nll, "final_nll"),
+            n_iterations=_count(meta_data["n_iterations"], "n_iterations"),
+            converged=converged,
         )
         params = _params_from_json(method, data["params"])
         category = data["category_id"]
@@ -1077,7 +1099,7 @@ def model_from_json(data: dict) -> CalibrationModel:
             method=method,
             feature_set=fs,
             params=params,
-            category_id=None if category is None else int(category),
+            category_id=None if category is None else _category_id(category),
             fit_metadata=meta,
         )
     except KeyError as exc:

@@ -33,7 +33,7 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -91,13 +91,15 @@ def _category_id(value: Any) -> int:
     return category_id
 
 
-def _require_hashable_id(image_id: ImageId) -> ImageId:
-    # Image ids key the matcher's groups and the image table.
-    try:
-        hash(image_id)
-    except TypeError:
-        raise ValidationError(f"image_id must be a string or an integer, got {image_id!r}") from None
-    return image_id
+def _image_id(value: Any) -> ImageId:
+    """An image id: a str or an int, never a bool or a float.
+
+    Image ids key the matcher's groups and the image table, where ``True``
+    and ``1.0`` would stand for image ``1``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValidationError(f"image_id must be a string or an integer, got {value!r}")
+    return value
 
 
 def _crowd_flag(value: Any) -> bool:
@@ -179,7 +181,7 @@ class Detection:
             raise ValidationError(f"score must lie in [0, 1], got {score}")
         object.__setattr__(self, "score", score)
         object.__setattr__(self, "category_id", _category_id(self.category_id))
-        _require_hashable_id(self.image_id)
+        _image_id(self.image_id)
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class GroundTruthObject:
     def __post_init__(self):
         object.__setattr__(self, "category_id", _category_id(self.category_id))
         object.__setattr__(self, "crowd_flag", _crowd_flag(self.crowd_flag))
-        _require_hashable_id(self.image_id)
+        _image_id(self.image_id)
 
 
 @dataclass(frozen=True)
@@ -206,8 +208,7 @@ class ImageRecord:
     height_px: int
 
     def __post_init__(self):
-        if isinstance(self.image_id, bool) or not isinstance(self.image_id, (str, int)):
-            raise ValidationError(f"image id must be a str or int, got {self.image_id!r}")
+        _image_id(self.image_id)
         width, height = (_pixels(self.image_id, v) for v in (self.width_px, self.height_px))
         if width <= 0 or height <= 0:
             raise ValidationError(
@@ -357,44 +358,49 @@ _TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
 
 
 def _jsonl_chunks(path: Path):
-    """Yield the line numbers and objects of each chunk of nonblank lines, one ``json.loads`` call each.
+    """Yield the line numbers and objects of the nonblank lines of each chunk, one ``json.loads`` call each.
 
-    A chunk that does not parse to one object per line is parsed line by line
+    The file is read :data:`_CHUNK_LINES` lines at a time, and a chunk is
+    yielded before the next is read, so only one chunk's text and objects
+    are held at once; a chunk of blank lines only is passed over. A chunk
+    that does not parse to one object per line is parsed line by line
     (:func:`_parse_line`), and a bad line raises after the lines before it are yielded.
     """
     # surrogateescape keeps undecodable bytes attributable to their line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = fh.readlines()
-    numbers = range(1, len(lines) + 1)
-    if not all(map(str.strip, lines)):
-        numbers = [i for i in numbers if lines[i - 1].strip()]
-        lines = [lines[i - 1] for i in numbers]
-    for start in range(0, len(lines), _CHUNK_LINES):
-        part, lineno = lines[start:start + _CHUNK_LINES], numbers[start:start + _CHUNK_LINES]
-        text, objs = "[" + ",".join(part) + "]", []
-        if not _TWO_OBJECTS.search(text):
-            try:
-                if not text.isascii():
-                    text.encode("utf-8")
-                objs = json.loads(text)
-            except (ValueError, RecursionError):
-                pass
-        if len(objs) != len(part) or set(map(type, objs)) != {dict}:
-            objs = []
-            for k, line in zip(lineno, part):
+        start = 1
+        while part := list(islice(fh, _CHUNK_LINES)):
+            lineno, start = range(start, start + len(part)), start + len(part)
+            if not all(map(str.strip, part)):
+                lineno = [k for k, line in zip(lineno, part) if line.strip()]
+                part = [line for line in part if line.strip()]
+                if not part:
+                    continue
+            text, objs = "[" + ",".join(part) + "]", []
+            if not _TWO_OBJECTS.search(text):
                 try:
-                    objs.append(_parse_line(path, k, line))
-                except ParseError:
-                    yield lineno, objs  # the lines before the bad one first
-                    raise
-        yield lineno, objs
+                    if not text.isascii():
+                        text.encode("utf-8")
+                    objs = json.loads(text)
+                except (ValueError, RecursionError):
+                    pass
+            if len(objs) != len(part) or set(map(type, objs)) != {dict}:
+                objs = []
+                for k, line in zip(lineno, part):
+                    try:
+                        objs.append(_parse_line(path, k, line))
+                    except ParseError:
+                        yield lineno, objs  # the lines before the bad one first
+                        raise
+            yield lineno, objs
 
 
 def read_json(path: Path) -> Any:
     """Parse a file holding one JSON document.
 
     Bytes that are not UTF-8 and malformed JSON raise :class:`ParseError`
-    with ``file:line`` context.
+    with ``file:line`` context. The file's bytes are dropped once decoded, so
+    its text and the parsed document are held together, not its bytes too.
     """
     raw = path.read_bytes()
     try:
@@ -402,6 +408,7 @@ def read_json(path: Path) -> Any:
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: file is not valid UTF-8") from exc
+    del raw
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -503,12 +510,12 @@ class _RecordPolicy:
 
     def keep(self, ok: np.ndarray, what: str, make: Callable, recs: list, context: Callable,
              columns: list) -> list:
-        """The rows of ``columns`` that ``ok`` marks (lists as tuples), once :meth:`record` has decided,
-        in order, each record ``ok`` rejects, for which ``make`` raises."""
+        """The rows of ``columns`` that ``ok`` marks (lists as tuples; an array's rows run along its last
+        axis), once :meth:`record` has decided, in order, each record ``ok`` rejects, for which ``make`` raises."""
         for i in np.flatnonzero(~ok).tolist():
             self.record(context(i), what, make, recs[i])
         if not ok.all():
-            columns = [c[ok] if isinstance(c, np.ndarray) else compress(c, ok) for c in columns]
+            columns = [c[..., ok] if isinstance(c, np.ndarray) else compress(c, ok) for c in columns]
         return [c if isinstance(c, np.ndarray) else tuple(c) for c in columns]
 
 
@@ -608,15 +615,21 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
     for numbers, objs in _jsonl_chunks(path):
         ok, *cols = columns(objs)
         parts.append(policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols))
-    return [np.concatenate(c) if isinstance(c[0], np.ndarray) else tuple(chain.from_iterable(c))
-            for c in zip(*parts or [columns([])[1:]])]
+        del objs, cols  # before the next chunk is parsed
+    # One column at a time is joined and its chunks dropped, so only that
+    # column is held twice.
+    joined = list(zip(*parts or [columns([])[1:]]))
+    del parts
+    for k, c in enumerate(joined):
+        joined[k] = np.concatenate(c, axis=-1) if isinstance(c[0], np.ndarray) else tuple(chain.from_iterable(c))
+    return joined
 
 
 def _detection_columns(objs: list, images: dict[ImageId, ImageRecord] | None = None) -> list:
     """``[ok, image_id, category_id, cx, cy, w, h, score]`` of native records; ``ok`` marks what
     :func:`_native_detection` accepts."""
     ok = np.ones(len(objs), bool)
-    image_id = _field(objs, "image_id", ok, {str, int}, _require_hashable_id, dtype=None, fill=None)
+    image_id = _field(objs, "image_id", ok, {str, int}, _image_id, dtype=None, fill=None)
     if images:
         ok &= np.fromiter(map(images.__contains__, image_id), bool, len(objs))
     category_id = _field(objs, "category_id", ok, {int}, _category_id, np.int64)
@@ -803,7 +816,7 @@ def _coco_columns(recs: list, images: dict[ImageId, ImageRecord]) -> list:
     """``[ok, image_id, category_id, cx, cy, w, h]`` of COCO records; ``ok`` marks those of a known image
     whose fields the constructors accept."""
     ok = np.ones(len(recs), bool)
-    image_id = _field(recs, "image_id", ok, {str, int}, _require_hashable_id, dtype=None, fill=None)
+    image_id = _field(recs, "image_id", ok, {str, int}, _image_id, dtype=None, fill=None)
     # Row 0 of the sizes stands for an unknown image.
     index = dict(zip(images, range(1, len(images) + 1)))
     rows = np.fromiter(map(index.get, image_id, repeat(0)), np.intp, len(recs))

@@ -9,14 +9,16 @@ in this package.
 Matched samples live in :class:`SampleColumns`, one table of arrays that
 reads as a sequence of :class:`MatchedSample` records, each built only when
 read. :func:`match_detections` takes the loaders' detection and
-ground-truth tables, computes the IoU of every candidate pair in one
-:func:`pair_iou` pass and returns the table; :func:`columns` converts a
-record list once. :func:`read_matched_samples` parses the file straight
-into that table, a chunk of lines per ``json.loads`` call, through the
-native detection reader's column checks and those of :class:`MatchedSample`;
-a record they reject is built by the checked constructors, which raise its
-``file:line`` error. :func:`write_matched_samples` writes the table back
-with one line template.
+ground-truth tables, computes the IoU of every candidate pair through
+:func:`pair_iou`, a block of pairs per call, and returns the table;
+:func:`columns` converts a record list once. :func:`read_matched_samples`
+parses the file straight into that table, a chunk of lines per
+``json.loads`` call, through the native detection reader's column checks
+and those of :class:`MatchedSample`; a record they reject is built by the
+checked constructors, which raise its ``file:line`` error.
+:func:`write_matched_samples` writes the table back with one line
+template. Both hold one chunk of lines at a time, never the whole file's
+text or a full-length list per column.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .detections import (
     GroundTruthTable,
     RecordTable,
     _checked,
+    _CHUNK_LINES,
     _detection_columns,
     _field,
     _get,
@@ -131,6 +134,10 @@ def pair_iou(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray
         return np.where((iw <= 0.0) | (ih <= 0.0), 0.0, inter / union)
 
 
+# Candidate pairs per pair_iou call in match_detections.
+_PAIR_BLOCK = 4096
+
+
 def match_detections(
     detections: Sequence[Detection],
     ground_truth: Sequence[GroundTruthObject],
@@ -149,11 +156,11 @@ def match_detections(
 
     Works on a :class:`~detcal.detections.DetectionTable` and a
     :class:`~detcal.detections.GroundTruthTable`; record lists are converted
-    once. The IoU of every candidate pair is computed in one
-    :func:`pair_iou` pass, and the claim loop visits only the pairs at or
-    above the threshold. The matched IoUs are checked once over an array;
-    one outside ``[0, 1]`` raises the error of :class:`MatchedSample` for the
-    first such sample visited.
+    once. The IoU of every candidate pair is computed by :func:`pair_iou`,
+    :data:`_PAIR_BLOCK` pairs per call, and the claim loop visits only the
+    pairs at or above the threshold. The matched IoUs are checked once over
+    an array; one outside ``[0, 1]`` raises the error of
+    :class:`MatchedSample` for the first such sample visited.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise UsageError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
@@ -172,10 +179,14 @@ def match_detections(
     count = np.fromiter(map(len, candidates), np.intp, n)
     pair_det = np.repeat(np.arange(n), count)
     pair_gt = np.fromiter(chain.from_iterable(candidates), np.intp, len(pair_det))
-    pair_v = pair_iou(
-        tuple(c[pair_det] for c in (dets.cx, dets.cy, dets.w, dets.h)),
-        tuple(c[pair_gt] for c in (gts.cx, gts.cy, gts.w, gts.h)),
-    )
+    # A block at a time, so that pair_iou's temporaries stay small however many pairs there are.
+    pair_v = np.empty(len(pair_det))
+    for start in range(0, len(pair_det), _PAIR_BLOCK):
+        rows = slice(start, start + _PAIR_BLOCK)
+        pair_v[rows] = pair_iou(
+            tuple(c[pair_det[rows]] for c in (dets.cx, dets.cy, dets.w, dets.h)),
+            tuple(c[pair_gt[rows]] for c in (gts.cx, gts.cy, gts.w, gts.h)),
+        )
     feasible = pair_v >= iou_threshold
     pair_gt, pair_v = pair_gt[feasible].tolist(), pair_v[feasible].tolist()
     # Detection i's feasible pairs are first[i]:first[i + 1].
@@ -292,30 +303,36 @@ def write_matched_samples(
     ``scores`` optionally replaces the score column: ``scores[i]`` is written
     as ``score`` and sample ``i``'s own score as ``raw_score``. The scores are
     checked with :func:`check_scores` before the file is opened, as are the
-    table's values, which must be finite.
+    table's values, which must be finite. Lines are formatted and written
+    :data:`~detcal.detections._CHUNK_LINES` rows at a time from the columns,
+    so no column is held as a full-length list.
     """
     cols = columns(samples)
     if not (np.isfinite(cols.values).all() and np.isfinite(cols.iou).all()):
         raise ValidationError("matched samples hold non-finite values")
-    score, raw = cols.values[:, 0], ()
     template = _LINE + "}\n"
     if scores is not None:
-        score, raw = check_scores(scores), (score.tolist(),)
-        if score.shape != (len(cols),):
-            raise UsageError(f"{score.size} scores given for {len(cols)} samples")
+        scores = check_scores(scores)
+        if scores.shape != (len(cols),):
+            raise UsageError(f"{scores.size} scores given for {len(cols)} samples")
         template = _LINE + ', "raw_score": %r}\n'
-    rows = zip(
-        [i if type(i) is int else json.dumps(i) for i in cols.image_id],
-        cols.category_id.tolist(),
-        score.tolist(),
-        *cols.values[:, 1:].T.tolist(),
-        cols.matched.tolist(),
-        cols.iou.tolist(),
-        ["null" if g < 0 else g for g in cols.gt_index.tolist()],
-        *raw,
-    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(template.__mod__, rows))
+        for start in range(0, len(cols), _CHUNK_LINES):
+            rows = slice(start, start + _CHUNK_LINES)
+            score, *box = cols.values[rows].T.tolist()
+            raw = ()
+            if scores is not None:
+                score, raw = scores[rows].tolist(), (score,)
+            fh.writelines(map(template.__mod__, zip(
+                [i if type(i) is int else json.dumps(i) for i in cols.image_id[rows]],
+                cols.category_id[rows].tolist(),
+                score,
+                *box,
+                cols.matched[rows].tolist(),
+                cols.iou[rows].tolist(),
+                ["null" if g < 0 else g for g in cols.gt_index[rows].tolist()],
+                *raw,
+            )))
 
 
 def read_matched_samples(path: str | Path) -> SampleColumns:
@@ -324,12 +341,11 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     Malformed lines raise :class:`ParseError` and invalid records
     :class:`ValidationError`, both with ``file:line`` context.
     """
-    image_id, category_id, cx, cy, w, h, score, matched, iou_, gt_index = _read_jsonl(
+    image_id, category_id, members, matched, iou_, gt_index = _read_jsonl(
         Path(path), _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns
     )
     # The transpose of the stacked members is their Fortran-ordered table.
-    values = np.array((score, cx, cy, w, h)).T
-    return SampleColumns(values, matched, category_id, iou_, gt_index, image_id)
+    return SampleColumns(members.T, matched, category_id, iou_, gt_index, image_id)
 
 
 def _matched_sample(obj: dict) -> MatchedSample:
@@ -338,9 +354,13 @@ def _matched_sample(obj: dict) -> MatchedSample:
 
 
 def _sample_columns(objs: list) -> list:
-    """:func:`~detcal.detections._detection_columns` with ``matched``, ``iou`` and ``gt_index`` (-1 for None),
-    and the checks of :class:`MatchedSample`."""
-    ok, *detection = _detection_columns(objs)
+    """``[ok, image_id, category_id, members, matched, iou, gt_index]`` of matched-sample records.
+
+    :func:`~detcal.detections._detection_columns` with its confidence and box
+    stacked as ``members`` (5, n) in :data:`MEMBER_NAMES` order, and the checks
+    of :class:`MatchedSample`; ``gt_index`` is -1 for None.
+    """
+    ok, image_id, category_id, cx, cy, w, h, score = _detection_columns(objs)
     # A match label is a whole number 0 or 1: an int or a float equal to either.
     label = _field(objs, "matched", ok)
     hit = label == 1.0
@@ -354,4 +374,4 @@ def _sample_columns(objs: list) -> list:
     ok &= (iou_ >= 0.0) & (iou_ <= 1.0) & (hit | (iou_ == 0.0))
     ok &= np.where(hit, ~null & (gt_index >= 0), null)
     gt_index[null] = -1
-    return [ok, *detection, matched, iou_, gt_index]
+    return [ok, image_id, category_id, np.array((score, cx, cy, w, h)), matched, iou_, gt_index]

@@ -46,21 +46,6 @@ class ScenarioSpec:
             raise UsageError(f"sample count must be >= 1, got {self.n_samples}")
 
 
-def default_box_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Centers uniform on [0.05, 0.95], sizes log-uniform on [0.02, 0.5].
-
-    Sizes are truncated so every box stays inside the image, keeping the
-    geometry invariants intact without clamping.
-    """
-    cx = rng.uniform(0.05, 0.95, n)
-    cy = rng.uniform(0.05, 0.95, n)
-    w = np.exp(rng.uniform(math.log(0.02), math.log(0.5), n))
-    h = np.exp(rng.uniform(math.log(0.02), math.log(0.5), n))
-    w = np.minimum(w, 2.0 * np.minimum(cx, 1.0 - cx))
-    h = np.minimum(h, 2.0 * np.minimum(cy, 1.0 - cy))
-    return np.column_stack([cx, cy, w, h])
-
-
 _INTERIOR_SIZE_RANGE = (0.02, 0.2)
 
 

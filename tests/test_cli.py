@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import detcal
+from detcal import calibrators
 from detcal.cli import main
 from detcal.detections import (
     BoxGeometry,
@@ -395,33 +396,81 @@ def valid_inputs(tmp_path_factory):
     matched, model = root / "matched.jsonl", root / "model.json"
     assert run(["synth", "--scenario", "fig3_boundary_decay", "--n", 2000, "--out", matched]) == 0
     assert run(["fit", "--in", matched, "--method", "lc", "--features", "conf", "--out", model]) == 0
+    hb_model = root / "hb.json"
+    assert run(["fit", "--in", matched, "--method", "hb", "--features", "conf", "--out", hb_model]) == 0
     box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
     det, ann = root / "d.jsonl", root / "a.jsonl"
     write_detections([Detection(0, 1, 0.9, box)], det)
     write_annotations([GroundTruthObject(0, 1, box)], [ImageRecord(0, 100, 100)], ann)
-    return {"matched": matched, "model": model, "det": det, "ann": ann}
+    return {"matched": matched, "model": model, "hb_model": hb_model, "det": det, "ann": ann}
 
 
 class TestBadModelFile:
     """A malformed model file exits 2 with its path, never a traceback."""
 
+    @staticmethod
+    def _meta(m, **fields):
+        return {**m, "fit_metadata": {**m["fit_metadata"], **fields}}
+
+    @staticmethod
+    def _params(m, **fields):
+        return {**m, "params": {**m["params"], **fields}}
+
+    # From "converged-string" on, each case but "bool-bin-count" loaded before,
+    # coerced: "no" and 1 as converged, 1.9 as category 1, true as 1, strings
+    # as numbers, 15.9 bins as 15, and true or 1.0 passed the schema version test.
     @pytest.mark.parametrize(
-        "edit",
+        "model, edit",
         [
-            lambda m: {**m, "params": {**m["params"], "w": "abc"}},
-            lambda m: {**m, "params": [1]},
-            lambda m: [1],
-            lambda m: {**m, "params": {**m["params"], "c": None}},
-            lambda m: {**m, "fit_metadata": {**m["fit_metadata"], "n_samples": "x"}},
+            ("model", lambda m: {**m, "params": {**m["params"], "w": "abc"}}),
+            ("model", lambda m: {**m, "params": [1]}),
+            ("model", lambda m: [1]),
+            ("model", lambda m: {**m, "params": {**m["params"], "c": None}}),
+            ("model", lambda m: {**m, "fit_metadata": {**m["fit_metadata"], "n_samples": "x"}}),
+            ("model", lambda m: TestBadModelFile._meta(m, converged="no")),
+            ("model", lambda m: TestBadModelFile._meta(m, converged=1)),
+            ("model", lambda m: {**m, "category_id": 1.9}),
+            ("model", lambda m: {**m, "category_id": True}),
+            ("model", lambda m: TestBadModelFile._meta(m, n_samples=True)),
+            ("model", lambda m: TestBadModelFile._meta(m, n_iterations=2.5)),
+            ("model", lambda m: TestBadModelFile._meta(m, final_nll="0.5")),
+            ("model", lambda m: TestBadModelFile._params(m, w=["1.5"])),
+            ("model", lambda m: TestBadModelFile._params(m, w=[True])),
+            ("model", lambda m: TestBadModelFile._params(m, c="0.25")),
+            ("model", lambda m: {**m, "schema_version": True}),
+            ("model", lambda m: {**m, "schema_version": 1.0}),
+            ("hb_model", lambda m: TestBadModelFile._params(m, bin_counts=[15.9])),
+            ("hb_model", lambda m: TestBadModelFile._params(m, bin_counts=[True])),
+            ("hb_model", lambda m: TestBadModelFile._params(m, global_precision="0.4")),
+            ("hb_model", lambda m: TestBadModelFile._params(
+                m, tables=[["0.5" if v is not None else None for v in m["params"]["tables"][0]]])),
         ],
-        ids=["string-weights", "list-params", "list-model", "null-bias", "string-n-samples"],
+        ids=["string-weights", "list-params", "list-model", "null-bias", "string-n-samples",
+             "converged-string", "converged-int", "fractional-category", "bool-category", "bool-n-samples",
+             "fractional-n-iterations", "string-final-nll", "numeric-string-weight", "bool-weight",
+             "numeric-string-bias", "bool-schema-version", "float-schema-version", "fractional-bin-count",
+             "bool-bin-count", "numeric-string-global-precision", "numeric-string-table-cell"],
     )
-    def test_apply_exits_two(self, tmp_path, caplog, valid_inputs, edit):
+    def test_apply_exits_two(self, tmp_path, caplog, valid_inputs, model, edit):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(edit(json.loads(valid_inputs["model"].read_text()))))
+        bad.write_text(json.dumps(edit(json.loads(valid_inputs[model].read_text()))))
         assert run(["apply", "--model", bad, "--in", valid_inputs["matched"],
                     "--out", tmp_path / "c.jsonl"]) == 2
         assert "bad.json" in caplog.text
+
+    @pytest.mark.parametrize("model", ["model", "hb_model"])
+    def test_whole_numbers_stored_as_floats_load(self, tmp_path, valid_inputs, model):
+        """Counts and ids follow the loaders' rule: an integral float is a whole number."""
+        doc = json.loads(valid_inputs[model].read_text())
+        doc = self._meta({**doc, "category_id": 1.0}, n_samples=float(doc["fit_metadata"]["n_samples"]))
+        if model == "hb_model":
+            doc = self._params(doc, bin_counts=[float(c) for c in doc["params"]["bin_counts"]])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        loaded = calibrators.load_model(path)
+        assert loaded.category_id == 1 and type(loaded.fit_metadata.n_samples) is int
+        if model == "hb_model":
+            assert [type(c) for c in loaded.params.bin_counts] == [int]
 
     def test_undecodable_model_exits_two(self, tmp_path, caplog, valid_inputs):
         bad = tmp_path / "bad.json"

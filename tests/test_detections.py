@@ -559,11 +559,17 @@ class TestNativeRecordFields:
             ("object", {**GOOD_OBJECT, "crowd_flag": "no"}),
             ("object", {**GOOD_OBJECT, "crowd_flag": 0.5}),
             ("object", {**GOOD_OBJECT, "crowd_flag": None}),
+            # Each of these loaded as image 0 before: False == 0 and 0.0 == 0 as dict keys.
+            ("detection", {**GOOD_DETECTION, "image_id": False}),
+            ("detection", {**GOOD_DETECTION, "image_id": 0.0}),
+            ("object", {**GOOD_OBJECT, "image_id": False}),
+            ("object", {**GOOD_OBJECT, "image_id": 0.0}),
         ],
         ids=["string-score", "list-image-id", "string-category-id", "fractional-category",
              "numeric-string-category", "fractional-object-category", "bool-object-category",
              "object-category-past-int64", "numeric-string-score", "bool-score", "numeric-string-cx",
-             "bool-width", "string-crowd-false", "string-crowd-no", "fractional-crowd", "null-crowd"],
+             "bool-width", "string-crowd-false", "string-crowd-no", "fractional-crowd", "null-crowd",
+             "bool-image-id", "float-image-id", "bool-object-image-id", "float-object-image-id"],
     )
     @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
     def test_malformed_field(self, tmp_path, kind, record, on_invalid):
@@ -582,6 +588,29 @@ class TestNativeRecordFields:
         else:
             loaded, ground_truth, _ = load_dataset(det_path, ann_path, on_invalid=on_invalid)
             assert len(loaded) == 1 and len(ground_truth) == 1
+
+    @pytest.mark.parametrize("image_id", [True, 1.0, 1.5, None, (1,)], ids=["bool", "float", "fractional",
+                                                                          "null", "tuple"])
+    def test_image_id_is_a_str_or_an_int(self, image_id):
+        box = BoxGeometry(0.5, 0.5, 0.1, 0.1)
+        for make in (lambda: Detection(image_id, 1, 0.5, box), lambda: GroundTruthObject(image_id, 1, box),
+                     lambda: ImageRecord(image_id, 10, 10)):
+            with pytest.raises(ValidationError):
+                make()
+
+    def test_float_image_id_does_not_alias_an_int(self, tmp_path, caplog):
+        """A native detection on image 1.0 matched image 1 before."""
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_text(json.dumps({**GOOD_DETECTION, "image_id": 1.0}) + "\n")
+        write_annotations([GroundTruthObject(1, 1, BoxGeometry(0.5, 0.5, 0.1, 0.1))], [ImageRecord(1, 10, 10)],
+                          ann_path)
+        with pytest.raises(ValidationError, match=r"d\.jsonl:1: image_id must be a string or an integer, got 1\.0"):
+            load_dataset(det_path, ann_path)
+        assert cli.main(["match", "--detections", str(det_path), "--annotations", str(ann_path),
+                         "--iou", "0.5", "--out", str(tmp_path / "m.jsonl")]) == 2
+        assert f"{det_path}:1" in caplog.text
+        loaded, ground_truth, _ = load_dataset(det_path, ann_path, on_invalid="skip")
+        assert len(loaded) == 0 and len(ground_truth) == 1
 
     def test_unhashable_image_id_without_image_table(self, tmp_path):
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
@@ -918,6 +947,10 @@ class TestCocoArrayPath:
             ("results", {"bbox": "1234"}, False),
             ("results", {"score": True}, False),
             ("annotations", {"iscrowd": 0.5}, False),
+            ("results", {"image_id": True}, False),
+            ("results", {"image_id": 1.0}, False),
+            ("annotations", {"image_id": True}, False),
+            ("annotations", {"image_id": 1.0}, False),
         ],
         ids=["neg-zero-result", "neg-zero-annotation", "tolerance-left", "tolerance-right",
              "past-tolerance", "int-bbox", "bool-category", "str-category", "float-category",
@@ -925,7 +958,8 @@ class TestCocoArrayPath:
              "unknown-str-image-id", "unknown-image-id", "score-int-0", "score-int-1", "score-1.0",
              "category-int64-max", "category-int64-min", "category-past-int64",
              "annotation-category-past-int64", "str-bbox-entry", "str-bbox", "bool-score",
-             "fractional-crowd"],
+             "fractional-crowd", "bool-image-id", "float-image-id", "bool-annotation-image-id",
+             "float-annotation-image-id"],
     )
     def test_edge_case(self, tmp_path, side, change, valid):
         annotation, result = dict(EDGE_ANNOTATION), dict(EDGE_RESULT)
@@ -942,6 +976,22 @@ class TestCocoArrayPath:
             assert _load(det_path, ann_path, on_invalid) == reference
             if on_invalid == "fail":
                 assert isinstance(reference[0], list) == valid
+
+    def test_bool_and_float_image_ids_do_not_alias_an_int(self, tmp_path, caplog):
+        """Results on images ``true`` and ``1.0`` loaded as image 1 before, and ``true`` claimed its annotation."""
+        results = [{**EDGE_RESULT, "image_id": True}, {**EDGE_RESULT, "image_id": 1.0}]
+        det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [EDGE_ANNOTATION], BASE_CATEGORIES, results)
+        with pytest.raises(ValidationError, match=r"det\.json: result #0: image_id must be a string or an integer"):
+            load_dataset(det_path, ann_path)
+        assert cli.main(["match", "--detections", str(det_path), "--annotations", str(ann_path),
+                         "--iou", "0.5", "--out", str(tmp_path / "m.jsonl")]) == 2
+        assert f"{det_path}: result #0" in caplog.text
+        caplog.clear()
+        loaded, ground_truth, _ = load_dataset(det_path, ann_path, on_invalid="skip")
+        assert len(loaded) == 0 and len(ground_truth) == 1
+        assert [r.getMessage() for r in caplog.records][:2] == [
+            f"skipping {det_path}: result #{i}: image_id must be a string or an integer, got {v!r}"
+            for i, v in enumerate((True, 1.0))]
 
     def test_overhang_at_tolerance_is_clamped(self, tmp_path):
         result = {**EDGE_RESULT, "bbox": [-TOLERANCE_PX, 0, 10, 10]}

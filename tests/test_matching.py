@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 
 from detcal import matching
 from detcal.cli import main as cli_main
-from detcal.detections import BoxGeometry, Detection, GroundTruthObject, box_from_absolute, load_dataset
+from detcal.detections import (
+    BoxGeometry,
+    Detection,
+    GroundTruthObject,
+    box_from_absolute,
+    detection_to_json,
+    load_dataset,
+)
 from detcal.errors import DataError, ParseError, UsageError, ValidationError
 from detcal.matching import (
     MatchedSample,
@@ -215,6 +224,16 @@ class TestMatchDetections:
             assert [(s.detection, s.matched) for s in base] == [
                 (s.detection, s.matched) for s in other
             ]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_pair_blocks_leave_the_result_unchanged(self, monkeypatch, block):
+        """IoUs computed a block of candidate pairs at a time give the greedy reference's matches."""
+        rng = np.random.default_rng(19)
+        instances = [self._random_instance(rng) for _ in range(30)]
+        monkeypatch.setattr(matching, "_PAIR_BLOCK", block)
+        for detections, truth in instances:
+            samples = match_detections(detections, truth, 0.3)
+            assert [(s.matched, s.iou, s.gt_index) for s in samples] == greedy_match(detections, truth, 0.3, iou)
 
 
 class TestMatchedSample:
@@ -589,7 +608,7 @@ class TestWriter:
 
     def test_json_ids_and_null_index(self, tmp_path):
         box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
-        samples = [MatchedSample(det(0.5, (0.5, 0.5, 0.2, 0.2), image_id=i), 0) for i in ("a\u00e9\"", 7, True)]
+        samples = [MatchedSample(det(0.5, (0.5, 0.5, 0.2, 0.2), image_id=i), 0) for i in ("a\u00e9\"", 7, 2**70)]
         path = tmp_path / "out.jsonl"
         write_matched_samples(samples, path)
         expected = "".join(
@@ -599,6 +618,111 @@ class TestWriter:
             for s in samples
         )
         assert path.read_text() == expected
+
+
+# ---------------------------------------------------------------------------
+# Streamed files: one chunk of lines is held at a time
+
+# What one chunk of lines may add to a table's own size while it is read or
+# written: its text and parsed objects (about 1 kB a line) and the checks' arrays.
+CHUNK_ALLOWANCE = 2_000_000
+
+
+def _table_bytes(cols: SampleColumns) -> int:
+    """The size of a table's arrays, its image-id tuple and the ids in it."""
+    arrays = sum(getattr(cols, name).nbytes for name in ("values", "matched", "category_id", "iou", "gt_index"))
+    return arrays + sys.getsizeof(cols.image_id) + sum(map(sys.getsizeof, cols.image_id))
+
+
+def _blank_run_file(path, kind: str, newline: str, bad: str) -> int:
+    """Five records, 2,100 blank lines, 600 records and a ``bad`` line; returns the bad line's number.
+
+    The blank run covers the whole second chunk of lines, lines 1,025 to
+    2,048, and the records after it start inside the third.
+    """
+    samples = random_matched_samples(np.random.default_rng(41), 605)
+    if kind == "native":
+        lines = [json.dumps(detection_to_json(s.detection)) for s in samples]
+    else:
+        write_matched_samples(samples, path)
+        lines = path.read_text().splitlines()
+    lines[5:5] = [""] * 499 + ["  ", "\t"] + [""] * 1599
+    lines.append(bad)
+    path.write_bytes(newline.join([*lines, ""]).encode())
+    return len(lines)
+
+
+class TestStreamedFiles:
+    def test_read_and_write_hold_one_chunk(self, tmp_path):
+        """On 20,000 lines the peak is the table plus one chunk's allowance, not the file's text."""
+        path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+        write_matched_samples(generate(make_scenario("fig3_boundary_decay", 20_000, seed=5)), path)
+        tracemalloc.start()
+        try:
+            cols = read_matched_samples(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+            write_peaks = []
+            for scores in (None, np.sqrt(cols.values[:, 0])):
+                tracemalloc.reset_peak()
+                write_matched_samples(cols, out, scores=scores)
+                write_peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        table = _table_bytes(cols)
+        # The file holds about 220 bytes a line, its table about 108.
+        assert path.stat().st_size > 2 * table
+        assert read_peak < table + CHUNK_ALLOWANCE
+        # The scores array of the second write is held throughout.
+        assert write_peaks[0] < table + CHUNK_ALLOWANCE
+        assert write_peaks[1] < table + scores.nbytes + CHUNK_ALLOWANCE
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("kind", ["matched", "native"])
+    @pytest.mark.parametrize("bad, error, message", [
+        ('{"image_id": 0, "category_id": 1, "score": 1.5, "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, '
+         '"matched": 0}', ValidationError, "score must lie in \\[0, 1\\]"),
+        ("{not json", ParseError, "malformed JSON"),
+    ], ids=["invalid", "malformed"])
+    def test_blank_run_across_a_chunk_boundary(self, tmp_path, kind, newline, bad, error, message):
+        path, ann_path = tmp_path / "m.jsonl", tmp_path / "a.jsonl"
+        lineno = _blank_run_file(path, kind, newline, bad)
+        assert lineno == 2706
+        if kind == "matched":
+            with pytest.raises(error, match=rf"m\.jsonl:{lineno}: {message}"):
+                read_matched_samples(path)
+        else:
+            ann_path.write_text("")
+            with pytest.raises(error, match=rf"m\.jsonl:{lineno}: {message}"):
+                load_dataset(path, ann_path, fmt="native")
+
+    @pytest.mark.parametrize("kind", ["matched", "native"])
+    def test_records_after_a_blank_run_keep_their_order(self, tmp_path, kind):
+        path, ann_path = tmp_path / "m.jsonl", tmp_path / "a.jsonl"
+        _blank_run_file(path, kind, "\r\n", "")
+        expected = random_matched_samples(np.random.default_rng(41), 605)
+        if kind == "matched":
+            assert_same_columns(read_matched_samples(path), columns(expected))
+        else:
+            ann_path.write_text("")
+            assert load_dataset(path, ann_path, fmt="native")[0] == [s.detection for s in expected]
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("with_scores", [False, True], ids=["own-scores", "scores"])
+    def test_writer_bytes_at_chunk_edges(self, tmp_path, n, with_scores):
+        samples = random_matched_samples(np.random.default_rng(n), n)
+        scores = np.random.default_rng(n + 1).random(n) if with_scores else None
+        path = tmp_path / "out.jsonl"
+        write_matched_samples(columns(samples), path, scores=scores)
+        lines = []
+        for i, s in enumerate(samples):
+            d = s.detection
+            rec = {"image_id": d.image_id, "category_id": d.category_id, "score": d.score,
+                   "box": {"cx": d.box.cx, "cy": d.box.cy, "w": d.box.w, "h": d.box.h},
+                   "matched": s.matched, "iou": s.iou, "gt_index": s.gt_index}
+            if with_scores:
+                rec = {**rec, "score": float(scores[i]), "raw_score": d.score}
+            lines.append(json.dumps(rec) + "\n")
+        assert path.read_bytes() == "".join(lines).encode()
 
 
 _GRID_BOXES = [BoxGeometry(cx, cy, w, h) for cx in (0.4, 0.5) for cy in (0.5, 0.6) for w in (0.2, 0.4) for h in (0.2,)]
