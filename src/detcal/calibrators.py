@@ -28,22 +28,22 @@ start and the JSON form are generic walks over that record and
 
 All parametric fits minimize the mean binary negative log-likelihood plus a
 tiny L2 ridge through one call of :func:`detcal.optimizer.minimize` and are
-deterministic for a fixed configuration. The dependent logistic ratio is a
-full quadratic form in the features, so its fit is convex logistic
-regression on the design ``[1, u_i, u_i u_j]`` of the standardized features
-``u``, with unit-RMS columns; it passes its exact Hessian, so the minimizer
-takes Newton steps, the ridge acts on those design coefficients, and the
-solution is mapped back to the stored normal parameters. The independent
-logistic and beta ratios are linear in their coefficients too, over
-``[x, 1]`` and ``[log x, -log(1 - x), 1]``; both pass a Hessian and take
-Newton steps from the identity map over their unconstrained vector (the
-beta one drops the negative curvature that its two ``exp`` slots can add
-away from the optimum). The dependent beta family passes none and takes
-BFGS steps from the identity map. Every objective shares one NLL/residual
-kernel, which computes ``exp(-|z|)`` once for both the loss and
-``sigmoid(z) - m``. The dependent beta objective is non-convex, but each
+deterministic for a fixed configuration. Three ratios are linear in their
+coefficients, so those fits are one logistic regression over a design,
+:func:`_linear_problem`, which passes its Hessian so the minimizer takes
+Newton steps. Independent logistic uses ``[x, 1]`` and independent beta
+``[log x, -log(1 - x), 1]``, both from the identity map; beta keeps ``a[0]``
+and ``b[0]`` as exp slots, whose negative curvature away from the optimum
+the Hessian drops. Dependent logistic is a full quadratic form in the
+features: it uses ``[1, u_i, u_i u_j]`` over the standardized features
+``u``, with unit-RMS columns, starts from zero, puts the ridge on those
+design coefficients, and maps the solution back to the stored normal
+parameters. The dependent beta family passes no Hessian and takes BFGS
+steps from the identity map. Its objective is non-convex, but each
 evaluation is a single pass: the odds transform is computed once per fit,
-and the ratio and its gradient share every per-class term.
+and the ratio and its gradient share every per-class term. Every objective
+shares one NLL/residual kernel, which computes ``exp(-|z|)`` once for both
+the loss and ``sigmoid(z) - m``.
 
 Model files are validated on load; a malformed one raises a
 :class:`DataError` naming the file.
@@ -70,7 +70,7 @@ from .errors import (
 from .detections import _category_id, _real, _whole_number, read_json
 from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
 from .matching import MatchedSample
-from .metrics import bin_indices
+from .metrics import bin_indices, check_grid, dense_counts
 from .optimizer import OptimizerConfig, minimize
 
 METHODS = ("hist_binning", "logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
@@ -96,8 +96,9 @@ class _ParamBlock:
     """Validation shared by the parametric blocks, driven by the family table.
 
     Every field but ``c`` becomes a read-only float array and ``c`` a float;
-    the field shapes must match the family's at K >= 1, and the entries kept
-    positive by the exp reparameterization must be > 0.
+    the field shapes must match the family's at K >= 1, every entry must be
+    finite, and the entries kept positive by the exp reparameterization must
+    be > 0.
     """
 
     def __post_init__(self):
@@ -114,6 +115,8 @@ class _ParamBlock:
                 f"which fit no dimension K >= 1"
             )
         flat = np.concatenate([np.ravel(getattr(self, name)) for name in names])
+        if not np.isfinite(flat).all():
+            raise ValidationError(f"{type(self).__name__} parameters must be finite")
         if not np.all(flat[fam.exp_slots(k)] > 0.0):
             raise ValidationError(f"{type(self).__name__} constrained entries must be > 0")
 
@@ -214,7 +217,7 @@ class HistBinningParams:
 
     @property
     def total_bins(self) -> int:
-        return int(np.prod(self.bin_counts))
+        return math.prod(self.bin_counts)
 
 
 @dataclass(frozen=True)
@@ -413,24 +416,25 @@ def fit_hist_binning(
         counts = tuple(int(c) for c in bin_counts)
         if len(counts) != k:
             raise UsageError(f"{len(counts)} bin counts given for K={k} dimensions")
+    check_grid(counts, UsageError)
 
     cols = columns(samples)
     idx = bin_indices(raw_values(cols, fs.members), counts)
     m = labels(cols).astype(np.float64)
 
     tables = []
-    for j in range(1, k + 1):
+    # The joint table first, so a grid too large to allocate fails before any other.
+    for j in range(k, 0, -1):
         shape = counts[:j]
         flat = np.ravel_multi_index(tuple(idx[:, :j].T), shape) if j > 1 else idx[:, 0]
-        size = int(np.prod(shape))
-        occ = np.bincount(flat, minlength=size).astype(np.float64)
-        m_sum = np.bincount(flat, weights=m, minlength=size)
+        occ, m_sum = dense_counts(flat, shape, UsageError, m)
+        occ = occ.astype(np.float64)
         with np.errstate(invalid="ignore"):
             table = np.where(occ > 0, m_sum / np.where(occ > 0, occ, 1.0), np.nan)
         tables.append(table.reshape(shape))
 
     params = HistBinningParams(
-        bin_counts=counts, tables=tuple(tables), global_precision=float(m.mean())
+        bin_counts=counts, tables=tuple(reversed(tables)), global_precision=float(m.mean())
     )
     return CalibrationModel(
         method="hist_binning",
@@ -494,14 +498,8 @@ def unpack_params(method: str, theta: np.ndarray, k: int):
             f"{method} at K={k} ({theta_size(method, k)} expected)"
         )
     slots = fam.exp_slots(k)
-    if isinstance(slots, slice):
+    with np.errstate(over="ignore"):  # an infinite entry fails the block's own check
         theta[slots] = POSITIVITY_FLOOR + np.exp(theta[slots])
-    else:
-        # Single slots keep math.exp: numpy's vectorized exp rounds some
-        # inputs differently in the last place, which would move fitted
-        # independent-beta models by an ulp.
-        for i in slots:
-            theta[i] = POSITIVITY_FLOOR + math.exp(theta[i])
     values, offset = {}, 0
     for f, shape in zip(fields(fam.params), fam.shapes(k)):
         size = math.prod(shape)
@@ -550,94 +548,66 @@ def _last_point(evaluate: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray],
     return cached
 
 
-def _gauss_newton(
-    a: np.ndarray, r: np.ndarray, m: np.ndarray, ridge: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``a^T diag(q (1 - q)) a / n + 2 ridge I`` with ``q = r + m``, ``r`` the NLL kernel's residual.
+def _gauss_newton(a: np.ndarray, r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a^T diag(q (1 - q)) a / n`` with ``q = r + m``, ``r`` the NLL kernel's residual.
 
-    The Hessian of the ridged mean NLL of a ratio that is linear in its
-    coefficients over the design ``a``. ``out``, when given, is an array
-    shaped like ``a`` that receives the weighted design.
+    The Gauss-Newton part of the Hessian of the mean NLL of a ratio that is
+    linear in its coefficients over the design ``a``.
     """
-    n, p = a.shape
     q = r + m
-    h = np.multiply(a, (q * (1.0 - q))[:, None], out=out).T @ a / n
-    h.flat[:: p + 1] += 2.0 * ridge
-    return h
+    return np.multiply(a, (q * (1.0 - q))[:, None]).T @ a / a.shape[0]
+
+
+def _linear_problem(a: np.ndarray, m: np.ndarray, ridge: float, slots: Sequence[int] = ()):
+    """Ridged objective and Hessian of a ratio linear in its coefficients over the design ``a``.
+
+    The ratio is ``a @ phi``, where ``phi`` equals ``theta`` except that the
+    entries in ``slots`` hold ``POSITIVITY_FLOOR + exp(theta)``. With ``D``
+    the diagonal of ``exp(theta)`` on the slots and 1 elsewhere, the gradient
+    is ``D a^T r / n`` and the Hessian ``D a^T diag(q (1 - q)) a D / n + 2
+    ridge I``, with ``q = sigmoid(a @ phi)`` and ``r = q - m``, plus the
+    chain-rule term of each slot on its diagonal: the NLL's own gradient
+    there, clipped at 0 so the Hessian stays positive definite away from the
+    optimum. At the optimum that term equals ``-2 ridge theta``, so the clip
+    moves the Hessian by at most that much. One evaluation per point serves
+    the objective and the Hessian.
+    """
+    n = a.shape[0]
+    slots = list(slots)  # a list: an empty one indexes no entry, where ``theta[()]`` is all of them
+
+    def evaluate(theta):
+        e = np.exp(theta[slots])
+        phi = theta.copy()
+        phi[slots] = POSITIVITY_FLOOR + e
+        nll, r = _nll_and_residual(a @ phi, m)
+        g = a.T @ r / n
+        g[slots] *= e
+        return nll, g, r, e
+
+    point = _last_point(evaluate)
+
+    def hessian(theta):
+        _, g, r, e = point(theta)
+        h = _gauss_newton(a, r, m)
+        h[slots] *= e[:, None]
+        h[:, slots] *= e
+        h[slots, slots] += np.maximum(g[slots], 0.0)
+        h.flat[:: h.shape[0] + 1] += 2.0 * ridge
+        return h
+
+    return _ridged(ridge, lambda theta: point(theta)[:2]), hessian
 
 
 def _logistic_indep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
-    """Objective of the independent logistic map and its exact Hessian, over the design ``[x, 1]``."""
-    n, k = x.shape
-    residual = _last_point(lambda theta: _nll_and_residual(x @ theta[:k] + theta[k], m))
-    a = np.column_stack([x, np.ones(n)])
-
-    def nll_and_grad(theta):
-        nll, r = residual(theta)
-        return nll, np.append(x.T @ r, r.sum()) / n
-
-    return _ridged(ridge, nll_and_grad), lambda theta: _gauss_newton(a, residual(theta)[1], m, ridge)
-
-
-def _beta_indep_ratio(log_x: np.ndarray, log1m_x: np.ndarray, theta: np.ndarray):
-    """Independent beta ratio and the factors ``exp(theta)`` of ``a[0]``, ``b[0]``.
-
-    ``a[0]``, ``b[0]`` are built as :func:`unpack_params` builds them, with
-    scalar ``math.exp``.
-    """
-    k = log_x.shape[1]
-    e_a, e_b = math.exp(theta[0]), math.exp(theta[k])
-    a, b = theta[:k].copy(), theta[k : 2 * k].copy()
-    a[0], b[0] = POSITIVITY_FLOOR + e_a, POSITIVITY_FLOOR + e_b
-    return log_x @ a - log1m_x @ b + theta[2 * k], e_a, e_b
+    """The independent logistic map: :func:`_linear_problem` over ``[x, 1]``."""
+    return _linear_problem(np.column_stack([x, np.ones(len(x))]), m, ridge)
 
 
 def _beta_indep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
-    """Objective of the independent beta map and its Hessian over the unconstrained vector.
-
-    The ratio is linear in ``(a, b, c)`` over ``j = [log x, -log(1 - x), 1]``;
-    ``a[0]`` and ``b[0]`` enter as ``exp(theta)``, which scales columns 0 and
-    K of ``j`` by that factor and adds the NLL's own gradient in ``theta``
-    to those two diagonal entries. That chain-rule term is clipped at 0, so
-    the Hessian stays positive definite away from the optimum. At the
-    optimum the term equals ``-2 ridge theta`` there, so the clip moves the
-    Hessian by at most that much.
-    """
-    n, k = x.shape
-    log_x, log1m_x = np.log(x), np.log1p(-x)
-
-    def evaluate(theta):
-        z, e_a, e_b = _beta_indep_ratio(log_x, log1m_x, theta)
-        return (*_nll_and_residual(z, m), e_a, e_b)
-
-    residual = _last_point(evaluate)
-
-    def nll_and_grad(theta):
-        nll, r, e_a, e_b = residual(theta)
-        g = np.concatenate([log_x.T @ r, -(log1m_x.T @ r), [r.sum()]]) / n
-        # Chain through the exponential reparameterization of a[0], b[0].
-        g[0] *= e_a
-        g[k] *= e_b
-        return nll, g
-
-    # j and its weighted copy live in two buffers across steps; a step
-    # rescales only columns 0 and K of j, after using them unscaled.
-    j = np.column_stack([log_x, -log1m_x, np.ones(n)])
-    weighted = np.empty_like(j)
-
-    def hessian(theta):
-        _, r, e_a, e_b = residual(theta)
-        j[:, 0] = log_x[:, 0]
-        np.negative(log1m_x[:, 0], out=j[:, k])
-        chain_a, chain_b = float(j[:, 0] @ r), float(j[:, k] @ r)
-        j[:, 0] *= e_a
-        j[:, k] *= e_b
-        h = _gauss_newton(j, r, m, ridge, out=weighted)
-        h[0, 0] += max(e_a * chain_a / n, 0.0)
-        h[k, k] += max(e_b * chain_b / n, 0.0)
-        return h
-
-    return _ridged(ridge, nll_and_grad), hessian
+    """The independent beta map: :func:`_linear_problem` over ``[log x, -log(1 - x), 1]``,
+    with ``a[0]`` and ``b[0]`` as exp slots."""
+    a = np.column_stack([np.log(x), -np.log1p(-x), np.ones(len(x))])
+    return _linear_problem(a, m, ridge, slots=[0, x.shape[1]])
 
 
 def _logistic_dep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
@@ -820,24 +790,14 @@ def _fit_from_identity(method: str, x: np.ndarray, m: np.ndarray, ridge: float, 
 def _fit_quadratic_newton(method: str, x: np.ndarray, m: np.ndarray, ridge: float, cfg: OptimizerConfig):
     """Newton on the quadratic design of the standardized features, mapped back to the normal ratio.
 
-    The objective ``mean(softplus(a b) - m a b) + ridge |b|^2`` is convex, so
-    its exact Hessian ``a^T diag(q (1 - q)) a / n + 2 ridge I`` gives descent
-    directions from the zero start.
+    The :func:`_linear_problem` of the design has no exp slots, so it is
+    convex and its exact Hessian gives descent directions from the zero start.
     """
     u, center, spread = _standardize(x)
     a, scale = _quadratic_design(u)
-    n, p = a.shape
-
-    residual = _last_point(lambda b: _nll_and_residual(a @ b, m))
-
-    def nll_and_grad(b):
-        nll, r = residual(b)
-        return nll, a.T @ r / n
-
-    def hessian(b):
-        return _gauss_newton(a, residual(b)[1], m, ridge)
-
-    coef, report = minimize(_ridged(ridge, nll_and_grad), np.zeros(p), cfg, hessian=hessian)
+    del u  # the solve needs only the design
+    objective, hessian = _linear_problem(a, m, ridge)
+    coef, report = minimize(objective, np.zeros(a.shape[1]), cfg, hessian=hessian)
     theta = coef / scale
     return theta, report, _logistic_dep_from_coef(theta, center, spread)
 
@@ -911,13 +871,15 @@ def fit_parametric(
 ) -> CalibrationModel:
     """Fit one of the four parametric calibration maps by minimizing the mean NLL.
 
-    Requires both match labels in the training data. Deterministic for a
-    fixed configuration; raises :class:`ConvergenceError` when the optimizer
+    Requires both match labels in the training data and a finite ``ridge``
+    >= 0. Deterministic for a fixed configuration; raises :class:`ConvergenceError` when the optimizer
     budget runs out before the gradient tolerance is met, and
     :class:`NumericalFailureError` when the iterates stop being finite or a
     Newton system is singular.
     """
     fam = _family(method)
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise UsageError(f"ridge must be finite and >= 0, got {ridge}")
     fs = _normalize_feature_set(method, fs)
     cols = columns(samples)
     x = build_feature_matrix(cols, fs, eps)
@@ -1039,10 +1001,7 @@ def _params_from_json(method: str, data: dict):
             global_precision=_real(data["global_precision"], "global_precision"),
         )
     cls = _FAMILIES[method].params
-    params = cls(**{f.name: _reals(data[f.name], f.name) for f in fields(cls)})
-    if not all(np.all(np.isfinite(getattr(params, f.name))) for f in fields(cls)):
-        raise ValidationError("model parameters must be finite")
-    return params
+    return cls(**{f.name: _reals(data[f.name], f.name) for f in fields(cls)})
 
 
 def model_to_json(model: CalibrationModel) -> dict:

@@ -10,18 +10,38 @@ error with precision standing in for accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionalityError, EmptyMetricError, UsageError, ValidationError
+from .errors import DataError, DetcalError, DimensionalityError, EmptyMetricError, UsageError, ValidationError
 from .features import MEMBER_NAMES, FeatureSet, SampleColumns, columns, labels, raw_values
 from .matching import MatchedSample
 
 DEFAULT_MIN_SAMPLES = 8
 # Evaluation-side bins per dimension, keyed by dimensionality K.
 DEFAULT_EVAL_BINS = {1: 20, 3: 8, 5: 5}
+
+
+def check_grid(counts: tuple[int, ...], error: type[DetcalError]) -> None:
+    """Raise ``error`` when the dense grid over ``counts`` has more cells than an int64 indexes."""
+    cells = math.prod(counts)
+    if cells > np.iinfo(np.int64).max:
+        raise error(f"a grid of {counts} bins has {cells} cells, more than an int64 index can address")
+
+
+def dense_counts(flat: np.ndarray, counts: tuple[int, ...], error: type[DetcalError], *weights):
+    """Per-cell sample count, then the per-cell sum of each of ``weights``, over the dense grid ``counts``.
+
+    A grid numpy refuses to allocate raises ``error`` naming the bin counts.
+    """
+    size = math.prod(counts)
+    try:
+        return [np.bincount(flat, minlength=size)] + [np.bincount(flat, weights=w, minlength=size) for w in weights]
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an address holds
+        raise error(f"cannot allocate a dense grid of {counts} bins: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -49,12 +69,13 @@ class BinningSpec:
             )
         if any(c < 1 for c in counts):
             raise ValidationError(f"bin counts must be >= 1, got {counts}")
+        check_grid(counts, ValidationError)
         if self.min_samples < 0:
             raise ValidationError(f"min_samples must be >= 0, got {self.min_samples}")
 
     @property
     def total_bins(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
 
 def default_eval_spec(dims: Sequence[str], min_samples: int = DEFAULT_MIN_SAMPLES) -> BinningSpec:
@@ -140,11 +161,7 @@ def _binned_sums(samples: Sequence[MatchedSample] | SampleColumns, spec: Binning
     cols = columns(samples)
     idx = bin_indices(raw_values(cols, spec.dims), spec.counts)
     flat = np.ravel_multi_index(tuple(idx.T), spec.counts) if len(spec.dims) > 1 else idx[:, 0]
-    total = spec.total_bins
-    counts = np.bincount(flat, minlength=total)
-    conf_sums = np.bincount(flat, weights=cols.values[:, 0], minlength=total)
-    m_sums = np.bincount(flat, weights=labels(cols), minlength=total)
-    return counts, conf_sums, m_sums
+    return dense_counts(flat, spec.counts, ValidationError, cols.values[:, 0], labels(cols))
 
 
 def binned_stats(samples: Sequence[MatchedSample] | SampleColumns, spec: BinningSpec) -> BinnedStats:
@@ -241,8 +258,8 @@ def heatmap(
     retained samples.
     """
     axes = tuple(axes)
-    if len(axes) != 2:
-        raise UsageError(f"heatmap needs exactly two axes, got {axes!r}")
+    if len(axes) != 2 or axes[0] == axes[1]:
+        raise UsageError(f"heatmap needs two different axes, got {axes!r}")
     for ax in axes:
         if ax not in spec.dims:
             raise UsageError(f"heatmap axis {ax!r} not among binning dimensions {spec.dims}")

@@ -46,8 +46,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise UsageError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0:
-            raise UsageError("gradient_tolerance must be > 0")
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
+            raise UsageError(f"gradient_tolerance must be finite and > 0, got {self.gradient_tolerance}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from detcal.calibrators import (
 )
 from detcal.calibrators import (
     _llr_beta_dep,
+    _llr_beta_indep,
     _llr_logistic_dep,
+    _llr_logistic_indep,
     _logistic_dep_params,
     _nll_and_residual,
     _softplus,
@@ -406,6 +409,28 @@ class TestFusedObjectives:
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert check_gradient(objective, theta) < 1e-6
 
+    @pytest.mark.parametrize("method, llr", [("logistic_indep", _llr_logistic_indep),
+                                             ("beta_indep", _llr_beta_indep)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_linear_problem_matches_llr_reference(self, method, llr, k):
+        rng = np.random.default_rng(60 + k)
+        n, ridge, h = 800, 1e-3, 1e-5
+        x = rng.uniform(1e-3, 1.0 - 1e-3, (n, k)) if method == "beta_indep" else rng.normal(0.0, 2.0, (n, k))
+        m = (rng.uniform(size=n) < 0.4).astype(np.float64)
+        objective = nll_objective(method, x, m, ridge)
+
+        def reference(theta):
+            z = llr(unpack_params(method, theta, k), x)
+            return float(np.mean(_softplus(z) - m * z)) + ridge * float(theta @ theta)
+
+        for _ in range(20):
+            theta = identity_theta(method, k) + rng.normal(0.0, 0.5, theta_size(method, k))
+            value, grad = objective(theta)
+            assert value == pytest.approx(reference(theta), rel=1e-12, abs=0.0)
+            step = h * np.eye(theta.size)
+            fd = np.array([(reference(theta + e) - reference(theta - e)) / (2.0 * h) for e in step])
+            assert np.max(np.abs(fd - grad)) <= 1e-8 * max(1.0, np.max(np.abs(grad)))
+
     def test_nll_and_residual_at_extreme_logits(self):
         z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
         for label in (0.0, 1.0):
@@ -432,7 +457,7 @@ def _fig3_design(method, n, seed, members):
 
 
 class TestIndependentNewtonFits:
-    """lc and bc pass an exact Hessian (bc's clipped where not convex) and take Newton steps."""
+    """lc, bc and lc-dep's design problem pass an exact Hessian (bc's clipped where not convex)."""
 
     @staticmethod
     def _fd_hessian(objective, theta, h=1e-5):
@@ -444,20 +469,27 @@ class TestIndependentNewtonFits:
             cols.append((objective(theta + e)[1] - objective(theta - e)[1]) / (2.0 * h))
         return np.column_stack(cols)
 
-    @pytest.mark.parametrize("method", ["logistic_indep", "beta_indep"])
+    @pytest.mark.parametrize("method", ["logistic_indep", "beta_indep", "logistic_dep"])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_hessian_matches_differenced_gradient(self, method, k):
         rng = np.random.default_rng(70 + k)
         members = {1: FIG3_MEMBERS["conf"], 3: FIG3_MEMBERS["conf+xy"], 5: FIG3_MEMBERS["full"]}[k]
         x, m = _fig3_design(method, 1500, 9, members)
         ridge = 1e-3
-        objective = nll_objective(method, x, m, ridge)
-        hessian = calibrators._FAMILIES[method].problem(x, m, ridge)[1]
+        if method == "logistic_dep":
+            # The convex problem lc-dep solves, over its quadratic design.
+            a = calibrators._quadratic_design(calibrators._standardize(x)[0])[0]
+            objective, hessian = calibrators._linear_problem(a, m, ridge)
+            start = np.zeros(a.shape[1])
+        else:
+            objective = nll_objective(method, x, m, ridge)
+            hessian = calibrators._FAMILIES[method].problem(x, m, ridge)[1]
+            start = identity_theta(method, k)
         nll_grad = nll_objective(method, x, m, ridge=0.0)
         clipped = 0
-        # Near the identity start, and far from any optimum.
+        # Near the start, and far from any optimum.
         for spread in (0.3, 0.3, 2.0, 2.0, 4.0):
-            theta = identity_theta(method, k) + rng.normal(0.0, spread, theta_size(method, k))
+            theta = start + rng.normal(0.0, spread, start.size)
             h = hessian(theta)
             np.testing.assert_allclose(h, h.T, rtol=1e-12, atol=1e-15)
             assert np.linalg.eigvalsh(h).min() > 0.0
@@ -496,6 +528,16 @@ class TestHistBinning:
         model = fit_hist_binning(four_sample_dataset(), ("confidence",), 2)
         with pytest.raises(UsageError, match="finite"):
             calibrators.calibrate_matrix(model, np.array([[0.5], [bad]]))
+
+    @pytest.mark.parametrize("members, bins", [
+        (("confidence",), 2**63),
+        (FIG3_MEMBERS["full"], 10000),
+        (FIG3_MEMBERS["full"], 1000),  # fits in int64, but no host allocates 7 PiB
+    ], ids=["overflow-k1", "overflow-k5", "unallocatable"])
+    def test_oversized_grid_rejected(self, members, bins):
+        samples = random_matched_samples(np.random.default_rng(18), 50)
+        with pytest.raises(UsageError, match="grid"):
+            fit_hist_binning(samples, members, bins)
 
     def test_all_matched_stores_ones(self):
         samples = [make_sample(p, True) for p in (0.1, 0.5, 0.9)]
@@ -565,6 +607,16 @@ class TestFitParametric:
     def test_unknown_method_rejected(self):
         with pytest.raises(UsageError):
             fit_parametric("isotonic", four_sample_dataset(), ("confidence",))
+
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf, -math.inf])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        samples = random_matched_samples(np.random.default_rng(10), 200, extreme_scores=False)
+        with pytest.raises(UsageError, match="ridge"):
+            fit_parametric("logistic_indep", samples, ("confidence",), ridge=ridge)
+
+    def test_zero_ridge_fits(self):
+        samples = random_matched_samples(np.random.default_rng(10), 500, extreme_scores=False)
+        assert fit_parametric("logistic_indep", samples, ("confidence",), ridge=0.0).fit_metadata.converged
 
     def test_fit_metadata_populated(self):
         rng = np.random.default_rng(10)
@@ -701,6 +753,28 @@ class TestModelValidation:
                 beta_neg=np.ones(2),
                 c=0.0,
             )
+
+    @pytest.mark.parametrize("build", [
+        lambda: LogisticIndepParams(w=[math.nan], c=0.0),
+        lambda: LogisticIndepParams(w=[1.0], c=math.inf),
+        lambda: BetaIndepParams(a=[1.0, -math.inf], b=[1.0, 1.0], c=0.0),
+        lambda: BetaDepParams(alpha_pos=[math.inf, 1.0], beta_pos=[1.0, 1.0],
+                              alpha_neg=[1.0, 1.0], beta_neg=[1.0, 1.0], c=0.0),
+        lambda: LogisticDepParams(mu_pos=[0.0], mu_neg=[0.0], vinv_pos=[[math.nan]],
+                                  vinv_neg=[[1.0]], c=0.0),
+    ], ids=["lc-weight", "lc-bias", "bc-tail", "bc-dep-exp-slot", "lc-dep-vinv"])
+    def test_non_finite_entries_rejected(self, build):
+        with pytest.raises(ValidationError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize("method", ["beta_indep", "beta_dep"])
+    def test_overflowing_exp_slot_rejected_without_warning(self, method):
+        theta = identity_theta(method, 1)
+        theta[0] = 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                unpack_params(method, theta, 1)
 
     def test_hist_table_shape_enforced(self):
         with pytest.raises(ValidationError):

@@ -296,6 +296,47 @@ class TestFitApplyEval:
         assert json.loads(model.read_text())["category_id"] is None
 
 
+class TestUnworkableSettings:
+    """Settings no fit or binning can use exit like other bad arguments, with no traceback."""
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--ridge", "-1", "ridge"), ("--ridge", "nan", "ridge"), ("--ridge", "inf", "ridge"),
+        ("--tol", "nan", "gradient_tolerance"), ("--tol", "inf", "gradient_tolerance"),
+    ])
+    def test_fit_solver_settings_exit_one(self, tmp_path, caplog, flag, value, named):
+        matched = synth_file(tmp_path, n=500)
+        model = tmp_path / "model.json"
+        args = ["fit", "--in", matched, "--method", "lc", "--features", "conf", "--out", model, flag, value]
+        assert run(args) == 1
+        assert named in caplog.text
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command, features, bins", [
+        ("eval", "full", "1000"),  # 10^15 cells: no host allocates their 7 PiB of counts
+        ("eval", "full", "10000"),  # more cells than an int64 indexes
+        ("eval", "conf", "9223372036854775808"),  # a count no int64 holds
+        ("heatmap", "full", "1000"),
+        ("fit", "full", "1000"),
+        ("fit", "full", "10000"),
+        ("fit", "conf", "9223372036854775808"),
+    ])
+    def test_oversized_grid_exits_like_zero_bins(self, tmp_path, caplog, command, features, bins):
+        matched = synth_file(tmp_path, n=500)
+        args = {"eval": ["eval"], "heatmap": ["heatmap", "--axes", "cx,cy"],
+                "fit": ["fit", "--method", "hb", "--out", tmp_path / "m.json"]}[command]
+        args = args + ["--in", matched, "--features", features, "--bins"]
+        zero_bins = run(args + ["0"])
+        assert zero_bins in (1, 2)
+        caplog.clear()
+        assert run(args + [bins]) == zero_bins
+        assert "grid" in caplog.text
+
+    def test_heatmap_equal_axes_exit_one(self, tmp_path, capsys):
+        matched = synth_file(tmp_path, n=500)
+        assert run(["heatmap", "--in", matched, "--features", "full", "--axes", "cx,cx"]) == 1
+        assert capsys.readouterr().out == ""
+
+
 class TestApplyOverflow:
     """A loaded model whose ratio overflows saturates its scores; a NaN score exits 2."""
 

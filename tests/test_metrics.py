@@ -107,6 +107,20 @@ class TestBinningSpec:
         with pytest.raises(ValidationError):
             BinningSpec(dims=("confidence", "confidence"), counts=(2, 2))
 
+    def test_grid_beyond_int64_rejected(self):
+        BinningSpec(dims=("confidence",), counts=(2**63 - 1,))
+        with pytest.raises(ValidationError, match="int64"):
+            BinningSpec(dims=("confidence",), counts=(2**63,))
+        with pytest.raises(ValidationError, match="int64"):
+            BinningSpec(dims=FULL.members, counts=(10000,) * 5)
+
+    def test_unallocatable_grid_rejected(self):
+        samples = random_matched_samples(np.random.default_rng(3), 50)
+        # 10^15 cells fit in int64, but no host allocates their 7 PiB of counts.
+        spec = BinningSpec(dims=FULL.members, counts=(1000,) * 5)
+        with pytest.raises(ValidationError, match=r"\(1000, 1000, 1000, 1000, 1000\)"):
+            compute_d_ece(samples, FULL, spec)
+
     def test_default_eval_spec(self):
         assert default_eval_spec(("confidence",)).counts == (20,)
         assert default_eval_spec(("confidence", "cx", "cy")).counts == (8, 8, 8)
@@ -298,6 +312,8 @@ class TestHeatmap:
             heatmap(samples, FULL, self._spec(), ("cx",))
         with pytest.raises(UsageError):
             heatmap(samples, FULL, self._spec(), ("cx", "w"))
+        with pytest.raises(UsageError):
+            heatmap(samples, FULL, self._spec(), ("cx", "cx"))
 
     def test_rows_enumerate_occupied_cells(self):
         samples = random_matched_samples(np.random.default_rng(10), 500)

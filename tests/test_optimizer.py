@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -140,6 +142,11 @@ class TestMinimize:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(UsageError):
             OptimizerConfig(gradient_tolerance=0.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(UsageError, match="gradient_tolerance"):
+            OptimizerConfig(gradient_tolerance=tol)
 
 
 class TestNewtonDirection:
