@@ -226,7 +226,7 @@ def _cmd_protocol(args) -> int:
         repetitions=args.reps,
         seed=args.seed,
         min_samples=args.min_samples,
-        iou_thresholds=tuple(float(t) for t in args.ious.split(",")) if args.ious else (),
+        iou_thresholds=tuple(args.ious.split(",")) if args.ious else (),
         eps=args.eps,
     )
     if args.input:

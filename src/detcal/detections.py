@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .errors import ParseError, ReferentialIntegrityError, UsageError, ValidationError
+from .errors import DataError, ParseError, ReferentialIntegrityError, UsageError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -395,6 +395,29 @@ def _jsonl_chunks(path: Path):
             yield lineno, objs
 
 
+# Bytes per read while counting lines.
+_COUNT_BYTES = 1 << 16
+
+
+def _count_lines(path: Path) -> int:
+    """The number of lines :func:`_jsonl_chunks` reads from the file, blank ones included.
+
+    Lines end as in the text reader's universal newlines mode: at ``\\n``,
+    ``\\r\\n`` or a bare ``\\r``; a final line may lack its end. Neither
+    byte occurs inside a UTF-8 sequence, so the bytes are counted directly.
+    """
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_COUNT_BYTES):
+            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            if b"\r" in block:
+                lines += block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):
+                lines -= 1  # one "\r\n", split between two blocks
+            last = block[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
+
+
 def read_json(path: Path) -> Any:
     """Parse a file holding one JSON document.
 
@@ -610,19 +633,29 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
     """The columns of the accepted records of a JSON Lines file (lists as tuples), in file order.
 
     ``columns(objs)`` gives ``[ok, *columns]`` of each chunk, whose rejected records ``policy`` decides.
+    Each array column is allocated once at the file's line count (:func:`_count_lines`), which no
+    record count exceeds, filled chunk by chunk, and trimmed only when rows were skipped or lines
+    were blank; list columns are joined from their chunks.
     """
-    parts = []
+    size, rows = _count_lines(path), 0
+    joined = [np.empty(c.shape[:-1] + (size,), c.dtype) if isinstance(c, np.ndarray) else []
+              for c in columns([])[1:]]
     for numbers, objs in _jsonl_chunks(path):
         ok, *cols = columns(objs)
-        parts.append(policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols))
+        cols = policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols)
+        kept = rows + int(np.count_nonzero(ok))
+        if kept > size:
+            raise DataError(f"{path}: file changed while it was read")
+        for out, c in zip(joined, cols):
+            if isinstance(out, list):
+                out.append(c)
+            else:
+                out[..., rows:kept] = c
+        rows = kept
         del objs, cols  # before the next chunk is parsed
-    # One column at a time is joined and its chunks dropped, so only that
-    # column is held twice.
-    joined = list(zip(*parts or [columns([])[1:]]))
-    del parts
-    for k, c in enumerate(joined):
-        joined[k] = np.concatenate(c, axis=-1) if isinstance(c[0], np.ndarray) else tuple(chain.from_iterable(c))
-    return joined
+    if rows < size:  # rows were skipped or lines blank
+        joined = [c if isinstance(c, list) else c[..., :rows].copy() for c in joined]
+    return [tuple(chain.from_iterable(c)) if isinstance(c, list) else c for c in joined]
 
 
 def _detection_columns(objs: list, images: dict[ImageId, ImageRecord] | None = None) -> list:

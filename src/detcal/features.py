@@ -89,7 +89,7 @@ def build_feature_matrix(
     """Clipped (and possibly logit-encoded) feature matrix of shape (n, K)."""
     eps = _check_eps(eps)
     values = raw_values(samples, fs.members)
-    values = np.clip(values, eps, 1.0 - eps)
+    np.clip(values, eps, 1.0 - eps, out=values)  # raw_values returns a copy of the columns
     if fs.confidence_encoding == "logit":
         p = values[:, 0]
         values[:, 0] = np.log(p) - np.log1p(-p)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import calibrators
 from .errors import DataError, EmptyMetricError, NumericalError, UsageError
-from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, SampleColumns, columns, labels
+from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, SampleColumns, _check_eps, columns, labels
 from .matching import MatchedSample, match_detections
 from .metrics import DEFAULT_MIN_SAMPLES, compute_d_ece, default_eval_spec, require_dimensionality_match
 from .optimizer import OptimizerConfig
@@ -95,9 +95,16 @@ class ProtocolConfig:
                 require_dimensionality_match(
                     NAMED_FEATURE_SETS[fit_fs], NAMED_FEATURE_SETS[eval_fs]
                 )
-        object.__setattr__(
-            self, "iou_thresholds", tuple(float(t) for t in self.iou_thresholds)
-        )
+        try:
+            object.__setattr__(self, "iou_thresholds", tuple(map(float, self.iou_thresholds)))
+        except (TypeError, ValueError):
+            raise UsageError(f"IoU thresholds must be numbers, got {self.iou_thresholds!r}") from None
+        for t in self.iou_thresholds:
+            if not 0.0 < t <= 1.0:
+                raise UsageError(f"IoU thresholds must lie in (0, 1], got {t}")
+        if self.min_samples < 0:
+            raise UsageError(f"min_samples must be >= 0, got {self.min_samples}")
+        object.__setattr__(self, "eps", _check_eps(self.eps))
 
     def resolved_eval_sets(self) -> tuple[str, ...]:
         return self.eval_feature_sets or self.feature_sets

@@ -235,6 +235,12 @@ def greedy_match(detections, ground_truth, threshold, iou, exclude_crowd=True):
     return out
 
 
+def reference_gauss_newton(a: np.ndarray, r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a^T diag(q (1 - q)) a / n`` with ``q = r + m``, as one product over a weighted copy of all of ``a``."""
+    q = r + m
+    return np.multiply(a, (q * (1.0 - q))[:, None]).T @ a / a.shape[0]
+
+
 # The line-search loop of ``detcal.optimizer.minimize`` as it stood before its
 # per-iteration costs were cut, kept verbatim (helpers renamed): ``minimize``
 # must reproduce its iterates, reports, exceptions and callbacks bit for bit.

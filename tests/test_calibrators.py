@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,6 +57,7 @@ from oracles import (
     log_multivariate_beta,
     make_sample,
     random_matched_samples,
+    reference_gauss_newton,
 )
 from strategies import JSON_VALUES
 
@@ -478,7 +480,7 @@ class TestIndependentNewtonFits:
         ridge = 1e-3
         if method == "logistic_dep":
             # The convex problem lc-dep solves, over its quadratic design.
-            a = calibrators._quadratic_design(calibrators._standardize(x)[0])[0]
+            a = calibrators._standardized_design(x)[0]
             objective, hessian = calibrators._linear_problem(a, m, ridge)
             start = np.zeros(a.shape[1])
         else:
@@ -520,6 +522,72 @@ class TestIndependentNewtonFits:
         assert bfgs_report.converged and bfgs_report.iterations > report.iterations
         unpenalized = nll_objective(method, x, m, ridge=0.0)
         assert abs(unpenalized(theta)[0] - unpenalized(bfgs)[0]) <= 1e-6
+
+
+class TestBlockedGaussNewton:
+    """The Gauss-Newton product summed over row blocks equals one product over the whole design."""
+
+    @pytest.mark.parametrize("p", [2, 11, 21])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below-block", "one-block", "one-past"])
+    def test_matches_one_product(self, p, offset):
+        n = calibrators._GN_BLOCK + offset
+        rng = np.random.default_rng(100 * p + offset + 1)
+        a = rng.normal(size=(n, p))
+        m = (rng.random(n) < 0.4).astype(np.float64)
+        q = rng.random(n)
+        # Saturated scores: rows whose weight q (1 - q) is exactly zero.
+        q[rng.random(n) < 0.1] = 0.0
+        q[rng.random(n) < 0.1] = 1.0
+        r = q - m
+        h = calibrators._gauss_newton(a, r, m)
+        reference = reference_gauss_newton(a, r, m)
+        assert np.max(np.abs(h - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_zero_weights(self):
+        n = calibrators._GN_BLOCK + 1
+        a = np.random.default_rng(3).normal(size=(n, 11))
+        m = np.arange(n) % 2.0
+        assert not calibrators._gauss_newton(a, 1.0 - 2.0 * m, m).any()
+
+    # Newton steps of each fit on fig3 (n = 6,000, seed 1) at K = 1, 3 and 5, as taken with the
+    # one-product Hessian.
+    STEPS = {"logistic_indep": {"conf": 3, "conf+xy": 3, "full": 3},
+             "beta_indep": {"conf": 15, "conf+xy": 13, "full": 12},
+             "logistic_dep": {"conf": 3, "conf+xy": 3, "full": 3}}
+
+    @pytest.mark.parametrize("method", list(STEPS))
+    @pytest.mark.parametrize("fs", ["conf", "conf+xy", "full"])
+    def test_fits_keep_their_steps(self, monkeypatch, method, fs):
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 6000, seed=1))
+        model = fit(method, samples, FIG3_MEMBERS[fs])
+        assert model.fit_metadata.n_iterations == self.STEPS[method][fs]
+        monkeypatch.setattr(calibrators, "_gauss_newton", reference_gauss_newton)
+        reference = fit(method, samples, FIG3_MEMBERS[fs])
+        assert reference.fit_metadata.n_iterations == model.fit_metadata.n_iterations
+        for field in model_to_json(model)["params"]:
+            got, want = np.ravel(getattr(model.params, field)), np.ravel(getattr(reference.params, field))
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestFitMemory:
+    """A Newton fit holds its feature matrix, one design and one row block of temporaries."""
+
+    @pytest.mark.parametrize("method, width", [("logistic_dep", 21), ("beta_indep", 11)])
+    def test_full_fit_peak(self, method, width):
+        n = 20_000
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", n, seed=1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fit(method, samples, FIG3_MEMBERS["full"])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        features, design = 8 * n * 5, 8 * n * width
+        block = 8 * calibrators._GN_BLOCK * width
+        # The labels, the last point's residual and the NLL kernel's temporaries.
+        vectors = 8 * 8 * n
+        assert peak < features + design + block + vectors
 
 
 class TestHistBinning:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -330,6 +331,19 @@ class TestUnworkableSettings:
         caplog.clear()
         assert run(args + [bins]) == zero_bins
         assert "grid" in caplog.text
+
+    @pytest.mark.parametrize("flags", [
+        ["--ious", "nan"], ["--ious", "0.5,1.5"], ["--ious", "0"], ["--ious", "abc"],
+        ["--min-samples", "-3"], ["--eps", "0.7"],
+    ], ids=["iou-nan", "iou-above-one", "iou-zero", "iou-text", "min-samples", "eps"])
+    def test_protocol_settings_exit_one_before_any_work(self, tmp_path, capsys, flags):
+        matched = synth_file(tmp_path, n=500)
+        args = ["protocol", "--in", matched, "--methods", "lc", "--features", "conf", "--reps", "1"]
+        args = flags + args if flags[0] == "--eps" else args + flags  # --eps is a global flag
+        with mock.patch("detcal.cli.read_matched_samples") as read:
+            assert run(args) == 1
+        read.assert_not_called()
+        assert capsys.readouterr().out == ""
 
     def test_heatmap_equal_axes_exit_one(self, tmp_path, capsys):
         matched = synth_file(tmp_path, n=500)

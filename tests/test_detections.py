@@ -40,6 +40,7 @@ from detcal.errors import (
 )
 from detcal.matching import MatchedSample, columns, read_matched_samples, write_matched_samples
 from oracles import (
+    assert_same_columns,
     constructor_calls,
     random_matched_samples,
     record_bits,
@@ -638,6 +639,44 @@ class TestUndecodableBytes:
         assert sniff_format(ann_path) == "coco"
         with pytest.raises(ParseError, match=r"ann\.json:3"):
             load_dataset(det_path, ann_path)
+
+
+class TestLineCount:
+    """The line count that sizes a read's columns splits lines as the text reader does."""
+
+    CONTENTS = [
+        b"", b"\n", b"\r", b"\r\n", b"a", b"a\rb", b"a\r\r\nb\n", b"\r\r\r", b"\n\n\r\n\r", b"\xff\r\xc3\n",
+        # Line ends around the block edge: a "\r\n" split between two blocks ends one line.
+        *(b"x" * (detections._COUNT_BYTES + offset) + end + tail for offset in (-2, -1, 0) for tail in (b"", b"y")
+          for end in (b"\r\n", b"\r\r\n", b"\r\r", b"\n\r", b"\r\n\n")),
+    ]
+
+    @pytest.mark.parametrize("content", CONTENTS)
+    def test_counts_universal_newlines(self, tmp_path, content):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(content)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            assert detections._count_lines(path) == sum(1 for _ in fh)
+
+    def test_more_records_than_counted_lines(self, tmp_path):
+        """A file that grows between the count and the read is a DataError, not a numpy error."""
+        path = tmp_path / "m.jsonl"
+        write_matched_samples(columns(random_matched_samples(np.random.default_rng(6), 3)), path)
+        with mock.patch.object(detections, "_count_lines", return_value=2):
+            with pytest.raises(DataError, match=r"m\.jsonl: file changed while it was read"):
+                read_matched_samples(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_read_across_count_blocks(self, tmp_path, newline):
+        """A matched file of several count blocks, with blank lines, reads as its records."""
+        samples = random_matched_samples(np.random.default_rng(5), 700)
+        path = tmp_path / "m.jsonl"
+        write_matched_samples(columns(samples), path)
+        lines = path.read_text().splitlines()
+        lines[100:100] = ["", "  "]
+        path.write_bytes(newline.join(lines).encode())
+        assert path.stat().st_size > 2 * detections._COUNT_BYTES
+        assert_same_columns(read_matched_samples(path), columns(samples))
 
 
 class TestImageRecord:

@@ -66,6 +66,20 @@ class TestProtocolConfig:
         with pytest.raises(UsageError):
             ProtocolConfig(methods=("lc",), feature_sets=("conf",), repetitions=0)
 
+    @pytest.mark.parametrize("setting", [
+        {"iou_thresholds": (float("nan"),)}, {"iou_thresholds": (0.5, float("inf"))},
+        {"iou_thresholds": (0.0,)}, {"iou_thresholds": (1.5,)}, {"iou_thresholds": ("abc",)},
+        {"min_samples": -3}, {"eps": 0.7}, {"eps": 0.0}, {"eps": float("nan")},
+    ])
+    def test_bad_setting_refused(self, setting):
+        with pytest.raises(UsageError):
+            ProtocolConfig(methods=("lc",), feature_sets=("conf",), **setting)
+
+    def test_edge_settings_accepted(self):
+        cfg = ProtocolConfig(methods=("lc",), feature_sets=("conf",), iou_thresholds=(1, "0.5"),
+                             min_samples=0, eps=0.25)
+        assert cfg.iou_thresholds == (1.0, 0.5)
+
     def test_lower_dimensional_evaluation_refused(self):
         with pytest.raises(DimensionalityError):
             ProtocolConfig(

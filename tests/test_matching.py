@@ -676,6 +676,24 @@ class TestStreamedFiles:
         assert write_peaks[0] < table + CHUNK_ALLOWANCE
         assert write_peaks[1] < table + scores.nbytes + CHUNK_ALLOWANCE
 
+    def test_read_peak_does_not_grow_with_rows(self, tmp_path):
+        """A read's peak above its finished table is the same at 5,000 rows as at 40,000: no column is joined."""
+        line = json.dumps({"image_id": 0, "category_id": 1, "score": 0.5,
+                           "box": {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}, "matched": 0}) + "\n"
+        above = []
+        for n in (5_000, 40_000):
+            path = tmp_path / f"m{n}.jsonl"
+            path.write_text(line * n)
+            tracemalloc.start()
+            try:
+                cols = read_matched_samples(path)
+                table, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(cols) == n
+            above.append(peak - table)
+        assert abs(above[1] - above[0]) < 0.3 * 2**20
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("kind", ["matched", "native"])
     @pytest.mark.parametrize("bad, error, message", [
