@@ -638,24 +638,24 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
     were blank; list columns are joined from their chunks.
     """
     size, rows = _count_lines(path), 0
-    joined = [np.empty(c.shape[:-1] + (size,), c.dtype) if isinstance(c, np.ndarray) else []
-              for c in columns([])[1:]]
+    table = [np.empty(c.shape[:-1] + (size,), c.dtype) if isinstance(c, np.ndarray) else []
+             for c in columns([])[1:]]
     for numbers, objs in _jsonl_chunks(path):
         ok, *cols = columns(objs)
         cols = policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols)
         kept = rows + int(np.count_nonzero(ok))
         if kept > size:
             raise DataError(f"{path}: file changed while it was read")
-        for out, c in zip(joined, cols):
-            if isinstance(out, list):
-                out.append(c)
+        for column, c in zip(table, cols):
+            if isinstance(column, list):
+                column.append(c)
             else:
-                out[..., rows:kept] = c
+                column[..., rows:kept] = c
         rows = kept
         del objs, cols  # before the next chunk is parsed
     if rows < size:  # rows were skipped or lines blank
-        joined = [c if isinstance(c, list) else c[..., :rows].copy() for c in joined]
-    return [tuple(chain.from_iterable(c)) if isinstance(c, list) else c for c in joined]
+        table = [c if isinstance(c, list) else c[..., :rows].copy() for c in table]
+    return [tuple(chain.from_iterable(c)) if isinstance(c, list) else c for c in table]
 
 
 def _detection_columns(objs: list, images: dict[ImageId, ImageRecord] | None = None) -> list:
