@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .errors import DataError, ParseError, ReferentialIntegrityError, UsageError, ValidationError
+from .errors import ParseError, ReferentialIntegrityError, UsageError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -629,15 +629,27 @@ def _field(objs: list, key: str, ok: np.ndarray, kinds: set = _NUMBER, convert: 
     return _checked(values, set(map(type, values)) <= kinds, convert, ok, dtype, fill)
 
 
+def _resize_columns(table: list, rows: int, size: int) -> None:
+    """Give the array columns of ``table`` ``size`` rows along their last axis, keeping their first ``rows``.
+
+    One column is copied at a time, so only that column is held twice.
+    """
+    for i, column in enumerate(table):
+        if isinstance(column, np.ndarray):
+            table[i] = np.empty(column.shape[:-1] + (size,), column.dtype)
+            table[i][..., :rows] = column[..., :rows]
+
+
 def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, columns: Callable) -> list:
     """The columns of the accepted records of a JSON Lines file (lists as tuples), in file order.
 
     ``columns(objs)`` gives ``[ok, *columns]`` of each chunk, whose rejected records ``policy`` decides.
-    Each array column is allocated once at the file's line count (:func:`_count_lines`), which no
-    record count exceeds, filled chunk by chunk, and trimmed only when rows were skipped or lines
-    were blank; list columns are joined from their chunks.
+    Each array column is allocated once at a regular file's line count (:func:`_count_lines`), which
+    no record count exceeds, filled chunk by chunk, and trimmed only when rows were skipped or lines
+    were blank. A pipe, which cannot be read twice, and a file that grew while it was read fill
+    columns that double as they run out. List columns are joined from their chunks.
     """
-    size, rows = _count_lines(path), 0
+    size, rows = _count_lines(path) if path.is_file() else 0, 0
     table = [np.empty(c.shape[:-1] + (size,), c.dtype) if isinstance(c, np.ndarray) else []
              for c in columns([])[1:]]
     for numbers, objs in _jsonl_chunks(path):
@@ -645,7 +657,8 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
         cols = policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols)
         kept = rows + int(np.count_nonzero(ok))
         if kept > size:
-            raise DataError(f"{path}: file changed while it was read")
+            size = max(kept, 2 * size)
+            _resize_columns(table, rows, size)
         for column, c in zip(table, cols):
             if isinstance(column, list):
                 column.append(c)
@@ -653,8 +666,8 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
                 column[..., rows:kept] = c
         rows = kept
         del objs, cols  # before the next chunk is parsed
-    if rows < size:  # rows were skipped or lines blank
-        table = [c if isinstance(c, list) else c[..., :rows].copy() for c in table]
+    if rows < size:  # skipped rows, blank lines or a pipe's spare capacity
+        _resize_columns(table, rows, rows)
     return [tuple(chain.from_iterable(c)) if isinstance(c, list) else c for c in table]
 
 

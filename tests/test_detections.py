@@ -1,6 +1,8 @@
 import functools
 import json
 import logging
+import os
+import threading
 from dataclasses import fields
 from unittest import mock
 
@@ -659,12 +661,28 @@ class TestLineCount:
             assert detections._count_lines(path) == sum(1 for _ in fh)
 
     def test_more_records_than_counted_lines(self, tmp_path):
-        """A file that grows between the count and the read is a DataError, not a numpy error."""
+        """Records past the count, as in a file that grew while it was read, are all read."""
+        samples = random_matched_samples(np.random.default_rng(6), 3000)
         path = tmp_path / "m.jsonl"
-        write_matched_samples(columns(random_matched_samples(np.random.default_rng(6), 3)), path)
+        write_matched_samples(columns(samples), path)
         with mock.patch.object(detections, "_count_lines", return_value=2):
-            with pytest.raises(DataError, match=r"m\.jsonl: file changed while it was read"):
-                read_matched_samples(path)
+            assert_same_columns(read_matched_samples(path), columns(samples))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        """A pipe is not counted, which would consume it, but read into growing columns."""
+        samples = random_matched_samples(np.random.default_rng(7), 2500)
+        path, fifo = tmp_path / "m.jsonl", tmp_path / "fifo"
+        write_matched_samples(columns(samples), path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            got = read_matched_samples(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert_same_columns(got, columns(samples))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_read_across_count_blocks(self, tmp_path, newline):
