@@ -280,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver step budget: Newton steps for lc, lc-dep and bc, BFGS steps for bc-dep")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--ridge", type=float, default=calibrators.DEFAULT_RIDGE)
-    p.add_argument("--seed", type=int, default=0,
-                   help="ignored: fits are deterministic and use no random numbers")
     p.add_argument("--pooled", action="store_true", help="one class-agnostic model")
     p.add_argument("--category", type=int, default=None, help="fit this category only")
     p.set_defaults(func=_cmd_fit)

@@ -18,8 +18,9 @@ checks over arrays, a field of unexpected types value by value with the
 constructor's own check. Only the records these checks reject are built, by
 the checked constructors in file order, which raise their ``file:line`` or
 ``file: result #i`` error (or warn under ``on_invalid="skip"``). Numbers are
-ints or floats, never bools or numeric strings. The native annotation file,
-which mixes image, category and object lines, is read line by line.
+ints or floats, never bools or numeric strings. The native annotation file
+mixes image and category lines, read record by record, with object lines,
+read as columns.
 """
 
 from __future__ import annotations
@@ -227,100 +228,89 @@ def _pixels(image_id: ImageId, value: Any) -> int:
     raise ValidationError(f"image {image_id!r} needs a whole number of pixels per side, got {value!r}")
 
 
-def box_from_absolute(
-    bbox: Iterable[float],
-    width_px: int,
-    height_px: int,
-    *,
-    clamp_tol: float = EDGE_CLAMP_TOLERANCE,
-) -> BoxGeometry:
-    """Convert an absolute ``[x, y, w, h]`` top-left pixel box to relative center format.
+def box_from_absolute(bbox: Iterable[float], width_px: int, height_px: int) -> BoxGeometry:
+    """Convert an absolute ``[x, y, w, h]`` top-left pixel box to relative center format: one row of
+    :func:`_boxes_from_absolute`.
 
-    Boxes sticking out of the image by at most ``clamp_tol`` of the image
-    dimension are clamped back inside; larger overhangs raise
-    :class:`ValidationError`, as do nonpositive box sizes.
+    Boxes sticking out of the image by at most :data:`EDGE_CLAMP_TOLERANCE` of the image dimension are
+    clamped back inside; larger overhangs raise :class:`ValidationError`, as do nonpositive box sizes.
     """
     x, y, w, h = (_real(v, "bbox value") for v in bbox)
-    if w <= 0 or h <= 0:
+    size = np.array([[float(width_px), float(height_px)]])
+    _, box, (nonpositive, overhang, collapsed) = _boxes_from_absolute(np.array([[x, y, w, h]]), size)
+    if nonpositive[0]:
         raise ValidationError(f"box has nonpositive width/height: {[x, y, w, h]}")
-    x2, y2 = x + w, y + h
-    overhang_x = max(0.0, -x, x2 - width_px) / width_px
-    overhang_y = max(0.0, -y, y2 - height_px) / height_px
-    if overhang_x > clamp_tol or overhang_y > clamp_tol:
+    if overhang[0] > EDGE_CLAMP_TOLERANCE:
         raise ValidationError(
-            f"box {[x, y, w, h]} extends {max(overhang_x, overhang_y):.4f} beyond the "
-            f"{width_px}x{height_px} image, above the {clamp_tol:.0%} tolerance"
+            f"box {[x, y, w, h]} extends {overhang[0]:.4f} beyond the "
+            f"{width_px}x{height_px} image, above the {EDGE_CLAMP_TOLERANCE:.0%} tolerance"
         )
-    x, y = max(x, 0.0), max(y, 0.0)
-    x2, y2 = min(x2, float(width_px)), min(y2, float(height_px))
-    if x2 <= x or y2 <= y:
-        raise ValidationError(f"box {[x, y, w, h]} collapses after clamping")
-    return BoxGeometry(
-        cx=(x + x2) / (2.0 * width_px),
-        cy=(y + y2) / (2.0 * height_px),
-        w=(x2 - x) / width_px,
-        h=(y2 - y) / height_px,
-    )
+    if collapsed[0]:
+        raise ValidationError(f"box {[max(x, 0.0), max(y, 0.0), w, h]} collapses after clamping")
+    return BoxGeometry(*(float(c[0]) for c in box))
 
 
-def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
+def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple:
     """:func:`box_from_absolute` over the rows of ``xywh`` (n, 4), in images of ``size`` (n, 2).
 
-    Returns ``(ok, cx, cy, w, h)`` with the same float arithmetic; ``ok``
-    marks the rows it accepts and whose box :class:`BoxGeometry` accepts.
+    Returns ``(ok, (cx, cy, w, h), (nonpositive, overhang, collapsed))`` with the same float arithmetic:
+    ``ok`` marks the rows it accepts and whose box :class:`BoxGeometry` accepts, and the sub-checks the
+    rows of nonpositive size, each row's larger overhang as a fraction of its image side, and the rows
+    that clamping collapses.
     """
     x, y, w, h = xywh.T
     width, height = size.T
     with np.errstate(over="ignore", invalid="ignore"):
         x2, y2 = x + w, y + h
         zero = np.zeros(len(xywh))
-        ok = np.isfinite(xywh).all(axis=1) & (w > 0.0) & (h > 0.0)
-        ok &= np.maximum.reduce([zero, -x, x2 - width]) / width <= EDGE_CLAMP_TOLERANCE
-        ok &= np.maximum.reduce([zero, -y, y2 - height]) / height <= EDGE_CLAMP_TOLERANCE
+        nonpositive = (w <= 0.0) | (h <= 0.0)
+        # fmax passes over NaN, as max(0.0, ...) does.
+        overhang = np.maximum(np.fmax.reduce([zero, -x, x2 - width]) / width,
+                              np.fmax.reduce([zero, -y, y2 - height]) / height)
         x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
         x2, y2 = np.minimum(x2, width), np.minimum(y2, height)
-        ok &= (x2 > x) & (y2 > y)
+        collapsed = (x2 <= x) | (y2 <= y)
         cx, cy = (x + x2) / (2.0 * width), (y + y2) / (2.0 * height)
         w, h = (x2 - x) / width, (y2 - y) / height
-    return ok & valid_boxes(cx, cy, w, h), cx, cy, w, h
+    ok = np.isfinite(xywh).all(axis=1) & ~nonpositive & (overhang <= EDGE_CLAMP_TOLERANCE) & ~collapsed
+    return ok & valid_boxes(cx, cy, w, h), (cx, cy, w, h), (nonpositive, overhang, collapsed)
 
 
-def _box_from_relative(obj: dict[str, Any], *, clamp_tol: float = EDGE_CLAMP_TOLERANCE) -> BoxGeometry:
-    """Build a box from a native-format ``{cx, cy, w, h}`` mapping, clamping small overhangs."""
+def _box_from_relative(obj: dict[str, Any]) -> BoxGeometry:
+    """The box of a native-format ``{cx, cy, w, h}`` mapping, small overhangs clamped: one row of
+    :func:`_boxes_from_relative`."""
     try:
         cx, cy, w, h = (_real(obj[k], k) for k in ("cx", "cy", "w", "h"))
     except KeyError as exc:
         raise ValidationError(f"box record missing field {exc}") from exc
-    if w <= 0 or h <= 0:
+    _, box, (nonpositive, overhang) = _boxes_from_relative(*np.array([[cx], [cy], [w], [h]]))
+    if nonpositive[0]:
         raise ValidationError(f"box has nonpositive width/height: {obj}")
-    x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
-    overhang = max(0.0, -x1, x2 - 1.0, -y1, y2 - 1.0)
-    if overhang > clamp_tol:
+    if overhang[0] > EDGE_CLAMP_TOLERANCE:
         raise ValidationError(
-            f"box {obj} extends {overhang:.4f} beyond the image, above the "
-            f"{clamp_tol:.0%} tolerance"
+            f"box {obj} extends {overhang[0]:.4f} beyond the image, above the "
+            f"{EDGE_CLAMP_TOLERANCE:.0%} tolerance"
         )
-    if overhang > 0.0:
-        x1, y1 = max(x1, 0.0), max(y1, 0.0)
-        x2, y2 = min(x2, 1.0), min(y2, 1.0)
-        cx, cy, w, h = (x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1
-    return BoxGeometry(cx=cx, cy=cy, w=w, h=h)
+    return BoxGeometry(*(float(c[0]) for c in box))
 
 
 def _boxes_from_relative(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.ndarray) -> tuple:
-    """:func:`_box_from_relative` over float columns; returns as :func:`_boxes_from_absolute` does."""
+    """:func:`_box_from_relative` over float columns; returns ``(ok, (cx, cy, w, h), (nonpositive,
+    overhang))`` as :func:`_boxes_from_absolute` does. A box that clamping collapses fails :class:`BoxGeometry`."""
     # Rows with an infinity make NaN on the way; the finiteness test rejects them.
+    ok = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(w) & np.isfinite(h)
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)
+        nonpositive = (w <= 0.0) | (h <= 0.0)
         x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
-        overhang = np.maximum.reduce([np.zeros(len(cx)), -x1, x2 - 1.0, -y1, y2 - 1.0])
-        ok &= overhang <= EDGE_CLAMP_TOLERANCE
+        # fmax passes over NaN, as max(0.0, ...) does.
+        overhang = np.fmax.reduce([np.zeros(len(cx)), -x1, x2 - 1.0, -y1, y2 - 1.0])
         x1, y1 = np.where(x1 < 0.0, 0.0, x1), np.where(y1 < 0.0, 0.0, y1)
         x2, y2 = np.where(x2 > 1.0, 1.0, x2), np.where(y2 > 1.0, 1.0, y2)
         clamp = overhang > 0.0
         cx, cy = np.where(clamp, (x1 + x2) / 2.0, cx), np.where(clamp, (y1 + y2) / 2.0, cy)
         w, h = np.where(clamp, x2 - x1, w), np.where(clamp, y2 - y1, h)
-    return ok & valid_boxes(cx, cy, w, h), cx, cy, w, h
+    ok &= ~nonpositive & (overhang <= EDGE_CLAMP_TOLERANCE)
+    return ok & valid_boxes(cx, cy, w, h), (cx, cy, w, h), (nonpositive, overhang)
 
 
 def box_to_json(box: BoxGeometry) -> dict[str, float]:
@@ -557,35 +547,6 @@ def _native_image(rec: Any) -> ImageRecord:
     return ImageRecord(rec["image_id"], rec["width_px"], rec["height_px"])
 
 
-def _load_native_annotations(path: Path, policy: _RecordPolicy):
-    """Images, ground truth and categories of a native annotation file, line by line."""
-    images: dict[ImageId, ImageRecord] = {}
-    ground_truth: list[GroundTruthObject] = []
-    categories: CategoryTable = {}
-    strict = _RecordPolicy("fail")  # an image record is never skipped
-    for numbers, objs in _jsonl_chunks(path):
-        for lineno, obj in zip(numbers, objs):
-            context = f"{path}:{lineno}"
-            if "image" in obj:
-                image = strict.record(context, "image", _native_image, obj["image"])
-                if image.image_id in images:
-                    raise ValidationError(f"{context}: duplicate image record {image.image_id!r}")
-                images[image.image_id] = image
-            elif "category" in obj:
-                try:
-                    cid, name = _category(obj["category"])
-                    categories[cid] = name
-                except KeyError as exc:
-                    raise ValidationError(f"{context}: category record missing field {exc}") from exc
-                except (ValidationError, TypeError, ValueError, OverflowError) as exc:
-                    raise ValidationError(f"{context}: invalid category record: {exc}") from exc
-            else:
-                gt = policy.record(context, "annotation", _native_ground_truth, obj)
-                if gt is not None:
-                    ground_truth.append(gt)
-    return images, ground_truth, categories
-
-
 # A field a record lacks, and a record that is no object: an empty object,
 # unhashable and no number, which every field check rejects.
 _MISSING: dict = {}
@@ -640,19 +601,21 @@ def _resize_columns(table: list, rows: int, size: int) -> None:
             table[i][..., :rows] = column[..., :rows]
 
 
-def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, columns: Callable) -> list:
+def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, columns: Callable,
+                chunks: Iterable | None = None) -> list:
     """The columns of the accepted records of a JSON Lines file (lists as tuples), in file order.
 
     ``columns(objs)`` gives ``[ok, *columns]`` of each chunk, whose rejected records ``policy`` decides.
     Each array column is allocated once at a regular file's line count (:func:`_count_lines`), which
     no record count exceeds, filled chunk by chunk, and trimmed only when rows were skipped or lines
     were blank. A pipe, which cannot be read twice, and a file that grew while it was read fill
-    columns that double as they run out. List columns are joined from their chunks.
+    columns that double as they run out. List columns are joined from their chunks. ``chunks``, when
+    given, stands for the file's :func:`_jsonl_chunks`.
     """
     size, rows = _count_lines(path) if path.is_file() else 0, 0
     table = [np.empty(c.shape[:-1] + (size,), c.dtype) if isinstance(c, np.ndarray) else []
              for c in columns([])[1:]]
-    for numbers, objs in _jsonl_chunks(path):
+    for numbers, objs in _jsonl_chunks(path) if chunks is None else chunks:
         ok, *cols = columns(objs)
         cols = policy.keep(ok, what, make, objs, lambda i: f"{path}:{numbers[i]}", cols)
         kept = rows + int(np.count_nonzero(ok))
@@ -671,19 +634,36 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
     return [tuple(chain.from_iterable(c)) if isinstance(c, list) else c for c in table]
 
 
+def _object_columns(objs: list, ok: np.ndarray) -> list:
+    """``[image_id, category_id, cx, cy, w, h]`` of native detection or object records; a value the
+    constructors reject clears its row in ``ok``."""
+    image_id = _field(objs, "image_id", ok, {str, int}, _image_id, dtype=None, fill=None)
+    category_id = _field(objs, "category_id", ok, {int}, _category_id, np.int64)
+    boxes = _get(objs, "box")
+    box_ok, box, _ = _boxes_from_relative(*(_field(boxes, key, ok) for key in ("cx", "cy", "w", "h")))
+    ok &= box_ok
+    return [image_id, category_id, *box]
+
+
 def _detection_columns(objs: list, images: dict[ImageId, ImageRecord] | None = None) -> list:
     """``[ok, image_id, category_id, cx, cy, w, h, score]`` of native records; ``ok`` marks what
     :func:`_native_detection` accepts."""
     ok = np.ones(len(objs), bool)
-    image_id = _field(objs, "image_id", ok, {str, int}, _image_id, dtype=None, fill=None)
+    image_id, *columns = _object_columns(objs, ok)
     if images:
         ok &= np.fromiter(map(images.__contains__, image_id), bool, len(objs))
-    category_id = _field(objs, "category_id", ok, {int}, _category_id, np.int64)
     score = _field(objs, "score", ok)
-    boxes = _get(objs, "box")
-    box_ok, *box = _boxes_from_relative(*(_field(boxes, key, ok) for key in ("cx", "cy", "w", "h")))
-    ok &= box_ok & (score >= 0.0) & (score <= 1.0)
-    return [ok, image_id, category_id, *box, score]
+    ok &= (score >= 0.0) & (score <= 1.0)
+    return [ok, image_id, *columns, score]
+
+
+def _ground_truth_columns(objs: list) -> list:
+    """``[ok, image_id, category_id, cx, cy, w, h, crowd]`` of native object records; ``ok`` marks
+    what :func:`_native_ground_truth` accepts."""
+    ok = np.ones(len(objs), bool)
+    columns = _object_columns(objs, ok)
+    crowd = _field(objs, "crowd_flag", ok, {bool, int}, _crowd_flag, bool, fill=False, default=False)
+    return [ok, *columns, crowd]
 
 
 def _native_detection(obj: dict[str, Any], images: dict[ImageId, ImageRecord] | None = None) -> Detection:
@@ -691,6 +671,55 @@ def _native_detection(obj: dict[str, Any], images: dict[ImageId, ImageRecord] | 
     if images and obj["image_id"] not in images:
         raise ReferentialIntegrityError(f"unknown image_id {obj['image_id']!r}")
     return Detection(obj["image_id"], obj["category_id"], obj["score"], _box_from_relative(obj["box"]))
+
+
+def _object_lines(path: Path, images: dict[ImageId, ImageRecord], categories: CategoryTable):
+    """The chunks of :func:`_jsonl_chunks` of a native annotation file, each with its object lines only.
+
+    Image and category lines are read record by record into ``images`` and ``categories``, and never
+    skipped. A bad one raises after the object lines before it are yielded, as a malformed line does.
+    """
+    strict = _RecordPolicy("fail")
+    for numbers, objs in _jsonl_chunks(path):
+        others = [i for i, obj in enumerate(objs) if "image" in obj or "category" in obj]
+        end, error = len(objs), None
+        for i in others:
+            context, obj = f"{path}:{numbers[i]}", objs[i]
+            try:
+                if "image" in obj:
+                    image = strict.record(context, "image", _native_image, obj["image"])
+                    if image.image_id in images:
+                        raise ValidationError(f"{context}: duplicate image record {image.image_id!r}")
+                    images[image.image_id] = image
+                else:
+                    try:
+                        cid, name = _category(obj["category"])
+                    except KeyError as exc:
+                        raise ValidationError(f"{context}: category record missing field {exc}") from exc
+                    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+                        raise ValidationError(f"{context}: invalid category record: {exc}") from exc
+                    categories[cid] = name
+            except ValidationError as exc:
+                end, error = i, exc
+                break
+        if others:
+            rows = sorted(set(range(end)).difference(others))
+            numbers, objs = [numbers[i] for i in rows], [objs[i] for i in rows]
+        yield numbers, objs
+        del numbers, objs  # before the next chunk is parsed
+        if error is not None:
+            raise error
+
+
+def _load_native_annotations(path: Path, policy: _RecordPolicy):
+    """Images, ground truth and categories of a native annotation file: object lines as columns
+    (:func:`_ground_truth_columns`), image and category lines record by record (:func:`_object_lines`).
+    The first bad line in file order raises, whatever its kind."""
+    images: dict[ImageId, ImageRecord] = {}
+    categories: CategoryTable = {}
+    columns = _read_jsonl(path, policy, "annotation", _native_ground_truth, _ground_truth_columns,
+                          _object_lines(path, images, categories))
+    return images, GroundTruthTable(*columns), categories
 
 
 @functools.cache
@@ -873,7 +902,7 @@ def _coco_columns(recs: list, images: dict[ImageId, ImageRecord]) -> list:
              and set(map(type, chain.from_iterable(bbox))) <= _NUMBER)
     xywh = _checked(bbox, typed, _bbox, ok, fill=(0.0, 0.0, 1.0, 1.0)).reshape(-1, 4)
     size = np.array([(1.0, 1.0)] + [(float(im.width_px), float(im.height_px)) for im in images.values()])
-    box_ok, *box = _boxes_from_absolute(xywh, size[rows])
+    box_ok, box, _ = _boxes_from_absolute(xywh, size[rows])
     return [ok & box_ok, image_id, category_id, *box]
 
 
@@ -966,7 +995,7 @@ def load_dataset(
         images, ground_truth, categories = _load_native_annotations(annotations_path, policy)
     else:
         images, ground_truth, categories = _load_coco_annotations(annotations_path, policy, ann_doc)
-    del ann_doc  # the records stand for the parsed document from here on
+    del ann_doc  # the tables stand for the parsed document from here on
     if det_fmt == "native":
         make, columns = (functools.partial(f, images=images) for f in (_native_detection, _detection_columns))
         detections = DetectionTable(*_read_jsonl(detections_path, policy, "detection", make, columns))
@@ -976,7 +1005,6 @@ def load_dataset(
                 f"{detections_path}: COCO detections need image dimensions from the annotation file"
             )
         detections = _load_coco_detections(detections_path, images, policy, det_doc)
-    ground_truth = GroundTruthTable.from_records(ground_truth)
 
     if not categories:
         ids = np.union1d(ground_truth.category_id, detections.category_id).tolist()

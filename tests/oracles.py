@@ -20,15 +20,15 @@ from unittest import mock
 import numpy as np
 
 from detcal.detections import (
+    EDGE_CLAMP_TOLERANCE,
     BoxGeometry,
     Detection,
     GroundTruthObject,
     ImageRecord,
-    _box_from_relative,
     _category_id,
     _parse_line,
+    _real,
     _RecordPolicy,
-    box_from_absolute,
     read_json,
 )
 from detcal.errors import NumericalFailureError, ReferentialIntegrityError, ValidationError
@@ -356,6 +356,58 @@ def reference_minimize(
     return x, report
 
 
+# The box converters as they stood before each became one row of its array
+# form: ``box_from_absolute`` and ``_box_from_relative`` must give their boxes
+# and errors, and the array forms their boxes and verdicts.
+
+
+def reference_box_from_absolute(bbox, width_px: int, height_px: int) -> BoxGeometry:
+    """An absolute ``[x, y, w, h]`` top-left pixel box in relative center format, small overhangs clamped."""
+    x, y, w, h = (_real(v, "bbox value") for v in bbox)
+    if w <= 0 or h <= 0:
+        raise ValidationError(f"box has nonpositive width/height: {[x, y, w, h]}")
+    x2, y2 = x + w, y + h
+    overhang_x = max(0.0, -x, x2 - width_px) / width_px
+    overhang_y = max(0.0, -y, y2 - height_px) / height_px
+    if overhang_x > EDGE_CLAMP_TOLERANCE or overhang_y > EDGE_CLAMP_TOLERANCE:
+        raise ValidationError(
+            f"box {[x, y, w, h]} extends {max(overhang_x, overhang_y):.4f} beyond the "
+            f"{width_px}x{height_px} image, above the {EDGE_CLAMP_TOLERANCE:.0%} tolerance"
+        )
+    x, y = max(x, 0.0), max(y, 0.0)
+    x2, y2 = min(x2, float(width_px)), min(y2, float(height_px))
+    if x2 <= x or y2 <= y:
+        raise ValidationError(f"box {[x, y, w, h]} collapses after clamping")
+    return BoxGeometry(
+        cx=(x + x2) / (2.0 * width_px),
+        cy=(y + y2) / (2.0 * height_px),
+        w=(x2 - x) / width_px,
+        h=(y2 - y) / height_px,
+    )
+
+
+def reference_box_from_relative(obj) -> BoxGeometry:
+    """The box of a native-format ``{cx, cy, w, h}`` mapping, small overhangs clamped."""
+    try:
+        cx, cy, w, h = (_real(obj[k], k) for k in ("cx", "cy", "w", "h"))
+    except KeyError as exc:
+        raise ValidationError(f"box record missing field {exc}") from exc
+    if w <= 0 or h <= 0:
+        raise ValidationError(f"box has nonpositive width/height: {obj}")
+    x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
+    overhang = max(0.0, -x1, x2 - 1.0, -y1, y2 - 1.0)
+    if overhang > EDGE_CLAMP_TOLERANCE:
+        raise ValidationError(
+            f"box {obj} extends {overhang:.4f} beyond the image, above the "
+            f"{EDGE_CLAMP_TOLERANCE:.0%} tolerance"
+        )
+    if overhang > 0.0:
+        x1, y1 = max(x1, 0.0), max(y1, 0.0)
+        x2, y2 = min(x2, 1.0), min(y2, 1.0)
+        cx, cy, w, h = (x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1
+    return BoxGeometry(cx=cx, cy=cy, w=w, h=h)
+
+
 # The per-record loaders as they stood before the loaders checked columns,
 # with the type rules of today's constructors: every record is built by the
 # checked constructors, one call per record, and the first error raised
@@ -406,7 +458,7 @@ def reference_read_matched_samples(path: Path) -> list[MatchedSample]:
                 image_id=obj["image_id"],
                 category_id=obj["category_id"],
                 score=obj["score"],
-                box=_box_from_relative(obj["box"]),
+                box=reference_box_from_relative(obj["box"]),
             )
             samples.append(
                 MatchedSample(
@@ -436,7 +488,7 @@ def reference_native_detections(path: Path, images: dict, on_invalid: str = "fai
             image_id=obj["image_id"],
             category_id=obj["category_id"],
             score=obj["score"],
-            box=_box_from_relative(obj["box"]),
+            box=reference_box_from_relative(obj["box"]),
         )
 
     detections = []
@@ -445,6 +497,41 @@ def reference_native_detections(path: Path, images: dict, on_invalid: str = "fai
         if det is not None:
             detections.append(det)
     return detections
+
+
+def reference_native_annotations(path: Path, on_invalid: str = "fail"):
+    """``(images, ground truth, categories)`` of a native annotation file, line by line."""
+    policy, strict = _RecordPolicy(on_invalid), _RecordPolicy("fail")  # an image record is never skipped
+
+    def make_object(obj):
+        return GroundTruthObject(obj["image_id"], obj["category_id"], reference_box_from_relative(obj["box"]),
+                                 obj.get("crowd_flag", False))
+
+    def make_image(rec):
+        return ImageRecord(rec["image_id"], rec["width_px"], rec["height_px"])
+
+    images, ground_truth, categories = {}, [], {}
+    for lineno, obj in _iter_jsonl(path):
+        context = f"{path}:{lineno}"
+        if "image" in obj:
+            image = strict.record(context, "image", make_image, obj["image"])
+            if image.image_id in images:
+                raise ValidationError(f"{context}: duplicate image record {image.image_id!r}")
+            images[image.image_id] = image
+        elif "category" in obj:
+            try:
+                rec = obj["category"]
+                cid = rec["id"]
+                categories[_category_id(cid)] = str(rec.get("name", cid))
+            except KeyError as exc:
+                raise ValidationError(f"{context}: category record missing field {exc}") from exc
+            except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{context}: invalid category record: {exc}") from exc
+        else:
+            gt = policy.record(context, "annotation", make_object, obj)
+            if gt is not None:
+                ground_truth.append(gt)
+    return images, ground_truth, categories
 
 
 def reference_load_coco(det_path: Path, ann_path: Path, on_invalid: str = "fail"):
@@ -462,7 +549,8 @@ def reference_load_coco(det_path: Path, ann_path: Path, on_invalid: str = "fail"
             images[image.image_id] = image
         categories = {}
         for rec in doc.get("categories", []):
-            categories[_category_id(rec["id"])] = str(rec.get("name", rec["id"]))
+            cid = rec["id"]
+            categories[_category_id(cid)] = str(rec.get("name", cid))
     except KeyError as exc:
         raise ValidationError(f"{ann_path}: image or category record missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
@@ -477,13 +565,13 @@ def reference_load_coco(det_path: Path, ann_path: Path, on_invalid: str = "fail"
     def make_object(rec):
         image = image_of(rec)
         return GroundTruthObject(rec["image_id"], rec["category_id"],
-                                 box_from_absolute(rec["bbox"], image.width_px, image.height_px),
+                                 reference_box_from_absolute(rec["bbox"], image.width_px, image.height_px),
                                  rec.get("iscrowd", 0))
 
     def make_detection(rec):
         image = image_of(rec)
         return Detection(rec["image_id"], rec["category_id"], rec["score"],
-                         box_from_absolute(rec["bbox"], image.width_px, image.height_px))
+                         reference_box_from_absolute(rec["bbox"], image.width_px, image.height_px))
 
     annotations = doc.get("annotations", [])
     if not isinstance(annotations, list):

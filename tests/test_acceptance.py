@@ -377,7 +377,7 @@ def test_11_pipeline_determinism(tmp_path):
             base + ["synth", "--scenario", "fig3_boundary_decay", "--n", "20000",
                     "--seed", "5", "--out", str(matched)],
             base + ["fit", "--in", str(matched), "--method", "lc-dep",
-                    "--features", "conf+xy", "--seed", "1", "--out", str(model)],
+                    "--features", "conf+xy", "--out", str(model)],
             base + ["apply", "--model", str(model), "--in", str(matched),
                     "--out", str(calibrated)],
             base + ["heatmap", "--in", str(calibrated), "--features", "conf+xy",

@@ -18,13 +18,12 @@ from detcal.detections import (
     Detection,
     GroundTruthObject,
     ImageRecord,
-    box_from_absolute,
     write_annotations,
     write_detections,
 )
 from detcal.matching import MatchedSample, iou, read_matched_samples, write_matched_samples
 from detcal.synth import generate, make_scenario
-from oracles import greedy_match, reference_read_matched_samples
+from oracles import greedy_match, reference_box_from_absolute, reference_read_matched_samples
 
 
 def run(args):
@@ -48,6 +47,16 @@ class TestDispatch:
             run(["eval", "--features", "conf"])
         assert excinfo.value.code == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_fit_takes_no_seed(self, tmp_path, capsys):
+        """Fits use no random numbers, so ``fit`` has no ``--seed``."""
+        matched = synth_file(tmp_path, n=300)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["fit", "--in", matched, "--method", "lc", "--features", "conf", "--seed", 3,
+                 "--out", tmp_path / "m.json"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_input_file_exits_two(self, tmp_path):
         assert run(["eval", "--in", tmp_path / "nope.jsonl", "--features", "conf"]) == 2
@@ -206,9 +215,9 @@ class TestMatchCommand:
 
         sizes = {image["id"]: (image["width"], image["height"]) for image in images}
         detections = [Detection(r["image_id"], r["category_id"], r["score"],
-                                box_from_absolute(r["bbox"], *sizes[r["image_id"]])) for r in results]
+                                reference_box_from_absolute(r["bbox"], *sizes[r["image_id"]])) for r in results]
         truth = [GroundTruthObject(a["image_id"], a["category_id"],
-                                   box_from_absolute(a["bbox"], *sizes[a["image_id"]]), a["iscrowd"])
+                                   reference_box_from_absolute(a["bbox"], *sizes[a["image_id"]]), a["iscrowd"])
                  for a in annotations]
         labels = greedy_match(detections, truth, threshold, iou, exclude_crowd=not include_crowd)
         expected = [

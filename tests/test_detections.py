@@ -2,7 +2,9 @@ import functools
 import json
 import logging
 import os
+import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -22,8 +24,11 @@ from detcal.detections import (
     GroundTruthObject,
     GroundTruthTable,
     ImageRecord,
+    _box_from_relative,
     _boxes_from_absolute,
+    _boxes_from_relative,
     _records,
+    _RecordPolicy,
     box_from_absolute,
     detection_to_json,
     load_dataset,
@@ -46,7 +51,10 @@ from oracles import (
     constructor_calls,
     random_matched_samples,
     record_bits,
+    reference_box_from_absolute,
+    reference_box_from_relative,
     reference_load_coco,
+    reference_native_annotations,
     reference_native_detections,
 )
 from strategies import JSON_VALUES
@@ -106,13 +114,22 @@ def _scalar_box(make):
     return _hex_box(box)
 
 
+def _converted(make):
+    """The box ``make()`` returns as hex floats, or the type and message of the error it raises."""
+    try:
+        return _hex_box(make())
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
 # Values near the ends of the ranges the box checks test, with non-finite ones.
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.01, 0.02, 0.99, 1.02, -0.02, 1e-300,
                                float("nan"), float("inf"), -float("inf")]) | st.floats(-0.1, 1.1)
 
 
 class TestVectorizedBoxChecks:
-    """The array forms of the box checks against the scalar ones."""
+    """The array forms of the box checks against the scalar ones, and the converters, one row of their
+    array forms, against the scalar reference converters, message for message."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=20))
@@ -137,12 +154,88 @@ class TestVectorizedBoxChecks:
         size = np.array([(w, h) for w, h, _ in rows], np.float64)
         with np.errstate(all="ignore"):
             xywh = np.array([b for _, _, b in rows]) * np.tile(size, 2)
-        ok, *box = _boxes_from_absolute(xywh, size)
-        expected = [_scalar_box(lambda: box_from_absolute(b, w, h))
+        ok, box, _ = _boxes_from_absolute(xywh, size)
+        expected = [_scalar_box(lambda: reference_box_from_absolute(b, w, h))
                     for (w, h, _), b in zip(rows, xywh.tolist())]
         got = [_hex_box(BoxGeometry(*row)) if accepted else None
                for accepted, row in zip(ok.tolist(), np.array(box).T.tolist())]
         assert got == expected
+        for (w, h, _), b in zip(rows, xywh.tolist()):
+            assert _converted(lambda: box_from_absolute(b, w, h)) == _converted(
+                lambda: reference_box_from_absolute(b, w, h))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=20))
+    @example([(0.01, 0.5, 0.05, 0.1), (0.05, 0.5, 0.4, 0.1), (-0.005, 0.5, 0.01, 0.1), (0.5, 1.005, 0.1, 0.01),
+              (float("nan"), 0.01, 0.1, 0.04), (0.5, 0.5, float("nan"), 0.1), (0.5, 0.01, float("nan"), 0.04),
+              (float("inf"), 0.5, float("inf"), 0.1), (0.5, 0.5, 0.0, 0.1)])
+    def test_boxes_from_relative_matches_the_scalar_conversion(self, rows):
+        ok, box, _ = _boxes_from_relative(*np.array(rows).T)
+        records = [dict(zip(("cx", "cy", "w", "h"), row)) for row in rows]
+        expected = [_scalar_box(lambda: reference_box_from_relative(rec)) for rec in records]
+        got = [_hex_box(BoxGeometry(*row)) if accepted else None
+               for accepted, row in zip(ok.tolist(), np.array(box).T.tolist())]
+        assert got == expected
+        for rec in records:
+            assert _converted(lambda: _box_from_relative(rec)) == _converted(
+                lambda: reference_box_from_relative(rec))
+
+
+RELATIVE_BOX = {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}
+
+
+class TestConverterMessages:
+    """Each error of the converters, word for word, as the scalar reference converters give it."""
+
+    @pytest.mark.parametrize("bbox, error, message", [
+        ([10, 10, 0, 5], ValidationError, "box has nonpositive width/height: [10.0, 10.0, 0.0, 5.0]"),
+        ([10, 10, 5, -1.5], ValidationError, "box has nonpositive width/height: [10.0, 10.0, 5.0, -1.5]"),
+        ([-10, 0, 50, 100], ValidationError,
+         "box [-10.0, 0.0, 50.0, 100.0] extends 0.1000 beyond the 100x200 image, above the 2% tolerance"),
+        ([60, 190, 50, 100], ValidationError,
+         "box [60.0, 190.0, 50.0, 100.0] extends 0.4500 beyond the 100x200 image, above the 2% tolerance"),
+        ([-1, 10, 0.5, 5], ValidationError, "box [0.0, 10.0, 0.5, 5.0] collapses after clamping"),
+        ([-0.0, 201, 5, 0.5], ValidationError, "box [-0.0, 201.0, 5.0, 0.5] collapses after clamping"),
+        ([10, "20", 30, 40], TypeError, "bbox value must be a real number, got '20'"),
+        ([10, True, 30, 40], TypeError, "bbox value must be a real number, got True"),
+        ([10, "x", 30, 40], ValueError, "could not convert string to float: 'x'"),
+        ([10, 20, 30], ValueError, "not enough values to unpack (expected 4, got 3)"),
+        ([float("nan"), 20, 30, 40], ValidationError, "cx must be finite, got nan"),
+    ], ids=["zero-width", "negative-height", "overhang", "overhang-far-corner", "collapse", "collapse-bottom",
+            "numeric-string", "bool", "string", "three-values", "nan"])
+    def test_absolute(self, bbox, error, message):
+        with pytest.raises(error) as excinfo:
+            box_from_absolute(bbox, 100, 200)
+        assert str(excinfo.value) == message
+        assert _converted(lambda: reference_box_from_absolute(bbox, 100, 200)) == (error, message)
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"w": 0}, ValidationError, "box has nonpositive width/height: {'cx': 0.5, 'cy': 0.5, 'w': 0, 'h': 0.1}"),
+        ({"cx": 0.01}, ValidationError,
+         "box {'cx': 0.01, 'cy': 0.5, 'w': 0.1, 'h': 0.1} extends 0.0400 beyond the image, above the 2% tolerance"),
+        ({"cx": -0.005, "w": 0.01}, ValidationError, "box size out of range: w=0.0, h=0.10000000000000003"),
+        ({"h": None}, ValidationError, "box record missing field 'h'"),
+        ({"cx": "0.5"}, TypeError, "cx must be a real number, got '0.5'"),
+        ({"w": "wide"}, ValueError, "could not convert string to float: 'wide'"),
+        ({"cy": float("inf")}, ValidationError,
+         "box {'cx': 0.5, 'cy': inf, 'w': 0.1, 'h': 0.1} extends inf beyond the image, above the 2% tolerance"),
+    ], ids=["nonpositive", "overhang", "collapse", "missing-field", "numeric-string", "string", "infinite"])
+    def test_relative(self, tmp_path, change, error, message):
+        box = {**RELATIVE_BOX, **change}
+        if box["h"] is None:
+            del box["h"]
+        with pytest.raises(error) as excinfo:
+            _box_from_relative(box)
+        assert str(excinfo.value) == message
+        assert _converted(lambda: reference_box_from_relative(box)) == (error, message)
+        # In a file, the message follows the line's place.
+        det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        det_path.write_text("")
+        ann_path.write_text("\n".join(json.dumps(o) for o in [GOOD_OBJECT, {**GOOD_OBJECT, "box": box}]) + "\n")
+        where = message if error is ValidationError else f"invalid annotation record: {message}"
+        with pytest.raises(ValidationError) as excinfo:
+            load_dataset(det_path, ann_path, fmt="native")
+        assert str(excinfo.value) == f"{ann_path}:2: {where}"
 
 
 class TestAbsoluteConversion:
@@ -945,10 +1038,10 @@ def test_coco_tables_iterate_to_the_per_record_loaders_records(tmp_path_factory,
     det_path.write_text(json.dumps(results))
     try:
         truth = [GroundTruthObject(a["image_id"], a["category_id"],
-                                   box_from_absolute(a["bbox"], *sizes[a["image_id"]]),
+                                   reference_box_from_absolute(a["bbox"], *sizes[a["image_id"]]),
                                    bool(a.get("iscrowd", 0))) for a in doc["annotations"]]
         expected = [Detection(r["image_id"], r["category_id"], r["score"],
-                              box_from_absolute(r["bbox"], *sizes[r["image_id"]])) for r in results]
+                              reference_box_from_absolute(r["bbox"], *sizes[r["image_id"]])) for r in results]
     except ValidationError:
         with pytest.raises(ValidationError):
             load_dataset(det_path, ann_path, fmt="coco")
@@ -1068,19 +1161,165 @@ class TestCocoArrayPath:
 
 
 # ---------------------------------------------------------------------------
+# Native annotation files: the column checks against the per-record reference loader
+
+
+def _table_bits(table) -> tuple:
+    """A table's ids with their types, and its arrays' dtypes and bytes."""
+    ids = tuple((type(i), repr(i)) for i in table.image_id)
+    return ids, *((c.dtype, c.tobytes()) for c in table._columns()[1:])
+
+
+def _annotations(path, on_invalid, *, reference=False):
+    """Images, ground truth (as :func:`_table_bits`) and categories of a native annotation file, with the
+    warnings logged; or the type and message of the error it raises, with the warnings before it.
+
+    ``reference`` loads the file line by line instead (``reference_native_annotations``).
+    """
+    handler = _Messages()
+    detections.logger.addHandler(handler)
+    try:
+        if reference:
+            images, ground_truth, categories = reference_native_annotations(path, on_invalid)
+            ground_truth = GroundTruthTable.from_records(ground_truth)
+        else:
+            images, ground_truth, categories = detections._load_native_annotations(path, _RecordPolicy(on_invalid))
+    except Exception as exc:
+        return type(exc), str(exc), handler.messages
+    finally:
+        detections.logger.removeHandler(handler)
+    return ([(type(i), i, image) for i, image in images.items()], _table_bits(ground_truth),
+            list(categories.items()), handler.messages)
+
+
+_IMAGE_IDS = st.integers(0, 20) | st.sampled_from(["a", "b"])
+# Mostly valid boxes, and boxes on and past the image's edges.
+_CENTERS = st.floats(0.2, 0.8) | st.sampled_from([0.0, 0.01, 0.99, 1.0, -0.01, 1.05])
+_SIZES = st.floats(0.01, 0.3) | st.sampled_from([0.0, 0.02, 1.0])
+# Lines that do not parse, parse to no object, or name a kind with no record.
+_MALFORMED = st.sampled_from(["{not json", "[1, 2]", "null", "", "  ", '{"image": null}', '{"category": [1]}'])
+
+
+@st.composite
+def _annotation_lines(draw):
+    """One line of a native annotation file: an image, category or object record, one edited, or a
+    malformed line. Image ids are drawn from a few, so that images repeat."""
+    kind = draw(st.sampled_from(["image", "category", "object", "object", "object", "edited", "malformed"]))
+    if kind == "malformed":
+        return draw(_MALFORMED)
+    records = {
+        "image": {"image": {"image_id": draw(_IMAGE_IDS), "width_px": draw(st.integers(1, 40)),
+                            "height_px": draw(st.integers(1, 40))}},
+        "category": {"category": {"id": draw(st.integers(0, 3)), "name": draw(st.sampled_from(["car", "bus"]))}},
+        "object": {"image_id": draw(_IMAGE_IDS), "category_id": draw(st.integers(0, 3)),
+                   "box": {"cx": draw(_CENTERS), "cy": draw(_CENTERS), "w": draw(_SIZES), "h": draw(_SIZES)}},
+    }
+    crowd = draw(st.sampled_from([_REMOVE, True, False, 0, 2]))
+    if crowd is not _REMOVE:
+        records["object"]["crowd_flag"] = crowd
+    if kind == "edited":
+        return json.dumps(draw(edited(draw(st.sampled_from(list(records.values()))))))
+    return json.dumps(records[kind])
+
+
+@st.composite
+def native_annotation_files(draw):
+    """A native annotation file: drawn lines at its start and on both sides of the first chunk boundary,
+    with valid object lines between."""
+    head, before, after = (draw(st.lists(_annotation_lines(), max_size=size)) for size in (3, 6, 6))
+    fill = [json.dumps(GOOD_OBJECT)] * (detections._CHUNK_LINES - len(head) - len(before))
+    return "\n".join(head + fill + before + after) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(content=native_annotation_files())
+def test_native_annotation_columns_match_the_record_loop(tmp_path_factory, content):
+    """The loader gives the reference loop's images, table and categories bit for bit, or its first error,
+    with its warnings, under either policy."""
+    path = tmp_path_factory.mktemp("native") / "a.jsonl"
+    path.write_text(content)
+    for on_invalid in ("fail", "skip"):
+        assert _annotations(path, on_invalid) == _annotations(path, on_invalid, reference=True)
+
+
+@pytest.mark.parametrize("lines, failing, skipping, warned", [
+    (["object", "bad image", "bad object"], 2, 2, 0),
+    (["bad object", "bad image"], 1, 2, 1),
+    (["image", "bad category", "bad object"], 2, 2, 0),
+    (["image", "object", "image"], 3, 3, 0),
+    (["bad object", "object", "bad object"], 1, None, 2),
+])
+def test_first_bad_line_wins_whatever_its_kind(tmp_path, lines, failing, skipping, warned):
+    """The first bad line raises, whatever its kind; under skip, only the bad object lines before a bad
+    image or category line are warned about."""
+    records = {"object": GOOD_OBJECT, "bad object": {**GOOD_OBJECT, "category_id": "x"},
+               "image": NATIVE_ANNOTATIONS[0], "bad category": {"category": {"id": 1.5}},
+               "bad image": {"image": {"image_id": 5, "width_px": 0, "height_px": 1}}}
+    path = tmp_path / "a.jsonl"
+    path.write_text("".join(json.dumps(records[line]) + "\n" for line in lines))
+    for on_invalid, line in (("fail", failing), ("skip", skipping)):
+        got = _annotations(path, on_invalid)
+        assert got == _annotations(path, on_invalid, reference=True)
+        if line is None:
+            assert len(got[1][0]) == lines.count("object")
+        else:
+            assert got[0] is ValidationError and got[1].startswith(f"{path}:{line}: ")
+    assert len(got[-1]) == warned
+
+
+# Bytes of one chunk's text and objects, as the matched-file memory tests allow.
+CHUNK_ALLOWANCE = 2_000_000
+
+
+def test_annotation_read_holds_one_chunk(tmp_path):
+    """On 20,000 objects the peak is the ground-truth table plus one chunk plus the image table, not a
+    record per object."""
+    rng = np.random.default_rng(12)
+    boxes = np.vstack([rng.uniform(0.2, 0.8, (2, 20_000)), rng.uniform(0.01, 0.3, (2, 20_000))]).T
+    path = tmp_path / "a.jsonl"
+    with open(path, "w") as fh:
+        for i in range(2_500):
+            fh.write(json.dumps({"image": {"image_id": i, "width_px": 640, "height_px": 480}}) + "\n")
+        for k, box in enumerate(boxes.tolist()):
+            obj = {"image_id": k % 2_500, "category_id": 1, "box": dict(zip(("cx", "cy", "w", "h"), box))}
+            fh.write(json.dumps({**obj, "crowd_flag": k % 20 == 0}) + "\n")
+    tracemalloc.start()
+    try:
+        images, ground_truth, _ = detections._load_native_annotations(path, _RecordPolicy("fail"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ground_truth) == 20_000 and len(images) == 2_500
+    ids = ground_truth.image_id
+    table = sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) + sum(c.nbytes for c in ground_truth._columns()[1:])
+    image_table = sys.getsizeof(images) + sum(
+        sys.getsizeof(im) + sys.getsizeof(vars(im)) + sum(map(sys.getsizeof, vars(im).values()))
+        for im in images.values())
+    # The file holds about 150 bytes an object, a table about 80, and records about 400.
+    assert peak < table + image_table + CHUNK_ALLOWANCE
+
+
+# ---------------------------------------------------------------------------
 # One path per format: the checked constructors build only the rejected records
 
 
 def _native_files(tmp_path, n, bad=()):
-    """A native detection file of ``n`` rows on 50 images, rows ``bad`` invalid, and its annotation file."""
+    """A native detection file of ``n`` rows on 50 images, and an annotation file of the 50 images and
+    ``n`` objects; rows ``bad`` of each are invalid."""
     rng = np.random.default_rng(11)
     det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
     detections = [s.detection for s in random_matched_samples(rng, n)]
     rows = [{**detection_to_json(d), "image_id": i % 50} for i, d in enumerate(detections)]
+    objects = [{"image_id": i % 50, "category_id": 1 + i % 3, "box": row["box"], "crowd_flag": i % 9 == 0}
+               for i, row in enumerate(rows)]
     for i, change in zip(bad, [{"score": 1.5}, {"category_id": "3"}, {"image_id": 99}]):
         rows[i].update(change)
+    # Each bad object fails its constructor's own checks.
+    for i, change in zip(bad, [{"category_id": "3"}, {"crowd_flag": "no"}, {"image_id": 1.5}]):
+        objects[i].update(change)
     det_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    write_annotations([], [ImageRecord(i, 640, 480) for i in range(50)], ann_path)
+    images = [{"image": {"image_id": i, "width_px": 640, "height_px": 480}} for i in range(50)]
+    ann_path.write_text("".join(json.dumps(r) + "\n" for r in images + objects))
     return det_path, ann_path
 
 
@@ -1098,6 +1337,9 @@ def _coco_files(tmp_path, n, bad=()):
 def test_large_valid_jsonl_files_build_no_record(tmp_path):
     det_path, ann_path = _native_files(tmp_path, 2000)
     assert _array_loaded(det_path, ann_path, "native")
+    with constructor_calls() as calls:
+        loaded, ground_truth, _ = load_dataset(det_path, ann_path, fmt="native")
+    assert calls["GroundTruthObject"] == 0 and len(ground_truth) == len(loaded) == 2000
     matched = tmp_path / "m.jsonl"
     write_matched_samples(random_matched_samples(np.random.default_rng(2), 2000), matched)
     assert _array_loaded(matched, None, "matched")
@@ -1105,20 +1347,25 @@ def test_large_valid_jsonl_files_build_no_record(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["native", "coco"])
 def test_skip_builds_only_the_bad_records(tmp_path, fmt, caplog):
-    """On 5,000 rows with 3 bad ones, the constructors run 3 times and warn as the per-record loop does."""
+    """On 5,000 rows with 3 bad ones, in each native file or in the COCO results, the constructors run 3
+    times per file and warn as the per-record loop does."""
     bad = (17, 2500, 4999)
     det_path, ann_path = (_native_files if fmt == "native" else _coco_files)(tmp_path, 5000, bad)
     with constructor_calls() as calls:
-        loaded, _, _ = load_dataset(det_path, ann_path, fmt=fmt, on_invalid="skip")
+        loaded, ground_truth, _ = load_dataset(det_path, ann_path, fmt=fmt, on_invalid="skip")
     kind = "detection" if fmt == "native" else "result"
     assert calls[f"{kind} records"] == 3 and len(loaded) == 4997
     warnings = [r.getMessage() for r in caplog.records]
     caplog.clear()
     if fmt == "native":
-        images = {i: ImageRecord(i, 640, 480) for i in range(50)}
+        assert calls["annotation records"] == calls["GroundTruthObject"] == 3 and len(ground_truth) == 4997
+        images, truth, _ = reference_native_annotations(ann_path, "skip")
         expected = reference_native_detections(det_path, images, "skip")
+        assert ground_truth == truth
+        skipped = 6
     else:
         expected = reference_load_coco(det_path, ann_path, "skip")[0]
-    assert warnings[:3] == [r.getMessage() for r in caplog.records][:3]
-    assert len(warnings) == 4 and warnings[3] == "skipped 3 invalid records"
+        skipped = 3
+    assert warnings[:skipped] == [r.getMessage() for r in caplog.records][:skipped]
+    assert len(warnings) == skipped + 1 and warnings[skipped] == f"skipped {skipped} invalid records"
     assert loaded == expected
