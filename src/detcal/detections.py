@@ -216,6 +216,10 @@ class ImageRecord:
                 f"image {self.image_id!r} has nonpositive dimensions "
                 f"{self.width_px}x{self.height_px}"
             )
+        try:
+            float(max(width, height))  # as the COCO loaders convert boxes against it
+        except OverflowError:
+            raise ValidationError(f"image {self.image_id!r} has a side of more pixels than a float holds") from None
         object.__setattr__(self, "width_px", width)
         object.__setattr__(self, "height_px", height)
 
@@ -722,34 +726,6 @@ def _load_native_annotations(path: Path, policy: _RecordPolicy):
     return images, GroundTruthTable(*columns), categories
 
 
-@functools.cache
-def _constructor(cls) -> Callable:
-    """A function of one value per field that builds an instance of the frozen dataclass ``cls``.
-
-    It is generated once per class, as ``dataclasses`` generates
-    ``__init__``: one ``object.__setattr__`` per field in declaration order,
-    with no ``__post_init__``.
-    """
-    names = [f.name for f in fields(cls)]
-    args = ", ".join(f"v{i}" for i in range(len(names)))
-    body = "".join(f"    set_field(rec, {name!r}, v{i})\n" for i, name in enumerate(names))
-    namespace = {"new": object.__new__, "cls": cls, "set_field": object.__setattr__}
-    exec(f"def make({args}):\n    rec = new(cls)\n{body}    return rec\n", namespace)
-    return namespace["make"]
-
-
-def _records(cls, *columns) -> list:
-    """Instances of the frozen dataclass ``cls``, one per row of ``columns`` (a column per field).
-
-    Each record is built by the class's generated constructor
-    (:func:`_constructor`), which sets its fields in declaration order
-    before the next record exists, as ``__init__`` does, so the records
-    share one key table as theirs do. ``__post_init__`` does not run: the
-    columns must have passed its checks, and hold the types it would store.
-    """
-    return list(map(_constructor(cls), *columns))
-
-
 def _column(records: Sequence, name: str, dtype=np.float64) -> np.ndarray:
     """The ``name`` attribute of every record, as an array of ``dtype``."""
     return np.fromiter(map(operator.attrgetter(name), records), dtype, len(records))
@@ -760,10 +736,11 @@ class RecordTable(Sequence):
 
     A subclass is a frozen dataclass of columns, one entry per row in each:
     read-only numpy arrays and an ``image_id`` tuple of the original ids.
-    Records are built only when read, by the class's generated constructor
-    (:func:`_records`): an int index, numpy ints included, builds one,
-    iteration builds them all from ``.tolist()`` columns, and a slice
-    returns a table. A table equals a list, or a table, of equal records.
+    Records are built only when read, by the checked constructors, from
+    ``.tolist()`` columns: an int index, numpy ints included, builds one,
+    iteration builds them all, and a slice returns a table. A row that its
+    record rejects raises that record's :class:`ValidationError` when read.
+    A table equals a list, or a table, of equal records.
     """
 
     image_id: tuple
@@ -814,9 +791,7 @@ class DetectionTable(RecordTable):
     """Detections as columns, read as a sequence of :class:`Detection` records.
 
     ``image_id`` is a tuple of the original ids, ``category_id`` int64, and
-    the box columns ``cx``, ``cy``, ``w``, ``h`` and ``score`` float64. The
-    constructor checks nothing: the columns hold what :class:`Detection`
-    accepts, as the loaders and :meth:`from_records` build them.
+    the box columns ``cx``, ``cy``, ``w``, ``h`` and ``score`` float64.
     """
 
     image_id: tuple
@@ -841,9 +816,9 @@ class DetectionTable(RecordTable):
         )
 
     def _build(self, rows: slice) -> list[Detection]:
-        boxes = _records(BoxGeometry, *(c[rows].tolist() for c in (self.cx, self.cy, self.w, self.h)))
-        return _records(Detection, self.image_id[rows], self.category_id[rows].tolist(),
-                        self.score[rows].tolist(), boxes)
+        boxes = map(BoxGeometry, *(c[rows].tolist() for c in (self.cx, self.cy, self.w, self.h)))
+        return list(map(Detection, self.image_id[rows], self.category_id[rows].tolist(),
+                        self.score[rows].tolist(), boxes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -876,9 +851,9 @@ class GroundTruthTable(RecordTable):
         )
 
     def _build(self, rows: slice) -> list[GroundTruthObject]:
-        boxes = _records(BoxGeometry, *(c[rows].tolist() for c in (self.cx, self.cy, self.w, self.h)))
-        return _records(GroundTruthObject, self.image_id[rows], self.category_id[rows].tolist(),
-                        boxes, self.crowd[rows].tolist())
+        boxes = map(BoxGeometry, *(c[rows].tolist() for c in (self.cx, self.cy, self.w, self.h)))
+        return list(map(GroundTruthObject, self.image_id[rows], self.category_id[rows].tolist(),
+                        boxes, self.crowd[rows].tolist()))
 
 
 def _bbox(value: Any) -> tuple[float, ...]:

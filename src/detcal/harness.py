@@ -164,49 +164,6 @@ def _d_ece(samples: SampleColumns, cfg: ProtocolConfig, eval_fs_name: str) -> fl
     return compute_d_ece(samples, FeatureSet(members=members), spec)[0]
 
 
-def _run_repetition(
-    samples: SampleColumns, cfg: ProtocolConfig, rep: int
-) -> tuple[
-    dict[str, float | None], dict[tuple[str, str], float | None], dict[str | tuple[str, str], str]
-]:
-    """Baseline and cell D-ECE of one split.
-
-    The error messages are keyed by eval-set name for the baseline and by
-    (method, feature set) for a cell, so each lands in exactly its own cell.
-    """
-    rng = np.random.default_rng([cfg.seed, rep])
-    train_idx, test_idx = stratified_split(labels(samples), cfg.train_fraction, rng)
-    train, test = samples.take(train_idx), samples.take(test_idx)
-
-    baseline: dict[str, float | None] = {}
-    cells: dict[tuple[str, str], float | None] = {}
-    errors: dict[str | tuple[str, str], str] = {}
-    eval_sets = cfg.resolved_eval_sets()
-
-    for eval_fs_name in dict.fromkeys(eval_sets):
-        try:
-            baseline[eval_fs_name] = _d_ece(test, cfg, eval_fs_name)
-        except EmptyMetricError as exc:
-            baseline[eval_fs_name] = None
-            errors[eval_fs_name] = f"rep {rep} baseline {eval_fs_name}: {exc}"
-
-    for method in cfg.methods:
-        for fit_fs_name, eval_fs_name in zip(cfg.feature_sets, eval_sets):
-            members = NAMED_FEATURE_SETS[fit_fs_name]
-            try:
-                if method == "identity":
-                    scores = test.values[:, 0]
-                else:
-                    model = calibrators.fit(method, train, members, config=cfg.optimizer, eps=cfg.eps)
-                    scores = calibrators.apply(model, test, cfg.eps)
-                cells[(method, fit_fs_name)] = _d_ece(test.with_scores(scores), cfg, eval_fs_name)
-            except (EmptyMetricError, NumericalError) as exc:
-                # Fault isolation: one unevaluable cell must not kill the run.
-                cells[(method, fit_fs_name)] = None
-                errors[(method, fit_fs_name)] = f"rep {rep} {method}/{fit_fs_name}: {exc}"
-    return baseline, cells, errors
-
-
 def _aggregate(values: list[float | None], errors: list[str]) -> CellResult:
     ok = [v for v in values if v is not None]
     if not ok:
@@ -235,29 +192,49 @@ def run_protocol(
     if m.sum() == 0 or m.sum() == len(m):
         raise DataError("protocol needs both match labels present in the samples")
 
-    outcomes = [_run_repetition(samples, cfg, r) for r in range(cfg.repetitions)]
-
     eval_sets = cfg.resolved_eval_sets()
-    baseline: dict[str, CellResult] = {}
-    for fs_name in dict.fromkeys(eval_sets):
-        values = [out[0][fs_name] for out in outcomes]
-        errs = [out[2][fs_name] for out in outcomes if fs_name in out[2]]
-        baseline[fs_name] = _aggregate(values, errs)
-    cells: dict[tuple[str, str], CellResult] = {}
-    for method in cfg.methods:
-        for fs_name in cfg.feature_sets:
-            key = (method, fs_name)
-            values = [out[1][key] for out in outcomes]
-            errs = [out[2][key] for out in outcomes if key in out[2]]
-            cells[key] = _aggregate(values, errs)
+    baseline_keys = list(dict.fromkeys(eval_sets))
+    cell_keys = [(method, fs_name) for method in cfg.methods for fs_name in cfg.feature_sets]
+    # One value list and one error list per key, the baseline's by eval-set name and a cell's
+    # by (method, feature set), so each error lands in exactly its own cell.
+    values: dict[str | tuple[str, str], list[float | None]] = {k: [] for k in baseline_keys + cell_keys}
+    errors: dict[str | tuple[str, str], list[str]] = {k: [] for k in values}
+    for rep in range(cfg.repetitions):
+        rng = np.random.default_rng([cfg.seed, rep])
+        train_idx, test_idx = stratified_split(m, cfg.train_fraction, rng)
+        train, test = samples.take(train_idx), samples.take(test_idx)
+        for eval_fs_name in baseline_keys:
+            value = None
+            try:
+                value = _d_ece(test, cfg, eval_fs_name)
+            except EmptyMetricError as exc:
+                errors[eval_fs_name].append(f"rep {rep} baseline {eval_fs_name}: {exc}")
+            values[eval_fs_name].append(value)
+        for method in cfg.methods:
+            for fit_fs_name, eval_fs_name in zip(cfg.feature_sets, eval_sets):
+                key, value = (method, fit_fs_name), None
+                try:
+                    if method == "identity":
+                        scores = test.values[:, 0]
+                    else:
+                        model = calibrators.fit(method, train, NAMED_FEATURE_SETS[fit_fs_name],
+                                                config=cfg.optimizer, eps=cfg.eps)
+                        scores = calibrators.apply(model, test, cfg.eps)
+                    value = _d_ece(test.with_scores(scores), cfg, eval_fs_name)
+                except (EmptyMetricError, NumericalError) as exc:
+                    # Fault isolation: one unevaluable cell must not kill the run.
+                    errors[key].append(f"rep {rep} {method}/{fit_fs_name}: {exc}")
+                values[key].append(value)
+
+    summary = {key: _aggregate(values[key], errors[key]) for key in values}
     return ResultsTable(
         methods=cfg.methods,
         feature_sets=cfg.feature_sets,
         eval_feature_sets=eval_sets,
         repetitions=cfg.repetitions,
         iou=iou,
-        baseline=baseline,
-        cells=cells,
+        baseline={key: summary[key] for key in baseline_keys},
+        cells={key: summary[key] for key in cell_keys},
     )
 
 

@@ -49,7 +49,6 @@ from .detections import (
     _read_jsonl,
     _real,
     _RecordPolicy,
-    _records,
     _whole_number,
 )
 from .errors import UsageError, ValidationError
@@ -229,10 +228,7 @@ class SampleColumns(RecordTable):
     ``matched`` and ``category_id`` are int64, ``iou`` float64, ``gt_index``
     int64 with -1 for an unmatched sample, and ``image_id`` a tuple of the
     original str or int ids. It reads as a sequence of :class:`MatchedSample`
-    records (see :class:`~detcal.detections.RecordTable`). The constructor
-    checks nothing; :func:`columns`, :func:`read_matched_samples`,
-    :func:`match_detections` and :func:`~detcal.synth.generate` build
-    validated tables.
+    records (see :class:`~detcal.detections.RecordTable`).
     """
 
     values: np.ndarray
@@ -244,10 +240,10 @@ class SampleColumns(RecordTable):
 
     def _build(self, rows: slice) -> list[MatchedSample]:
         score, *box = self.values[rows].T.tolist()
-        dets = _records(Detection, self.image_id[rows], self.category_id[rows].tolist(), score,
-                        _records(BoxGeometry, *box))
+        boxes = map(BoxGeometry, *box)
+        dets = map(Detection, self.image_id[rows], self.category_id[rows].tolist(), score, boxes)
         gt_index = [None if j < 0 else j for j in self.gt_index[rows].tolist()]
-        return _records(MatchedSample, dets, self.matched[rows].tolist(), self.iou[rows].tolist(), gt_index)
+        return list(map(MatchedSample, dets, self.matched[rows].tolist(), self.iou[rows].tolist(), gt_index))
 
     def with_scores(self, scores) -> SampleColumns:
         """The same samples with ``scores`` as confidences; see :func:`check_scores`."""

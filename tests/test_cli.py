@@ -229,6 +229,28 @@ class TestMatchCommand:
         assert out.read_text().splitlines() == expected
         assert 0 < sum(matched for matched, _, _ in labels) < len(labels)
 
+    @pytest.mark.parametrize("ann_name", ["ann.json", "ann.jsonl"], ids=["coco", "native"])
+    def test_image_side_past_a_float_exits_two(self, tmp_path, caplog, ann_name):
+        """One image 10**400 pixels wide with one object on it, matched against COCO detections."""
+        det_path, ann_path = tmp_path / "det.json", tmp_path / ann_name
+        det_path.write_text("[]")
+        if ann_name == "ann.json":
+            ann_path.write_text(json.dumps({
+                "images": [{"id": 1, "width": 10**400, "height": 50}],
+                "annotations": [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]}],
+                "categories": [{"id": 1, "name": "car"}],
+            }))
+            where = r"ann\.json: invalid image or category record: "
+        else:
+            ann_path.write_text("\n".join(map(json.dumps, [
+                {"image": {"image_id": 1, "width_px": 10**400, "height_px": 50}},
+                {"image_id": 1, "category_id": 1, "box": {"cx": 0.5, "cy": 0.5, "w": 0.2, "h": 0.2}},
+            ])) + "\n")
+            where = r"ann\.jsonl:1: "
+        assert run(["match", "--detections", det_path, "--annotations", ann_path, "--iou", 0.5,
+                    "--out", tmp_path / "m.jsonl"]) == 2
+        assert re.search(where + "image 1 has a side of more pixels than a float holds", caplog.text)
+
     def test_bad_iou_exits_one(self, tmp_path):
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
         write_detections([], det_path)

@@ -5,7 +5,6 @@ import os
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -27,7 +26,6 @@ from detcal.detections import (
     _box_from_relative,
     _boxes_from_absolute,
     _boxes_from_relative,
-    _records,
     _RecordPolicy,
     box_from_absolute,
     detection_to_json,
@@ -45,7 +43,13 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from detcal.matching import MatchedSample, columns, read_matched_samples, write_matched_samples
+from detcal.matching import (
+    MatchedSample,
+    SampleColumns,
+    columns,
+    read_matched_samples,
+    write_matched_samples,
+)
 from oracles import (
     assert_same_columns,
     constructor_calls,
@@ -535,7 +539,6 @@ _BOXES = st.builds(BoxGeometry, st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.flo
 _IMAGE_IDS = st.integers(INT64_MIN, INT64_MAX) | st.text(max_size=4)
 _CATEGORY_IDS = st.integers(INT64_MIN, INT64_MAX)
 RECORD_ROWS = {
-    BoxGeometry: st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.01, 0.2), st.floats(0.01, 0.2)),
     Detection: st.tuples(_IMAGE_IDS, _CATEGORY_IDS, _UNIT, _BOXES),
     GroundTruthObject: st.tuples(_IMAGE_IDS, _CATEGORY_IDS, _BOXES, st.booleans()),
     MatchedSample: st.tuples(st.builds(Detection, _IMAGE_IDS, _CATEGORY_IDS, _UNIT, _BOXES), st.just(0),
@@ -543,17 +546,6 @@ RECORD_ROWS = {
     | st.tuples(st.builds(Detection, _IMAGE_IDS, _CATEGORY_IDS, _UNIT, _BOXES), st.just(1), _UNIT,
                 st.integers(0, INT64_MAX)),
 }
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), cls=st.sampled_from(list(RECORD_ROWS)))
-def test_records_equal_constructor_built_records(data, cls):
-    """Records built from columns hold what the constructor stores, in key-shared dicts."""
-    rows = data.draw(st.lists(RECORD_ROWS[cls], max_size=6))
-    built = [cls(*row) for row in rows]
-    records = _records(cls, *([row[i] for row in rows] for i in range(len(fields(cls)))))
-    assert records == built
-    assert [record_bits(rec) for rec in records] == [record_bits(rec) for rec in built]
 
 
 TABLES = {Detection: DetectionTable.from_records, GroundTruthObject: GroundTruthTable.from_records,
@@ -581,6 +573,30 @@ def test_tables_read_as_record_sequences(data, cls):
         table[1.0]
     with pytest.raises(ValueError, match="read-only"):
         table.category_id[...] = 0
+
+
+# Two rows each, the second holding one value its record rejects.
+_BOXES_OK = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2], [0.2, 0.2]])
+_BOXES_OUT = np.array([[0.5, 1.5], [0.5, 0.5], [0.2, 0.2], [0.2, 0.2]])
+INVALID_TABLES = {
+    "score": (DetectionTable((0, 1), np.array([1, 1]), *_BOXES_OK, np.array([0.5, 1.5])),
+              r"score must lie in \[0, 1\], got 1\.5"),
+    "box": (GroundTruthTable((0, 1), np.array([1, 1]), *_BOXES_OUT, np.array([False, False])),
+            r"box center out of range: cx=1\.5"),
+    "gt-index": (SampleColumns(np.array([[0.5, 0.5, 0.5, 0.2, 0.2]] * 2), np.array([1, 1]), np.array([1, 1]),
+                               np.array([0.7, 0.7]), np.array([0, -1]), (0, 1)),
+                 "matched sample lacks a ground-truth index"),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID_TABLES))
+def test_reads_raise_what_the_records_reject(name):
+    """A table row that its record rejects raises the record's error when indexed or iterated."""
+    table, message = INVALID_TABLES[name]
+    assert table[:1] == [table[0]]  # the valid row reads
+    for read in (lambda t: t[1], lambda t: t[np.int64(-1)], list, lambda t: [*t[1:]]):
+        with pytest.raises(ValidationError, match=message):
+            read(table)
 
 
 class TestNativeAnnotationRecords:
@@ -801,11 +817,12 @@ class TestImageRecord:
         assert type(image.width_px) is int
 
     # Each would otherwise load as another image: int() truncates 100.9,
-    # takes True as 1 and '7' as 7, and None is no image id.
+    # takes True as 1 and '7' as 7, and None is no image id. No float holds
+    # a side of 10**400 pixels, which COCO boxes are converted against.
     @pytest.mark.parametrize(
         "image_id, width, height",
-        [(1, 100.9, 50), (1, True, 50), (1, 50, "7"), (None, 3, 4)],
-        ids=["fractional-width", "bool-width", "string-height", "null-id"],
+        [(1, 100.9, 50), (1, True, 50), (1, 50, "7"), (None, 3, 4), (1, 10**400, 50)],
+        ids=["fractional-width", "bool-width", "string-height", "null-id", "width-past-a-float"],
     )
     def test_rejected_in_both_annotation_loaders(self, tmp_path, image_id, width, height):
         with pytest.raises(ValidationError):
