@@ -19,10 +19,10 @@ import numpy as np
 from . import calibrators, harness, metrics, synth
 from .detections import load_dataset
 from .errors import DataError, DetcalError, EmptyMetricError, UsageError
-from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet
+from .features import DEFAULT_CLIP, feature_set
 from .harness import ProtocolConfig, render_table, run_protocol, run_protocol_with_matching
 from .matching import match_detections, read_matched_samples, write_matched_samples
-from .metrics import BinningSpec, compute_d_ece, heatmap
+from .metrics import BinningSpec, compute_d_ece, default_eval_spec, heatmap
 from .optimizer import OptimizerConfig
 
 logger = logging.getLogger("detcal")
@@ -36,11 +36,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_bins(text: str | None, k: int, defaults: dict[int, int]) -> tuple[int, ...]:
+def _parse_bins(text: str | None, k: int) -> tuple[int, ...] | None:
+    """Per-dimension bin counts from ``--bins``, or None to take the library's defaults."""
     if text is None:
-        if k not in defaults:
-            raise UsageError(f"no default bin count for K={k}; pass --bins")
-        return (defaults[k],) * k
+        return None
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -118,12 +117,10 @@ def _cmd_fit(args) -> int:
     method = harness.canonical_method(args.method)
     if method == "identity":
         raise UsageError("identity is a harness diagnostic, not a fittable method")
-    members = NAMED_FEATURE_SETS.get(args.features)
-    if members is None:
-        raise UsageError(f"unknown feature set {args.features!r}")
+    members = feature_set(args.features).members
     bin_counts = None
     if method == "hist_binning":
-        bin_counts = _parse_bins(args.bins, len(members), calibrators.DEFAULT_CALIBRATION_BINS)
+        bin_counts = _parse_bins(args.bins, len(members))
     elif args.bins is not None:
         logger.warning("--bins is ignored for parametric method %s", args.method)
     config = OptimizerConfig(max_iterations=args.max_iter, gradient_tolerance=args.tol)
@@ -164,21 +161,18 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _eval_binning(args, members) -> BinningSpec:
-    counts = _parse_bins(args.bins, len(members), metrics.DEFAULT_EVAL_BINS)
+def _eval_binning(args, members: tuple[str, ...]) -> BinningSpec:
+    counts = _parse_bins(args.bins, len(members))
+    if counts is None:
+        return default_eval_spec(members, args.min_samples)
     return BinningSpec(dims=members, counts=counts, min_samples=args.min_samples)
 
 
 def _cmd_eval(args) -> int:
     samples = _read_nonempty(args.input, "cannot bin an empty sample list")
-    members = NAMED_FEATURE_SETS.get(args.features)
-    if members is None:
-        raise UsageError(f"unknown feature set {args.features!r}")
-    spec = _eval_binning(args, members)
+    spec = _eval_binning(args, feature_set(args.features).members)
     with _binning(args.input):
-        value, stats = compute_d_ece(
-            samples, FeatureSet(members=members), spec, renormalize=not args.no_renormalize
-        )
+        value, stats = compute_d_ece(samples, spec, renormalize=not args.no_renormalize)
     logger.info(
         "%d bins retained, %d samples of %d",
         len(stats.bin_counts),
@@ -191,15 +185,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     samples = _read_nonempty(args.input, "cannot bin an empty sample list")
-    members = NAMED_FEATURE_SETS.get(args.features)
-    if members is None:
-        raise UsageError(f"unknown feature set {args.features!r}")
+    members = feature_set(args.features).members
     axes = tuple(args.axes.split(","))
     if len(axes) != 2:
         raise UsageError(f"--axes expects two comma-separated dimensions, got {args.axes!r}")
     spec = _eval_binning(args, members)
     with _binning(args.input):
-        grid = heatmap(samples, FeatureSet(members=members), spec, axes)  # type: ignore[arg-type]
+        grid = heatmap(samples, spec, axes)  # type: ignore[arg-type]
     rows = grid.rows()
     header = ["axis1_bin", "axis2_bin", "d_ece_contrib", "count", "precision", "confidence"]
     if args.out:

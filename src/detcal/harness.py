@@ -22,7 +22,7 @@ import numpy as np
 
 from . import calibrators
 from .errors import DataError, EmptyMetricError, NumericalError, UsageError
-from .features import DEFAULT_CLIP, NAMED_FEATURE_SETS, FeatureSet, SampleColumns, _check_eps, columns, labels
+from .features import DEFAULT_CLIP, SampleColumns, _check_eps, columns, feature_set, labels
 from .matching import MatchedSample, match_detections
 from .metrics import DEFAULT_MIN_SAMPLES, compute_d_ece, default_eval_spec, require_dimensionality_match
 from .optimizer import OptimizerConfig
@@ -82,19 +82,13 @@ class ProtocolConfig:
             raise UsageError(f"train fraction must lie in (0, 1), got {self.train_fraction}")
         if self.repetitions < 1:
             raise UsageError(f"repetitions must be >= 1, got {self.repetitions}")
-        for fs in self.feature_sets:
-            if fs not in NAMED_FEATURE_SETS:
-                raise UsageError(f"unknown feature set {fs!r}")
+        fit_sets = [feature_set(name) for name in self.feature_sets]
         if self.eval_feature_sets is not None:
             object.__setattr__(self, "eval_feature_sets", tuple(self.eval_feature_sets))
             if len(self.eval_feature_sets) != len(self.feature_sets):
                 raise UsageError("eval_feature_sets must parallel feature_sets")
-            for fit_fs, eval_fs in zip(self.feature_sets, self.eval_feature_sets):
-                if eval_fs not in NAMED_FEATURE_SETS:
-                    raise UsageError(f"unknown feature set {eval_fs!r}")
-                require_dimensionality_match(
-                    NAMED_FEATURE_SETS[fit_fs], NAMED_FEATURE_SETS[eval_fs]
-                )
+            for fit_fs, eval_name in zip(fit_sets, self.eval_feature_sets):
+                require_dimensionality_match(fit_fs.members, feature_set(eval_name).members)
         try:
             object.__setattr__(self, "iou_thresholds", tuple(map(float, self.iou_thresholds)))
         except (TypeError, ValueError):
@@ -159,9 +153,8 @@ def stratified_split(
 
 
 def _d_ece(samples: SampleColumns, cfg: ProtocolConfig, eval_fs_name: str) -> float:
-    members = NAMED_FEATURE_SETS[eval_fs_name]
-    spec = default_eval_spec(members, cfg.min_samples)
-    return compute_d_ece(samples, FeatureSet(members=members), spec)[0]
+    spec = default_eval_spec(feature_set(eval_fs_name).members, cfg.min_samples)
+    return compute_d_ece(samples, spec)[0]
 
 
 def _aggregate(values: list[float | None], errors: list[str]) -> CellResult:
@@ -217,7 +210,7 @@ def run_protocol(
                     if method == "identity":
                         scores = test.values[:, 0]
                     else:
-                        model = calibrators.fit(method, train, NAMED_FEATURE_SETS[fit_fs_name],
+                        model = calibrators.fit(method, train, feature_set(fit_fs_name).members,
                                                 config=cfg.optimizer, eps=cfg.eps)
                         scores = calibrators.apply(model, test, cfg.eps)
                     value = _d_ece(test.with_scores(scores), cfg, eval_fs_name)

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, DetcalError, DimensionalityError, EmptyMetricError, UsageError, ValidationError
-from .features import MEMBER_NAMES, FeatureSet, SampleColumns, columns, labels, raw_values
+from .features import MEMBER_NAMES, SampleColumns, columns, labels, raw_values
 from .matching import MatchedSample
 
 DEFAULT_MIN_SAMPLES = 8
@@ -91,8 +91,6 @@ def default_eval_spec(dims: Sequence[str], min_samples: int = DEFAULT_MIN_SAMPLE
 class BinnedStats:
     """Occupancy, mean confidence, and precision for every retained bin."""
 
-    dims: tuple[str, ...]
-    counts_per_dim: tuple[int, ...]
     multi_indices: np.ndarray  # (n_bins, K) int
     bin_counts: np.ndarray  # (n_bins,) int
     conf: np.ndarray  # (n_bins,) mean confidence
@@ -119,18 +117,15 @@ class HeatmapGrid:
 
     def rows(self) -> Iterator[tuple[int, int, float, int, float, float]]:
         """Yield occupied cells as (axis1_bin, axis2_bin, contrib, count, precision, confidence)."""
-        n1, n2 = self.count.shape
-        for i in range(n1):
-            for j in range(n2):
-                if self.count[i, j] > 0:
-                    yield (
-                        i,
-                        j,
-                        float(self.contrib[i, j]),
-                        int(self.count[i, j]),
-                        float(self.precision[i, j]),
-                        float(self.confidence[i, j]),
-                    )
+        for i, j in np.argwhere(self.count > 0).tolist():
+            yield (
+                i,
+                j,
+                float(self.contrib[i, j]),
+                int(self.count[i, j]),
+                float(self.precision[i, j]),
+                float(self.confidence[i, j]),
+            )
 
 
 def bin_index(value: float, n_bins: int) -> int:
@@ -183,8 +178,6 @@ def binned_stats(samples: Sequence[MatchedSample] | SampleColumns, spec: Binning
     multi = np.stack(np.unravel_index(kept_flat, spec.counts), axis=1)
     bin_counts = counts[kept_flat]
     return BinnedStats(
-        dims=spec.dims,
-        counts_per_dim=spec.counts,
         multi_indices=multi,
         bin_counts=bin_counts,
         conf=conf_sums[kept_flat] / bin_counts,
@@ -197,7 +190,6 @@ def binned_stats(samples: Sequence[MatchedSample] | SampleColumns, spec: Binning
 
 def compute_d_ece(
     samples: Sequence[MatchedSample] | SampleColumns,
-    fs: FeatureSet,
     spec: BinningSpec,
     *,
     renormalize: bool = True,
@@ -210,9 +202,6 @@ def compute_d_ece(
     The confidence dimension always bins the probability-valued score, never
     a logit. Returns the error together with the retained-bin statistics.
     """
-    missing = [d for d in spec.dims if d not in fs.members]
-    if missing:
-        raise UsageError(f"binning dimensions {missing} not in the feature set {fs.members}")
     stats = binned_stats(samples, spec)
     denom = stats.retained_samples if renormalize else stats.total_samples
     # Sequential accumulation in ascending bin order keeps the result
@@ -225,17 +214,11 @@ def compute_d_ece(
 
 def reliability_curve(
     samples: Sequence[MatchedSample] | SampleColumns,
-    fs: FeatureSet,
     n_bins: int,
     *,
     min_samples: int = 0,
 ) -> list[tuple[float, float, int]]:
-    """Per-confidence-bin (mean confidence, precision, count), ascending by bin.
-
-    The curve always bins the probability-valued score; ``fs`` is accepted
-    for interface symmetry with :func:`compute_d_ece` but its encoding plays
-    no role here.
-    """
+    """Per-confidence-bin (mean confidence, precision, count), ascending by bin, of the probability-valued score."""
     spec = BinningSpec(dims=("confidence",), counts=(int(n_bins),), min_samples=min_samples)
     stats = binned_stats(samples, spec)
     return [
@@ -246,7 +229,6 @@ def reliability_curve(
 
 def heatmap(
     samples: Sequence[MatchedSample] | SampleColumns,
-    fs: FeatureSet,
     spec: BinningSpec,
     axes: tuple[str, str],
 ) -> HeatmapGrid:
@@ -263,20 +245,17 @@ def heatmap(
     for ax in axes:
         if ax not in spec.dims:
             raise UsageError(f"heatmap axis {ax!r} not among binning dimensions {spec.dims}")
-    _, stats = compute_d_ece(samples, fs, spec)
+    _, stats = compute_d_ece(samples, spec)
     ai, aj = spec.dims.index(axes[0]), spec.dims.index(axes[1])
-    n1, n2 = spec.counts[ai], spec.counts[aj]
-    count = np.zeros((n1, n2), dtype=np.int64)
-    gap_sum = np.zeros((n1, n2))
-    conf_sum = np.zeros((n1, n2))
-    prec_sum = np.zeros((n1, n2))
-    for b in range(len(stats.bin_counts)):
-        i, j = stats.multi_indices[b, ai], stats.multi_indices[b, aj]
-        n = stats.bin_counts[b]
-        count[i, j] += n
-        gap_sum[i, j] += n * abs(stats.prec[b] - stats.conf[b])
-        conf_sum[i, j] += n * stats.conf[b]
-        prec_sum[i, j] += n * stats.prec[b]
+    shape = (spec.counts[ai], spec.counts[aj])
+    cell = np.ravel_multi_index((stats.multi_indices[:, ai], stats.multi_indices[:, aj]), shape)
+    n = stats.bin_counts
+    # bincount adds each cell's bins in ascending bin order, as a loop over the bins would.
+    count, gap_sum, conf_sum, prec_sum = (
+        np.bincount(cell, weights=w, minlength=math.prod(shape)).reshape(shape)
+        for w in (n, n * np.abs(stats.prec - stats.conf), n * stats.conf, n * stats.prec)
+    )
+    count = count.astype(np.int64)  # exact: a float64 holds every integer sample count
     with np.errstate(invalid="ignore"):
         safe = np.where(count > 0, count, 1)
         contrib = np.where(count > 0, gap_sum / safe, np.nan)

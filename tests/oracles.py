@@ -33,6 +33,7 @@ from detcal.detections import (
 )
 from detcal.errors import NumericalFailureError, ReferentialIntegrityError, ValidationError
 from detcal.matching import MatchedSample
+from detcal.metrics import HeatmapGrid, binned_stats
 from detcal.optimizer import (
     BACKTRACK_FACTOR,
     INITIAL_STEP,
@@ -157,6 +158,55 @@ def classification_ece(scores, correct, n_bins):
         cnt, p_sum, y_sum = bins[b]
         ece += (cnt / n) * abs(y_sum / cnt - p_sum / cnt)
     return ece
+
+
+def reference_heatmap(samples, spec, axes) -> HeatmapGrid:
+    """The marginalized heatmap as a loop over the retained bins, adding each to its cell in bin order."""
+    stats = binned_stats(samples, spec)
+    ai, aj = spec.dims.index(axes[0]), spec.dims.index(axes[1])
+    n1, n2 = spec.counts[ai], spec.counts[aj]
+    count = np.zeros((n1, n2), dtype=np.int64)
+    gap_sum = np.zeros((n1, n2))
+    conf_sum = np.zeros((n1, n2))
+    prec_sum = np.zeros((n1, n2))
+    for b in range(len(stats.bin_counts)):
+        i, j = stats.multi_indices[b, ai], stats.multi_indices[b, aj]
+        n = stats.bin_counts[b]
+        count[i, j] += n
+        gap_sum[i, j] += n * abs(stats.prec[b] - stats.conf[b])
+        conf_sum[i, j] += n * stats.conf[b]
+        prec_sum[i, j] += n * stats.prec[b]
+    with np.errstate(invalid="ignore"):
+        safe = np.where(count > 0, count, 1)
+        contrib = np.where(count > 0, gap_sum / safe, np.nan)
+        confidence = np.where(count > 0, conf_sum / safe, np.nan)
+        precision = np.where(count > 0, prec_sum / safe, np.nan)
+    return HeatmapGrid(
+        axes=tuple(axes),
+        contrib=contrib,
+        count=count,
+        precision=precision,
+        confidence=confidence,
+        retained_samples=stats.retained_samples,
+    )
+
+
+def reference_heatmap_rows(grid: HeatmapGrid) -> list[tuple[int, int, float, int, float, float]]:
+    """Occupied cells of ``grid`` by a double loop over its rows and columns."""
+    n1, n2 = grid.count.shape
+    rows = []
+    for i in range(n1):
+        for j in range(n2):
+            if grid.count[i, j] > 0:
+                rows.append((
+                    i,
+                    j,
+                    float(grid.contrib[i, j]),
+                    int(grid.count[i, j]),
+                    float(grid.precision[i, j]),
+                    float(grid.confidence[i, j]),
+                ))
+    return rows
 
 
 def max_matching_count(iou_matrix: np.ndarray, threshold: float) -> int:

@@ -44,7 +44,6 @@ from oracles import (
 )
 
 FULL_MEMBERS = ("confidence", "cx", "cy", "w", "h")
-FULL_FS = FeatureSet(members=FULL_MEMBERS)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -79,9 +78,9 @@ def test_01_dece_oracle_equivalence():
         expected = brute_force_dece(samples, dims, counts, min_samples, renormalize)
         if expected is None:
             with pytest.raises(EmptyMetricError):
-                compute_d_ece(samples, FULL_FS, spec, renormalize=renormalize)
+                compute_d_ece(samples, spec, renormalize=renormalize)
             continue
-        value, _ = compute_d_ece(samples, FULL_FS, spec, renormalize=renormalize)
+        value, _ = compute_d_ece(samples, spec, renormalize=renormalize)
         worst = max(worst, abs(value - expected))
     elapsed = time.monotonic() - start
     _report(
@@ -99,7 +98,7 @@ def test_02_classification_ece_reduction():
         samples = random_matched_samples(rng, int(rng.integers(30, 1500)))
         n_bins = int(rng.integers(2, 40))
         spec = BinningSpec(dims=("confidence",), counts=(n_bins,), min_samples=0)
-        value, _ = compute_d_ece(samples, FULL_FS, spec)
+        value, _ = compute_d_ece(samples, spec)
         reference = classification_ece(
             [s.detection.score for s in samples], [s.matched for s in samples], n_bins
         )
@@ -194,13 +193,12 @@ def test_05_generative_recovery():
 
 def test_06_perfect_calibration_fixed_point():
     samples = synth.generate(synth.make_scenario("perfectly_calibrated", 100000, seed=11))
-    conf_fs = FeatureSet(members=("confidence",))
     spec = BinningSpec(dims=("confidence",), counts=(20,), min_samples=0)
-    baseline, _ = compute_d_ece(samples, conf_fs, spec)
+    baseline, _ = compute_d_ece(samples, spec)
     deltas = {}
     for method in calibrators.METHODS:
         model = fit(method, samples, ("confidence",))
-        value, _ = compute_d_ece(_with_scores(samples, apply(model, samples)), conf_fs, spec)
+        value, _ = compute_d_ece(_with_scores(samples, apply(model, samples)), spec)
         deltas[method] = value - baseline
     worst = max(deltas.values())
     _report(
@@ -259,7 +257,7 @@ def test_08_hist_binning_training_set_property():
     q2 = apply(refit, calibrated)
     idempotent = np.array_equal(q1, q2)
     spec = BinningSpec(dims=("confidence",), counts=(15,), min_samples=0)
-    train_dece, _ = compute_d_ece(calibrated, FeatureSet(members=("confidence",)), spec)
+    train_dece, _ = compute_d_ece(calibrated, spec)
     _report(
         8,
         "histogram binning is idempotent on its own calibrated training output",

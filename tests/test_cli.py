@@ -30,6 +30,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_process(args):
+    """Run the CLI in a fresh interpreter, so its log lines reach the real standard error."""
+    src = str(Path(detcal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "detcal.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def synth_file(tmp_path, name="matched.jsonl", scenario="fig3_boundary_decay", n=4000, seed=0):
     path = tmp_path / name
     assert run(["synth", "--scenario", scenario, "--n", n, "--seed", seed, "--out", path]) == 0
@@ -398,11 +406,7 @@ class TestApplyOverflow:
         matched = synth_file(tmp_path, n=2000)
         model = self._model(tmp_path, matched, "lc", {"w": [1.7e308, 1.7e308, 0.0]})
         out = tmp_path / "cal.jsonl"
-        src = str(Path(detcal.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "detcal.cli", "apply", "--model", str(model),
-                               "--in", str(matched), "--out", str(out)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_process(["apply", "--model", model, "--in", matched, "--out", out])
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         scores = {json.loads(line)["score"] for line in out.read_text().splitlines()}
@@ -589,13 +593,33 @@ def test_file_reader_contract(tmp_path, valid_inputs, command, content):
     bad = tmp_path / "bad.input"
     bad.write_bytes(BAD_CONTENT[content])
     argv = [a.format(bad=bad, out=tmp_path / "out", **valid_inputs) for a in FILE_READERS[command]]
-    src = str(Path(detcal.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "detcal.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_process(argv)
     assert proc.returncode == 2, proc.stderr
     assert str(bad) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+UNKNOWN_FEATURE_SET = {
+    "fit": ["fit", "--in", "{matched}", "--method", "lc", "--features", "xywh", "--out", "{out}"],
+    "eval": ["eval", "--in", "{matched}", "--features", "xywh"],
+    "heatmap": ["heatmap", "--in", "{matched}", "--features", "xywh", "--axes", "cx,cy"],
+    "protocol-features": ["protocol", "--in", "{matched}", "--features", "conf,xywh"],
+    "protocol-eval-features": ["protocol", "--in", "{matched}", "--features", "conf,full",
+                               "--eval-features", "full,xywh"],
+}
+
+
+@pytest.mark.parametrize("command", UNKNOWN_FEATURE_SET)
+def test_unknown_feature_set_lists_the_names(tmp_path, valid_inputs, command):
+    """Every command that takes a feature-set name exits 1 and names the sets it knows."""
+    argv = [a.format(out=tmp_path / "out", **valid_inputs) for a in UNKNOWN_FEATURE_SET[command]]
+    proc = run_process(argv)
+    assert proc.returncode == 1, proc.stderr
+    assert ("unknown feature set 'xywh'; expected one of ['conf', 'conf+wh', 'conf+xy', 'full']"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 class TestHeatmapCommand:

@@ -181,11 +181,10 @@ def test_columns_and_records_agree_bit_for_bit(seed, n):
     cols = columns(samples)
     q = rng.random(n)
     for members in NAMED_FEATURE_SETS.values():
-        fs = FeatureSet(members=members)
         spec = default_eval_spec(members, min_samples=0)
-        assert _bits(compute_d_ece(samples, fs, spec)[0]) == _bits(compute_d_ece(cols, fs, spec)[0])
-        rebuilt = compute_d_ece(_with_scores(samples, q), fs, spec)[0]
-        assert _bits(rebuilt) == _bits(compute_d_ece(cols.with_scores(q), fs, spec)[0])
+        assert _bits(compute_d_ece(samples, spec)[0]) == _bits(compute_d_ece(cols, spec)[0])
+        rebuilt = compute_d_ece(_with_scores(samples, q), spec)[0]
+        assert _bits(rebuilt) == _bits(compute_d_ece(cols.with_scores(q), spec)[0])
         for method in ("hist_binning", "logistic_indep"):
             from_records, from_columns = fit(method, samples, members), fit(method, cols, members)
             assert json.dumps(model_to_json(from_records)) == json.dumps(model_to_json(from_columns))

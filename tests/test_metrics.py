@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcal import synth
 from detcal.errors import (
     DataError,
     DimensionalityError,
@@ -10,7 +11,7 @@ from detcal.errors import (
     UsageError,
     ValidationError,
 )
-from detcal.features import NAMED_FEATURE_SETS, FeatureSet, SampleColumns, columns
+from detcal.features import MEMBER_NAMES, NAMED_FEATURE_SETS, SampleColumns, columns
 from detcal.metrics import (
     BinningSpec,
     bin_index,
@@ -22,10 +23,16 @@ from detcal.metrics import (
     reliability_curve,
     require_dimensionality_match,
 )
-from oracles import brute_force_dece, classification_ece, make_sample, random_matched_samples
+from oracles import (
+    brute_force_dece,
+    classification_ece,
+    make_sample,
+    random_matched_samples,
+    reference_heatmap,
+    reference_heatmap_rows,
+)
 
-CONF = FeatureSet(members=("confidence",))
-FULL = FeatureSet(members=("confidence", "cx", "cy", "w", "h"))
+FULL = ("confidence", "cx", "cy", "w", "h")
 
 
 def four_sample_dataset():
@@ -87,7 +94,7 @@ class TestBinIndex:
         bad = SampleColumns(values, cols.matched, cols.category_id, cols.iou, cols.gt_index, cols.image_id)
         spec = BinningSpec(dims=("confidence", "cx"), counts=(4, 4), min_samples=0)
         with pytest.raises(UsageError, match="finite"):
-            compute_d_ece(bad, FeatureSet(members=("confidence", "cx")), spec)
+            compute_d_ece(bad, spec)
 
 
 class TestBinningSpec:
@@ -112,14 +119,14 @@ class TestBinningSpec:
         with pytest.raises(ValidationError, match="int64"):
             BinningSpec(dims=("confidence",), counts=(2**63,))
         with pytest.raises(ValidationError, match="int64"):
-            BinningSpec(dims=FULL.members, counts=(10000,) * 5)
+            BinningSpec(dims=FULL, counts=(10000,) * 5)
 
     def test_unallocatable_grid_rejected(self):
         samples = random_matched_samples(np.random.default_rng(3), 50)
         # 10^15 cells fit in int64, but no host allocates their 7 PiB of counts.
-        spec = BinningSpec(dims=FULL.members, counts=(1000,) * 5)
+        spec = BinningSpec(dims=FULL, counts=(1000,) * 5)
         with pytest.raises(ValidationError, match=r"\(1000, 1000, 1000, 1000, 1000\)"):
-            compute_d_ece(samples, FULL, spec)
+            compute_d_ece(samples, spec)
 
     def test_default_eval_spec(self):
         assert default_eval_spec(("confidence",)).counts == (20,)
@@ -139,12 +146,12 @@ class TestComputeDece:
             + [make_sample(0.25, False)] * 3
         )
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=0)
-        value, _ = compute_d_ece(samples, CONF, spec)
+        value, _ = compute_d_ece(samples, spec)
         assert value == 0.0
 
     def test_four_sample_hand_example(self):
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=0)
-        value, stats = compute_d_ece(four_sample_dataset(), CONF, spec)
+        value, stats = compute_d_ece(four_sample_dataset(), spec)
         assert value == pytest.approx(0.25, abs=1e-15)
         assert stats.bin_counts.tolist() == [2, 2]
 
@@ -163,9 +170,9 @@ class TestComputeDece:
             expected = brute_force_dece(samples, dims, counts, min_samples, renorm)
             if expected is None:
                 with pytest.raises(EmptyMetricError):
-                    compute_d_ece(samples, FULL, spec, renormalize=renorm)
+                    compute_d_ece(samples, spec, renormalize=renorm)
                 continue
-            value, _ = compute_d_ece(samples, FULL, spec, renormalize=renorm)
+            value, _ = compute_d_ece(samples, spec, renormalize=renorm)
             assert abs(value - expected) <= 1e-12
 
     def test_reduces_to_classification_ece(self):
@@ -174,7 +181,7 @@ class TestComputeDece:
             samples = random_matched_samples(rng, int(rng.integers(20, 500)))
             n_bins = int(rng.integers(2, 30))
             spec = BinningSpec(dims=("confidence",), counts=(n_bins,), min_samples=0)
-            value, _ = compute_d_ece(samples, CONF, spec)
+            value, _ = compute_d_ece(samples, spec)
             expected = classification_ece(
                 [s.detection.score for s in samples], [s.matched for s in samples], n_bins
             )
@@ -185,41 +192,36 @@ class TestComputeDece:
         for _ in range(20):
             samples = random_matched_samples(rng, 200)
             spec = BinningSpec(dims=("confidence", "w"), counts=(5, 4), min_samples=0)
-            value, _ = compute_d_ece(samples, FULL, spec)
+            value, _ = compute_d_ece(samples, spec)
             assert 0.0 <= value <= 1.0
 
     def test_weights_sum_to_one_without_threshold(self):
         rng = np.random.default_rng(4)
         samples = random_matched_samples(rng, 300)
         spec = BinningSpec(dims=("confidence",), counts=(10,), min_samples=0)
-        _, stats = compute_d_ece(samples, CONF, spec)
+        _, stats = compute_d_ece(samples, spec)
         assert stats.retained_samples == stats.total_samples == 300
 
     def test_min_samples_drops_and_renormalizes(self):
         samples = [make_sample(0.1, False)] * 9 + [make_sample(0.9, True)]
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=5)
-        value, stats = compute_d_ece(samples, CONF, spec)
+        value, stats = compute_d_ece(samples, spec)
         assert stats.retained_samples == 9 and stats.dropped_bins == 1
         assert value == pytest.approx(0.1, abs=1e-15)
-        value_raw, _ = compute_d_ece(samples, CONF, spec, renormalize=False)
+        value_raw, _ = compute_d_ece(samples, spec, renormalize=False)
         assert value_raw == pytest.approx(0.09, abs=1e-15)
 
     def test_all_bins_dropped_raises_with_histogram(self):
         samples = [make_sample(0.2, False), make_sample(0.8, True)]
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=5)
         with pytest.raises(EmptyMetricError) as excinfo:
-            compute_d_ece(samples, CONF, spec)
+            compute_d_ece(samples, spec)
         assert excinfo.value.bin_histogram == {1: 2}
-
-    def test_dims_must_be_subset_of_feature_set(self):
-        spec = BinningSpec(dims=("confidence", "cx"), counts=(2, 2), min_samples=0)
-        with pytest.raises(UsageError):
-            compute_d_ece(four_sample_dataset(), CONF, spec)
 
     def test_empty_samples_rejected(self):
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=0)
         with pytest.raises(DataError):
-            compute_d_ece([], CONF, spec)
+            compute_d_ece([], spec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,15 +236,14 @@ def test_d_ece_is_order_free_and_bounded(seed, n, name, min_samples, renormalize
     rng = np.random.default_rng(seed)
     samples = random_matched_samples(rng, n)
     shuffled = [samples[i] for i in rng.permutation(n)]
-    fs = FeatureSet(members=NAMED_FEATURE_SETS[name])
-    spec = default_eval_spec(fs.members, min_samples)
+    spec = default_eval_spec(NAMED_FEATURE_SETS[name], min_samples)
     try:
-        value, _ = compute_d_ece(samples, fs, spec, renormalize=renormalize)
+        value, _ = compute_d_ece(samples, spec, renormalize=renormalize)
     except EmptyMetricError:
         with pytest.raises(EmptyMetricError):
-            compute_d_ece(shuffled, fs, spec, renormalize=renormalize)
+            compute_d_ece(shuffled, spec, renormalize=renormalize)
         return
-    permuted, _ = compute_d_ece(shuffled, fs, spec, renormalize=renormalize)
+    permuted, _ = compute_d_ece(shuffled, spec, renormalize=renormalize)
     assert abs(value - permuted) <= 1e-12
     assert 0.0 <= value <= 1.0
 
@@ -250,14 +251,14 @@ def test_d_ece_is_order_free_and_bounded(seed, n, name, min_samples, renormalize
 class TestReliabilityCurve:
     def test_all_ones_matched(self):
         samples = [make_sample(1.0, True)] * 5
-        assert reliability_curve(samples, CONF, 10) == [(1.0, 1.0, 5)]
+        assert reliability_curve(samples, 10) == [(1.0, 1.0, 5)]
 
     def test_all_ones_unmatched(self):
         samples = [make_sample(1.0, False)] * 5
-        assert reliability_curve(samples, CONF, 10) == [(1.0, 0.0, 5)]
+        assert reliability_curve(samples, 10) == [(1.0, 0.0, 5)]
 
     def test_four_sample_example(self):
-        curve = reliability_curve(four_sample_dataset(), CONF, 2)
+        curve = reliability_curve(four_sample_dataset(), 2)
         assert curve == [
             (pytest.approx(0.1), pytest.approx(0.0), 2),
             (pytest.approx(0.9), pytest.approx(0.5), 2),
@@ -276,7 +277,7 @@ class TestHeatmap:
         for _ in range(400):
             cx, cy = rng.uniform(0.2, 0.8, 2)
             samples.append(make_sample(1.0, True, box=(cx, cy, 0.1, 0.1)))
-        grid = heatmap(samples, FULL, self._spec(), ("cx", "cy"))
+        grid = heatmap(samples, self._spec(), ("cx", "cy"))
         occupied = grid.count > 0
         assert np.all(grid.contrib[occupied] == 0.0)
 
@@ -288,7 +289,7 @@ class TestHeatmap:
             score = 0.8
             matched = rng.random() < (0.8 if cx <= 0.5 else 0.3)
             samples.append(make_sample(score, matched, box=(cx, cy, 0.05, 0.05)))
-        grid = heatmap(samples, FULL, self._spec(), ("cx", "cy"))
+        grid = heatmap(samples, self._spec(), ("cx", "cy"))
         left = np.nanmean(grid.contrib[:2, :])
         right = np.nanmean(grid.contrib[3:, :])
         assert left < 0.1 and right > 0.3
@@ -297,8 +298,8 @@ class TestHeatmap:
         rng = np.random.default_rng(8)
         samples = random_matched_samples(rng, 2000)
         spec = self._spec(min_samples=3)
-        value, stats = compute_d_ece(samples, FULL, spec)
-        grid = heatmap(samples, FULL, spec, ("cx", "cy"))
+        value, stats = compute_d_ece(samples, spec)
+        grid = heatmap(samples, spec, ("cx", "cy"))
         assert grid.count.sum() == stats.retained_samples
         occupied = grid.count > 0
         total = float(
@@ -309,18 +310,41 @@ class TestHeatmap:
     def test_axes_validation(self):
         samples = random_matched_samples(np.random.default_rng(9), 50)
         with pytest.raises(UsageError):
-            heatmap(samples, FULL, self._spec(), ("cx",))
+            heatmap(samples, self._spec(), ("cx",))
         with pytest.raises(UsageError):
-            heatmap(samples, FULL, self._spec(), ("cx", "w"))
+            heatmap(samples, self._spec(), ("cx", "w"))
         with pytest.raises(UsageError):
-            heatmap(samples, FULL, self._spec(), ("cx", "cx"))
+            heatmap(samples, self._spec(), ("cx", "cx"))
 
     def test_rows_enumerate_occupied_cells(self):
         samples = random_matched_samples(np.random.default_rng(10), 500)
-        grid = heatmap(samples, FULL, self._spec(), ("cx", "cy"))
+        grid = heatmap(samples, self._spec(), ("cx", "cy"))
         rows = list(grid.rows())
         assert sum(r[3] for r in rows) == grid.retained_samples
         assert all(0.0 <= r[2] <= 1.0 for r in rows)
+
+    def test_same_bits_as_the_reference_loop(self):
+        scenarios = sorted(synth.builtin_scenarios())
+        for seed in range(60):
+            rng = np.random.default_rng([18, seed])
+            k = int(rng.integers(2, 6))
+            dims = tuple(rng.permutation(MEMBER_NAMES)[:k].tolist())
+            counts = tuple(rng.integers(2, 7, k).tolist())
+            axes = tuple(rng.choice(dims, 2, replace=False).tolist())
+            n = int(rng.integers(200, 800))
+            if seed % 2:
+                samples = random_matched_samples(rng, n)
+            else:
+                samples = synth.generate(synth.make_scenario(scenarios[seed // 2 % 4], n, seed))
+            occupancy = binned_stats(samples, BinningSpec(dims, counts, min_samples=0)).bin_counts
+            spec = BinningSpec(dims, counts, int(rng.integers(occupancy.min() + 1, occupancy.max() + 1)))
+            assert binned_stats(samples, spec).dropped_bins > 0
+            grid, reference = heatmap(samples, spec, axes), reference_heatmap(samples, spec, axes)
+            for name in ("contrib", "count", "precision", "confidence"):
+                ours, theirs = getattr(grid, name), getattr(reference, name)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), (seed, name)
+            assert grid.retained_samples == reference.retained_samples
+            assert list(grid.rows()) == reference_heatmap_rows(reference)
 
 
 class TestDimensionalityRule:

@@ -3,13 +3,10 @@ import pytest
 
 from detcal import synth
 from detcal.errors import ScenarioError, UsageError, ValidationError
-from detcal.features import FeatureSet
 from detcal.matching import MatchedSample
 from detcal.metrics import BinningSpec, compute_d_ece, heatmap
 from detcal.synth import ScenarioSpec, builtin_scenarios, generate, make_scenario
 from oracles import record_bits, reference_generate
-
-CONF = FeatureSet(members=("confidence",))
 
 
 def constant_spec(n, value=0.7, seed=0):
@@ -29,7 +26,7 @@ class TestGenerate:
         frac = sum(s.matched for s in samples) / len(samples)
         assert 0.69 <= frac <= 0.71
         spec = BinningSpec(dims=("confidence",), counts=(20,), min_samples=0)
-        value, _ = compute_d_ece(samples, CONF, spec)
+        value, _ = compute_d_ece(samples, spec)
         assert value < 0.01
 
     def test_precision_one_matches_everything(self):
@@ -157,13 +154,13 @@ class TestBuiltinScenarios:
     def test_perfectly_calibrated_low_dece(self):
         samples = generate(make_scenario("perfectly_calibrated", 100000, seed=5))
         spec = BinningSpec(dims=("confidence",), counts=(20,), min_samples=0)
-        value, _ = compute_d_ece(samples, CONF, spec)
+        value, _ = compute_d_ece(samples, spec)
         assert value < 0.01
 
     def test_boundary_decay_heatmap_rises_toward_edges(self):
         samples = generate(make_scenario("fig3_boundary_decay", 60000, seed=6))
         spec = BinningSpec(dims=("confidence", "cx", "cy"), counts=(8, 8, 8), min_samples=8)
-        grid = heatmap(samples, FeatureSet(members=("confidence", "cx", "cy")), spec, ("cx", "cy"))
+        grid = heatmap(samples, spec, ("cx", "cy"))
         interior = np.nanmean(grid.contrib[3:5, 3:5])
         border_cells = np.concatenate(
             [grid.contrib[0, :], grid.contrib[7, :], grid.contrib[1:7, 0], grid.contrib[1:7, 7]]
@@ -174,7 +171,7 @@ class TestBuiltinScenarios:
     def test_scale_dependent_errors_grow_with_box_area(self):
         samples = generate(make_scenario("scale_dependent", 60000, seed=7))
         spec = BinningSpec(dims=("confidence", "w", "h"), counts=(8, 8, 8), min_samples=8)
-        grid = heatmap(samples, FeatureSet(members=("confidence", "w", "h")), spec, ("w", "h"))
+        grid = heatmap(samples, spec, ("w", "h"))
         # Box sizes only reach 0.2, so just the two lowest bins per axis are
         # occupied; the error must grow from the small-box to the large-box cell.
         small = grid.contrib[0, 0]
@@ -189,13 +186,13 @@ class TestBuiltinScenarios:
 
         samples = generate(make_scenario("uniform_overconfident", 50000, seed=8))
         spec = BinningSpec(dims=("confidence",), counts=(20,), min_samples=0)
-        baseline, _ = compute_d_ece(samples, CONF, spec)
+        baseline, _ = compute_d_ece(samples, spec)
         model = fit_parametric("logistic_indep", samples, ("confidence",))
         calibrated = [
             replace(s, detection=replace(s.detection, score=float(q)))
             for s, q in zip(samples, apply(model, samples))
         ]
-        post, _ = compute_d_ece(calibrated, CONF, spec)
+        post, _ = compute_d_ece(calibrated, spec)
         assert post <= 0.1 * baseline
 
     def test_scenarios_emit_declared_sample_count_and_seeded(self):
