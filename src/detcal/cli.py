@@ -11,7 +11,7 @@ import argparse
 import csv
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import DataError, DetcalError, EmptyMetricError, UsageError
 from .features import DEFAULT_CLIP, feature_set
 from .harness import ProtocolConfig, render_table, run_protocol, run_protocol_with_matching
 from .matching import match_detections, read_matched_samples, write_matched_samples
-from .metrics import BinningSpec, compute_d_ece, default_eval_spec, heatmap
+from .metrics import BinningSpec, compute_d_ece, default_eval_spec, heatmap, heatmap_axes
 from .optimizer import OptimizerConfig
 
 logger = logging.getLogger("detcal")
@@ -169,8 +169,8 @@ def _eval_binning(args, members: tuple[str, ...]) -> BinningSpec:
 
 
 def _cmd_eval(args) -> int:
-    samples = _read_nonempty(args.input, "cannot bin an empty sample list")
     spec = _eval_binning(args, feature_set(args.features).members)
+    samples = _read_nonempty(args.input, "cannot bin an empty sample list")
     with _binning(args.input):
         value, stats = compute_d_ece(samples, spec, renormalize=not args.no_renormalize)
     logger.info(
@@ -184,25 +184,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    samples = _read_nonempty(args.input, "cannot bin an empty sample list")
     members = feature_set(args.features).members
     axes = tuple(args.axes.split(","))
     if len(axes) != 2:
         raise UsageError(f"--axes expects two comma-separated dimensions, got {args.axes!r}")
     spec = _eval_binning(args, members)
+    heatmap_axes(axes, spec)
+    samples = _read_nonempty(args.input, "cannot bin an empty sample list")
     with _binning(args.input):
-        grid = heatmap(samples, spec, axes)  # type: ignore[arg-type]
-    rows = grid.rows()
-    header = ["axis1_bin", "axis2_bin", "d_ece_contrib", "count", "precision", "confidence"]
-    if args.out:
-        with open(_out_path(args, args.out), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        grid = heatmap(samples, spec, axes)
+    with (open(_out_path(args, args.out), "w", encoding="utf-8", newline="") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["axis1_bin", "axis2_bin", "d_ece_contrib", "count", "precision", "confidence"])
+        writer.writerows(grid.rows())
     return 0
 
 
@@ -230,11 +225,8 @@ def _cmd_protocol(args) -> int:
     else:
         raise UsageError("protocol needs --in, or --detections plus --annotations")
     rendered = "".join(render_table(t, args.format) for t in tables)
-    if args.out:
-        with open(_out_path(args, args.out), "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    with open(_out_path(args, args.out), "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(rendered)
     return 0
 
 

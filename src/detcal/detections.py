@@ -393,16 +393,19 @@ def _jsonl_chunks(path: Path):
 _COUNT_BYTES = 1 << 16
 
 
-def _count_lines(path: Path) -> int:
+def _count_lines(path: Path, digest=None) -> int:
     """The number of lines :func:`_jsonl_chunks` reads from the file, blank ones included.
 
     Lines end as in the text reader's universal newlines mode: at ``\\n``,
     ``\\r\\n`` or a bare ``\\r``; a final line may lack its end. Neither
     byte occurs inside a UTF-8 sequence, so the bytes are counted directly.
+    ``digest``, a :mod:`hashlib` object, is fed every byte counted.
     """
     lines, last = 0, b""
     with open(path, "rb") as fh:
         while block := fh.read(_COUNT_BYTES):
+            if digest is not None:
+                digest.update(block)
             lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
             if b"\r" in block:
                 lines += block.count(b"\r") - block.count(b"\r\n")
@@ -606,7 +609,7 @@ def _resize_columns(table: list, rows: int, size: int) -> None:
 
 
 def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, columns: Callable,
-                chunks: Iterable | None = None) -> list:
+                chunks: Iterable | None = None, size: int | None = None) -> list:
     """The columns of the accepted records of a JSON Lines file (lists as tuples), in file order.
 
     ``columns(objs)`` gives ``[ok, *columns]`` of each chunk, whose rejected records ``policy`` decides.
@@ -614,9 +617,9 @@ def _read_jsonl(path: Path, policy: _RecordPolicy, what: str, make: Callable, co
     no record count exceeds, filled chunk by chunk, and trimmed only when rows were skipped or lines
     were blank. A pipe, which cannot be read twice, and a file that grew while it was read fill
     columns that double as they run out. List columns are joined from their chunks. ``chunks``, when
-    given, stands for the file's :func:`_jsonl_chunks`.
+    given, stands for the file's :func:`_jsonl_chunks`, and ``size``, when given, for its line count.
     """
-    size, rows = _count_lines(path) if path.is_file() else 0, 0
+    size, rows = (_count_lines(path) if path.is_file() else 0) if size is None else size, 0
     table = [np.empty(c.shape[:-1] + (size,), c.dtype) if isinstance(c, np.ndarray) else []
              for c in columns([])[1:]]
     for numbers, objs in _jsonl_chunks(path) if chunks is None else chunks:

@@ -15,7 +15,8 @@ ground-truth tables, computes the IoU of every candidate pair through
 parses the file straight into that table, a chunk of lines per
 ``json.loads`` call, through the native detection reader's column checks
 and those of :class:`MatchedSample`; a record they reject is built by the
-checked constructors, which raise its ``file:line`` error.
+checked constructors, which raise its ``file:line`` error. A re-read of
+the same bytes loads the sidecar file of columns that the parse left.
 :func:`write_matched_samples` writes the table back with one line
 template. Both hold one chunk of lines at a time, never the whole file's
 text or a full-length list per column.
@@ -23,8 +24,13 @@ text or a full-length list per column.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import json
 import operator
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -42,6 +48,7 @@ from .detections import (
     RecordTable,
     _checked,
     _CHUNK_LINES,
+    _count_lines,
     _detection_columns,
     _field,
     _get,
@@ -335,13 +342,84 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     """Read matched samples from a JSON Lines file into columns, preserving order.
 
     Malformed lines raise :class:`ParseError` and invalid records
-    :class:`ValidationError`, both with ``file:line`` context.
+    :class:`ValidationError`, both with ``file:line`` context. A regular file
+    read in full leaves its columns in a sidecar (:func:`_store_columns`),
+    which later reads of the same bytes by the same reader load instead.
     """
+    path, size, key = Path(path), 0, None
+    if path.is_file():
+        sidecar = path.with_name(f".{path.name}.detcal-columns")
+        stat, digest = path.stat(), hashlib.blake2b(key=_source_key())
+        size, key = _count_lines(path, digest), digest.digest()
+        if (table := _load_columns(sidecar, key, size)) is not None:
+            return table
     image_id, category_id, members, matched, iou_, gt_index = _read_jsonl(
-        Path(path), _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns
+        path, _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns, size=size
     )
     # The transpose of the stacked members is their Fortran-ordered table.
-    return SampleColumns(members.T, matched, category_id, iou_, gt_index, image_id)
+    table = SampleColumns(members.T, matched, category_id, iou_, gt_index, image_id)
+    if key is not None:
+        _store_columns(path, sidecar, key, stat, table)
+    return table
+
+
+# A sidecar is this magic, the 64-byte key, the row count n (8 bytes, little-endian) and a 32-byte
+# digest of the payload, then the payload: the (5, n) members, matched, category_id, iou and gt_index
+# as raw arrays, and the image ids as one JSON array.
+_MAGIC = f"detcal-columns 1 {np.dtype(float).str}\n".encode()
+
+
+@functools.cache
+def _source_key() -> bytes:
+    """A digest of ``detections.py`` and ``matching.py``, or if unreadable, random bytes no other process shares."""
+    try:
+        return hashlib.blake2b(b"".join(Path(__file__).with_name(name).read_bytes()
+                                        for name in ("detections.py", "matching.py"))).digest()
+    except OSError:
+        return os.urandom(64)
+
+
+def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None:
+    """The table in ``sidecar`` if it is stored under ``key`` and whole, else None; never raises. Its arrays,
+    of at most ``lines`` rows, are filled in place; a short read cannot match the payload's digest."""
+    try:
+        with open(sidecar, "rb") as fh:
+            head, check = fh.read(len(_MAGIC) + 64 + 8 + 32), hashlib.blake2b(digest_size=32)
+            n = int.from_bytes(head[-40:-32], "little")
+            if head[:-40] != _MAGIC + key or n > lines:
+                return None
+            cols = [np.empty((len(MEMBER_NAMES), n)), *(np.empty(n, t) for t in ("i8", "i8", "f8", "i8"))]
+            for column in cols:
+                fh.readinto(column)
+                check.update(column)
+            check.update(ids := fh.read())
+        return SampleColumns(cols[0].T, *cols[1:], tuple(json.loads(ids))) if check.digest() == head[-32:] else None
+    except (OSError, ValueError):
+        return None
+
+
+def _store_columns(path: Path, sidecar: Path, key: bytes, stat: os.stat_result, table: SampleColumns) -> None:
+    """Write ``table`` to ``sidecar`` under ``key`` through a temporary file, unless ``path``'s size or
+    mtime differ from ``stat``; any OSError skips it. The image ids are encoded a chunk at a time."""
+    with contextlib.suppress(OSError):
+        if (now := path.stat()).st_size != stat.st_size or now.st_mtime_ns != stat.st_mtime_ns:
+            return
+        ids, digest, step = table.image_id, hashlib.blake2b(digest_size=32), _CHUNK_LINES
+        # json.dumps(ids) in pieces: each chunk's values, all but the first after ", ", within "[" and "]".
+        pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
+        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(_MAGIC + key + len(table).to_bytes(8, "little") + bytes(32))
+                arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
+                for part in chain(arrays, [b"["], pieces, [b"]"]):
+                    fh.write(part)
+                    digest.update(part)
+                fh.seek(len(_MAGIC) + 64 + 8)
+                fh.write(digest.digest())
+            os.replace(tmp, sidecar)
+        except OSError:
+            os.remove(tmp)
 
 
 def _matched_sample(obj: dict) -> MatchedSample:

@@ -227,6 +227,17 @@ def reliability_curve(
     ]
 
 
+def heatmap_axes(axes, spec: BinningSpec) -> tuple[str, str]:
+    """``axes`` as a tuple, if it names two different dimensions of ``spec``; otherwise a :class:`UsageError`."""
+    axes = tuple(axes)
+    if len(axes) != 2 or axes[0] == axes[1]:
+        raise UsageError(f"heatmap needs two different axes, got {axes!r}")
+    for ax in axes:
+        if ax not in spec.dims:
+            raise UsageError(f"heatmap axis {ax!r} not among binning dimensions {spec.dims}")
+    return axes
+
+
 def heatmap(
     samples: Sequence[MatchedSample] | SampleColumns,
     spec: BinningSpec,
@@ -239,12 +250,7 @@ def heatmap(
     the count-weighted mean over all cells reproduces the D-ECE over the
     retained samples.
     """
-    axes = tuple(axes)
-    if len(axes) != 2 or axes[0] == axes[1]:
-        raise UsageError(f"heatmap needs two different axes, got {axes!r}")
-    for ax in axes:
-        if ax not in spec.dims:
-            raise UsageError(f"heatmap axis {ax!r} not among binning dimensions {spec.dims}")
+    axes = heatmap_axes(axes, spec)
     _, stats = compute_d_ece(samples, spec)
     ai, aj = spec.dims.index(axes[0]), spec.dims.index(axes[1])
     shape = (spec.counts[ai], spec.counts[aj])

@@ -384,6 +384,27 @@ class TestUnworkableSettings:
         read.assert_not_called()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["eval", "--features", "conf", "--bins", "0"], 2, "bin counts must be >= 1, got (0,)"),
+        (["eval", "--features", "conf", "--min-samples", "-1"], 2, "min_samples must be >= 0, got -1"),
+        (["heatmap", "--features", "conf+xy", "--axes", "cx"], 1,
+         "--axes expects two comma-separated dimensions, got 'cx'"),
+        (["heatmap", "--features", "conf+xy", "--axes", "cx,cx"], 1,
+         "heatmap needs two different axes, got ('cx', 'cx')"),
+        (["heatmap", "--features", "conf+xy", "--axes", "cx,w"], 1,
+         "heatmap axis 'w' not among binning dimensions ('confidence', 'cx', 'cy')"),
+    ], ids=["eval-bins", "eval-min-samples", "heatmap-one-axis", "heatmap-equal-axes", "heatmap-foreign-axis"])
+    def test_eval_and_heatmap_check_flags_before_reading(self, tmp_path, monkeypatch, caplog, argv, code, message):
+        """A bad flag exits as it always has, but the input is never read (nor its sidecar written)."""
+        matched = synth_file(tmp_path, n=500)
+
+        def read(path):
+            raise AssertionError(f"{path} read before the flags were checked")
+
+        monkeypatch.setattr("detcal.cli.read_matched_samples", read)
+        assert run([argv[0], "--in", matched, *argv[1:]]) == code
+        assert message in caplog.text
+
     def test_heatmap_equal_axes_exit_one(self, tmp_path, capsys):
         matched = synth_file(tmp_path, n=500)
         assert run(["heatmap", "--in", matched, "--features", "full", "--axes", "cx,cx"]) == 1

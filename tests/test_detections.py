@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detcal import cli, detections
+from detcal import cli, detections, matching
 from detcal.detections import (
     EDGE_CLAMP_TOLERANCE,
     INT64_MAX,
@@ -774,7 +774,7 @@ class TestLineCount:
         samples = random_matched_samples(np.random.default_rng(6), 3000)
         path = tmp_path / "m.jsonl"
         write_matched_samples(columns(samples), path)
-        with mock.patch.object(detections, "_count_lines", return_value=2):
+        with mock.patch.object(matching, "_count_lines", return_value=2):
             assert_same_columns(read_matched_samples(path), columns(samples))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

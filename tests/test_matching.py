@@ -1,5 +1,7 @@
 import json
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -741,6 +743,210 @@ class TestStreamedFiles:
                 rec = {**rec, "score": float(scores[i]), "raw_score": d.score}
             lines.append(json.dumps(rec) + "\n")
         assert path.read_bytes() == "".join(lines).encode()
+
+
+# ---------------------------------------------------------------------------
+# Sidecars: a re-read of the same bytes loads the parsed columns
+
+
+def _sidecar(path):
+    return path.with_name(f".{path.name}.detcal-columns")
+
+
+def _no_parse(path, *args, **kwargs):
+    raise AssertionError(f"{path} parsed where its sidecar should have been read")
+
+
+def assert_same_table(hit, parsed):
+    """Equal bits, dtypes, shapes and layouts, equal ids of equal types, and read-only columns."""
+    assert_same_columns(hit, parsed)
+    assert type(hit.image_id) is tuple
+    for name in ("values", "matched", "category_id", "iou", "gt_index"):
+        assert not getattr(hit, name).flags.writeable and not getattr(parsed, name).flags.writeable, name
+        assert getattr(hit, name).flags.c_contiguous == getattr(parsed, name).flags.c_contiguous, name
+
+
+def _synth(tmp_path, n, name="m.jsonl"):
+    path = tmp_path / name
+    assert cli_main(["synth", "--scenario", "fig3_boundary_decay", "--n", str(n), "--seed", "3",
+                     "--out", str(path)]) == 0
+    return path
+
+
+def _line(image_id=0, score=0.5, box=(0.5, 0.5, 0.1, 0.1), matched=0, gt_index=None, iou=0.0):
+    return json.dumps({"image_id": image_id, "category_id": 1, "score": score,
+                       "box": dict(zip(("cx", "cy", "w", "h"), box)), "matched": matched, "iou": iou,
+                       "gt_index": gt_index})
+
+
+class TestSidecar:
+    def _parse_then_hit(self, path, monkeypatch):
+        parsed = read_matched_samples(path)
+        assert _sidecar(path).is_file()
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_read_jsonl", _no_parse)
+            hit = read_matched_samples(path)
+        assert_same_table(hit, parsed)
+        return parsed
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_hit_equals_the_parse_at_chunk_edges(self, tmp_path, monkeypatch, n):
+        path = _synth(tmp_path, n)
+        parsed = self._parse_then_hit(path, monkeypatch)
+        assert len(parsed) == n
+        # The sidecar's bytes depend on the file alone, and end in the ids as json.dumps writes them.
+        stored = _sidecar(path).read_bytes()
+        _sidecar(path).unlink()
+        read_matched_samples(path)
+        assert _sidecar(path).read_bytes() == stored
+        assert stored.endswith(json.dumps(list(parsed.image_id)).encode())
+
+    def test_apply_output_with_raw_scores(self, tmp_path, monkeypatch):
+        matched = _synth(tmp_path, 3000)
+        model, out = tmp_path / "lc.json", tmp_path / "cal.jsonl"
+        assert cli_main(["fit", "--in", str(matched), "--method", "lc", "--features", "conf",
+                         "--out", str(model)]) == 0
+        assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(out)]) == 0
+        assert '"raw_score"' in out.read_text().splitlines()[0]
+        self._parse_then_hit(out, monkeypatch)
+
+    def test_clamped_boxes(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        boxes = [(0.01, 0.5, 0.04, 0.1), (0.995, 0.2, 0.03, 0.1), (0.5, 0.005, 0.2, 0.03), (0.5, 0.5, 0.1, 0.1)]
+        path.write_text("".join(_line(i, box=b) + "\n" for i, b in enumerate(boxes)))
+        parsed = self._parse_then_hit(path, monkeypatch)
+        assert parsed.values[0, 1] != 0.01  # the reader clamped it
+
+    def test_string_and_int_ids(self, tmp_path, monkeypatch):
+        ids = ["aé\"", 7, 2**70, "\ud800", "", -3, "7", 0]
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(_line(i, matched=k % 2, gt_index=k if k % 2 else None, iou=0.5 * (k % 2)) + "\n"
+                                for k, i in enumerate(ids)))
+        parsed = self._parse_then_hit(path, monkeypatch)
+        assert list(parsed.image_id) == ids
+
+    def test_crlf_and_blank_lines(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        lines = [_line(i, score=i / 2000) for i in range(1500)]
+        lines[3:3] = ["", "  ", ""]
+        lines[1200:1200] = [""] * 40
+        path.write_bytes("\r\n".join([*lines, ""]).encode())
+        parsed = self._parse_then_hit(path, monkeypatch)
+        assert len(parsed) == 1500
+
+    def test_edited_file_with_size_and_mtime_restored_is_read_as_edited(self, tmp_path):
+        path = _synth(tmp_path, 200)
+        before = read_matched_samples(path)
+        stat, data = path.stat(), path.read_bytes()
+        at = data.index(b'"score": 0.') + len(b'"score": 0.')
+        path.write_bytes(data[:at] + (b"1" if data[at:at + 1] != b"1" else b"2") + data[at + 1:])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        edited = read_matched_samples(path)
+        assert edited.values[0, 0] != before.values[0, 0]
+        _sidecar(path).unlink()
+        assert_same_table(edited, read_matched_samples(path))
+
+    @pytest.mark.parametrize("damage", ["truncated", "magic", "key", "rows-up", "rows-down", "rows-huge", "payload",
+                                        "ids"])
+    def test_damaged_sidecar_is_parsed_over_and_rewritten(self, tmp_path, damage):
+        path = _synth(tmp_path, 300)
+        parsed = read_matched_samples(path)
+        good = _sidecar(path).read_bytes()
+        rows = len(matching._MAGIC) + 64
+
+        def flip(at):
+            return good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
+
+        _sidecar(path).write_bytes({
+            "truncated": good[:len(good) // 2],
+            "magic": flip(0),
+            "key": flip(len(matching._MAGIC) + 5),
+            "rows-up": good[:rows] + (301).to_bytes(8, "little") + good[rows + 8:],
+            "rows-down": good[:rows] + (299).to_bytes(8, "little") + good[rows + 8:],
+            "rows-huge": good[:rows] + (10**12).to_bytes(8, "little") + good[rows + 8:],
+            "payload": flip(rows + 8 + 32 + 17),
+            "ids": flip(len(good) - 3),
+        }[damage])
+        assert_same_table(read_matched_samples(path), parsed)
+        assert _sidecar(path).read_bytes() == good
+
+    def test_changed_reader_source_parses_again(self, tmp_path, monkeypatch):
+        path = _synth(tmp_path, 300)
+        parsed = read_matched_samples(path)
+        monkeypatch.setattr(matching, "_source_key", lambda: bytes(64))
+        calls = []
+        parse = matching._read_jsonl
+        monkeypatch.setattr(matching, "_read_jsonl", lambda *args, **kwargs: calls.append(1) or parse(*args, **kwargs))
+        assert_same_table(read_matched_samples(path), parsed)
+        assert calls == [1]
+
+    def test_directory_in_the_sidecars_place(self, tmp_path, monkeypatch):
+        path = _synth(tmp_path, 300)
+        _sidecar(path).mkdir()
+        first = read_matched_samples(path)
+        assert_same_table(read_matched_samples(path), first)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar(path).name, path.name]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_writes_no_sidecar(self, tmp_path):
+        path, fifo = _synth(tmp_path, 300, "source.jsonl"), tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for _ in range(2):
+            writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+            writer.start()
+            try:
+                assert len(read_matched_samples(fifo)) == 300
+            finally:
+                writer.join(timeout=10)
+            assert not _sidecar(fifo).exists()
+
+    @pytest.mark.parametrize("bad, error", [
+        (_line(score=1.5), ValidationError), ("{not json", ParseError),
+    ], ids=["invalid", "malformed"])
+    def test_failed_parse_writes_no_sidecar(self, tmp_path, bad, error):
+        path = tmp_path / "m.jsonl"
+        path.write_text(f"{_line()}\n{_line()}\n{bad}\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as excinfo:
+                read_matched_samples(path)
+            messages.append(str(excinfo.value))
+            assert not _sidecar(path).exists()
+        assert messages[0] == messages[1] and "m.jsonl:3: " in messages[0]
+
+    def test_file_changed_during_the_parse_stores_nothing(self, tmp_path, monkeypatch):
+        """A file edited after its bytes were digested, at equal size, stores no sidecar under the old key."""
+        path = _synth(tmp_path, 300)
+        parse = matching._read_jsonl
+
+        def parse_then_edit(p, *args, **kwargs):
+            table = parse(p, *args, **kwargs)
+            stat, data = p.stat(), p.read_bytes()
+            at = data.index(b'"score": 0.') + len(b'"score": 0.')
+            p.write_bytes(data[:at] + (b"1" if data[at:at + 1] != b"1" else b"2") + data[at + 1:])
+            os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            return table
+
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_read_jsonl", parse_then_edit)
+            before = read_matched_samples(path)
+        assert not _sidecar(path).exists()
+        assert read_matched_samples(path).values[0, 0] != before.values[0, 0]
+
+    def test_hit_holds_the_table_and_little_more(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        write_matched_samples(generate(make_scenario("fig3_boundary_decay", 20_000, seed=5)), path)
+        read_matched_samples(path)
+        monkeypatch.setattr(matching, "_read_jsonl", _no_parse)
+        tracemalloc.start()
+        try:
+            cols = read_matched_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cols) == 20_000
+        assert peak < _table_bytes(cols) + 2**20
 
 
 _GRID_BOXES = [BoxGeometry(cx, cy, w, h) for cx in (0.4, 0.5) for cy in (0.5, 0.6) for w in (0.2, 0.4) for h in (0.2,)]
