@@ -82,6 +82,8 @@ class ProtocolConfig:
             raise UsageError(f"train fraction must lie in (0, 1), got {self.train_fraction}")
         if self.repetitions < 1:
             raise UsageError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
         fit_sets = [feature_set(name) for name in self.feature_sets]
         if self.eval_feature_sets is not None:
             object.__setattr__(self, "eval_feature_sets", tuple(self.eval_feature_sets))
@@ -241,10 +243,12 @@ def run_protocol_with_matching(detections, ground_truth, cfg: ProtocolConfig) ->
     return tables
 
 
+def _pct(value: float | None) -> str:
+    return "" if value is None else f"{100.0 * value:.3f}"
+
+
 def _fmt_cell(cell: CellResult) -> str:
-    if cell.mean is None:
-        return "err"
-    return f"{100.0 * cell.mean:.3f} ± {100.0 * cell.std:.3f}"
+    return "err" if cell.mean is None else f"{_pct(cell.mean)} ± {_pct(cell.std)}"
 
 
 def render_table(table: ResultsTable, fmt: str = "text") -> str:
@@ -259,44 +263,35 @@ def render_table(table: ResultsTable, fmt: str = "text") -> str:
 
 
 def _column_names(table: ResultsTable) -> list[str]:
-    names = []
-    for fit_fs, eval_fs in zip(table.feature_sets, table.eval_feature_sets):
-        names.append(fit_fs if fit_fs == eval_fs else f"{fit_fs}->{eval_fs}")
-    return names
+    return [fit_fs if fit_fs == eval_fs else f"{fit_fs}->{eval_fs}"
+            for fit_fs, eval_fs in zip(table.feature_sets, table.eval_feature_sets)]
+
+
+def _rows(table: ResultsTable) -> list[tuple[str, str, str, CellResult]]:
+    """``(label, fit set, eval set, cell)`` per column, for the baseline and then each method.
+
+    The first ``len(table.feature_sets)`` rows are the baseline's, one per
+    column even where columns share an eval set.
+    """
+    column_sets = list(zip(table.feature_sets, table.eval_feature_sets))
+    rows = [("baseline", fit_fs, eval_fs, table.baseline[eval_fs]) for fit_fs, eval_fs in column_sets]
+    for method in table.methods:
+        label = _METHOD_SHORT.get(method, method)
+        rows += [(label, fit_fs, eval_fs, table.cells[(method, fit_fs)]) for fit_fs, eval_fs in column_sets]
+    return rows
 
 
 def _render_text(table: ResultsTable) -> str:
-    columns = _column_names(table)
-    header = ["method"] + columns
-    rows = [["baseline"] + [_fmt_cell(table.baseline[fs]) for fs in table.eval_feature_sets]]
-    for method in table.methods:
-        rows.append(
-            [_METHOD_SHORT.get(method, method)]
-            + [_fmt_cell(table.cells[(method, fs)]) for fs in table.feature_sets]
-        )
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = []
+    rows, n_columns = _rows(table), len(table.feature_sets)
+    grid = [["method"] + _column_names(table)]
+    for start in range(0, len(rows), n_columns):
+        grid.append([rows[start][0]] + [_fmt_cell(cell) for *_, cell in rows[start:start + n_columns]])
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    lines = [" | ".join(v.ljust(w) for v, w in zip(row, widths)) for row in grid]
     title = f"D-ECE [%] over {table.repetitions} repetitions"
     if table.iou is not None:
         title += f", IoU@{table.iou:g}"
-    lines.append(title)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_row(table, method, fit_fs, eval_fs, cell):
-    return [
-        method,
-        fit_fs,
-        eval_fs,
-        "" if table.iou is None else f"{table.iou:g}",
-        "" if cell.mean is None else f"{100.0 * cell.mean:.3f}",
-        "" if cell.std is None else f"{100.0 * cell.std:.3f}",
-        str(cell.ok_repetitions),
-    ]
+    return "\n".join([title, lines[0], "-+-".join("-" * w for w in widths), *lines[1:]]) + "\n"
 
 
 def _render_csv(table: ResultsTable) -> str:
@@ -305,13 +300,9 @@ def _render_csv(table: ResultsTable) -> str:
     writer.writerow(
         ["method", "feature_set", "eval_feature_set", "iou", "mean_dece_pct", "std_dece_pct", "repetitions_ok"]
     )
-    for fit_fs, eval_fs in zip(table.feature_sets, table.eval_feature_sets):
-        writer.writerow(_csv_row(table, "baseline", fit_fs, eval_fs, table.baseline[eval_fs]))
-    for method in table.methods:
-        for fit_fs, eval_fs in zip(table.feature_sets, table.eval_feature_sets):
-            writer.writerow(
-                _csv_row(table, _METHOD_SHORT.get(method, method), fit_fs, eval_fs, table.cells[(method, fit_fs)])
-            )
+    iou = "" if table.iou is None else f"{table.iou:g}"
+    for label, fit_fs, eval_fs, cell in _rows(table):
+        writer.writerow([label, fit_fs, eval_fs, iou, _pct(cell.mean), _pct(cell.std), str(cell.ok_repetitions)])
     return buf.getvalue()
 
 
@@ -325,20 +316,16 @@ def _cell_json(cell: CellResult) -> dict:
 
 
 def _render_json(table: ResultsTable) -> str:
+    rows, n_columns = _rows(table), len(table.feature_sets)
     doc = {
         "repetitions": table.repetitions,
         "iou": table.iou,
         "columns": _column_names(table),
-        "baseline": {fs: _cell_json(table.baseline[fs]) for fs in dict.fromkeys(table.eval_feature_sets)},
+        # Keyed by eval set; a repeated eval set keeps its first position.
+        "baseline": {eval_fs: _cell_json(cell) for _, _, eval_fs, cell in rows[:n_columns]},
         "cells": [
-            {
-                "method": _METHOD_SHORT.get(method, method),
-                "feature_set": fit_fs,
-                "eval_feature_set": eval_fs,
-                **_cell_json(table.cells[(method, fit_fs)]),
-            }
-            for method in table.methods
-            for fit_fs, eval_fs in zip(table.feature_sets, table.eval_feature_sets)
+            {"method": label, "feature_set": fit_fs, "eval_feature_set": eval_fs, **_cell_json(cell)}
+            for label, fit_fs, eval_fs, cell in rows[n_columns:]
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -10,6 +10,7 @@ output for testing and for the evaluation protocol.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,8 +43,14 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n_samples, (int, np.integer)):
+            raise UsageError(f"sample count must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise UsageError(f"sample count must be >= 1, got {self.n_samples}")
+        if self.n_samples > np.iinfo(np.intp).max:
+            raise UsageError(f"sample count {self.n_samples} exceeds numpy's index range")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 _INTERIOR_SIZE_RANGE = (0.02, 0.2)
@@ -84,99 +91,53 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def _fig3_boundary_decay(n: int, seed: int) -> ScenarioSpec:
+def _size_score(boxes: np.ndarray) -> np.ndarray:
+    """uniform_overconfident's confidence, rising linearly with the box's log-area."""
+    return 0.25 + 0.70 * _scale_coordinate(boxes)
+
+
+# Each built-in scenario's (precision field, confidence field); every one
+# draws its boxes with :func:`interior_box_sampler`.
+_SCENARIOS: dict[str, tuple[PrecisionField, ConfidenceField]] = {
     # Precision and confidence both fall toward the image boundary with
     # different slopes; the confidence spread within a location comes from
     # the (position-independent) box scale, so a confidence-only map cannot
     # resolve the location dependence.
-    def precision(boxes):
-        return 0.80 - 0.50 * _boundary_closeness(boxes)
-
-    def confidence(boxes, precision):
-        return 0.92 - 0.20 * _boundary_closeness(boxes) - 0.25 * _scale_coordinate(boxes)
-
-    return ScenarioSpec(
-        name="fig3_boundary_decay",
-        n_samples=n,
-        precision_field=precision,
-        confidence_field=confidence,
-        box_sampler=interior_box_sampler,
-        seed=seed,
-    )
-
-
-def _perfectly_calibrated(n: int, seed: int) -> ScenarioSpec:
-    def field(boxes):
-        return 0.90 - 0.45 * _boundary_closeness(boxes) - 0.20 * _scale_coordinate(boxes)
-
-    return ScenarioSpec(
-        name="perfectly_calibrated",
-        n_samples=n,
-        precision_field=field,
-        confidence_field=lambda boxes, precision: precision.copy(),
-        box_sampler=interior_box_sampler,
-        seed=seed,
-    )
-
-
-def _uniform_overconfident(n: int, seed: int) -> ScenarioSpec:
+    "fig3_boundary_decay": (
+        lambda boxes: 0.80 - 0.50 * _boundary_closeness(boxes),
+        lambda boxes, p: 0.92 - 0.20 * _boundary_closeness(boxes) - 0.25 * _scale_coordinate(boxes),
+    ),
+    "perfectly_calibrated": (
+        lambda boxes: 0.90 - 0.45 * _boundary_closeness(boxes) - 0.20 * _scale_coordinate(boxes),
+        lambda boxes, p: p.copy(),
+    ),
     # The true precision is an exact Platt transform of the confidence, so a
     # one-dimensional logistic map can recalibrate this scenario completely.
-    def confidence(boxes):
-        return 0.25 + 0.70 * _scale_coordinate(boxes)
-
-    def precision(boxes):
-        return _sigmoid(_logit(confidence(boxes)) - 1.0)
-
-    return ScenarioSpec(
-        name="uniform_overconfident",
-        n_samples=n,
-        precision_field=precision,
-        confidence_field=lambda boxes, p: confidence(boxes),
-        box_sampler=interior_box_sampler,
-        seed=seed,
-    )
-
-
-def _scale_dependent(n: int, seed: int) -> ScenarioSpec:
-    def precision(boxes):
-        return 0.85 - 0.45 * _scale_coordinate(boxes)
-
-    def confidence(boxes, precision):
-        return 0.88 - 0.15 * _scale_coordinate(boxes) - 0.10 * _boundary_closeness(boxes)
-
-    return ScenarioSpec(
-        name="scale_dependent",
-        n_samples=n,
-        precision_field=precision,
-        confidence_field=confidence,
-        box_sampler=interior_box_sampler,
-        seed=seed,
-    )
-
-
-_SCENARIOS: dict[str, Callable[[int, int], ScenarioSpec]] = {
-    "fig3_boundary_decay": _fig3_boundary_decay,
-    "perfectly_calibrated": _perfectly_calibrated,
-    "uniform_overconfident": _uniform_overconfident,
-    "scale_dependent": _scale_dependent,
+    "uniform_overconfident": (
+        lambda boxes: _sigmoid(_logit(_size_score(boxes)) - 1.0),
+        lambda boxes, p: _size_score(boxes),
+    ),
+    "scale_dependent": (
+        lambda boxes: 0.85 - 0.45 * _scale_coordinate(boxes),
+        lambda boxes, p: 0.88 - 0.15 * _scale_coordinate(boxes) - 0.10 * _boundary_closeness(boxes),
+    ),
 }
 
 
 def builtin_scenarios() -> dict[str, Callable[[int, int], ScenarioSpec]]:
-    """Factories for the named scenarios, keyed by scenario name."""
-    return dict(_SCENARIOS)
+    """Factories ``(n_samples, seed) -> ScenarioSpec`` for the named scenarios, keyed by name."""
+    return {name: functools.partial(make_scenario, name) for name in _SCENARIOS}
 
 
 def make_scenario(name: str, n_samples: int, seed: int = 0) -> ScenarioSpec:
     """Instantiate a named scenario; unknown names raise :class:`UsageError`."""
     try:
-        factory = _SCENARIOS[name]
+        precision, confidence = _SCENARIOS[name]
     except KeyError:
         raise UsageError(
             f"unknown scenario {name!r}; expected one of {sorted(_SCENARIOS)}"
         ) from None
-    return factory(n_samples, seed)
+    return ScenarioSpec(name, n_samples, precision, confidence, interior_box_sampler, seed)
 
 
 def generate(spec: ScenarioSpec) -> SampleColumns:
@@ -191,37 +152,41 @@ def generate(spec: ScenarioSpec) -> SampleColumns:
     scores by :func:`_check_field`; a bad box raises the error of
     :class:`BoxGeometry` for the first such row. The sampler's arrays become
     the columns of the returned :class:`SampleColumns`, which reads as a
-    sequence of :class:`~detcal.matching.MatchedSample` records.
+    sequence of :class:`~detcal.matching.MatchedSample` records. A draw
+    numpy cannot allocate raises :class:`UsageError` naming the sample count.
     """
-    rng = np.random.default_rng(spec.seed)
-    boxes = np.asarray(spec.box_sampler(rng, spec.n_samples), dtype=np.float64)
-    if boxes.shape != (spec.n_samples, 4):
-        raise ScenarioError(
-            f"box sampler returned shape {boxes.shape}, expected ({spec.n_samples}, 4)"
-        )
-    precision = np.asarray(spec.precision_field(boxes), dtype=np.float64)
-    _check_field("precision", precision, spec.n_samples)
-    confidence = np.asarray(spec.confidence_field(boxes, precision), dtype=np.float64)
-    _check_field("confidence", confidence, spec.n_samples)
-    matched = rng.random(spec.n_samples) < precision
-    ok = valid_boxes(*boxes.T)
-    if not ok.all():
-        # The first row BoxGeometry rejects raises its own error.
-        for row in boxes[~ok].tolist():
-            BoxGeometry(*row)
+    try:
+        rng = np.random.default_rng(spec.seed)
+        boxes = np.asarray(spec.box_sampler(rng, spec.n_samples), dtype=np.float64)
+        if boxes.shape != (spec.n_samples, 4):
+            raise ScenarioError(
+                f"box sampler returned shape {boxes.shape}, expected ({spec.n_samples}, 4)"
+            )
+        precision = np.asarray(spec.precision_field(boxes), dtype=np.float64)
+        _check_field("precision", precision, spec.n_samples)
+        confidence = np.asarray(spec.confidence_field(boxes, precision), dtype=np.float64)
+        _check_field("confidence", confidence, spec.n_samples)
+        matched = rng.random(spec.n_samples) < precision
+        ok = valid_boxes(*boxes.T)
+        if not ok.all():
+            # The first row BoxGeometry rejects raises its own error.
+            for row in boxes[~ok].tolist():
+                BoxGeometry(*row)
 
-    n = spec.n_samples
-    values = np.empty((n, len(MEMBER_NAMES)), order="F")
-    values[:, 0] = confidence
-    values[:, 1:] = boxes
-    return SampleColumns(
-        values,
-        matched.astype(np.int64),
-        np.ones(n, np.int64),
-        matched.astype(np.float64),
-        np.where(matched, np.arange(n), -1),
-        tuple(range(n)),
-    )
+        n = spec.n_samples
+        values = np.empty((n, len(MEMBER_NAMES)), order="F")
+        values[:, 0] = confidence
+        values[:, 1:] = boxes
+        return SampleColumns(
+            values,
+            matched.astype(np.int64),
+            np.ones(n, np.int64),
+            matched.astype(np.float64),
+            np.where(matched, np.arange(n), -1),
+            tuple(range(n)),
+        )
+    except MemoryError as exc:
+        raise UsageError(f"cannot allocate a draw of {spec.n_samples} samples: {exc}") from None
 
 
 def _check_field(name: str, values: np.ndarray, n: int) -> None:

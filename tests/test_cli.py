@@ -93,6 +93,40 @@ class TestSynthCommand:
         assert run(["synth", "--scenario", "nope", "--n", 10, "--out", tmp_path / "x.jsonl"]) == 1
 
 
+class TestSeedsAndSizes:
+    """A seed below zero or a draw numpy cannot hold exits 1 with one ERROR line, not a traceback."""
+
+    def test_synth_negative_seed(self, tmp_path):
+        out = tmp_path / "t.jsonl"
+        proc = run_process(["synth", "--scenario", "fig3_boundary_decay", "--n", 5, "--seed", -1, "--out", out])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["ERROR detcal: seed must be an integer >= 0, got -1"]
+        assert not out.exists()
+
+    def test_protocol_negative_seed(self, tmp_path):
+        matched = synth_file(tmp_path, n=500)
+        proc = run_process(["protocol", "--in", matched, "--methods", "hb", "--features", "conf",
+                            "--reps", 1, "--seed", -1])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["ERROR detcal: seed must be an integer >= 0, got -1"]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("n, message", [
+        (2**50, "cannot allocate a draw of 1125899906842624 samples"),
+        (99999999999999999999, "sample count 99999999999999999999 exceeds"),
+    ], ids=["unallocatable", "past-index-range"])
+    def test_synth_oversized_draw(self, tmp_path, n, message):
+        out = tmp_path / "t.jsonl"
+        proc = run_process(["synth", "--scenario", "fig3_boundary_decay", "--n", n, "--out", out])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"ERROR detcal: {message}")
+        assert not out.exists()
+
+
 class TestEmptyInput:
     """An empty or all-blank matched file exits 2, naming the file, from every command that reads it."""
 

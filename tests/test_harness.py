@@ -17,6 +17,7 @@ from detcal.features import NAMED_FEATURE_SETS, labels
 from detcal.harness import (
     CellResult,
     ProtocolConfig,
+    ResultsTable,
     canonical_method,
     render_table,
     run_protocol,
@@ -74,6 +75,16 @@ class TestProtocolConfig:
     def test_bad_setting_refused(self, setting):
         with pytest.raises(UsageError):
             ProtocolConfig(methods=("lc",), feature_sets=("conf",), **setting)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, np.float64(1.0)])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(UsageError, match=r"seed must be an integer >= 0"):
+            ProtocolConfig(methods=("lc",), feature_sets=("conf",), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), 2**70])
+    def test_integer_seeds_run(self, seed):
+        cfg = ProtocolConfig(methods=("identity",), feature_sets=("conf",), repetitions=1, seed=seed)
+        assert run_protocol(fig3_samples(2000), cfg).baseline["conf"].mean is not None
 
     def test_edge_settings_accepted(self):
         cfg = ProtocolConfig(methods=("lc",), feature_sets=("conf",), iou_thresholds=(1, "0.5"),
@@ -332,3 +343,162 @@ class TestRenderTable:
         ]
         rows = [line.split("|")[0].strip() for line in text.splitlines()[3:]]
         assert rows == ["baseline", "hb", "lc", "lc-dep", "bc", "bc-dep"]
+
+
+def pinned_table(iou):
+    """A hand-built table: a repeated eval set, a conf->full column and an err cell."""
+    wide = CellResult(0.15625, 0.0234375, (0.171875, 0.140625))
+    return ResultsTable(
+        methods=("identity", "logistic_dep"),
+        feature_sets=("conf", "conf+xy", "full"),
+        eval_feature_sets=("full", "conf+xy", "full"),
+        repetitions=2,
+        iou=iou,
+        baseline={
+            "full": wide,
+            "conf+xy": CellResult(0.03125, 0.0, (0.03125, None), ("rep 1 baseline conf+xy: empty",)),
+        },
+        cells={
+            ("identity", "conf"): wide,
+            ("identity", "conf+xy"): CellResult(0.03125, 0.0, (0.03125, None), ("rep 1 identity/conf+xy: empty",)),
+            ("identity", "full"): wide,
+            ("logistic_dep", "conf"): CellResult(0.0123456789, 0.00098765, (0.0130440539, 0.0116473039)),
+            ("logistic_dep", "conf+xy"): CellResult(
+                None, None, (None, None), ("rep 0 logistic_dep/conf+xy: a", "rep 1 logistic_dep/conf+xy: b")
+            ),
+            ("logistic_dep", "full"): CellResult(0.0078125, 0.001953125, (0.0091935, 0.0064315)),
+        },
+    )
+
+
+# Text rows keep the padding of their last column, trailing spaces included.
+PINNED_TEXT = """\
+D-ECE [%] over 2 repetitions, IoU@0.5
+method   | conf->full     | conf+xy       | full          
+---------+----------------+---------------+---------------
+baseline | 15.625 ± 2.344 | 3.125 ± 0.000 | 15.625 ± 2.344
+identity | 15.625 ± 2.344 | 3.125 ± 0.000 | 15.625 ± 2.344
+lc-dep   | 1.235 ± 0.099  | err           | 0.781 ± 0.195 
+"""
+
+PINNED_CSV = """\
+method,feature_set,eval_feature_set,iou,mean_dece_pct,std_dece_pct,repetitions_ok
+baseline,conf,full,0.5,15.625,2.344,2
+baseline,conf+xy,conf+xy,0.5,3.125,0.000,1
+baseline,full,full,0.5,15.625,2.344,2
+identity,conf,full,0.5,15.625,2.344,2
+identity,conf+xy,conf+xy,0.5,3.125,0.000,1
+identity,full,full,0.5,15.625,2.344,2
+lc-dep,conf,full,0.5,1.235,0.099,2
+lc-dep,conf+xy,conf+xy,0.5,,,0
+lc-dep,full,full,0.5,0.781,0.195,2
+"""
+
+PINNED_JSON = """\
+{
+  "repetitions": 2,
+  "iou": 0.5,
+  "columns": [
+    "conf->full",
+    "conf+xy",
+    "full"
+  ],
+  "baseline": {
+    "full": {
+      "mean_dece_pct": 15.625,
+      "std_dece_pct": 2.34375,
+      "repetitions_ok": 2,
+      "errors": []
+    },
+    "conf+xy": {
+      "mean_dece_pct": 3.125,
+      "std_dece_pct": 0.0,
+      "repetitions_ok": 1,
+      "errors": [
+        "rep 1 baseline conf+xy: empty"
+      ]
+    }
+  },
+  "cells": [
+    {
+      "method": "identity",
+      "feature_set": "conf",
+      "eval_feature_set": "full",
+      "mean_dece_pct": 15.625,
+      "std_dece_pct": 2.34375,
+      "repetitions_ok": 2,
+      "errors": []
+    },
+    {
+      "method": "identity",
+      "feature_set": "conf+xy",
+      "eval_feature_set": "conf+xy",
+      "mean_dece_pct": 3.125,
+      "std_dece_pct": 0.0,
+      "repetitions_ok": 1,
+      "errors": [
+        "rep 1 identity/conf+xy: empty"
+      ]
+    },
+    {
+      "method": "identity",
+      "feature_set": "full",
+      "eval_feature_set": "full",
+      "mean_dece_pct": 15.625,
+      "std_dece_pct": 2.34375,
+      "repetitions_ok": 2,
+      "errors": []
+    },
+    {
+      "method": "lc-dep",
+      "feature_set": "conf",
+      "eval_feature_set": "full",
+      "mean_dece_pct": 1.2345678900000001,
+      "std_dece_pct": 0.098765,
+      "repetitions_ok": 2,
+      "errors": []
+    },
+    {
+      "method": "lc-dep",
+      "feature_set": "conf+xy",
+      "eval_feature_set": "conf+xy",
+      "mean_dece_pct": null,
+      "std_dece_pct": null,
+      "repetitions_ok": 0,
+      "errors": [
+        "rep 0 logistic_dep/conf+xy: a",
+        "rep 1 logistic_dep/conf+xy: b"
+      ]
+    },
+    {
+      "method": "lc-dep",
+      "feature_set": "full",
+      "eval_feature_set": "full",
+      "mean_dece_pct": 0.78125,
+      "std_dece_pct": 0.1953125,
+      "repetitions_ok": 2,
+      "errors": []
+    }
+  ]
+}
+"""
+
+
+class TestRenderPinned:
+    """Byte-for-byte renders of a fixed table, recorded before the renderers shared a row list."""
+
+    def test_with_iou(self):
+        table = pinned_table(0.5)
+        assert render_table(table, "text") == PINNED_TEXT
+        assert render_table(table, "csv") == PINNED_CSV
+        assert render_table(table, "json") == PINNED_JSON
+
+    def test_without_iou(self):
+        table = pinned_table(None)
+        assert render_table(table, "text") == PINNED_TEXT.replace(", IoU@0.5", "")
+        assert render_table(table, "csv") == PINNED_CSV.replace(",0.5,", ",,")
+        assert render_table(table, "json") == PINNED_JSON.replace('"iou": 0.5,', '"iou": null,')
+
+    def test_unknown_format_message(self):
+        with pytest.raises(UsageError, match=r"^unknown table format 'yaml'; expected text, csv, or json$"):
+            render_table(pinned_table(None), "yaml")

@@ -200,3 +200,74 @@ class TestBuiltinScenarios:
             a = generate(make_scenario(name, 100, seed=1))
             b = generate(make_scenario(name, 100, seed=1))
             assert len(a) == 100 and a == b
+
+
+# Column sums of ``values`` (confidence, cx, cy, w, h) and the matched count of
+# each built-in scenario at n = 1,000, recorded from the scenario factories as
+# they stood before they became one table; they pin every field's arithmetic.
+SCENARIO_PINS = {
+    ("fig3_boundary_decay", 0): ((715.6675051872098, 513.5250706138029, 484.73756241046635,
+                                  77.11842071424255, 76.71442819875237), 581),
+    ("fig3_boundary_decay", 7): ((714.8289585843446, 495.3650008145148, 504.2002372465121,
+                                  79.75252081100639, 77.3288869817842), 629),
+    ("perfectly_calibrated", 0): ((619.4438111123418, 513.5250706138029, 484.73756241046635,
+                                   77.11842071424255, 76.71442819875237), 597),
+    ("perfectly_calibrated", 7): ((620.2728501286699, 495.3650008145148, 504.2002372465121,
+                                   79.75252081100639, 77.3288869817842), 638),
+    ("scale_dependent", 0): ((765.4756888390448, 513.5250706138029, 484.73756241046635,
+                              77.11842071424255, 76.71442819875237), 620),
+    ("scale_dependent", 7): ((764.8691211325934, 495.3650008145148, 504.2002372465121,
+                              79.75252081100639, 77.3288869817842), 642),
+    ("uniform_overconfident", 0): ((596.02578512768, 513.5250706138029, 484.73756241046635,
+                                    77.11842071424255, 76.71442819875237), 372),
+    ("uniform_overconfident", 7): ((601.2700284682103, 495.3650008145148, 504.2002372465121,
+                                    79.75252081100639, 77.3288869817842), 405),
+}
+
+
+class TestScenarioPins:
+    @pytest.mark.parametrize("name, seed", sorted(SCENARIO_PINS))
+    def test_draw_matches_recorded_sums(self, name, seed):
+        sums, matched = SCENARIO_PINS[name, seed]
+        samples = generate(make_scenario(name, 1000, seed))
+        np.testing.assert_allclose(samples.values.sum(axis=0), sums, rtol=1e-12, atol=0)
+        assert int(samples.matched.sum()) == matched
+
+    @pytest.mark.parametrize("name, seed", sorted(SCENARIO_PINS))
+    def test_catalog_factory_is_make_scenario(self, name, seed):
+        a = generate(builtin_scenarios()[name](1000, seed))
+        b = generate(make_scenario(name, 1000, seed))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.matched.tolist() == b.matched.tolist()
+        assert a.gt_index.tolist() == b.gt_index.tolist()
+
+
+class TestSeedAndSize:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, np.float64(2.0)])
+    def test_bad_seed_refused_before_any_draw(self, seed):
+        with pytest.raises(UsageError, match=r"seed must be an integer >= 0"):
+            make_scenario("fig3_boundary_decay", 10, seed)
+        with pytest.raises(UsageError, match=r"seed must be an integer >= 0"):
+            constant_spec(10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**70])
+    def test_integer_seeds_accepted(self, seed):
+        assert len(generate(make_scenario("perfectly_calibrated", 5, seed))) == 5
+
+    @pytest.mark.parametrize("n", [10.0, 2.5, "10", None])
+    def test_non_integer_sample_count_refused(self, n):
+        with pytest.raises(UsageError, match=r"sample count must be an integer"):
+            make_scenario("scale_dependent", n)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert len(generate(make_scenario("scale_dependent", np.int32(12)))) == 12
+
+    def test_count_past_the_index_range_refused(self):
+        with pytest.raises(UsageError, match=r"sample count 1180591620717411303424 exceeds"):
+            make_scenario("fig3_boundary_decay", 2**70)
+
+    def test_draw_numpy_cannot_allocate_is_a_usage_error(self):
+        # 2**50 samples need 8 PiB per column, more than any address space maps.
+        spec = make_scenario("fig3_boundary_decay", 2**50)
+        with pytest.raises(UsageError, match=r"cannot allocate a draw of 1125899906842624 samples"):
+            generate(spec)
