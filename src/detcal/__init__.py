@@ -6,7 +6,6 @@ from .calibrators import (
     fit,
     fit_hist_binning,
     fit_parametric,
-    fit_per_class,
     load_model,
     loglik_ratio,
     save_model,
@@ -19,9 +18,8 @@ from .detections import (
     GroundTruthTable,
     ImageRecord,
     load_dataset,
-    write_detections,
 )
-from .features import FeatureSet, build_features, build_feature_matrix, feature_set, labels
+from .features import FeatureSet, build_feature_matrix, feature_set, labels
 from .harness import ProtocolConfig, ResultsTable, render_table, run_protocol
 from .matching import (
     MatchedSample,
@@ -32,7 +30,7 @@ from .matching import (
     read_matched_samples,
     write_matched_samples,
 )
-from .metrics import BinningSpec, bin_index, compute_d_ece, heatmap, reliability_curve
+from .metrics import BinningSpec, compute_d_ece, heatmap, reliability_curve
 from .optimizer import FitReport, OptimizerConfig, check_gradient, minimize
 from .synth import ScenarioSpec, builtin_scenarios, generate, make_scenario
 
@@ -56,8 +54,6 @@ __all__ = [
     "SampleColumns",
     "ScenarioSpec",
     "apply",
-    "bin_index",
-    "build_features",
     "build_feature_matrix",
     "builtin_scenarios",
     "check_gradient",
@@ -67,7 +63,6 @@ __all__ = [
     "fit",
     "fit_hist_binning",
     "fit_parametric",
-    "fit_per_class",
     "generate",
     "heatmap",
     "iou",
@@ -83,6 +78,5 @@ __all__ = [
     "render_table",
     "run_protocol",
     "save_model",
-    "write_detections",
     "write_matched_samples",
 ]

@@ -66,6 +66,7 @@ from .errors import (
     UnsupportedOperationError,
     UsageError,
     ValidationError,
+    check_count,
 )
 from .detections import _category_id, _real, _whole_number, read_json
 from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
@@ -410,12 +411,14 @@ def fit_hist_binning(
         if k not in DEFAULT_CALIBRATION_BINS:
             raise UsageError(f"no default calibration bin count for K={k}; pass bin_counts")
         counts = (DEFAULT_CALIBRATION_BINS[k],) * k
-    elif isinstance(bin_counts, int):
+    elif np.ndim(bin_counts) == 0:
         counts = (bin_counts,) * k
     else:
-        counts = tuple(int(c) for c in bin_counts)
+        counts = tuple(bin_counts)
         if len(counts) != k:
             raise UsageError(f"{len(counts)} bin counts given for K={k} dimensions")
+    below = f"bin count must be >= 1, got {np.asarray(counts)}"
+    counts = tuple(check_count("bin count", c, 1, message=below) for c in counts)
     check_grid(counts, UsageError)
 
     cols = columns(samples)
@@ -447,11 +450,6 @@ def fit_hist_binning(
 
 # ---------------------------------------------------------------------------
 # Parametric objectives: mean binary NLL over unconstrained parameters
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    """Reference ``log(1 + exp(z))``; fits use :func:`_nll_and_residual`."""
-    return np.logaddexp(0.0, z)
 
 
 def _nll_and_residual(z: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -950,20 +948,6 @@ def fit(
     return fit_parametric(
         method, samples, fs, config=config, ridge=ridge, eps=eps, category_id=category_id
     )
-
-
-def fit_per_class(
-    method: str,
-    samples: Sequence[MatchedSample] | SampleColumns,
-    fs: FeatureSet | Sequence[str],
-    **kwargs,
-) -> dict[int, CalibrationModel]:
-    """Fit one model per category_id present in the samples."""
-    cols = columns(samples)
-    return {
-        cid: fit(method, cols.take(np.flatnonzero(cols.category_id == cid)), fs, category_id=cid, **kwargs)
-        for cid in np.unique(cols.category_id).tolist()
-    }
 
 
 # ---------------------------------------------------------------------------

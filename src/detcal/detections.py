@@ -147,15 +147,6 @@ class BoxGeometry:
             self.cy + 0.5 * self.h,
         )
 
-    def to_absolute(self, width_px: int, height_px: int) -> tuple[float, float, float, float]:
-        """Return ``[x_topleft, y_topleft, w, h]`` in pixels for the given image size."""
-        return (
-            (self.cx - 0.5 * self.w) * width_px,
-            (self.cy - 0.5 * self.h) * height_px,
-            self.w * width_px,
-            self.h * height_px,
-        )
-
 
 def valid_boxes(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Where :class:`BoxGeometry` accepts ``(cx, cy, w, h)``: its checks over float arrays."""
@@ -317,10 +308,6 @@ def _boxes_from_relative(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.nd
     return ok & valid_boxes(cx, cy, w, h), (cx, cy, w, h), (nonpositive, overhang)
 
 
-def box_to_json(box: BoxGeometry) -> dict[str, float]:
-    return {"cx": box.cx, "cy": box.cy, "w": box.w, "h": box.h}
-
-
 def _parse_line(path: Path, lineno: int, line: str) -> dict:
     """The JSON object on a nonblank line; anything else raises :class:`ParseError` with ``file:line``."""
     if not line.isascii():
@@ -443,13 +430,8 @@ _SNIFF_CHARS = 4096
 _JSON_WHITESPACE = " \t\n\r"
 
 
-def sniff_format(path: str | Path) -> str:
-    """Return ``"native"`` (JSON Lines) or ``"coco"`` (single JSON document)."""
-    return _sniff(Path(path))[0]
-
-
 def _sniff(path: Path) -> tuple[str, Any]:
-    """:func:`sniff_format`'s verdict, and the document when that parsed the whole file.
+    """``"native"`` (JSON Lines) or ``"coco"`` (one JSON document), and the document when that parsed the whole file.
 
     A first line that opens an array is a results document, decided from
     its first characters. Any other first line is parsed; when it is the
@@ -999,51 +981,3 @@ def load_dataset(
         logger.warning("skipped %d invalid records", policy.skipped)
     return detections, ground_truth, categories
 
-
-def detection_to_json(det: Detection) -> dict[str, Any]:
-    return {
-        "image_id": det.image_id,
-        "category_id": det.category_id,
-        "score": det.score,
-        "box": box_to_json(det.box),
-    }
-
-
-def write_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    """Write detections in the native JSON Lines format, one record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in detections:
-            fh.write(json.dumps(detection_to_json(det)))
-            fh.write("\n")
-
-
-def write_annotations(
-    ground_truth: Iterable[GroundTruthObject],
-    images: Iterable[ImageRecord],
-    path: str | Path,
-    categories: CategoryTable | None = None,
-) -> None:
-    """Write a native annotation file: image records, then object records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for image in images:
-            rec = {
-                "image": {
-                    "image_id": image.image_id,
-                    "width_px": image.width_px,
-                    "height_px": image.height_px,
-                }
-            }
-            fh.write(json.dumps(rec))
-            fh.write("\n")
-        for cid, name in (categories or {}).items():
-            fh.write(json.dumps({"category": {"id": cid, "name": name}}))
-            fh.write("\n")
-        for gt in ground_truth:
-            rec = {
-                "image_id": gt.image_id,
-                "category_id": gt.category_id,
-                "box": box_to_json(gt.box),
-                "crowd_flag": gt.crowd_flag,
-            }
-            fh.write(json.dumps(rec))
-            fh.write("\n")

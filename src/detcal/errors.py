@@ -7,6 +7,8 @@ translate failures into stable process exit statuses: 1 for usage errors,
 
 from __future__ import annotations
 
+import numbers
+
 
 class DetcalError(Exception):
     """Base class for all toolkit errors."""
@@ -94,3 +96,18 @@ class ConvergenceError(NumericalError):
         super().__init__(message)
         self.iterate = iterate
         self.gradient_norm = gradient_norm
+
+
+def check_count(
+    name: str, value, minimum: int, error: type[DetcalError] = UsageError, *, message: str | None = None
+) -> int:
+    """``value`` as an int, if it is a count: an int or numpy integer, not a bool, and at least ``minimum``.
+
+    Anything else raises ``error``; ``message``, when given, replaces the
+    default message for a count below ``minimum``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise error(message or f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -96,11 +96,6 @@ def build_feature_matrix(
     return values
 
 
-def build_features(sample: MatchedSample, fs: FeatureSet, eps: float = DEFAULT_CLIP) -> np.ndarray:
-    """Feature vector (length K, in member order) for one sample; see :func:`build_feature_matrix`."""
-    return build_feature_matrix([sample], fs, eps)[0]
-
-
 def labels(samples: Sequence[MatchedSample] | SampleColumns) -> np.ndarray:
     """Binary match labels as a read-only integer vector, one entry per sample."""
     return columns(samples).matched

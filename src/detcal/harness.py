@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import calibrators
-from .errors import DataError, EmptyMetricError, NumericalError, UsageError
+from .errors import DataError, EmptyMetricError, NumericalError, UsageError, check_count
 from .features import DEFAULT_CLIP, SampleColumns, _check_eps, columns, feature_set, labels
 from .matching import MatchedSample, match_detections
 from .metrics import DEFAULT_MIN_SAMPLES, compute_d_ece, default_eval_spec, require_dimensionality_match
@@ -80,10 +80,8 @@ class ProtocolConfig:
             raise UsageError(f"duplicate feature sets in {self.feature_sets}")
         if not 0.0 < self.train_fraction < 1.0:
             raise UsageError(f"train fraction must lie in (0, 1), got {self.train_fraction}")
-        if self.repetitions < 1:
-            raise UsageError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_count("repetitions", self.repetitions, 1)
+        check_count("seed", self.seed, 0, message=f"seed must be an integer >= 0, got {self.seed!r}")
         fit_sets = [feature_set(name) for name in self.feature_sets]
         if self.eval_feature_sets is not None:
             object.__setattr__(self, "eval_feature_sets", tuple(self.eval_feature_sets))
@@ -98,8 +96,7 @@ class ProtocolConfig:
         for t in self.iou_thresholds:
             if not 0.0 < t <= 1.0:
                 raise UsageError(f"IoU thresholds must lie in (0, 1], got {t}")
-        if self.min_samples < 0:
-            raise UsageError(f"min_samples must be >= 0, got {self.min_samples}")
+        check_count("min_samples", self.min_samples, 0)
         object.__setattr__(self, "eps", _check_eps(self.eps))
 
     def resolved_eval_sets(self) -> tuple[str, ...]:

@@ -164,9 +164,7 @@ def match_detections(
     :class:`~detcal.detections.GroundTruthTable`; record lists are converted
     once. The IoU of every candidate pair is computed by :func:`pair_iou`,
     :data:`_PAIR_BLOCK` pairs per call, and the claim loop visits only the
-    pairs at or above the threshold. The matched IoUs are checked once over
-    an array; one outside ``[0, 1]`` raises the error of
-    :class:`MatchedSample` for the first such sample visited.
+    pairs at or above the threshold.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise UsageError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
@@ -212,11 +210,6 @@ def match_detections(
         if best_j >= 0:
             claimed.add(best_j)
             matched[i], ious[i], gt_index[i] = 1, best_iou, best_j
-    if not ((ious >= 0.0) & (ious <= 1.0)).all():
-        # The first sample in visiting order that MatchedSample rejects raises its error.
-        for i in order:
-            j = int(gt_index[i])
-            MatchedSample(dets[i], int(matched[i]), float(ious[i]), None if j < 0 else j)
     values = np.empty((n, len(MEMBER_NAMES)), order="F")
     for k, column in enumerate((dets.score, dets.cx, dets.cy, dets.w, dets.h)):
         values[:, k] = column

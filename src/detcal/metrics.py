@@ -16,7 +16,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, DetcalError, DimensionalityError, EmptyMetricError, UsageError, ValidationError
+from .errors import (
+    DataError, DetcalError, DimensionalityError, EmptyMetricError, UsageError, ValidationError, check_count
+)
 from .features import MEMBER_NAMES, SampleColumns, columns, labels, raw_values
 from .matching import MatchedSample
 
@@ -53,9 +55,8 @@ class BinningSpec:
     min_samples: int = DEFAULT_MIN_SAMPLES
 
     def __post_init__(self):
-        dims, counts = tuple(self.dims), tuple(int(c) for c in self.counts)
+        dims, counts = tuple(self.dims), tuple(self.counts)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "counts", counts)
         if not dims:
             raise ValidationError("binning needs at least one dimension")
         if len(set(dims)) != len(dims):
@@ -67,11 +68,11 @@ class BinningSpec:
             raise ValidationError(
                 f"{len(counts)} bin counts given for {len(dims)} dimensions"
             )
-        if any(c < 1 for c in counts):
-            raise ValidationError(f"bin counts must be >= 1, got {counts}")
+        below = f"bin counts must be >= 1, got {counts}"
+        counts = tuple(check_count("bin counts", c, 1, ValidationError, message=below) for c in counts)
+        object.__setattr__(self, "counts", counts)
         check_grid(counts, ValidationError)
-        if self.min_samples < 0:
-            raise ValidationError(f"min_samples must be >= 0, got {self.min_samples}")
+        check_count("min_samples", self.min_samples, 0, ValidationError)
 
     @property
     def total_bins(self) -> int:
@@ -128,17 +129,8 @@ class HeatmapGrid:
             )
 
 
-def bin_index(value: float, n_bins: int) -> int:
-    """Equal-width bin index of ``value`` in [0, 1]; the value 1.0 maps to the top bin."""
-    if n_bins < 1:
-        raise UsageError(f"bin count must be >= 1, got {n_bins}")
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"binned value must lie in [0, 1], got {value}")
-    return min(int(value * n_bins), n_bins - 1)
-
-
 def bin_indices(values: np.ndarray, n_bins: int | Sequence[int]) -> np.ndarray:
-    """Vectorized :func:`bin_index` over values in [0, 1]; ``n_bins`` may hold one count per column.
+    """Equal-width bin indices of values in [0, 1], 1.0 in the top bin; ``n_bins`` may hold one count per column.
 
     A value outside [0, 1], NaN included, raises :class:`UsageError`.
     """
@@ -219,7 +211,7 @@ def reliability_curve(
     min_samples: int = 0,
 ) -> list[tuple[float, float, int]]:
     """Per-confidence-bin (mean confidence, precision, count), ascending by bin, of the probability-valued score."""
-    spec = BinningSpec(dims=("confidence",), counts=(int(n_bins),), min_samples=min_samples)
+    spec = BinningSpec(dims=("confidence",), counts=(n_bins,), min_samples=min_samples)
     stats = binned_stats(samples, spec)
     return [
         (float(c), float(p), int(n))

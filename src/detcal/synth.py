@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .detections import BoxGeometry, valid_boxes
-from .errors import ScenarioError, UsageError
+from .errors import ScenarioError, UsageError, check_count
 from .matching import MEMBER_NAMES, SampleColumns
 
 BoxSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -43,14 +43,9 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_samples, (int, np.integer)):
-            raise UsageError(f"sample count must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 1:
-            raise UsageError(f"sample count must be >= 1, got {self.n_samples}")
-        if self.n_samples > np.iinfo(np.intp).max:
+        if check_count("sample count", self.n_samples, 1) > np.iinfo(np.intp).max:
             raise UsageError(f"sample count {self.n_samples} exceeds numpy's index range")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_count("seed", self.seed, 0, message=f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 _INTERIOR_SIZE_RANGE = (0.02, 0.2)

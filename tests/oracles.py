@@ -31,7 +31,7 @@ from detcal.detections import (
     _RecordPolicy,
     read_json,
 )
-from detcal.errors import NumericalFailureError, ReferentialIntegrityError, ValidationError
+from detcal.errors import NumericalFailureError, ReferentialIntegrityError, UsageError, ValidationError
 from detcal.matching import MatchedSample
 from detcal.metrics import HeatmapGrid, binned_stats
 from detcal.optimizer import (
@@ -112,6 +112,15 @@ def random_matched_samples(rng: np.random.Generator, n: int, extreme_scores=True
             )
         )
     return samples
+
+
+def reference_bin_index(value: float, n_bins: int) -> int:
+    """Equal-width bin index of ``value`` in [0, 1]; the value 1.0 maps to the top bin."""
+    if n_bins < 1:
+        raise UsageError(f"bin count must be >= 1, got {n_bins}")
+    if not 0.0 <= value <= 1.0:
+        raise UsageError(f"binned value must lie in [0, 1], got {value}")
+    return min(int(value * n_bins), n_bins - 1)
 
 
 def _member_value(sample: MatchedSample, dim: str) -> float:

@@ -20,7 +20,6 @@ from detcal.calibrators import (
     fit,
     fit_hist_binning,
     fit_parametric,
-    fit_per_class,
     identity_theta,
     load_model,
     loglik_ratio,
@@ -39,7 +38,6 @@ from detcal.calibrators import (
     _llr_logistic_indep,
     _logistic_dep_params,
     _nll_and_residual,
-    _softplus,
     sigmoid,
 )
 from detcal.errors import (
@@ -320,7 +318,7 @@ class TestLogisticDepNewtonFit:
         x = build_feature_matrix(samples, model.feature_set)
         m = labels(samples).astype(np.float64)
         z = loglik_ratio(model, x)
-        newton_nll = float(np.mean(_softplus(z) - m * z))
+        newton_nll = float(np.mean(np.logaddexp(0.0, z) - m * z))
 
         k = 3
         start = np.zeros(theta_size("logistic_dep", k))
@@ -406,7 +404,7 @@ class TestFusedObjectives:
         for _ in range(20):
             theta = identity_theta("beta_dep", k) + rng.normal(0.0, 0.5, theta_size("beta_dep", k))
             z = _llr_beta_dep(unpack_params("beta_dep", theta, k), x)
-            expected = float(np.mean(_softplus(z) - m * z)) + ridge * float(theta @ theta)
+            expected = float(np.mean(np.logaddexp(0.0, z) - m * z)) + ridge * float(theta @ theta)
             value, _ = objective(theta)
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert check_gradient(objective, theta) < 1e-6
@@ -423,7 +421,7 @@ class TestFusedObjectives:
 
         def reference(theta):
             z = llr(unpack_params(method, theta, k), x)
-            return float(np.mean(_softplus(z) - m * z)) + ridge * float(theta @ theta)
+            return float(np.mean(np.logaddexp(0.0, z) - m * z)) + ridge * float(theta @ theta)
 
         for _ in range(20):
             theta = identity_theta(method, k) + rng.normal(0.0, 0.5, theta_size(method, k))
@@ -440,11 +438,11 @@ class TestFusedObjectives:
                 one, m = np.array([zi]), np.array([label])
                 nll, r = _nll_and_residual(one, m)
                 assert math.isfinite(nll) and np.all(np.isfinite(r))
-                assert abs(nll - float(_softplus(one)[0] - label * zi)) <= 1e-15
+                assert abs(nll - float(np.logaddexp(0.0, one)[0] - label * zi)) <= 1e-15
                 assert abs(r[0] - (sigmoid(one)[0] - label)) <= 1e-15
             m = np.full(z.size, label)
             nll, r = _nll_and_residual(z, m)
-            assert abs(nll - float(np.mean(_softplus(z) - m * z))) <= 1e-15
+            assert abs(nll - float(np.mean(np.logaddexp(0.0, z) - m * z))) <= 1e-15
             np.testing.assert_allclose(r, sigmoid(z) - m, rtol=0.0, atol=1e-15)
 
 
@@ -606,6 +604,18 @@ class TestHistBinning:
         samples = random_matched_samples(np.random.default_rng(18), 50)
         with pytest.raises(UsageError, match="grid"):
             fit_hist_binning(samples, members, bins)
+
+    @pytest.mark.parametrize("bins", [2.5, True, (2.5,), (True,)], ids=["float", "bool", "float-entry", "bool-entry"])
+    def test_non_integer_bin_count_refused(self, bins):
+        samples = random_matched_samples(np.random.default_rng(18), 50)
+        with pytest.raises(UsageError, match="bin count must be an integer >= 1"):
+            fit("hist_binning", samples, ("confidence",), bin_counts=bins)
+
+    def test_numpy_integer_bin_counts(self):
+        samples = random_matched_samples(np.random.default_rng(18), 50)
+        model = fit("hist_binning", samples, ("confidence", "cx"), bin_counts=np.int64(5))
+        assert model.params.bin_counts == (5, 5) and all(type(c) is int for c in model.params.bin_counts)
+        assert fit_hist_binning(samples, ("confidence", "cx"), np.array([3, 4])).params.bin_counts == (3, 4)
 
     def test_all_matched_stores_ones(self):
         samples = [make_sample(p, True) for p in (0.1, 0.5, 0.9)]
@@ -771,20 +781,6 @@ class TestFitParametric:
         samples = random_matched_samples(rng, 300, extreme_scores=False)
         assert fit("hist_binning", samples, ("confidence",)).method == "hist_binning"
         assert fit("logistic_indep", samples, ("confidence",)).method == "logistic_indep"
-
-    def test_fit_per_class(self):
-        rng = np.random.default_rng(15)
-        samples = random_matched_samples(rng, 400, extreme_scores=False)
-        from dataclasses import replace
-
-        samples = [
-            replace(s, detection=replace(s.detection, category_id=1 + (i % 2)))
-            for i, s in enumerate(samples)
-        ]
-        models = fit_per_class("logistic_indep", samples, ("confidence",))
-        assert sorted(models) == [1, 2]
-        assert models[1].category_id == 1
-        assert models[1].fit_metadata.n_samples == 200
 
 
 class TestModelValidation:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -13,14 +14,7 @@ import pytest
 import detcal
 from detcal import calibrators
 from detcal.cli import main
-from detcal.detections import (
-    BoxGeometry,
-    Detection,
-    GroundTruthObject,
-    ImageRecord,
-    write_annotations,
-    write_detections,
-)
+from detcal.detections import BoxGeometry, Detection, GroundTruthObject, ImageRecord
 from detcal.matching import MatchedSample, iou, read_matched_samples, write_matched_samples
 from detcal.synth import generate, make_scenario
 from oracles import greedy_match, reference_box_from_absolute, reference_read_matched_samples
@@ -36,6 +30,13 @@ def run_process(args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "detcal.cli", *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def write_native(det_path, ann_path, detections, truth, images):
+    """A native detection file and annotation file, one JSON object per line."""
+    det_path.write_text("".join(json.dumps(asdict(d)) + "\n" for d in detections))
+    lines = [{"image": asdict(image)} for image in images] + [asdict(gt) for gt in truth]
+    ann_path.write_text("".join(json.dumps(r) + "\n" for r in lines))
 
 
 def synth_file(tmp_path, name="matched.jsonl", scenario="fig3_boundary_decay", n=4000, seed=0):
@@ -180,8 +181,7 @@ class TestMatchCommand:
         ]
         truth = [GroundTruthObject(0, 1, box)]
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
-        write_detections(detections, det_path)
-        write_annotations(truth, [ImageRecord(0, 100, 100)], ann_path)
+        write_native(det_path, ann_path, detections, truth, [ImageRecord(0, 100, 100)])
         out = tmp_path / "matched.jsonl"
         code = run(
             ["match", "--detections", det_path, "--annotations", ann_path, "--iou", 0.5, "--out", out]
@@ -295,8 +295,7 @@ class TestMatchCommand:
 
     def test_bad_iou_exits_one(self, tmp_path):
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
-        write_detections([], det_path)
-        write_annotations([], [], ann_path)
+        write_native(det_path, ann_path, [], [], [])
         assert run(
             ["match", "--detections", det_path, "--annotations", ann_path, "--iou", 0, "--out", tmp_path / "m.jsonl"]
         ) == 1
@@ -545,8 +544,7 @@ def valid_inputs(tmp_path_factory):
     assert run(["fit", "--in", matched, "--method", "hb", "--features", "conf", "--out", hb_model]) == 0
     box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
     det, ann = root / "d.jsonl", root / "a.jsonl"
-    write_detections([Detection(0, 1, 0.9, box)], det)
-    write_annotations([GroundTruthObject(0, 1, box)], [ImageRecord(0, 100, 100)], ann)
+    write_native(det, ann, [Detection(0, 1, 0.9, box)], [GroundTruthObject(0, 1, box)], [ImageRecord(0, 100, 100)])
     return {"matched": matched, "model": model, "hb_model": hb_model, "det": det, "ann": ann}
 
 
@@ -752,8 +750,7 @@ class TestProtocolCommand:
             )
             images.append(ImageRecord(i, 640, 480))
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
-        write_detections(detections, det_path)
-        write_annotations(truth, images, ann_path)
+        write_native(det_path, ann_path, detections, truth, images)
         assert run(
             ["protocol", "--detections", det_path, "--annotations", ann_path,
              "--ious", "0.5,0.9", "--methods", "identity", "--features", "conf",

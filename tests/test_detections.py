@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -28,12 +29,8 @@ from detcal.detections import (
     _boxes_from_relative,
     _RecordPolicy,
     box_from_absolute,
-    detection_to_json,
     load_dataset,
-    sniff_format,
     valid_boxes,
-    write_annotations,
-    write_detections,
 )
 from detcal.errors import (
     DataError,
@@ -259,7 +256,7 @@ class TestAbsoluteConversion:
             w = rng.uniform(0.5, w_px - x)
             h = rng.uniform(0.5, h_px - y)
             box = box_from_absolute([x, y, w, h], int(w_px), int(h_px))
-            back = box.to_absolute(int(w_px), int(h_px))
+            back = ((box.cx - 0.5 * box.w) * w_px, (box.cy - 0.5 * box.h) * h_px, box.w * w_px, box.h * h_px)
             for a, b in zip(back, (x, y, w, h)):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
@@ -412,29 +409,10 @@ class TestNativeFormat:
         images = [ImageRecord(i, 640, 480) for i in range(len(detections))]
         det_path = tmp_path / "d.jsonl"
         ann_path = tmp_path / "a.jsonl"
-        write_detections(detections, det_path)
-        write_annotations([], images, ann_path)
+        det_path.write_bytes(_json_lines(map(asdict, detections)))
+        ann_path.write_bytes(_json_lines({"image": asdict(image)} for image in images))
         loaded, _, _ = load_dataset(det_path, ann_path)
         assert loaded == detections
-
-    def test_single_record_schema(self, tmp_path):
-        det = Detection("img-1", 3, 0.75, BoxGeometry(0.5, 0.5, 0.25, 0.25))
-        path = tmp_path / "one.jsonl"
-        write_detections([det], path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
-        rec = json.loads(lines[0])
-        assert rec == {
-            "image_id": "img-1",
-            "category_id": 3,
-            "score": 0.75,
-            "box": {"cx": 0.5, "cy": 0.5, "w": 0.25, "h": 0.25},
-        }
-
-    def test_empty_list_writes_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        write_detections([], path)
-        assert path.read_text() == ""
 
     def test_empty_native_files_load(self, tmp_path):
         det_path = tmp_path / "d.jsonl"
@@ -449,8 +427,8 @@ class TestNativeFormat:
         detections = [s.detection for s in random_matched_samples(rng, 50)]
         det_path = tmp_path / "d.jsonl"
         ann_path = tmp_path / "a.jsonl"
-        write_detections(detections, det_path)
-        write_annotations([], [ImageRecord(i, 10, 10) for i in range(50)], ann_path)
+        det_path.write_bytes(_json_lines(map(asdict, detections)))
+        ann_path.write_bytes(_json_lines({"image": asdict(ImageRecord(i, 10, 10))} for i in range(50)))
         loaded, _, _ = load_dataset(det_path, ann_path)
         assert [d.image_id for d in loaded] == [d.image_id for d in detections]
 
@@ -458,8 +436,9 @@ class TestNativeFormat:
         gt = GroundTruthObject(0, 2, BoxGeometry(0.5, 0.5, 0.2, 0.2), crowd_flag=True)
         ann_path = tmp_path / "a.jsonl"
         det_path = tmp_path / "d.jsonl"
-        write_annotations([gt], [ImageRecord(0, 10, 10)], ann_path, categories={2: "car"})
-        write_detections([], det_path)
+        ann_path.write_bytes(_json_lines([{"image": asdict(ImageRecord(0, 10, 10))},
+                                          {"category": {"id": 2, "name": "car"}}, asdict(gt)]))
+        det_path.write_text("")
         _, ground_truth, categories = load_dataset(det_path, ann_path)
         assert ground_truth == [gt]
         assert categories == {2: "car"}
@@ -476,26 +455,26 @@ class TestNativeFormat:
     def test_unknown_image_rejected(self, tmp_path):
         det_path = tmp_path / "d.jsonl"
         ann_path = tmp_path / "a.jsonl"
-        write_detections([Detection(99, 1, 0.5, BoxGeometry(0.5, 0.5, 0.1, 0.1))], det_path)
-        write_annotations([], [ImageRecord(0, 10, 10)], ann_path)
+        det_path.write_bytes(_json_lines([asdict(Detection(99, 1, 0.5, BoxGeometry(0.5, 0.5, 0.1, 0.1)))]))
+        ann_path.write_bytes(_json_lines([{"image": asdict(ImageRecord(0, 10, 10))}]))
         with pytest.raises(ReferentialIntegrityError):
             load_dataset(det_path, ann_path)
 
     def test_sniffing(self, tmp_path):
         det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [], BASE_CATEGORIES, [])
-        assert sniff_format(ann_path) == "coco"
+        assert detections._sniff(ann_path)[0] == "coco"
         native = tmp_path / "n.jsonl"
-        write_detections([Detection(1, 1, 0.5, BoxGeometry(0.5, 0.5, 0.1, 0.1))], native)
-        assert sniff_format(native) == "native"
+        native.write_bytes(_json_lines([asdict(Detection(1, 1, 0.5, BoxGeometry(0.5, 0.5, 0.1, 0.1)))]))
+        assert detections._sniff(native)[0] == "native"
         results = [{"image_id": 1, "category_id": 7, "bbox": [0, 0, 10, 10], "score": 0.5}]
-        assert sniff_format(det_path) == "coco"
+        assert detections._sniff(det_path)[0] == "coco"
         det_path.write_text(json.dumps(results))
-        assert sniff_format(det_path) == "coco"
+        assert detections._sniff(det_path)[0] == "coco"
         det_path.write_text(" " + json.dumps(results, indent=1))
-        assert sniff_format(det_path) == "coco"
+        assert detections._sniff(det_path)[0] == "coco"
         # A whole array on the first line of several is no native file either.
         det_path.write_text(json.dumps(results) + "\n" + json.dumps(results) + "\n")
-        assert sniff_format(det_path) == "coco"
+        assert detections._sniff(det_path)[0] == "coco"
         with pytest.raises(ParseError, match=r"det\.json:2: malformed JSON"):
             load_dataset(det_path, ann_path)
 
@@ -520,7 +499,7 @@ class TestNativeFormat:
     def test_unreadable_first_line_is_a_parse_error(self, tmp_path, first):
         det_path, ann_path = write_coco(tmp_path, BASE_IMAGES, [], BASE_CATEGORIES, [])
         ann_path.write_text(first + "\n")
-        assert sniff_format(ann_path) == "coco"
+        assert detections._sniff(ann_path)[0] == "coco"
         with pytest.raises(ParseError, match=r"ann\.json"):
             load_dataset(det_path, ann_path)
 
@@ -528,9 +507,9 @@ class TestNativeFormat:
         path = tmp_path / "det.json"
         path.write_text(" " * 10_000 + "[" + "1, " * 10_000 + "1]")
         with mock.patch.object(json, "loads", side_effect=AssertionError("parsed")):
-            assert sniff_format(path) == "coco"
+            assert detections._sniff(path)[0] == "coco"
         path.write_text(" " * 10_000 + "\n[]")
-        assert sniff_format(path) == "native"
+        assert detections._sniff(path)[0] == "native"
 
 
 # Values of the types each record class stores, drawn within its checks.
@@ -714,8 +693,8 @@ class TestNativeRecordFields:
         """A native detection on image 1.0 matched image 1 before."""
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
         det_path.write_text(json.dumps({**GOOD_DETECTION, "image_id": 1.0}) + "\n")
-        write_annotations([GroundTruthObject(1, 1, BoxGeometry(0.5, 0.5, 0.1, 0.1))], [ImageRecord(1, 10, 10)],
-                          ann_path)
+        ann_path.write_bytes(_json_lines([{"image": asdict(ImageRecord(1, 10, 10))},
+                                          asdict(GroundTruthObject(1, 1, BoxGeometry(0.5, 0.5, 0.1, 0.1)))]))
         with pytest.raises(ValidationError, match=r"d\.jsonl:1: image_id must be a string or an integer, got 1\.0"):
             load_dataset(det_path, ann_path)
         assert cli.main(["match", "--detections", str(det_path), "--annotations", str(ann_path),
@@ -739,7 +718,7 @@ class TestUndecodableBytes:
         det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
         det_path.write_bytes(json.dumps(GOOD_DETECTION).encode() + b'\n{"image_id": "\xff"}\n')
         ann_path.write_text("")
-        assert sniff_format(det_path) == "native"
+        assert detections._sniff(det_path)[0] == "native"
         with pytest.raises(ParseError, match=r"d\.jsonl:2"):
             load_dataset(det_path, ann_path)
 
@@ -747,7 +726,7 @@ class TestUndecodableBytes:
         det_path, ann_path = tmp_path / "det.json", tmp_path / "ann.json"
         det_path.write_text("[]")
         ann_path.write_bytes(b'{\n  "images": [],\n  "info": "\xff"\n}\n')
-        assert sniff_format(ann_path) == "coco"
+        assert detections._sniff(ann_path)[0] == "coco"
         with pytest.raises(ParseError, match=r"ann\.json:3"):
             load_dataset(det_path, ann_path)
 
@@ -1326,7 +1305,7 @@ def _native_files(tmp_path, n, bad=()):
     rng = np.random.default_rng(11)
     det_path, ann_path = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
     detections = [s.detection for s in random_matched_samples(rng, n)]
-    rows = [{**detection_to_json(d), "image_id": i % 50} for i, d in enumerate(detections)]
+    rows = [{**asdict(d), "image_id": i % 50} for i, d in enumerate(detections)]
     objects = [{"image_id": i % 50, "category_id": 1 + i % 3, "box": row["box"], "crowd_flag": i % 9 == 0}
                for i, row in enumerate(rows)]
     for i, change in zip(bad, [{"score": 1.5}, {"category_id": "3"}, {"image_id": 99}]):

@@ -12,7 +12,6 @@ from detcal.features import (
     NAMED_FEATURE_SETS,
     FeatureSet,
     build_feature_matrix,
-    build_features,
     columns,
     feature_set,
     labels,
@@ -58,22 +57,22 @@ class TestFeatureSet:
 class TestBuildFeatures:
     def test_logit_of_half_is_zero(self):
         fs = FeatureSet(members=("confidence",), confidence_encoding="logit")
-        v = build_features(make_sample(0.5, True), fs)
+        v = build_feature_matrix([make_sample(0.5, True)], fs)[0]
         assert v[0] == 0.0
 
     def test_clipping_at_one(self):
         fs = FeatureSet(members=("confidence",))
-        v = build_features(make_sample(1.0, True), fs, eps=1e-6)
+        v = build_feature_matrix([make_sample(1.0, True)], fs, eps=1e-6)[0]
         assert v[0] == 1.0 - 1e-6
 
     def test_logit_of_point_nine(self):
         fs = FeatureSet(members=("confidence",), confidence_encoding="logit")
-        v = build_features(make_sample(0.9, True), fs)
+        v = build_feature_matrix([make_sample(0.9, True)], fs)[0]
         assert v[0] == pytest.approx(math.log(9.0), abs=1e-12)
 
     def test_box_members_pass_through(self):
         fs = FeatureSet(members=("confidence", "cx", "w"))
-        v = build_features(make_sample(0.3, False, box=(0.4, 0.5, 0.2, 0.2)), fs)
+        v = build_feature_matrix([make_sample(0.3, False, box=(0.4, 0.5, 0.2, 0.2))], fs)[0]
         assert np.allclose(v, [0.3, 0.4, 0.2])
 
     def test_probability_outputs_strictly_inside_unit_interval(self):
@@ -97,15 +96,15 @@ class TestBuildFeatures:
         samples = random_matched_samples(rng, 50)
         fs = FeatureSet(members=("confidence", "cx"))
         whole = build_feature_matrix(samples, fs)
-        each = np.stack([build_features(s, fs) for s in samples])
+        each = np.stack([build_feature_matrix([s], fs)[0] for s in samples])
         assert np.array_equal(whole, each)
 
     def test_eps_validation(self):
         fs = FeatureSet(members=("confidence",))
         with pytest.raises(UsageError):
-            build_features(make_sample(0.5, True), fs, eps=0.0)
+            build_feature_matrix([make_sample(0.5, True)], fs, eps=0.0)
         with pytest.raises(UsageError):
-            build_features(make_sample(0.5, True), fs, eps=0.7)
+            build_feature_matrix([make_sample(0.5, True)], fs, eps=0.7)
 
     def test_raw_values_unclipped(self):
         v = raw_values([make_sample(1.0, True)], ("confidence", "h"))

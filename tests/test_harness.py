@@ -76,6 +76,19 @@ class TestProtocolConfig:
         with pytest.raises(UsageError):
             ProtocolConfig(methods=("lc",), feature_sets=("conf",), **setting)
 
+    @pytest.mark.parametrize("setting, name", [
+        ({"repetitions": 1.5}, "repetitions"), ({"repetitions": True}, "repetitions"),
+        ({"min_samples": 2.5}, "min_samples"), ({"min_samples": True}, "min_samples"),
+    ], ids=["float-repetitions", "bool-repetitions", "float-min-samples", "bool-min-samples"])
+    def test_non_integer_count_refused(self, setting, name):
+        with pytest.raises(UsageError, match=f"{name} must be an integer >= "):
+            ProtocolConfig(methods=("identity",), feature_sets=("conf",), **setting)
+
+    def test_numpy_integer_counts_run(self):
+        cfg = ProtocolConfig(methods=("identity",), feature_sets=("conf",), repetitions=np.int64(2),
+                             min_samples=np.int64(8))
+        assert run_protocol(fig3_samples(2000), cfg).repetitions == 2
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, np.float64(1.0)])
     def test_bad_seed_refused(self, seed):
         with pytest.raises(UsageError, match=r"seed must be an integer >= 0"):

@@ -14,7 +14,6 @@ from detcal.errors import (
 from detcal.features import MEMBER_NAMES, NAMED_FEATURE_SETS, SampleColumns, columns
 from detcal.metrics import (
     BinningSpec,
-    bin_index,
     bin_indices,
     binned_stats,
     compute_d_ece,
@@ -28,6 +27,7 @@ from oracles import (
     classification_ece,
     make_sample,
     random_matched_samples,
+    reference_bin_index,
     reference_heatmap,
     reference_heatmap_rows,
 )
@@ -46,30 +46,30 @@ def four_sample_dataset():
 
 class TestBinIndex:
     def test_zero(self):
-        assert bin_index(0.0, 10) == 0
+        assert bin_indices([0.0], 10).tolist() == [0]
 
     def test_right_edge_goes_to_top_bin(self):
-        assert bin_index(1.0, 10) == 9
+        assert bin_indices([1.0], 10).tolist() == [9]
 
     def test_interior(self):
-        assert bin_index(0.55, 10) == 5
+        assert bin_indices([0.55], 10).tolist() == [5]
 
     def test_out_of_range(self):
         with pytest.raises(UsageError):
-            bin_index(-0.1, 10)
+            bin_indices([-0.1], 10)
         with pytest.raises(UsageError):
-            bin_index(1.1, 10)
+            bin_indices([1.1], 10)
 
     def test_bad_bin_count(self):
         with pytest.raises(UsageError):
-            bin_index(0.5, 0)
+            bin_indices([0.5], 0)
 
     def test_vectorized_agrees_with_scalar(self):
         rng = np.random.default_rng(0)
         values = rng.random(1000)
         values[:5] = [0.0, 1.0, 0.5, 0.999999, 1e-9]
         for n in (1, 2, 7, 20):
-            assert bin_indices(values, n).tolist() == [bin_index(v, n) for v in values]
+            assert bin_indices(values, n).tolist() == [reference_bin_index(v, n) for v in values]
 
     def test_one_count_per_column(self):
         values = np.random.default_rng(1).random((250, 4))
@@ -113,6 +113,21 @@ class TestBinningSpec:
             BinningSpec(dims=("confidence",), counts=(2,), min_samples=-1)
         with pytest.raises(ValidationError):
             BinningSpec(dims=("confidence", "confidence"), counts=(2, 2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: BinningSpec(("confidence",), (2.5,)),
+        lambda: BinningSpec(("confidence",), (True,)),
+        lambda: BinningSpec(("confidence",), (4,), min_samples=2.5),
+        lambda: reliability_curve(four_sample_dataset(), 2.5),
+    ], ids=["float-count", "bool-count", "float-min-samples", "reliability-float-bins"])
+    def test_non_integer_count_refused(self, make):
+        with pytest.raises(ValidationError, match="must be an integer >= "):
+            make()
+
+    def test_numpy_integer_counts(self):
+        spec = BinningSpec(("confidence", "cx"), (np.int64(4), np.int32(5)), min_samples=np.int64(0))
+        assert spec.counts == (4, 5) and all(type(c) is int for c in spec.counts)
+        assert len(reliability_curve(four_sample_dataset(), np.int64(2))) == 2
 
     def test_grid_beyond_int64_rejected(self):
         BinningSpec(dims=("confidence",), counts=(2**63 - 1,))

@@ -259,6 +259,10 @@ class TestSeedAndSize:
         with pytest.raises(UsageError, match=r"sample count must be an integer"):
             make_scenario("scale_dependent", n)
 
+    def test_bool_sample_count_refused(self):
+        with pytest.raises(UsageError, match=r"sample count must be an integer >= 1, got True"):
+            make_scenario("fig3_boundary_decay", True, 1)
+
     def test_numpy_integer_sample_count_accepted(self):
         assert len(generate(make_scenario("scale_dependent", np.int32(12)))) == 12
 
