@@ -68,6 +68,7 @@ from .errors import (
     UsageError,
     ValidationError,
     check_count,
+    check_real,
 )
 from .detections import _category_id, _real, _whole_number, read_json
 from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
@@ -907,7 +908,7 @@ def fit_parametric(
     Newton system is singular.
     """
     fam = _family(method)
-    if not (math.isfinite(ridge) and ridge >= 0.0):
+    if not (math.isfinite(check_real("ridge", ridge)) and ridge >= 0.0):
         raise UsageError(f"ridge must be finite and >= 0, got {ridge}")
     fs = _normalize_feature_set(method, fs)
     cols = columns(samples)

@@ -111,3 +111,13 @@ def check_count(
     if value < minimum:
         raise error(message or f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, error: type[DetcalError] = UsageError) -> float:
+    """``value`` as a float, if it is a real number: an int, a float or a numpy real, not a bool.
+
+    Anything else raises ``error``; the caller checks the range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)

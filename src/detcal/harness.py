@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import calibrators
-from .errors import DataError, EmptyMetricError, NumericalError, UsageError, check_count
+from .errors import DataError, EmptyMetricError, NumericalError, UsageError, check_count, check_real
 from .features import DEFAULT_CLIP, SampleColumns, _check_eps, columns, feature_set, labels
 from .matching import MatchedSample, match_detections
 from .metrics import DEFAULT_MIN_SAMPLES, compute_d_ece, default_eval_spec, require_dimensionality_match
@@ -78,7 +78,7 @@ class ProtocolConfig:
             raise UsageError(f"duplicate methods in {self.methods}")
         if len(set(self.feature_sets)) != len(self.feature_sets):
             raise UsageError(f"duplicate feature sets in {self.feature_sets}")
-        if not 0.0 < self.train_fraction < 1.0:
+        if not 0.0 < check_real("train fraction", self.train_fraction) < 1.0:
             raise UsageError(f"train fraction must lie in (0, 1), got {self.train_fraction}")
         check_count("repetitions", self.repetitions, 1)
         check_count("seed", self.seed, 0, message=f"seed must be an integer >= 0, got {self.seed!r}")

@@ -20,8 +20,11 @@ record they reject is built by the checked constructors, which raise its
 columns that the parse left. :func:`write_matched_samples` writes the
 table back with one line template, and leaves the sidecar that a parse of
 its file would store: it digests the bytes it writes and runs the same
-checks on the columns it writes them from. Both hold one chunk of lines at
-a time, never the whole file's text or a full-length list per column.
+checks on the columns it writes them from. Given new scores for a table
+loaded from the sidecar of a file it wrote itself, it copies that file's
+lines, swapping in each new score (:func:`_spliced`). Both hold one chunk
+of lines at a time, never the whole file's text or a full-length list per
+column.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ import hashlib
 import json
 import operator
 import os
+import re
 import stat as stat_mode
+import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -241,6 +246,8 @@ class SampleColumns(RecordTable):
     iou: np.ndarray
     gt_index: np.ndarray
     image_id: tuple
+    # The matched-sample file whose sidecar this table was loaded from (see read_matched_samples); not a field.
+    _source = None
 
     def _build(self, rows: slice) -> list[MatchedSample]:
         score, *box = self.values[rows].T.tolist()
@@ -300,6 +307,12 @@ _LINE = (
 # threshold, after which blocks that size come from the heap, which a series of writes then grows.
 _WRITE_LINES = 256
 
+# An output line of _spliced, from the pieces of the line _LINE wrote for a sample: the text before the
+# score, the new score, the box and label fields, and the old score's text. It is _LINE + ', "raw_score": %r}\n'.
+_SPLICE = b'%s"score": %a, "box": %s, "raw_score": %s}\n'
+# The score and the rest of such a line; a literal start lets the regex engine skip ahead to each match.
+_SCORE = re.compile(rb'"score": ([^,]*), "box": ([^\n]*)\}\n')
+
 
 def write_matched_samples(
     samples: Sequence[MatchedSample] | SampleColumns, path: str | Path, *, scores=None
@@ -309,7 +322,8 @@ def write_matched_samples(
     ``scores`` optionally replaces the score column: ``scores[i]`` is written
     as ``score`` and sample ``i``'s own score as ``raw_score``. The scores are
     checked with :func:`check_scores` before the file is opened, as are the
-    table's values, which must be finite. Lines are formatted and written
+    table's values, which must be finite, and its image ids, whose ints must
+    be short enough to convert to text. Lines are formatted and written
     :data:`_WRITE_LINES` rows at a time from the columns, so no column is
     held as a full-length list.
 
@@ -320,25 +334,53 @@ def write_matched_samples(
     stored clamped. Nothing is stored
     when the reader would reject a row, an image id is not exactly an int or
     a str, a column is not of its documented dtype and length, or ``path``
-    does not name a regular file (a symlink, a pipe or a device).
+    does not name a regular file (a symlink, a pipe or a device). A sidecar
+    of a file written without ``scores``, whose rows the reader keeps as
+    they are, is flagged as holding this writer's own lines.
+
+    With ``scores``, the lines of a table loaded from a flagged sidecar are
+    copied from its file with the new scores spliced in (:func:`_copy_source`
+    says when), which gives the same bytes at a fraction of the formatting
+    cost. A source that no longer holds the lines its sidecar was stored for
+    is found by the end of the copy, and the file is then written again from
+    the columns.
     """
     path, cols = Path(path), columns(samples)
     if not (np.isfinite(cols.values).all() and np.isfinite(cols.iou).all()):
         raise ValidationError("matched samples hold non-finite values")
+    kinds = set(map(type, cols.image_id))
+    _check_image_ids(cols.image_id, kinds)
     template, score = _LINE + "}\n", cols.values[:, 0]
     if scores is not None:
         score = check_scores(scores)
         if score.shape != (len(cols),):
             raise UsageError(f"{score.size} scores given for {len(cols)} samples")
         template = _LINE + ', "raw_score": %r}\n'
-    store, digest = _storable(cols), hashlib.blake2b(key=_source_key())
+    storable = _storable(cols, kinds)
     # The sidecar's arrays as the table holds them, and where the reader's differ: {chunk start: (rows, values)}.
     arrays = [score, *cols.values.T[1:], cols.matched, cols.category_id, cols.iou, cols.gt_index]
-    patches: list[dict] = [{} for _ in arrays]
-    with open(path, "wb") as fh:
-        for start in range(0, len(cols), _CHUNK_LINES):
-            if store:
-                confidence, *box, matched, _, iou_, gt = (a[start:start + _CHUNK_LINES] for a in arrays)
+
+    def formatted():
+        for first in range(0, len(cols), _WRITE_LINES):
+            rows = slice(first, first + _WRITE_LINES)
+            own, *box = cols.values[rows].T.tolist()
+            yield first, "".join(map(template.__mod__, zip(
+                [i if type(i) is int else json.dumps(i) for i in cols.image_id[rows]],
+                cols.category_id[rows].tolist(),
+                own if scores is None else score[rows].tolist(),
+                *box,
+                cols.matched[rows].tolist(),
+                cols.iou[rows].tolist(),
+                ["null" if g < 0 else g for g in cols.gt_index[rows].tolist()],
+                *(() if scores is None else (own,)),
+            ))).encode()
+
+    def write(blocks) -> tuple:
+        """Write the ``(first row, bytes)`` of ``blocks`` to ``fh``: ``(digest, patches, store)``."""
+        digest, patches, store = hashlib.blake2b(key=_source_key()), [{} for _ in arrays], storable
+        for first, text in blocks:
+            if store and first % _CHUNK_LINES == 0:
+                confidence, *box, matched, _, iou_, gt = (a[first:first + _CHUNK_LINES] for a in arrays)
                 ok = np.ones(len(gt), bool)
                 members, _ = _sample_checks(ok, confidence, box, matched, iou_, gt, gt < 0)
                 store = bool(ok.all())
@@ -346,40 +388,113 @@ def write_matched_samples(
                 for patch, kept, column in zip(patches, members, (confidence, *box)):
                     moved = np.flatnonzero(kept.view(np.int64) != column.view(np.int64))
                     if moved.size:
-                        patch[start] = moved, kept[moved]
+                        patch[first] = moved, kept[moved]
                 if (below := np.flatnonzero(gt < -1)).size:
-                    patches[-1][start] = below, -1
-            for first in range(start, min(start + _CHUNK_LINES, len(cols)), _WRITE_LINES):
-                rows = slice(first, first + _WRITE_LINES)
-                own, *box = cols.values[rows].T.tolist()
-                text = "".join(map(template.__mod__, zip(
-                    [i if type(i) is int else json.dumps(i) for i in cols.image_id[rows]],
-                    cols.category_id[rows].tolist(),
-                    own if scores is None else score[rows].tolist(),
-                    *box,
-                    cols.matched[rows].tolist(),
-                    cols.iou[rows].tolist(),
-                    ["null" if g < 0 else g for g in cols.gt_index[rows].tolist()],
-                    *(() if scores is None else (own,)),
-                ))).encode()
-                fh.write(text)
+                    patches[-1][first] = below, -1
+            fh.write(text)
+            digest.update(text)
+        return digest, patches, store
+
+    source = _copy_source(cols, path) if scores is not None and storable else None
+    with open(path, "wb") as fh:
+        try:
+            digest, patches, store = write(formatted() if source is None else _spliced(*source, score))
+        except _SourceChanged:
+            fh.seek(0)
+            fh.truncate()
+            digest, patches, store = write(formatted())
+    if store and (stat := _regular(path)) is not None:
+        pieces = (piece for column, patch in zip(arrays, patches) for piece in _pieces(column, patch))
+        own_lines = scores is None and not any(patches)
+        _store_columns(path, _sidecar(path), digest.digest(), stat, cols, pieces, own_lines)
+
+
+def _check_image_ids(ids: tuple, kinds: set) -> None:
+    """Raise :class:`ValidationError`, naming the first, if an int image id has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``); ``kinds`` is the set of the ids' types."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit or kinds <= {str}:
+        return
+    bound = 10**limit
+    if kinds == {int} and -bound < min(ids) and max(ids) < bound:
+        return
+    for row, i in enumerate(ids):
+        if isinstance(i, int) and not -bound < i < bound:
+            raise ValidationError(f"image_id of sample {row} has more than {limit} digits")
+
+
+class _SourceChanged(Exception):
+    """The file :func:`_spliced` copies no longer holds the lines its sidecar was stored for."""
+
+
+def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes] | None:
+    """The file ``cols`` was loaded from and its sidecar's key, when writing ``cols`` with new scores to
+    ``path`` may copy that file's lines (:func:`_spliced`), else None.
+
+    The sidecar must be flagged as holding the writer's own lines of a table
+    of ``len(cols)`` rows, whose body ``cols`` digests to (:func:`_body`),
+    and ``path`` must name a new path or a regular file other than the source.
+    """
+    if cols._source is None or (src := _regular(cols._source)) is None:
+        return None
+    try:
+        out = os.lstat(path)
+        if not stat_mode.S_ISREG(out.st_mode) or os.path.samestat(src, out):
+            return None
+    except FileNotFoundError:
+        pass
+    except OSError:
+        return None
+    try:
+        with open(_sidecar(cols._source), "rb") as fh:
+            head, own_lines = _read_head(fh), fh.read(1) == b"\x01"
+    except OSError:
+        return None
+    if head is None or not own_lines or head[1] != len(cols):
+        return None
+    digest = hashlib.blake2b(digest_size=32)
+    for part in _body(cols, True):
+        digest.update(part)
+    return (cols._source, head[0]) if digest.digest() == head[2] else None
+
+
+def _spliced(source: Path, key: bytes, score: np.ndarray):
+    """The ``(first row, bytes)`` of each :data:`_WRITE_LINES` output rows of :func:`write_matched_samples`
+    with ``score``, copied from the lines it wrote to ``source`` without scores; one float repr a row.
+
+    Each such line is ``{"image_id": ..., "score": OLD, "box": REST}`` and a
+    newline, where no value holds ``"score": `` (a string id escapes its
+    quotes) or a newline, and the float OLD holds no comma, so
+    :data:`_SCORE` splits it into the text before the score, OLD and REST.
+    Raises :class:`_SourceChanged` when the file cannot be read, its lines
+    do not split so, or, once read, their bytes do not digest to ``key``.
+    """
+    digest = hashlib.blake2b(key=_source_key())
+    try:
+        with open(source, "rb") as fh:
+            for first in range(0, len(score), _WRITE_LINES):
+                new = score[first:first + _WRITE_LINES].tolist()
+                text = b"".join(islice(fh, len(new)))
                 digest.update(text)
-    if store:
-        with contextlib.suppress(OSError):
-            if stat_mode.S_ISREG((stat := os.lstat(path)).st_mode):
-                pieces = (piece for column, patch in zip(arrays, patches) for piece in _pieces(column, patch))
-                _store_columns(path, _sidecar(path), digest.digest(), stat, cols, pieces)
+                pieces = _SCORE.split(text)
+                if len(pieces) != 3 * len(new) + 1 or pieces[-1]:
+                    raise _SourceChanged
+                yield first, b"".join(map(_SPLICE.__mod__, zip(pieces[0:-1:3], new, pieces[2::3], pieces[1::3])))
+    except OSError:
+        raise _SourceChanged from None
+    if digest.digest() != key:
+        raise _SourceChanged
 
 
-def _storable(cols: SampleColumns) -> bool:
+def _storable(cols: SampleColumns, kinds: set) -> bool:
     """Whether a read of the written file returns ``cols``' own ids and dtypes, up to the checks: float64
     ``values`` (n, 5) and ``iou``, int64 ``matched``, ``category_id`` and ``gt_index``, and ids each exactly a
-    str or an int."""
+    str or an int (``kinds`` is the set of their types)."""
     n, f8, i8 = len(cols), np.dtype(np.float64), np.dtype(np.int64)
     shapes = [(cols.values, (n, len(MEMBER_NAMES)), f8), (cols.iou, (n,), f8), (cols.matched, (n,), i8),
               (cols.category_id, (n,), i8), (cols.gt_index, (n,), i8)]
     return (all(c.shape == shape and c.dtype == dtype for c, shape, dtype in shapes)
-            and set(map(type, cols.image_id)) <= {int, str})
+            and kinds <= {int, str})
 
 
 def _pieces(column: np.ndarray, patch: dict):
@@ -402,14 +517,16 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     Malformed lines raise :class:`ParseError` and invalid records
     :class:`ValidationError`, both with ``file:line`` context. A regular file
     read in full leaves its columns in a sidecar (:func:`_store_columns`),
-    which later reads of the same bytes by the same reader load instead.
+    which later reads of the same bytes by the same reader load instead;
+    the path itself must name the file, so nothing is stored beside a
+    symlink or a device such as ``/dev/stdin``.
     """
-    path, size, key = Path(path), 0, None
-    if path.is_file():
-        sidecar = _sidecar(path)
-        stat, digest = path.stat(), hashlib.blake2b(key=_source_key())
+    path, size, key = Path(path), None, None
+    if (stat := _regular(path)) is not None:
+        sidecar, digest = _sidecar(path), hashlib.blake2b(key=_source_key())
         size, key = _count_lines(path, digest), digest.digest()
         if (table := _load_columns(sidecar, key, size)) is not None:
+            object.__setattr__(table, "_source", path)
             return table
     image_id, category_id, members, matched, iou_, gt_index = _read_jsonl(
         path, _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns, size=size
@@ -421,15 +538,26 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     return table
 
 
-# A sidecar is this magic, the 64-byte key, the row count n (8 bytes, little-endian) and a 32-byte
-# digest of the payload, then the payload: the (5, n) members, matched, category_id, iou and gt_index
-# as raw arrays, and the image ids as one JSON array.
-_MAGIC = f"detcal-columns 1 {np.dtype(float).str}\n".encode()
+# A sidecar is this magic, the 64-byte key, the row count n (8 bytes, little-endian) and a 32-byte digest
+# of the body, then the body: a flag byte, 1 when write_matched_samples wrote the file's lines from the
+# payload without scores (else 0), and the payload: the (5, n) members, matched, category_id, iou and
+# gt_index as raw arrays, and the image ids as one JSON array.
+_MAGIC = f"detcal-columns 2 {np.dtype(float).str}\n".encode()
+_HEAD = len(_MAGIC) + 64 + 8 + 32
 
 
 def _sidecar(path: Path) -> Path:
     """The sidecar of the matched-sample file at ``path``: a hidden file beside it."""
     return path.with_name(f".{path.name}.detcal-columns")
+
+
+def _regular(path: Path) -> os.stat_result | None:
+    """The status of ``path`` itself, symlinks not followed, when it names a regular file; else None."""
+    try:
+        stat = os.lstat(path)
+    except OSError:
+        return None
+    return stat if stat_mode.S_ISREG(stat.st_mode) else None
 
 
 @functools.cache
@@ -442,46 +570,63 @@ def _source_key() -> bytes:
         return os.urandom(64)
 
 
+def _read_head(fh) -> tuple[bytes, int, bytes] | None:
+    """``(key, n, body digest)`` from the header of the sidecar open as ``fh``, or None when it is not one
+    of this version."""
+    head = fh.read(_HEAD)
+    if len(head) != _HEAD or not head.startswith(_MAGIC):
+        return None
+    return head[len(_MAGIC):-40], int.from_bytes(head[-40:-32], "little"), head[-32:]
+
+
 def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None:
     """The table in ``sidecar`` if it is stored under ``key`` and whole, else None; never raises. Its arrays,
-    of at most ``lines`` rows, are filled in place; a short read cannot match the payload's digest."""
+    of at most ``lines`` rows, are filled in place; a short read cannot match the body's digest."""
     try:
         with open(sidecar, "rb") as fh:
-            head, check = fh.read(len(_MAGIC) + 64 + 8 + 32), hashlib.blake2b(digest_size=32)
-            n = int.from_bytes(head[-40:-32], "little")
-            if head[:-40] != _MAGIC + key or n > lines:
+            head, check = _read_head(fh), hashlib.blake2b(digest_size=32)
+            if head is None or head[0] != key or head[1] > lines:
                 return None
+            n = head[1]
+            check.update(fh.read(1))
             cols = [np.empty((len(MEMBER_NAMES), n)), *(np.empty(n, t) for t in ("i8", "i8", "f8", "i8"))]
             for column in cols:
                 fh.readinto(column)
                 check.update(column)
             check.update(ids := fh.read())
-        return SampleColumns(cols[0].T, *cols[1:], tuple(json.loads(ids))) if check.digest() == head[-32:] else None
+        return SampleColumns(cols[0].T, *cols[1:], tuple(json.loads(ids))) if check.digest() == head[2] else None
     except (OSError, ValueError):
         return None
 
 
+def _body(table: SampleColumns, own_lines: bool, arrays=None):
+    """The parts of ``table``'s sidecar body in order: the flag byte, the table's arrays, or those ``arrays``
+    yields in their place, and its image ids as one JSON array, a chunk of ids at a time."""
+    ids, step = table.image_id, _CHUNK_LINES
+    if arrays is None:
+        arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
+    # json.dumps(ids) in pieces: each chunk's values, all but the first after ", ", within "[" and "]".
+    pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
+    return chain([bytes([own_lines])], arrays, [b"["], pieces, [b"]"])
+
+
 def _store_columns(path: Path, sidecar: Path, key: bytes, stat: os.stat_result, table: SampleColumns,
-                   arrays=None) -> None:
+                   arrays=None, own_lines: bool = False) -> None:
     """Write ``table`` to ``sidecar`` under ``key`` through a temporary file, unless ``path``'s size or
-    mtime differ from ``stat``; any OSError skips it. The image ids are encoded a chunk at a time.
-    ``arrays``, when given, yields the payload's arrays in place of the table's, in pieces in their order."""
+    mtime differ from ``stat``; any OSError skips it. ``arrays`` and ``own_lines`` are those of
+    :func:`_body`: ``arrays``, when given, yields the payload's arrays in pieces in their order."""
     with contextlib.suppress(OSError):
         if (now := path.stat()).st_size != stat.st_size or now.st_mtime_ns != stat.st_mtime_ns:
             return
-        ids, digest, step = table.image_id, hashlib.blake2b(digest_size=32), _CHUNK_LINES
-        # json.dumps(ids) in pieces: each chunk's values, all but the first after ", ", within "[" and "]".
-        pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
+        digest = hashlib.blake2b(digest_size=32)
         fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name)
         try:
             with open(fd, "wb") as fh:
                 fh.write(_MAGIC + key + len(table).to_bytes(8, "little") + bytes(32))
-                if arrays is None:
-                    arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
-                for part in chain(arrays, [b"["], pieces, [b"]"]):
+                for part in _body(table, own_lines, arrays):
                     fh.write(part)
                     digest.update(part)
-                fh.seek(len(_MAGIC) + 64 + 8)
+                fh.seek(_HEAD - 32)
                 fh.write(digest.digest())
             os.replace(tmp, sidecar)
         except OSError:

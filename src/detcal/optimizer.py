@@ -14,14 +14,13 @@ system or a non-finite Newton step raise :class:`NumericalFailureError`.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailureError, UsageError, check_count
+from .errors import NumericalFailureError, UsageError, check_count, check_real
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -46,8 +45,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_count("max_iterations", self.max_iterations, 1, message="max_iterations must be >= 1")
-        if isinstance(self.gradient_tolerance, bool) or not isinstance(self.gradient_tolerance, numbers.Real):
-            raise UsageError(f"gradient_tolerance must be a real number, got {self.gradient_tolerance!r}")
+        check_real("gradient_tolerance", self.gradient_tolerance)
         if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
             raise UsageError(f"gradient_tolerance must be finite and > 0, got {self.gradient_tolerance}")
 

@@ -709,6 +709,12 @@ class TestFitParametric:
         with pytest.raises(UsageError, match="ridge"):
             fit_parametric("logistic_indep", samples, ("confidence",), ridge=ridge)
 
+    @pytest.mark.parametrize("ridge", ["1", None, True, [1e-5]])
+    def test_ridge_must_be_a_real_number(self, ridge):
+        samples = random_matched_samples(np.random.default_rng(10), 200, extreme_scores=False)
+        with pytest.raises(UsageError, match="ridge must be a real number"):
+            fit("logistic_indep", samples, ("confidence",), ridge=ridge)
+
     def test_zero_ridge_fits(self):
         samples = random_matched_samples(np.random.default_rng(10), 500, extreme_scores=False)
         assert fit_parametric("logistic_indep", samples, ("confidence",), ridge=0.0).fit_metadata.converged

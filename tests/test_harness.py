@@ -67,6 +67,11 @@ class TestProtocolConfig:
         with pytest.raises(UsageError):
             ProtocolConfig(methods=("lc",), feature_sets=("conf",), repetitions=0)
 
+    @pytest.mark.parametrize("fraction", ["0.7", None, True, [0.7]])
+    def test_train_fraction_must_be_a_real_number(self, fraction):
+        with pytest.raises(UsageError, match="train fraction must be a real number"):
+            ProtocolConfig(methods=("lc",), feature_sets=("conf",), train_fraction=fraction)
+
     @pytest.mark.parametrize("setting", [
         {"iou_thresholds": (float("nan"),)}, {"iou_thresholds": (0.5, float("inf"))},
         {"iou_thresholds": (0.0,)}, {"iou_thresholds": (1.5,)}, {"iou_thresholds": ("abc",)},

@@ -1,10 +1,13 @@
 import json
 import math
+import hashlib
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -644,6 +647,23 @@ class TestWriter:
             write_matched_samples(samples, path, scores=[0.5] * 3)
         assert not path.exists()
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="needs the int digit limit")
+    @pytest.mark.parametrize("ids, row", [((0, 10**4300, 2, 3), 1), (("a", 7, "b", -10**4300), 3)],
+                             ids=["ints", "mixed"])
+    def test_int_id_past_the_digit_limit_is_refused_before_opening(self, tmp_path, ids, row):
+        cols = columns(random_matched_samples(np.random.default_rng(3), 4))
+        bad = SampleColumns(cols.values, cols.matched, cols.category_id, cols.iou, cols.gt_index, ids)
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b"kept\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValidationError, match=f"image_id of sample {row} has more than 4300 digits"):
+                write_matched_samples(bad, path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert path.read_bytes() == b"kept\n"
+
     def test_json_ids_and_null_index(self, tmp_path):
         box = BoxGeometry(0.5, 0.5, 0.2, 0.2)
         samples = [MatchedSample(det(0.5, (0.5, 0.5, 0.2, 0.2), image_id=i), 0) for i in ("a\u00e9\"", 7, 2**70)]
@@ -790,6 +810,17 @@ def _sidecar(path):
     return path.with_name(f".{path.name}.detcal-columns")
 
 
+def _unflagged(data: bytes) -> tuple[bytes, bytes]:
+    """A sidecar's bytes but for the flag byte and the body digest, which covers it: its magic, key and row
+    count, and its payload."""
+    return data[:matching._HEAD - 32], data[matching._HEAD + 1:]
+
+
+def _flag(path) -> int:
+    """The own-lines flag of the sidecar of ``path``."""
+    return _sidecar(path).read_bytes()[matching._HEAD]
+
+
 def _no_parse(path, *args, **kwargs):
     raise AssertionError(f"{path} parsed where its sidecar should have been read")
 
@@ -872,13 +903,14 @@ class TestSidecar:
     def _parse_then_hit(self, path, monkeypatch):
         """Parse ``path`` with its writer's sidecar deleted, then load the sidecar the parse stored.
 
-        A sidecar that the file's writer left must equal the parse's byte for byte.
+        A sidecar that the file's writer left must equal the parse's byte for
+        byte, but for the flag a parse never sets, and the digest that covers it.
         """
         written = _sidecar(path).read_bytes() if _sidecar(path).exists() else None
         _sidecar(path).unlink(missing_ok=True)
         parsed = read_matched_samples(path)
-        assert _sidecar(path).is_file()
-        assert written is None or _sidecar(path).read_bytes() == written
+        assert _sidecar(path).is_file() and _flag(path) == 0
+        assert written is None or _unflagged(_sidecar(path).read_bytes()) == _unflagged(written)
         with monkeypatch.context() as m:
             m.setattr(matching, "_read_jsonl", _no_parse)
             hit = read_matched_samples(path)
@@ -888,7 +920,7 @@ class TestSidecar:
     @pytest.mark.parametrize("n", [1023, 1024, 1025])
     def test_hit_equals_the_parse_at_chunk_edges(self, tmp_path, monkeypatch, n):
         path = _synth(tmp_path, n)
-        assert _sidecar(path).is_file()  # left by the writer
+        assert _flag(path) == 1  # left by the writer, which wrote every line from the table
         parsed = self._parse_then_hit(path, monkeypatch)
         assert len(parsed) == n
         # The sidecar's bytes depend on the file alone, and end in the ids as json.dumps writes them.
@@ -905,7 +937,7 @@ class TestSidecar:
                          "--out", str(model)]) == 0
         assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(out)]) == 0
         assert '"raw_score"' in out.read_text().splitlines()[0]
-        assert _sidecar(out).is_file()  # left by the writer
+        assert _flag(out) == 0  # left by the writer, with scores
         self._parse_then_hit(out, monkeypatch)
 
     def test_clamped_boxes(self, tmp_path, monkeypatch):
@@ -945,10 +977,11 @@ class TestSidecar:
         _sidecar(path).unlink()
         assert_same_table(edited, read_matched_samples(path))
 
-    @pytest.mark.parametrize("damage", ["truncated", "magic", "key", "rows-up", "rows-down", "rows-huge", "payload",
-                                        "ids"])
+    @pytest.mark.parametrize("damage", ["truncated", "magic", "key", "rows-up", "rows-down", "rows-huge", "flag",
+                                        "payload", "ids"])
     def test_damaged_sidecar_is_parsed_over_and_rewritten(self, tmp_path, damage):
         path = _synth(tmp_path, 300)
+        _sidecar(path).unlink()
         parsed = read_matched_samples(path)
         good = _sidecar(path).read_bytes()
         rows = len(matching._MAGIC) + 64
@@ -963,7 +996,8 @@ class TestSidecar:
             "rows-up": good[:rows] + (301).to_bytes(8, "little") + good[rows + 8:],
             "rows-down": good[:rows] + (299).to_bytes(8, "little") + good[rows + 8:],
             "rows-huge": good[:rows] + (10**12).to_bytes(8, "little") + good[rows + 8:],
-            "payload": flip(rows + 8 + 32 + 17),
+            "flag": flip(matching._HEAD),
+            "payload": flip(matching._HEAD + 17),
             "ids": flip(len(good) - 3),
         }[damage])
         assert_same_table(read_matched_samples(path), parsed)
@@ -1068,8 +1102,11 @@ class TestSidecar:
             hit = read_matched_samples(path)
         _sidecar(path).unlink()
         parsed = read_matched_samples(path)
-        assert _sidecar(path).read_bytes() == written
+        assert _unflagged(_sidecar(path).read_bytes()) == _unflagged(written)
         assert_same_table(hit, parsed)
+        # Flagged exactly when the lines are the writer's own and the reader keeps every value as written.
+        kept = (parsed.values.tobytes(), parsed.gt_index.tobytes()) == (table.values.tobytes(), table.gt_index.tobytes())
+        assert written[matching._HEAD] == (scores is None and kept)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_write_to_a_pipe_or_through_a_symlink_stores_nothing(self, tmp_path):
@@ -1119,6 +1156,210 @@ class TestSidecar:
             assert_same_table(read_matched_samples(path), clamped)
         _sidecar(path).unlink()
         assert_same_table(read_matched_samples(path), clamped)
+
+
+class TestReaderSidecarPlacement:
+    """The reader stores a sidecar only beside a path that itself names a regular file."""
+
+    def test_read_through_a_symlink_stores_nothing(self, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("".join(_line(i) + "\n" for i in range(5)))
+        link.symlink_to(target)
+        first = read_matched_samples(link)
+        assert_same_table(read_matched_samples(link), first)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "target.jsonl"]
+
+    @pytest.mark.skipif(not os.path.islink("/dev/stdin"), reason="needs /dev/stdin as a link")
+    def test_read_of_dev_stdin_redirected_from_a_file_stores_nothing(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(_line(i) + "\n" for i in range(5)))
+        src = str(Path(matching.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "from detcal.matching import read_matched_samples; print(len(read_matched_samples('/dev/stdin')))"
+        with open(path, "rb") as stdin:
+            done = subprocess.run([sys.executable, "-c", code], stdin=stdin, capture_output=True, text=True,
+                                  env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "5\n"), done.stderr
+        assert not os.path.lexists("/dev/.stdin.detcal-columns")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# Writing new scores by copying the lines of a file the writer wrote
+
+
+# Image ids whose text holds quotes, commas, braces, backslashes, the copy's separators or no ASCII.
+AWKWARD_IDS = ['say "score": 0.5', 'a, "score": 1, "box": {"cx": 2}', ', "box": ', "}\n{", '"', "\\", ",",
+               "é ", "\ud800", "", 2**70, -3, 0]
+
+
+@st.composite
+def copy_cases(draw):
+    """``(table, scores, clamped)``: no rows or 1,023 to 1,025, ids among :data:`AWKWARD_IDS` and plain
+    ones, up to two boxes the reader re-clamps, and new scores with signed zeros and ones."""
+    n = draw(st.sampled_from([0, 1023, 1024, 1025]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w, h = rng.uniform(0.05, 0.3, (2, n))
+    values = np.asfortranarray(np.column_stack([rng.random(n), rng.uniform(0.2, 0.8, (2, n)).T, w, h]))
+    clamped = draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []
+    for i in clamped:
+        values[i, 1] = 1.0 - 0.5 * w[i] + 0.01
+    matched = (rng.random(n) < 0.5).astype(np.int64)
+    iou_ = np.where(matched == 1, rng.uniform(0.5, 1.0, n), 0.0)
+    gt_index = np.where(matched == 1, np.arange(n), -1)
+    pick = rng.integers(0, 2 * len(AWKWARD_IDS), n).tolist()
+    ids = tuple(AWKWARD_IDS[k] if k < len(AWKWARD_IDS) else f"img{i}" for i, k in enumerate(pick))
+    scores = rng.random(n)
+    scores[rng.random(n) < 0.02] = -0.0
+    scores[rng.random(n) < 0.02] = 1.0
+    table = SampleColumns(values, matched, np.full(n, 2, np.int64), iou_, gt_index, ids)
+    return table, scores, bool(clamped)
+
+
+def _spy():
+    """A context that counts the copies write_matched_samples starts."""
+    return mock.patch.object(matching, "_spliced", wraps=matching._spliced)
+
+
+class TestCopiedLines:
+    """``write_matched_samples(table, path, scores=...)`` of a table loaded from a file the writer wrote
+    copies that file's lines; its output and sidecar are those of the formatted write, byte for byte."""
+
+    def _source(self, tmp_path, n=1025):
+        """A written file, its table as loaded, new scores, and the formatted write's bytes and sidecar."""
+        source = tmp_path / "m.jsonl"
+        write_matched_samples(generate(make_scenario("fig3_boundary_decay", n, seed=3)), source)
+        loaded = read_matched_samples(source)
+        assert loaded._source == source
+        scores = np.random.default_rng(4).random(n)
+        expected = tmp_path / "expected.jsonl"
+        write_matched_samples(loaded.take(np.arange(n)), expected, scores=scores)
+        return source, loaded, scores, expected.read_bytes(), _sidecar(expected).read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=copy_cases())
+    def test_copy_gives_the_bytes_of_the_formatted_write(self, tmp_path_factory, case):
+        table, scores, clamped = case
+        base = tmp_path_factory.mktemp("copy")
+        source, copied, formatted = base / "m.jsonl", base / "copied.jsonl", base / "formatted.jsonl"
+        write_matched_samples(table, source)
+        loaded = read_matched_samples(source)
+        with _spy() as spliced:
+            write_matched_samples(loaded, copied, scores=scores)
+        assert spliced.called == (not clamped)  # the reader re-clamps a box: no copy
+        write_matched_samples(loaded.take(np.arange(len(loaded))), formatted, scores=scores)
+        assert copied.read_bytes() == formatted.read_bytes()
+        assert _sidecar(copied).read_bytes() == _sidecar(formatted).read_bytes()
+
+    def test_apply_copies_and_matches_the_formatted_write(self, tmp_path):
+        matched = _synth(tmp_path, 3000)
+        model, copied, formatted = tmp_path / "dep.json", tmp_path / "copied.jsonl", tmp_path / "formatted.jsonl"
+        assert cli_main(["fit", "--in", str(matched), "--method", "lc-dep", "--features", "conf+xy",
+                         "--out", str(model)]) == 0
+        with _spy() as spliced:
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(copied)]) == 0
+        assert spliced.call_count == 1
+        with mock.patch.object(matching, "_copy_source", return_value=None):
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(formatted)]) == 0
+        assert copied.read_bytes() == formatted.read_bytes()
+        assert _sidecar(copied).read_bytes() == _sidecar(formatted).read_bytes()
+
+    @pytest.mark.parametrize("edit", ["digit", "truncated", "deleted", "appended"])
+    def test_source_edited_between_read_and_write(self, tmp_path, edit):
+        source, loaded, scores, expected, sidecar = self._source(tmp_path)
+        data = source.read_bytes()
+        if edit == "digit":
+            at = data.index(b'"score": 0.') + len(b'"score": 0.')
+            source.write_bytes(data[:at] + (b"1" if data[at:at + 1] != b"1" else b"2") + data[at + 1:])
+        elif edit == "truncated":
+            source.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1])
+        elif edit == "deleted":
+            source.unlink()
+        else:
+            source.write_bytes(data + data[:data.index(b"\n") + 1])
+        out = tmp_path / "out.jsonl"
+        with _spy() as spliced:
+            write_matched_samples(loaded, out, scores=scores)
+        assert spliced.called == (edit != "deleted")
+        assert (out.read_bytes(), _sidecar(out).read_bytes()) == (expected, sidecar)
+
+    def test_source_edited_during_the_copy(self, tmp_path):
+        source, loaded, scores, expected, sidecar = self._source(tmp_path)
+        copy = matching._spliced
+
+        def edit_after_the_first_block(*args):
+            blocks = copy(*args)
+            yield next(blocks)
+            data = source.read_bytes()
+            at = data.rindex(b'"score": 0.') + len(b'"score": 0.')
+            source.write_bytes(data[:at] + (b"1" if data[at:at + 1] != b"1" else b"2") + data[at + 1:])
+            yield from blocks
+
+        out = tmp_path / "out.jsonl"
+        with mock.patch.object(matching, "_spliced", edit_after_the_first_block):
+            write_matched_samples(loaded, out, scores=scores)
+        assert (out.read_bytes(), _sidecar(out).read_bytes()) == (expected, sidecar)
+
+    @pytest.mark.parametrize("out", ["same path", "hard link", "symlink"])
+    def test_no_copy_onto_the_source_or_through_a_link(self, tmp_path, out):
+        source, loaded, scores, expected, _ = self._source(tmp_path)
+        path = {"same path": source, "hard link": tmp_path / "hard.jsonl", "symlink": tmp_path / "link.jsonl"}[out]
+        if out == "hard link":
+            os.link(source, path)
+        elif out == "symlink":
+            path.symlink_to(tmp_path / "target.jsonl")
+        with _spy() as spliced:
+            write_matched_samples(loaded, path, scores=scores)
+        assert not spliced.called
+        assert path.read_bytes() == expected
+
+    def test_apply_with_out_equal_to_in(self, tmp_path):
+        matched = _synth(tmp_path, 2000)
+        model, expected = tmp_path / "lc.json", tmp_path / "expected.jsonl"
+        assert cli_main(["fit", "--in", str(matched), "--method", "lc", "--features", "conf",
+                         "--out", str(model)]) == 0
+        with mock.patch.object(matching, "_copy_source", return_value=None):
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(expected)]) == 0
+        with _spy() as spliced:
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(matched)]) == 0
+        assert not spliced.called
+        assert matched.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="needs /dev/stdout as a link")
+    def test_apply_to_dev_stdout(self, tmp_path, capfd):
+        matched = _synth(tmp_path, 2000)
+        model, expected = tmp_path / "lc.json", tmp_path / "expected.jsonl"
+        assert cli_main(["fit", "--in", str(matched), "--method", "lc", "--features", "conf",
+                         "--out", str(model)]) == 0
+        with mock.patch.object(matching, "_copy_source", return_value=None):
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(expected)]) == 0
+        capfd.readouterr()
+        with _spy() as spliced:
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", "/dev/stdout"]) == 0
+        assert not spliced.called
+        assert capfd.readouterr().out == expected.read_text()
+
+    @pytest.mark.parametrize("sidecar", ["stored by a parse", "version 1"])
+    def test_no_copy_from_an_unflagged_sidecar(self, tmp_path, sidecar):
+        source = tmp_path / "m.jsonl"
+        write_matched_samples(generate(make_scenario("fig3_boundary_decay", 1025, seed=3)), source)
+        data = _sidecar(source).read_bytes()
+        if sidecar == "version 1":
+            # The first version's layout: no flag, and a digest of the payload alone.
+            head, payload = data[len(matching._MAGIC):matching._HEAD - 32], data[matching._HEAD + 1:]
+            _sidecar(source).write_bytes(matching._MAGIC.replace(b" 2 ", b" 1 ") + head
+                                         + hashlib.blake2b(payload, digest_size=32).digest() + payload)
+        else:
+            _sidecar(source).unlink()
+        loaded = read_matched_samples(source)  # parses, and stores an unflagged sidecar
+        assert _flag(source) == 0
+        scores = np.random.default_rng(4).random(len(loaded))
+        out, expected = tmp_path / "out.jsonl", tmp_path / "expected.jsonl"
+        with _spy() as spliced:
+            write_matched_samples(loaded, out, scores=scores)
+        assert not spliced.called
+        write_matched_samples(loaded.take(np.arange(len(loaded))), expected, scores=scores)
+        assert (out.read_bytes(), _sidecar(out).read_bytes()) == (expected.read_bytes(), _sidecar(expected).read_bytes())
 
 
 _GRID_BOXES = [BoxGeometry(cx, cy, w, h) for cx in (0.4, 0.5) for cy in (0.5, 0.6) for w in (0.2, 0.4) for h in (0.2,)]
