@@ -246,8 +246,7 @@ class SampleColumns(RecordTable):
     iou: np.ndarray
     gt_index: np.ndarray
     image_id: tuple
-    # (file, key) of the matched-sample file whose flagged sidecar this table was loaded from (see
-    # read_matched_samples); not a field.
+    # The matched-sample file whose sidecar this table was loaded from (see read_matched_samples); not a field.
     _source = None
 
     def _build(self, rows: slice) -> list[MatchedSample]:
@@ -429,23 +428,34 @@ class _SourceChanged(Exception):
 
 
 def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes] | None:
-    """``cols._source``, the file ``cols`` was loaded from through a flagged sidecar and that sidecar's key,
-    when writing ``cols`` with new scores to ``path`` may copy the file's lines (:func:`_spliced`), else None.
+    """The file ``cols`` was loaded from and its sidecar's key, when writing ``cols`` with new scores to
+    ``path`` may copy that file's lines (:func:`_spliced`), else None.
 
-    The table is the sidecar's payload as loaded: its arrays are read-only
-    and its ids a tuple, and a table made from it by ``replace`` or ``take``
-    has no source. ``path`` must name a new path or a regular file other
-    than the source.
+    The sidecar must be flagged as holding the writer's own lines of a table
+    of ``len(cols)`` rows, whose body ``cols`` digests to (:func:`_body`),
+    and ``path`` must name a new path or a regular file other than the source.
     """
-    if cols._source is None or (src := _regular(cols._source[0])) is None:
+    if cols._source is None or (src := _regular(cols._source)) is None:
         return None
     try:
         out = os.lstat(path)
+        if not stat_mode.S_ISREG(out.st_mode) or os.path.samestat(src, out):
+            return None
     except FileNotFoundError:
-        return cols._source
+        pass
     except OSError:
         return None
-    return cols._source if stat_mode.S_ISREG(out.st_mode) and not os.path.samestat(src, out) else None
+    try:
+        with open(_sidecar(cols._source), "rb") as fh:
+            head, own_lines = _read_head(fh), fh.read(1) == b"\x01"
+    except OSError:
+        return None
+    if head is None or not own_lines or head[1] != len(cols):
+        return None
+    digest = hashlib.blake2b(digest_size=32)
+    for part in _body(cols, True):
+        digest.update(part)
+    return (cols._source, head[0]) if digest.digest() == head[2] else None
 
 
 def _spliced(source: Path, key: bytes, score: np.ndarray):
@@ -515,10 +525,8 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     if (stat := _regular(path)) is not None:
         sidecar, digest = _sidecar(path), hashlib.blake2b(key=_source_key())
         size, key = _count_lines(path, digest), digest.digest()
-        if (loaded := _load_columns(sidecar, key, size)) is not None:
-            table, own_lines = loaded
-            if own_lines:
-                object.__setattr__(table, "_source", (path, key))
+        if (table := _load_columns(sidecar, key, size)) is not None:
+            object.__setattr__(table, "_source", path)
             return table
     image_id, category_id, members, matched, iou_, gt_index = _read_jsonl(
         path, _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns, size=size
@@ -562,47 +570,60 @@ def _source_key() -> bytes:
         return os.urandom(64)
 
 
-def _load_columns(sidecar: Path, key: bytes, lines: int) -> tuple[SampleColumns, bool] | None:
-    """The table in ``sidecar`` and its flag if it is stored under ``key`` and whole, else None; never raises.
-    Its arrays, of at most ``lines`` rows, are filled in place; a short read cannot match the body's digest."""
+def _read_head(fh) -> tuple[bytes, int, bytes] | None:
+    """``(key, n, body digest)`` from the header of the sidecar open as ``fh``, or None when it is not one
+    of this version."""
+    head = fh.read(_HEAD)
+    if len(head) != _HEAD or not head.startswith(_MAGIC):
+        return None
+    return head[len(_MAGIC):-40], int.from_bytes(head[-40:-32], "little"), head[-32:]
+
+
+def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None:
+    """The table in ``sidecar`` if it is stored under ``key`` and whole, else None; never raises. Its arrays,
+    of at most ``lines`` rows, are filled in place; a short read cannot match the body's digest."""
     try:
         with open(sidecar, "rb") as fh:
-            head, check = fh.read(_HEAD), hashlib.blake2b(digest_size=32)
-            n = int.from_bytes(head[-40:-32], "little")
-            if head[:-40] != _MAGIC + key or n > lines:
+            head, check = _read_head(fh), hashlib.blake2b(digest_size=32)
+            if head is None or head[0] != key or head[1] > lines:
                 return None
-            check.update(flag := fh.read(1))
+            n = head[1]
+            check.update(fh.read(1))
             cols = [np.empty((len(MEMBER_NAMES), n)), *(np.empty(n, t) for t in ("i8", "i8", "f8", "i8"))]
             for column in cols:
                 fh.readinto(column)
                 check.update(column)
             check.update(ids := fh.read())
-        if check.digest() != head[-32:]:
-            return None
-        return SampleColumns(cols[0].T, *cols[1:], tuple(json.loads(ids))), flag == b"\x01"
+        return SampleColumns(cols[0].T, *cols[1:], tuple(json.loads(ids))) if check.digest() == head[2] else None
     except (OSError, ValueError):
         return None
+
+
+def _body(table: SampleColumns, own_lines: bool, arrays=None):
+    """The parts of ``table``'s sidecar body in order: the flag byte, the table's arrays, or those ``arrays``
+    yields in their place, and its image ids as one JSON array, a chunk of ids at a time."""
+    ids, step = table.image_id, _CHUNK_LINES
+    if arrays is None:
+        arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
+    # json.dumps(ids) in pieces: each chunk's values, all but the first after ", ", within "[" and "]".
+    pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
+    return chain([bytes([own_lines])], arrays, [b"["], pieces, [b"]"])
 
 
 def _store_columns(path: Path, sidecar: Path, key: bytes, stat: os.stat_result, table: SampleColumns,
                    arrays=None, own_lines: bool = False) -> None:
     """Write ``table`` to ``sidecar`` under ``key`` through a temporary file, unless ``path``'s size or
-    mtime differ from ``stat``; any OSError skips it. The image ids are encoded a chunk at a time.
-    ``arrays``, when given, yields the payload's arrays in place of the table's, in pieces in their order;
-    ``own_lines`` is the flag byte."""
+    mtime differ from ``stat``; any OSError skips it. ``arrays`` and ``own_lines`` are those of
+    :func:`_body`: ``arrays``, when given, yields the payload's arrays in pieces in their order."""
     with contextlib.suppress(OSError):
         if (now := path.stat()).st_size != stat.st_size or now.st_mtime_ns != stat.st_mtime_ns:
             return
-        ids, digest, step = table.image_id, hashlib.blake2b(digest_size=32), _CHUNK_LINES
-        # json.dumps(ids) in pieces: each chunk's values, all but the first after ", ", within "[" and "]".
-        pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
+        digest = hashlib.blake2b(digest_size=32)
         fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name)
         try:
             with open(fd, "wb") as fh:
                 fh.write(_MAGIC + key + len(table).to_bytes(8, "little") + bytes(32))
-                if arrays is None:
-                    arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
-                for part in chain([bytes([own_lines])], arrays, [b"["], pieces, [b"]"]):
+                for part in _body(table, own_lines, arrays):
                     fh.write(part)
                     digest.update(part)
                 fh.seek(_HEAD - 32)

@@ -1230,7 +1230,7 @@ class TestCopiedLines:
         source = tmp_path / "m.jsonl"
         write_matched_samples(generate(make_scenario("fig3_boundary_decay", n, seed=3)), source)
         loaded = read_matched_samples(source)
-        assert loaded._source[0] == source  # loaded from the writer's flagged sidecar
+        assert loaded._source == source
         scores = np.random.default_rng(4).random(n)
         expected = tmp_path / "expected.jsonl"
         write_matched_samples(loaded.take(np.arange(n)), expected, scores=scores)
@@ -1353,7 +1353,6 @@ class TestCopiedLines:
             _sidecar(source).unlink()
         loaded = read_matched_samples(source)  # parses, and stores an unflagged sidecar
         assert _flag(source) == 0
-        assert read_matched_samples(source)._source is None  # a load of the unflagged sidecar
         scores = np.random.default_rng(4).random(len(loaded))
         out, expected = tmp_path / "out.jsonl", tmp_path / "expected.jsonl"
         with _spy() as spliced:
