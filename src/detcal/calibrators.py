@@ -74,7 +74,7 @@ from .detections import _category_id, _real, _whole_number, read_json
 from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
 from .matching import MatchedSample
 from .metrics import bin_indices, check_grid, dense_counts
-from .optimizer import OptimizerConfig, minimize
+from .optimizer import OptimizerConfig, check_config, minimize
 
 METHODS = ("hist_binning", "logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
 PARAMETRIC_METHODS = ("logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
@@ -910,6 +910,7 @@ def fit_parametric(
     fam = _family(method)
     if not (math.isfinite(check_real("ridge", ridge)) and ridge >= 0.0):
         raise UsageError(f"ridge must be finite and >= 0, got {ridge}")
+    cfg = check_config("config", config)
     fs = _normalize_feature_set(method, fs)
     cols = columns(samples)
     x = build_feature_matrix(cols, fs, eps)
@@ -920,7 +921,6 @@ def fit_parametric(
             f"parametric fitting needs both match labels; got {n_pos} positives "
             f"out of {len(m)} samples"
         )
-    cfg = config or OptimizerConfig()
     # Both fitters stop at finite iterates, so params exist even unconverged.
     theta, report, params = fam.fit(method, x, m, ridge, cfg)
     if not report.converged:

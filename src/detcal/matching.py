@@ -377,7 +377,7 @@ def write_matched_samples(
 
     def write(blocks) -> tuple:
         """Write the ``(first row, bytes)`` of ``blocks`` to ``fh``: ``(digest, patches, store)``."""
-        digest, patches, store = hashlib.blake2b(key=_source_key()), [{} for _ in arrays], storable
+        digest, patches, store = _key_digest(), [{} for _ in arrays], storable
         for first, text in blocks:
             if store and first % _CHUNK_LINES == 0:
                 confidence, *box, matched, _, iou_, gt = (a[first:first + _CHUNK_LINES] for a in arrays)
@@ -395,10 +395,11 @@ def write_matched_samples(
             digest.update(text)
         return digest, patches, store
 
-    source = _copy_source(cols, path) if scores is not None and storable else None
+    copy = _copy_source(cols, path) if scores is not None and storable else None
+    source, key, ids = copy or (None, None, None)
     with open(path, "wb") as fh:
         try:
-            digest, patches, store = write(formatted() if source is None else _spliced(*source, score))
+            digest, patches, store = write(formatted() if source is None else _spliced(source, key, score))
         except _SourceChanged:
             fh.seek(0)
             fh.truncate()
@@ -406,7 +407,7 @@ def write_matched_samples(
     if store and (stat := _regular(path)) is not None:
         pieces = (piece for column, patch in zip(arrays, patches) for piece in _pieces(column, patch))
         own_lines = scores is None and not any(patches)
-        _store_columns(path, _sidecar(path), digest.digest(), stat, cols, pieces, own_lines)
+        _store_columns(path, _sidecar(path), digest.digest(), stat, cols, pieces, own_lines, ids)
 
 
 def _check_image_ids(ids: tuple, kinds: set) -> None:
@@ -427,13 +428,15 @@ class _SourceChanged(Exception):
     """The file :func:`_spliced` copies no longer holds the lines its sidecar was stored for."""
 
 
-def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes] | None:
-    """The file ``cols`` was loaded from and its sidecar's key, when writing ``cols`` with new scores to
-    ``path`` may copy that file's lines (:func:`_spliced`), else None.
+def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes, list[bytes]] | None:
+    """The file ``cols`` was loaded from, its sidecar's key and the pieces of ``cols``' ids as one JSON
+    array (:func:`_id_pieces`), when writing ``cols`` with new scores to ``path`` may copy that file's
+    lines (:func:`_spliced`), else None.
 
     The sidecar must be flagged as holding the writer's own lines of a table
     of ``len(cols)`` rows, whose body ``cols`` digests to (:func:`_body`),
     and ``path`` must name a new path or a regular file other than the source.
+    The id pieces serve the output's sidecar, whose body holds the same ids.
     """
     if cols._source is None or (src := _regular(cols._source)) is None:
         return None
@@ -452,10 +455,10 @@ def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes] | None:
         return None
     if head is None or not own_lines or head[1] != len(cols):
         return None
-    digest = hashlib.blake2b(digest_size=32)
-    for part in _body(cols, True):
+    digest, ids = _SHA256.copy(), list(_id_pieces(cols.image_id))
+    for part in _body(cols, True, ids=ids):
         digest.update(part)
-    return (cols._source, head[0]) if digest.digest() == head[2] else None
+    return (cols._source, head[0], ids) if digest.digest() == head[2] else None
 
 
 def _spliced(source: Path, key: bytes, score: np.ndarray):
@@ -469,7 +472,7 @@ def _spliced(source: Path, key: bytes, score: np.ndarray):
     Raises :class:`_SourceChanged` when the file cannot be read, its lines
     do not split so, or, once read, their bytes do not digest to ``key``.
     """
-    digest = hashlib.blake2b(key=_source_key())
+    digest = _key_digest()
     try:
         with open(source, "rb") as fh:
             for first in range(0, len(score), _WRITE_LINES):
@@ -523,7 +526,7 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     """
     path, size, key = Path(path), None, None
     if (stat := _regular(path)) is not None:
-        sidecar, digest = _sidecar(path), hashlib.blake2b(key=_source_key())
+        sidecar, digest = _sidecar(path), _key_digest()
         size, key = _count_lines(path, digest), digest.digest()
         if (table := _load_columns(sidecar, key, size)) is not None:
             object.__setattr__(table, "_source", path)
@@ -538,12 +541,17 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     return table
 
 
-# A sidecar is this magic, the 64-byte key, the row count n (8 bytes, little-endian) and a 32-byte digest
+# A sidecar is this magic, the 32-byte key, the row count n (8 bytes, little-endian) and a 32-byte digest
 # of the body, then the body: a flag byte, 1 when write_matched_samples wrote the file's lines from the
 # payload without scores (else 0), and the payload: the (5, n) members, matched, category_id, iou and
-# gt_index as raw arrays, and the image ids as one JSON array.
-_MAGIC = f"detcal-columns 2 {np.dtype(float).str}\n".encode()
-_HEAD = len(_MAGIC) + 64 + 8 + 32
+# gt_index as raw arrays, and the image ids as one JSON array. _KEY, _ROWS and _DIGEST are the offsets
+# of the key, the row count and the body digest. Both digests are SHA-256, the key of _source_key() and
+# the file's bytes.
+_MAGIC = f"detcal-columns 3 {np.dtype(float).str}\n".encode()
+_KEY, _ROWS, _DIGEST = len(_MAGIC), len(_MAGIC) + 32, len(_MAGIC) + 40
+_HEAD = _DIGEST + 32
+# Every digest is a copy of this one: building a SHA-256 object at each use raised the heap high-water.
+_SHA256 = hashlib.sha256()
 
 
 def _sidecar(path: Path) -> Path:
@@ -563,11 +571,21 @@ def _regular(path: Path) -> os.stat_result | None:
 @functools.cache
 def _source_key() -> bytes:
     """A digest of ``detections.py`` and ``matching.py``, or if unreadable, random bytes no other process shares."""
+    digest = _SHA256.copy()
     try:
-        return hashlib.blake2b(b"".join(Path(__file__).with_name(name).read_bytes()
-                                        for name in ("detections.py", "matching.py"))).digest()
+        digest.update(b"".join(Path(__file__).with_name(name).read_bytes()
+                               for name in ("detections.py", "matching.py")))
     except OSError:
-        return os.urandom(64)
+        return os.urandom(32)
+    return digest.digest()
+
+
+def _key_digest():
+    """A digest to feed a matched-sample file's bytes to, for the key of its sidecar: SHA-256 of
+    :func:`_source_key` and those bytes."""
+    digest = _SHA256.copy()
+    digest.update(_source_key())
+    return digest
 
 
 def _read_head(fh) -> tuple[bytes, int, bytes] | None:
@@ -576,7 +594,7 @@ def _read_head(fh) -> tuple[bytes, int, bytes] | None:
     head = fh.read(_HEAD)
     if len(head) != _HEAD or not head.startswith(_MAGIC):
         return None
-    return head[len(_MAGIC):-40], int.from_bytes(head[-40:-32], "little"), head[-32:]
+    return head[_KEY:_ROWS], int.from_bytes(head[_ROWS:_DIGEST], "little"), head[_DIGEST:]
 
 
 def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None:
@@ -584,7 +602,7 @@ def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None
     of at most ``lines`` rows, are filled in place; a short read cannot match the body's digest."""
     try:
         with open(sidecar, "rb") as fh:
-            head, check = _read_head(fh), hashlib.blake2b(digest_size=32)
+            head, check = _read_head(fh), _SHA256.copy()
             if head is None or head[0] != key or head[1] > lines:
                 return None
             n = head[1]
@@ -599,34 +617,40 @@ def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None
         return None
 
 
-def _body(table: SampleColumns, own_lines: bool, arrays=None):
+def _id_pieces(ids: tuple):
+    """``json.dumps(ids)`` as bytes, in pieces: "[", each chunk's values, all but the first after ", ",
+    and "]"."""
+    step = _CHUNK_LINES
+    pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
+    return chain([b"["], pieces, [b"]"])
+
+
+def _body(table: SampleColumns, own_lines: bool, arrays=None, ids=None):
     """The parts of ``table``'s sidecar body in order: the flag byte, the table's arrays, or those ``arrays``
-    yields in their place, and its image ids as one JSON array, a chunk of ids at a time."""
-    ids, step = table.image_id, _CHUNK_LINES
+    yields in their place, and its image ids as one JSON array, a chunk of ids at a time, or the pieces
+    ``ids`` holds of that array."""
     if arrays is None:
         arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
-    # json.dumps(ids) in pieces: each chunk's values, all but the first after ", ", within "[" and "]".
-    pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
-    return chain([bytes([own_lines])], arrays, [b"["], pieces, [b"]"])
+    return chain([bytes([own_lines])], arrays, _id_pieces(table.image_id) if ids is None else ids)
 
 
 def _store_columns(path: Path, sidecar: Path, key: bytes, stat: os.stat_result, table: SampleColumns,
-                   arrays=None, own_lines: bool = False) -> None:
+                   arrays=None, own_lines: bool = False, ids=None) -> None:
     """Write ``table`` to ``sidecar`` under ``key`` through a temporary file, unless ``path``'s size or
-    mtime differ from ``stat``; any OSError skips it. ``arrays`` and ``own_lines`` are those of
+    mtime differ from ``stat``; any OSError skips it. ``arrays``, ``own_lines`` and ``ids`` are those of
     :func:`_body`: ``arrays``, when given, yields the payload's arrays in pieces in their order."""
     with contextlib.suppress(OSError):
         if (now := path.stat()).st_size != stat.st_size or now.st_mtime_ns != stat.st_mtime_ns:
             return
-        digest = hashlib.blake2b(digest_size=32)
+        digest = _SHA256.copy()
         fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name)
         try:
             with open(fd, "wb") as fh:
                 fh.write(_MAGIC + key + len(table).to_bytes(8, "little") + bytes(32))
-                for part in _body(table, own_lines, arrays):
+                for part in _body(table, own_lines, arrays, ids):
                     fh.write(part)
                     digest.update(part)
-                fh.seek(_HEAD - 32)
+                fh.seek(_DIGEST)
                 fh.write(digest.digest())
             os.replace(tmp, sidecar)
         except OSError:

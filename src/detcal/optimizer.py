@@ -50,6 +50,16 @@ class OptimizerConfig:
             raise UsageError(f"gradient_tolerance must be finite and > 0, got {self.gradient_tolerance}")
 
 
+def check_config(name: str, value) -> OptimizerConfig:
+    """``value`` if it is an :class:`OptimizerConfig`, the default settings for None; anything else raises
+    :class:`UsageError` naming the setting ``name``."""
+    if value is None:
+        return OptimizerConfig()
+    if not isinstance(value, OptimizerConfig):
+        raise UsageError(f"{name} must be an OptimizerConfig or None, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Outcome of one minimization run."""
@@ -85,7 +95,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, x: np.ndarray, iteration: in
 def minimize(
     objective: Objective,
     x0: np.ndarray,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    cfg: OptimizerConfig | None = None,
     callback: Callable[[np.ndarray, float], None] | None = None,
     *,
     hessian: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -96,7 +106,9 @@ def minimize(
     turns the BFGS direction into the Newton direction. A direction that
     does not descend falls back to steepest descent. ``callback``, when
     given, is invoked with every accepted iterate and its objective value.
+    ``cfg`` defaults to ``OptimizerConfig()``.
     """
+    cfg = check_config("cfg", cfg)
     start = time.perf_counter()
     x = np.array(x0, dtype=np.float64)
     f, g = objective(x)

@@ -715,6 +715,12 @@ class TestFitParametric:
         with pytest.raises(UsageError, match="ridge must be a real number"):
             fit("logistic_indep", samples, ("confidence",), ridge=ridge)
 
+    @pytest.mark.parametrize("config", ["x", {"max_iterations": 5}])
+    def test_config_must_be_an_optimizer_config(self, config):
+        samples = random_matched_samples(np.random.default_rng(10), 200, extreme_scores=False)
+        with pytest.raises(UsageError, match="^config must be an OptimizerConfig or None, got "):
+            fit("logistic_indep", samples, ("confidence",), config=config)
+
     def test_zero_ridge_fits(self):
         samples = random_matched_samples(np.random.default_rng(10), 500, extreme_scores=False)
         assert fit_parametric("logistic_indep", samples, ("confidence",), ridge=0.0).fit_metadata.converged

@@ -89,6 +89,24 @@ class TestProtocolConfig:
         with pytest.raises(UsageError, match=f"{name} must be an integer >= "):
             ProtocolConfig(methods=("identity",), feature_sets=("conf",), **setting)
 
+    @pytest.mark.parametrize("optimizer", ["x", {"max_iterations": 5}])
+    def test_optimizer_must_be_an_optimizer_config(self, optimizer):
+        with pytest.raises(UsageError, match="^optimizer must be an OptimizerConfig or None, got "):
+            ProtocolConfig(methods=("lc",), feature_sets=("conf",), optimizer=optimizer)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("methods", "hb"), ("feature_sets", "conf"), ("eval_feature_sets", "conf"), ("methods", 5),
+    ])
+    def test_name_lists_must_be_sequences_of_names(self, setting, value):
+        # A bare string would be taken letter by letter: "unknown method 'h'".
+        names = {"methods": ("hb",), "feature_sets": ("conf",), setting: value}
+        with pytest.raises(UsageError, match=f"^{setting} must be a sequence of names, got "):
+            ProtocolConfig(**names)
+
+    def test_name_lists_may_be_any_sequence(self):
+        cfg = ProtocolConfig(methods=["hb"], feature_sets=iter(["conf"]), eval_feature_sets=["conf+xy"])
+        assert (cfg.methods, cfg.feature_sets, cfg.eval_feature_sets) == (("hist_binning",), ("conf",), ("conf+xy",))
+
     def test_numpy_integer_counts_run(self):
         cfg = ProtocolConfig(methods=("identity",), feature_sets=("conf",), repetitions=np.int64(2),
                              min_samples=np.int64(8))

@@ -813,12 +813,26 @@ def _sidecar(path):
 def _unflagged(data: bytes) -> tuple[bytes, bytes]:
     """A sidecar's bytes but for the flag byte and the body digest, which covers it: its magic, key and row
     count, and its payload."""
-    return data[:matching._HEAD - 32], data[matching._HEAD + 1:]
+    return data[:matching._DIGEST], data[matching._HEAD + 1:]
 
 
 def _flag(path) -> int:
     """The own-lines flag of the sidecar of ``path``."""
     return _sidecar(path).read_bytes()[matching._HEAD]
+
+
+def _older_sidecar(path, version: int) -> bytes:
+    """The sidecar of ``path`` as format ``version`` 1 or 2 stored it, from the current one's row count and
+    payload. The key is a 64-byte BLAKE2b digest of the file's bytes, keyed with a BLAKE2b digest of the
+    reader's source. The body digest, 32-byte BLAKE2b, covers the payload alone in version 1, and in
+    version 2 the body: a flag byte, set here, and the payload."""
+    data = _sidecar(path).read_bytes()
+    rows, payload = data[matching._ROWS:matching._DIGEST], data[matching._HEAD + 1:]
+    reader = b"".join(Path(matching.__file__).with_name(name).read_bytes() for name in ("detections.py", "matching.py"))
+    key = hashlib.blake2b(path.read_bytes(), key=hashlib.blake2b(reader).digest()).digest()
+    body = payload if version == 1 else b"\x01" + payload
+    magic = f"detcal-columns {version} {np.dtype(float).str}\n".encode()
+    return magic + key + rows + hashlib.blake2b(body, digest_size=32).digest() + body
 
 
 def _no_parse(path, *args, **kwargs):
@@ -977,14 +991,14 @@ class TestSidecar:
         _sidecar(path).unlink()
         assert_same_table(edited, read_matched_samples(path))
 
-    @pytest.mark.parametrize("damage", ["truncated", "magic", "key", "rows-up", "rows-down", "rows-huge", "flag",
-                                        "payload", "ids"])
+    @pytest.mark.parametrize("damage", ["truncated", "magic", "key", "rows-up", "rows-down", "rows-huge", "digest",
+                                        "flag", "payload", "ids"])
     def test_damaged_sidecar_is_parsed_over_and_rewritten(self, tmp_path, damage):
         path = _synth(tmp_path, 300)
         _sidecar(path).unlink()
         parsed = read_matched_samples(path)
         good = _sidecar(path).read_bytes()
-        rows = len(matching._MAGIC) + 64
+        rows = matching._ROWS
 
         def flip(at):
             return good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
@@ -992,10 +1006,11 @@ class TestSidecar:
         _sidecar(path).write_bytes({
             "truncated": good[:len(good) // 2],
             "magic": flip(0),
-            "key": flip(len(matching._MAGIC) + 5),
+            "key": flip(matching._KEY + 5),
             "rows-up": good[:rows] + (301).to_bytes(8, "little") + good[rows + 8:],
             "rows-down": good[:rows] + (299).to_bytes(8, "little") + good[rows + 8:],
             "rows-huge": good[:rows] + (10**12).to_bytes(8, "little") + good[rows + 8:],
+            "digest": flip(matching._DIGEST + 3),
             "flag": flip(matching._HEAD),
             "payload": flip(matching._HEAD + 17),
             "ids": flip(len(good) - 3),
@@ -1264,6 +1279,15 @@ class TestCopiedLines:
         assert copied.read_bytes() == formatted.read_bytes()
         assert _sidecar(copied).read_bytes() == _sidecar(formatted).read_bytes()
 
+    def test_copy_encodes_the_ids_once(self, tmp_path):
+        # The input table's body digest and the output's sidecar share one JSON encoding of the ids.
+        source, loaded, scores, expected, sidecar = self._source(tmp_path, 3000)
+        out, dumps = tmp_path / "out.jsonl", json.dumps
+        with _spy() as spliced, mock.patch.object(json, "dumps", side_effect=dumps) as encode:
+            write_matched_samples(loaded, out, scores=scores)
+        assert spliced.called and encode.call_count == -(-3000 // matching._CHUNK_LINES)
+        assert (out.read_bytes(), _sidecar(out).read_bytes()) == (expected, sidecar)
+
     @pytest.mark.parametrize("edit", ["digit", "truncated", "deleted", "appended"])
     def test_source_edited_between_read_and_write(self, tmp_path, edit):
         source, loaded, scores, expected, sidecar = self._source(tmp_path)
@@ -1339,27 +1363,27 @@ class TestCopiedLines:
         assert not spliced.called
         assert capfd.readouterr().out == expected.read_text()
 
-    @pytest.mark.parametrize("sidecar", ["stored by a parse", "version 1"])
+    @pytest.mark.parametrize("sidecar", ["stored by a parse", "version 1", "version 2"])
     def test_no_copy_from_an_unflagged_sidecar(self, tmp_path, sidecar):
-        source = tmp_path / "m.jsonl"
-        write_matched_samples(generate(make_scenario("fig3_boundary_decay", 1025, seed=3)), source)
-        data = _sidecar(source).read_bytes()
-        if sidecar == "version 1":
-            # The first version's layout: no flag, and a digest of the payload alone.
-            head, payload = data[len(matching._MAGIC):matching._HEAD - 32], data[matching._HEAD + 1:]
-            _sidecar(source).write_bytes(matching._MAGIC.replace(b" 2 ", b" 1 ") + head
-                                         + hashlib.blake2b(payload, digest_size=32).digest() + payload)
-        else:
-            _sidecar(source).unlink()
-        loaded = read_matched_samples(source)  # parses, and stores an unflagged sidecar
-        assert _flag(source) == 0
-        scores = np.random.default_rng(4).random(len(loaded))
-        out, expected = tmp_path / "out.jsonl", tmp_path / "expected.jsonl"
+        matched = _synth(tmp_path, 1025)
+        model, copied, out = tmp_path / "lc.json", tmp_path / "copied.jsonl", tmp_path / "out.jsonl"
+        assert cli_main(["fit", "--in", str(matched), "--method", "lc", "--features", "conf",
+                         "--out", str(model)]) == 0
         with _spy() as spliced:
-            write_matched_samples(loaded, out, scores=scores)
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(copied)]) == 0
+        assert spliced.call_count == 1
+        if sidecar == "stored by a parse":
+            _sidecar(matched).unlink()
+        else:
+            # A flagged sidecar of an earlier format beside the unchanged file.
+            _sidecar(matched).write_bytes(older := _older_sidecar(matched, int(sidecar[-1])))
+            assert not older.startswith(matching._MAGIC)
+        with _spy() as spliced:
+            # Parses, and stores an unflagged sidecar of the current format.
+            assert cli_main(["apply", "--model", str(model), "--in", str(matched), "--out", str(out)]) == 0
         assert not spliced.called
-        write_matched_samples(loaded.take(np.arange(len(loaded))), expected, scores=scores)
-        assert (out.read_bytes(), _sidecar(out).read_bytes()) == (expected.read_bytes(), _sidecar(expected).read_bytes())
+        assert _sidecar(matched).read_bytes().startswith(matching._MAGIC) and _flag(matched) == 0
+        assert (out.read_bytes(), _sidecar(out).read_bytes()) == (copied.read_bytes(), _sidecar(copied).read_bytes())
 
 
 _GRID_BOXES = [BoxGeometry(cx, cy, w, h) for cx in (0.4, 0.5) for cy in (0.5, 0.6) for w in (0.2, 0.4) for h in (0.2,)]

@@ -158,6 +158,15 @@ class TestMinimize:
         with pytest.raises(UsageError, match="max_iterations must be an integer >= 1"):
             OptimizerConfig(max_iterations=value)
 
+    @pytest.mark.parametrize("cfg", ["x", {"max_iterations": 5}, 5])
+    def test_settings_must_be_an_optimizer_config(self, cfg):
+        with pytest.raises(UsageError, match="^cfg must be an OptimizerConfig or None, got "):
+            minimize(quadratic, np.ones(2), cfg)
+
+    def test_no_settings_are_the_defaults(self):
+        x, report = minimize(quadratic, np.ones(2), None)
+        assert report.converged and report.iterations <= OptimizerConfig().max_iterations
+
     def test_max_iterations_below_one_keeps_its_message(self):
         with pytest.raises(UsageError) as excinfo:
             OptimizerConfig(max_iterations=0)
