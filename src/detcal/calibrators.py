@@ -68,10 +68,13 @@ from .errors import (
     UsageError,
     ValidationError,
     check_count,
+    check_names,
     check_real,
 )
 from .detections import _category_id, _real, _whole_number, read_json
-from .features import DEFAULT_CLIP, FeatureSet, SampleColumns, build_feature_matrix, columns, labels, raw_values
+from .features import (
+    DEFAULT_CLIP, FeatureSet, SampleColumns, _check_eps, build_feature_matrix, columns, labels, raw_values,
+)
 from .matching import MatchedSample
 from .metrics import bin_indices, check_grid, dense_counts
 from .optimizer import OptimizerConfig, check_config, minimize
@@ -193,10 +196,10 @@ class HistBinningParams:
     global_precision: float
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.bin_counts)
+        counts = tuple(self.bin_counts)
+        below = f"bin counts must be >= 1, got {counts}"
+        counts = tuple(check_count("bin count", c, 1, ValidationError, message=below) for c in counts)
         object.__setattr__(self, "bin_counts", counts)
-        if any(c < 1 for c in counts):
-            raise ValidationError(f"bin counts must be >= 1, got {counts}")
         tables = tuple(_ro(t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
         if len(tables) != len(counts):
@@ -280,7 +283,7 @@ def expected_encoding(method: str) -> str:
 
 
 def _normalize_feature_set(method: str, fs: FeatureSet | Sequence[str]) -> FeatureSet:
-    members = fs.members if isinstance(fs, FeatureSet) else tuple(fs)
+    members = fs.members if isinstance(fs, FeatureSet) else check_names("feature set", fs)
     return FeatureSet(members=members, confidence_encoding=expected_encoding(method))
 
 
@@ -889,6 +892,15 @@ _FAMILIES = {
 }
 
 
+def _fit_settings(config, ridge, eps) -> OptimizerConfig:
+    """``config`` as :func:`~detcal.optimizer.check_config` returns it, once ``ridge`` is checked to be
+    finite and >= 0 and ``eps`` to be a clip value (:func:`~detcal.features.build_feature_matrix`)."""
+    if not (math.isfinite(check_real("ridge", ridge)) and ridge >= 0.0):
+        raise UsageError(f"ridge must be finite and >= 0, got {ridge}")
+    _check_eps(eps)
+    return check_config("config", config)
+
+
 def fit_parametric(
     method: str,
     samples: Sequence[MatchedSample] | SampleColumns,
@@ -908,9 +920,7 @@ def fit_parametric(
     Newton system is singular.
     """
     fam = _family(method)
-    if not (math.isfinite(check_real("ridge", ridge)) and ridge >= 0.0):
-        raise UsageError(f"ridge must be finite and >= 0, got {ridge}")
-    cfg = check_config("config", config)
+    cfg = _fit_settings(config, ridge, eps)
     fs = _normalize_feature_set(method, fs)
     cols = columns(samples)
     x = build_feature_matrix(cols, fs, eps)
@@ -955,8 +965,10 @@ def fit(
     eps: float = DEFAULT_CLIP,
     category_id: int | None = None,
 ) -> CalibrationModel:
-    """Dispatch to histogram binning or the parametric fitter by method name."""
+    """Dispatch to histogram binning or the parametric fitter by method name; ``config``, ``ridge`` and
+    ``eps`` are checked for every method, though histogram binning uses none of them."""
     if method == "hist_binning":
+        _fit_settings(config, ridge, eps)
         return fit_hist_binning(samples, fs, bin_counts, category_id=category_id)
     return fit_parametric(
         method, samples, fs, config=config, ridge=ridge, eps=eps, category_id=category_id

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, check_real
 from .matching import MEMBER_NAMES, MatchedSample, SampleColumns, columns
 
 ENCODINGS = ("probability", "logit")
@@ -67,7 +67,7 @@ def feature_set(name: str, confidence_encoding: str = "probability") -> FeatureS
 
 
 def _check_eps(eps: float) -> float:
-    if not 0.0 < eps < 0.5:
+    if not 0.0 < check_real("clip value", eps) < 0.5:
         raise UsageError(f"clip value must lie in (0, 0.5), got {eps}")
     return float(eps)
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import calibrators
-from .errors import DataError, EmptyMetricError, NumericalError, UsageError, check_count, check_real
+from .errors import DataError, EmptyMetricError, NumericalError, UsageError, check_count, check_names, check_real
 from .features import DEFAULT_CLIP, SampleColumns, _check_eps, columns, feature_set, labels
 from .matching import MatchedSample, match_detections
 from .metrics import DEFAULT_MIN_SAMPLES, compute_d_ece, default_eval_spec, require_dimensionality_match
@@ -49,17 +49,6 @@ def canonical_method(name: str) -> str:
     raise UsageError(f"unknown method {name!r}; expected one of {sorted(METHOD_KEYS)}")
 
 
-def _names(setting: str, value) -> tuple:
-    """``value``, a sequence of names, as a tuple; a bare str, which would split into its letters, or
-    anything not iterable raises :class:`UsageError` naming the setting."""
-    if isinstance(value, str):
-        raise UsageError(f"{setting} must be a sequence of names, got the string {value!r}")
-    try:
-        return tuple(value)
-    except TypeError:
-        raise UsageError(f"{setting} must be a sequence of names, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Settings for :func:`run_protocol`.
@@ -81,8 +70,8 @@ class ProtocolConfig:
     optimizer: OptimizerConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(map(canonical_method, _names("methods", self.methods))))
-        object.__setattr__(self, "feature_sets", _names("feature_sets", self.feature_sets))
+        object.__setattr__(self, "methods", tuple(map(canonical_method, check_names("methods", self.methods))))
+        object.__setattr__(self, "feature_sets", check_names("feature_sets", self.feature_sets))
         if not self.methods or not self.feature_sets:
             raise UsageError("protocol needs at least one method and one feature set")
         if len(set(self.methods)) != len(self.methods):
@@ -95,7 +84,7 @@ class ProtocolConfig:
         check_count("seed", self.seed, 0, message=f"seed must be an integer >= 0, got {self.seed!r}")
         fit_sets = [feature_set(name) for name in self.feature_sets]
         if self.eval_feature_sets is not None:
-            object.__setattr__(self, "eval_feature_sets", _names("eval_feature_sets", self.eval_feature_sets))
+            object.__setattr__(self, "eval_feature_sets", check_names("eval_feature_sets", self.eval_feature_sets))
             if len(self.eval_feature_sets) != len(self.feature_sets):
                 raise UsageError("eval_feature_sets must parallel feature_sets")
             for fit_fs, eval_name in zip(fit_sets, self.eval_feature_sets):

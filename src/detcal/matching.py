@@ -67,7 +67,7 @@ from .detections import (
     _RecordPolicy,
     _whole_number,
 )
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, check_real
 
 # Column order of SampleColumns.values.
 MEMBER_NAMES = ("confidence", "cx", "cy", "w", "h")
@@ -175,7 +175,7 @@ def match_detections(
     :data:`_PAIR_BLOCK` pairs per call, and the claim loop visits only the
     pairs at or above the threshold.
     """
-    if not 0.0 < iou_threshold <= 1.0:
+    if not 0.0 < check_real("iou_threshold", iou_threshold) <= 1.0:
         raise UsageError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
     dets = DetectionTable.from_records(detections)
     gts = GroundTruthTable.from_records(ground_truth)
@@ -246,7 +246,8 @@ class SampleColumns(RecordTable):
     iou: np.ndarray
     gt_index: np.ndarray
     image_id: tuple
-    # The matched-sample file whose sidecar this table was loaded from (see read_matched_samples); not a field.
+    # (path, key): the matched-sample file whose flagged sidecar this table was loaded from, and the
+    # sidecar's key (see read_matched_samples); not a field, so a derived table carries none.
     _source = None
 
     def _build(self, rows: slice) -> list[MatchedSample]:
@@ -356,7 +357,6 @@ def write_matched_samples(
         if score.shape != (len(cols),):
             raise UsageError(f"{score.size} scores given for {len(cols)} samples")
         template = _LINE + ', "raw_score": %r}\n'
-    storable = _storable(cols, kinds)
     # The sidecar's arrays as the table holds them, and where the reader's differ: {chunk start: (rows, values)}.
     arrays = [score, *cols.values.T[1:], cols.matched, cols.category_id, cols.iou, cols.gt_index]
 
@@ -377,7 +377,7 @@ def write_matched_samples(
 
     def write(blocks) -> tuple:
         """Write the ``(first row, bytes)`` of ``blocks`` to ``fh``: ``(digest, patches, store)``."""
-        digest, patches, store = _key_digest(), [{} for _ in arrays], storable
+        digest, patches, store = _key_digest(), [{} for _ in arrays], _storable(cols, kinds)
         for first, text in blocks:
             if store and first % _CHUNK_LINES == 0:
                 confidence, *box, matched, _, iou_, gt = (a[first:first + _CHUNK_LINES] for a in arrays)
@@ -395,11 +395,10 @@ def write_matched_samples(
             digest.update(text)
         return digest, patches, store
 
-    copy = _copy_source(cols, path) if scores is not None and storable else None
-    source, key, ids = copy or (None, None, None)
+    source = _copy_source(cols, path) if scores is not None else None
     with open(path, "wb") as fh:
         try:
-            digest, patches, store = write(formatted() if source is None else _spliced(source, key, score))
+            digest, patches, store = write(formatted() if source is None else _spliced(*source, score))
         except _SourceChanged:
             fh.seek(0)
             fh.truncate()
@@ -407,7 +406,7 @@ def write_matched_samples(
     if store and (stat := _regular(path)) is not None:
         pieces = (piece for column, patch in zip(arrays, patches) for piece in _pieces(column, patch))
         own_lines = scores is None and not any(patches)
-        _store_columns(path, _sidecar(path), digest.digest(), stat, cols, pieces, own_lines, ids)
+        _store_columns(path, digest.digest(), stat, cols, pieces, own_lines)
 
 
 def _check_image_ids(ids: tuple, kinds: set) -> None:
@@ -428,37 +427,23 @@ class _SourceChanged(Exception):
     """The file :func:`_spliced` copies no longer holds the lines its sidecar was stored for."""
 
 
-def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes, list[bytes]] | None:
-    """The file ``cols`` was loaded from, its sidecar's key and the pieces of ``cols``' ids as one JSON
-    array (:func:`_id_pieces`), when writing ``cols`` with new scores to ``path`` may copy that file's
-    lines (:func:`_spliced`), else None.
+def _copy_source(cols: SampleColumns, path: Path) -> tuple[Path, bytes] | None:
+    """The file ``cols`` was loaded from and its sidecar's key, when writing ``cols`` with new scores to
+    ``path`` may copy that file's lines (:func:`_spliced`), else None.
 
-    The sidecar must be flagged as holding the writer's own lines of a table
-    of ``len(cols)`` rows, whose body ``cols`` digests to (:func:`_body`),
-    and ``path`` must name a new path or a regular file other than the source.
-    The id pieces serve the output's sidecar, whose body holds the same ids.
+    Only a table loaded from a flagged sidecar records the pair; its arrays
+    are read-only views of that sidecar's bytes. ``path`` must name a new
+    path or a regular file other than the source.
     """
-    if cols._source is None or (src := _regular(cols._source)) is None:
+    if cols._source is None or (src := _regular(cols._source[0])) is None:
         return None
     try:
         out = os.lstat(path)
-        if not stat_mode.S_ISREG(out.st_mode) or os.path.samestat(src, out):
-            return None
     except FileNotFoundError:
-        pass
+        return cols._source
     except OSError:
         return None
-    try:
-        with open(_sidecar(cols._source), "rb") as fh:
-            head, own_lines = _read_head(fh), fh.read(1) == b"\x01"
-    except OSError:
-        return None
-    if head is None or not own_lines or head[1] != len(cols):
-        return None
-    digest, ids = _SHA256.copy(), list(_id_pieces(cols.image_id))
-    for part in _body(cols, True, ids=ids):
-        digest.update(part)
-    return (cols._source, head[0], ids) if digest.digest() == head[2] else None
+    return cols._source if stat_mode.S_ISREG(out.st_mode) and not os.path.samestat(src, out) else None
 
 
 def _spliced(source: Path, key: bytes, score: np.ndarray):
@@ -526,10 +511,12 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     """
     path, size, key = Path(path), None, None
     if (stat := _regular(path)) is not None:
-        sidecar, digest = _sidecar(path), _key_digest()
+        digest = _key_digest()
         size, key = _count_lines(path, digest), digest.digest()
-        if (table := _load_columns(sidecar, key, size)) is not None:
-            object.__setattr__(table, "_source", path)
+        if (loaded := _load_columns(_sidecar(path), key, size)) is not None:
+            table, own_lines = loaded
+            if own_lines:
+                object.__setattr__(table, "_source", (path, key))
             return table
     image_id, category_id, members, matched, iou_, gt_index = _read_jsonl(
         path, _RecordPolicy("fail"), "matched", _matched_sample, _sample_columns, size=size
@@ -537,7 +524,7 @@ def read_matched_samples(path: str | Path) -> SampleColumns:
     # The transpose of the stacked members is their Fortran-ordered table.
     table = SampleColumns(members.T, matched, category_id, iou_, gt_index, image_id)
     if key is not None:
-        _store_columns(path, sidecar, key, stat, table)
+        _store_columns(path, key, stat, table)
     return table
 
 
@@ -588,57 +575,42 @@ def _key_digest():
     return digest
 
 
-def _read_head(fh) -> tuple[bytes, int, bytes] | None:
-    """``(key, n, body digest)`` from the header of the sidecar open as ``fh``, or None when it is not one
-    of this version."""
-    head = fh.read(_HEAD)
-    if len(head) != _HEAD or not head.startswith(_MAGIC):
-        return None
-    return head[_KEY:_ROWS], int.from_bytes(head[_ROWS:_DIGEST], "little"), head[_DIGEST:]
+def _load_columns(sidecar: Path, key: bytes, lines: int) -> tuple[SampleColumns, bool] | None:
+    """The table in ``sidecar`` and its flag, if it is stored under ``key`` and whole, else None; never raises.
 
-
-def _load_columns(sidecar: Path, key: bytes, lines: int) -> SampleColumns | None:
-    """The table in ``sidecar`` if it is stored under ``key`` and whole, else None; never raises. Its arrays,
-    of at most ``lines`` rows, are filled in place; a short read cannot match the body's digest."""
+    The table's arrays, of at most ``lines`` rows, are read-only views of
+    the bytes read, which cannot be made writeable. A short header or body
+    cannot match the key or the body's digest.
+    """
     try:
         with open(sidecar, "rb") as fh:
-            head, check = _read_head(fh), _SHA256.copy()
-            if head is None or head[0] != key or head[1] > lines:
+            head = fh.read(_HEAD)
+            n = int.from_bytes(head[_ROWS:_DIGEST], "little")
+            if not head.startswith(_MAGIC) or head[_KEY:_ROWS] != key or n > lines:
                 return None
-            n = head[1]
-            check.update(fh.read(1))
-            cols = [np.empty((len(MEMBER_NAMES), n)), *(np.empty(n, t) for t in ("i8", "i8", "f8", "i8"))]
-            for column in cols:
-                fh.readinto(column)
-                check.update(column)
-            check.update(ids := fh.read())
-        return SampleColumns(cols[0].T, *cols[1:], tuple(json.loads(ids))) if check.digest() == head[2] else None
+            body = [fh.read(1), *(fh.read(8 * size) for size in (len(MEMBER_NAMES) * n, n, n, n, n)), fh.read()]
+        check = _SHA256.copy()
+        for part in body:
+            check.update(part)
+        if check.digest() != head[_DIGEST:]:
+            return None
+        members, *cols = map(np.frombuffer, body[1:-1], ("f8", "i8", "i8", "f8", "i8"))
+        table = SampleColumns(members.reshape(len(MEMBER_NAMES), n).T, *cols, tuple(json.loads(body[-1])))
+        return table, body[0] == b"\x01"
     except (OSError, ValueError):
         return None
 
 
-def _id_pieces(ids: tuple):
-    """``json.dumps(ids)`` as bytes, in pieces: "[", each chunk's values, all but the first after ", ",
-    and "]"."""
-    step = _CHUNK_LINES
-    pieces = ((", " * (i > 0) + json.dumps(ids[i:i + step])[1:-1]).encode() for i in range(0, len(ids), step))
-    return chain([b"["], pieces, [b"]"])
-
-
-def _body(table: SampleColumns, own_lines: bool, arrays=None, ids=None):
-    """The parts of ``table``'s sidecar body in order: the flag byte, the table's arrays, or those ``arrays``
-    yields in their place, and its image ids as one JSON array, a chunk of ids at a time, or the pieces
-    ``ids`` holds of that array."""
+def _store_columns(path: Path, key: bytes, stat: os.stat_result, table: SampleColumns,
+                   arrays=None, own_lines: bool = False) -> None:
+    """Write ``table`` to ``path``'s sidecar under ``key`` through a temporary file, unless ``path``'s size
+    or mtime differ from ``stat``; any OSError skips it. The body is the flag byte ``own_lines``, the
+    table's arrays, or those ``arrays`` yields in pieces in their place, and its image ids as one JSON
+    array (``json.dumps``), encoded a chunk of ids at a time."""
+    sidecar, chunks = _sidecar(path), range(0, len(table), _CHUNK_LINES)
     if arrays is None:
         arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
-    return chain([bytes([own_lines])], arrays, _id_pieces(table.image_id) if ids is None else ids)
-
-
-def _store_columns(path: Path, sidecar: Path, key: bytes, stat: os.stat_result, table: SampleColumns,
-                   arrays=None, own_lines: bool = False, ids=None) -> None:
-    """Write ``table`` to ``sidecar`` under ``key`` through a temporary file, unless ``path``'s size or
-    mtime differ from ``stat``; any OSError skips it. ``arrays``, ``own_lines`` and ``ids`` are those of
-    :func:`_body`: ``arrays``, when given, yields the payload's arrays in pieces in their order."""
+    ids = ((", " * (i > 0) + json.dumps(table.image_id[i:i + _CHUNK_LINES])[1:-1]).encode() for i in chunks)
     with contextlib.suppress(OSError):
         if (now := path.stat()).st_size != stat.st_size or now.st_mtime_ns != stat.st_mtime_ns:
             return
@@ -647,7 +619,7 @@ def _store_columns(path: Path, sidecar: Path, key: bytes, stat: os.stat_result, 
         try:
             with open(fd, "wb") as fh:
                 fh.write(_MAGIC + key + len(table).to_bytes(8, "little") + bytes(32))
-                for part in _body(table, own_lines, arrays, ids):
+                for part in chain([bytes([own_lines])], arrays, [b"["], ids, [b"]"]):
                     fh.write(part)
                     digest.update(part)
                 fh.seek(_DIGEST)

@@ -1245,7 +1245,7 @@ class TestCopiedLines:
         source = tmp_path / "m.jsonl"
         write_matched_samples(generate(make_scenario("fig3_boundary_decay", n, seed=3)), source)
         loaded = read_matched_samples(source)
-        assert loaded._source == source
+        assert loaded._source[0] == source
         scores = np.random.default_rng(4).random(n)
         expected = tmp_path / "expected.jsonl"
         write_matched_samples(loaded.take(np.arange(n)), expected, scores=scores)
@@ -1280,7 +1280,7 @@ class TestCopiedLines:
         assert _sidecar(copied).read_bytes() == _sidecar(formatted).read_bytes()
 
     def test_copy_encodes_the_ids_once(self, tmp_path):
-        # The input table's body digest and the output's sidecar share one JSON encoding of the ids.
+        # The copy encodes no ids; the output's sidecar encodes them once.
         source, loaded, scores, expected, sidecar = self._source(tmp_path, 3000)
         out, dumps = tmp_path / "out.jsonl", json.dumps
         with _spy() as spliced, mock.patch.object(json, "dumps", side_effect=dumps) as encode:
