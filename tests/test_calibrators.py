@@ -589,6 +589,24 @@ class TestFitMemory:
 
 
 class TestHistBinning:
+    @pytest.mark.parametrize("setting, value, message", [
+        ("config", "x", "^config must be an OptimizerConfig or None, got 'x'"),
+        ("ridge", "y", "^ridge must be a real number, got 'y'"),
+        ("ridge", -1.0, "^ridge must be finite and >= 0"),
+        ("eps", "z", "^clip value must be a real number, got 'z'"),
+        ("eps", 0.7, "^clip value must lie in"),
+    ])
+    def test_fit_checks_the_settings_it_ignores(self, setting, value, message):
+        with pytest.raises(UsageError, match=message):
+            fit("hist_binning", four_sample_dataset(), ("confidence",), **{setting: value})
+
+    @pytest.mark.parametrize("method", ["hist_binning", "logistic_indep"])
+    def test_bare_string_feature_set_refused(self, method):
+        # It would be split into letters: "feature set must start with 'confidence'".
+        samples = random_matched_samples(np.random.default_rng(10), 200, extreme_scores=False)
+        with pytest.raises(UsageError, match="^feature set must be a sequence of names, got the string 'confidence'"):
+            fit(method, samples, "confidence")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         model = fit_hist_binning(four_sample_dataset(), ("confidence",), 2)
@@ -872,6 +890,12 @@ class TestModelValidation:
     def test_hist_table_shape_enforced(self):
         with pytest.raises(ValidationError):
             HistBinningParams(bin_counts=(2,), tables=(np.zeros(3),), global_precision=0.5)
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, True, "2"])
+    def test_hist_bin_counts_must_be_integers(self, count):
+        # 2.7 was stored as 2.
+        with pytest.raises(ValidationError, match="^bin count must be an integer >= 1, got "):
+            HistBinningParams(bin_counts=(count,), tables=(np.zeros(2),), global_precision=0.5)
 
 
 class TestSerialization:

@@ -105,6 +105,17 @@ class TestBuildFeatures:
             build_feature_matrix([make_sample(0.5, True)], fs, eps=0.0)
         with pytest.raises(UsageError):
             build_feature_matrix([make_sample(0.5, True)], fs, eps=0.7)
+        with pytest.raises(UsageError, match="^clip value must be a real number, got 'x'"):
+            build_feature_matrix([make_sample(0.5, True)], fs, eps="x")
+
+    @pytest.mark.parametrize("method", ["logistic_indep", "hist_binning"])
+    def test_fit_and_apply_refuse_a_non_number_eps(self, method):
+        samples = random_matched_samples(np.random.default_rng(3), 200, extreme_scores=False)
+        with pytest.raises(UsageError, match="^clip value must be a real number"):
+            fit(method, samples, ("confidence",), eps="x")
+        if method == "logistic_indep":
+            with pytest.raises(UsageError, match="^clip value must be a real number"):
+                apply(fit(method, samples, ("confidence",)), samples, eps="x")
 
     def test_raw_values_unclipped(self):
         v = raw_values([make_sample(1.0, True)], ("confidence", "h"))

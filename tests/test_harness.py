@@ -75,7 +75,7 @@ class TestProtocolConfig:
     @pytest.mark.parametrize("setting", [
         {"iou_thresholds": (float("nan"),)}, {"iou_thresholds": (0.5, float("inf"))},
         {"iou_thresholds": (0.0,)}, {"iou_thresholds": (1.5,)}, {"iou_thresholds": ("abc",)},
-        {"min_samples": -3}, {"eps": 0.7}, {"eps": 0.0}, {"eps": float("nan")},
+        {"min_samples": -3}, {"eps": 0.7}, {"eps": 0.0}, {"eps": float("nan")}, {"eps": "x"},
     ])
     def test_bad_setting_refused(self, setting):
         with pytest.raises(UsageError):
@@ -96,6 +96,7 @@ class TestProtocolConfig:
 
     @pytest.mark.parametrize("setting, value", [
         ("methods", "hb"), ("feature_sets", "conf"), ("eval_feature_sets", "conf"), ("methods", 5),
+        ("methods", (["hb"],)), ("feature_sets", (["conf"],)), ("eval_feature_sets", (["conf"],)),
     ])
     def test_name_lists_must_be_sequences_of_names(self, setting, value):
         # A bare string would be taken letter by letter: "unknown method 'h'".

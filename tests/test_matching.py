@@ -201,6 +201,8 @@ class TestMatchDetections:
             match_detections([], [], 0.0)
         with pytest.raises(UsageError):
             match_detections([], [], 1.5)
+        with pytest.raises(UsageError, match="^iou_threshold must be a real number, got '0.5'"):
+            match_detections([], [], "0.5")
 
     def test_category_absent_from_ground_truth(self):
         samples = match_detections([det(0.9, (0.5, 0.5, 0.2, 0.2), category_id=9)], [], 0.5)
@@ -1234,6 +1236,55 @@ def copy_cases(draw):
 def _spy():
     """A context that counts the copies write_matched_samples starts."""
     return mock.patch.object(matching, "_spliced", wraps=matching._spliced)
+
+
+class TestLoadedTables:
+    """A table loaded from a sidecar is a read-only view of the sidecar's bytes; only one loaded from a
+    flagged sidecar names its file and key for the copy."""
+
+    @pytest.mark.parametrize("sidecar", ["flagged", "stored by a parse"])
+    def test_loaded_arrays_cannot_be_made_writeable(self, tmp_path, monkeypatch, sidecar):
+        path = _synth(tmp_path, 1025)
+        if sidecar == "stored by a parse":
+            _sidecar(path).unlink()
+            read_matched_samples(path)
+        monkeypatch.setattr(matching, "_read_jsonl", _no_parse)
+        loaded = read_matched_samples(path)
+        assert _flag(path) == (sidecar == "flagged")
+        for array in (loaded.values, loaded.values.base, loaded.matched, loaded.category_id, loaded.iou,
+                      loaded.gt_index):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+
+    def test_only_a_table_loaded_from_a_flagged_sidecar_names_a_source(self, tmp_path, monkeypatch):
+        path = _synth(tmp_path, 1025)
+        loaded = read_matched_samples(path)
+        assert loaded._source[0] == path
+        derived = [loaded.take(np.arange(len(loaded))), loaded[:10], loaded.with_scores(np.zeros(len(loaded)))]
+        assert [table._source for table in derived] == [None] * 3
+        _sidecar(path).unlink()
+        parsed = read_matched_samples(path)
+        monkeypatch.setattr(matching, "_read_jsonl", _no_parse)
+        unflagged = read_matched_samples(path)
+        assert _flag(path) == 0 and parsed._source is None and unflagged._source is None
+
+    def test_copy_peak_does_not_grow_with_rows(self, tmp_path):
+        """A copy-path write holds a block of lines at a time and no encoding of the ids: its traced peak is
+        the same at 10,000 rows as at 30,000."""
+        peaks = []
+        for n in (10_000, 30_000):
+            loaded = read_matched_samples(_synth(tmp_path, n, f"m{n}.jsonl"))
+            scores = np.random.default_rng(4).random(n)
+            with _spy() as spliced:
+                write_matched_samples(loaded, tmp_path / "warm.jsonl", scores=scores)
+            assert spliced.called
+            tracemalloc.start()
+            try:
+                write_matched_samples(loaded, tmp_path / "out.jsonl", scores=scores)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.05 * 2**20
 
 
 class TestCopiedLines:
