@@ -405,6 +405,15 @@ def _printed(counts: tuple) -> str:
     return f"[{' '.join(map(str, counts))}]"
 
 
+def _fit_category(category_id) -> int | None:
+    """``category_id`` as :func:`load_model` reads it back (:func:`~detcal.detections._category_id`), or None;
+    a value it refuses raises :class:`UsageError`."""
+    try:
+        return None if category_id is None else _category_id(category_id)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def fit_hist_binning(
     samples: Sequence[MatchedSample] | SampleColumns,
     fs: FeatureSet | Sequence[str],
@@ -419,6 +428,7 @@ def fit_hist_binning(
     per dimension at K = 1 / 3 / 5). Fallback tables are built by
     marginalizing dimensions right to left down to the global precision.
     """
+    category_id = _fit_category(category_id)
     if not samples:
         raise DataError("cannot fit histogram binning on an empty sample list")
     fs = _normalize_feature_set("hist_binning", fs)
@@ -921,6 +931,7 @@ def fit_parametric(
     """
     fam = _family(method)
     cfg = _fit_settings(config, ridge, eps)
+    category_id = _fit_category(category_id)
     fs = _normalize_feature_set(method, fs)
     cols = columns(samples)
     x = build_feature_matrix(cols, fs, eps)

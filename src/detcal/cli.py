@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import sys
 from contextlib import contextmanager, nullcontext
@@ -49,6 +50,15 @@ def _parse_bins(text: str | None, k: int) -> tuple[int, ...] | None:
     if len(parts) != k:
         raise UsageError(f"--bins lists {len(parts)} counts for K={k} dimensions")
     return parts
+
+
+def _parse_ious(text: str | None) -> tuple[float, ...]:
+    """IoU thresholds from ``--ious``, as floats; the protocol's configuration checks their range."""
+    thresholds = tuple(text.split(",")) if text else ()
+    try:
+        return tuple(map(float, thresholds))
+    except ValueError:
+        raise UsageError(f"IoU thresholds must be numbers, got {thresholds!r}") from None
 
 
 def _out_path(args, path: str) -> Path:
@@ -213,7 +223,7 @@ def _cmd_protocol(args) -> int:
         repetitions=args.reps,
         seed=args.seed,
         min_samples=args.min_samples,
-        iou_thresholds=tuple(args.ious.split(",")) if args.ious else (),
+        iou_thresholds=_parse_ious(args.ious),
         eps=args.eps,
     )
     if args.input:
@@ -309,9 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use: a parse leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:

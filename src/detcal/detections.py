@@ -26,6 +26,7 @@ read as columns.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import logging
 import math
@@ -949,8 +950,25 @@ def load_dataset(
     failures: ``"fail"`` raises, ``"skip"`` drops the record with a warning.
     Input order is preserved for all surviving records, which are returned
     as a :class:`DetectionTable` and a :class:`GroundTruthTable`.
+
+    The cyclic garbage collector is paused until the load returns, and left
+    as it was found. Everything parsed here is a tree of dicts, lists, strs
+    and numbers, which holds no reference cycles and is dropped before the
+    return, so a collection pass over it would free nothing.
     """
-    detections_path, annotations_path = Path(detections_path), Path(annotations_path)
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        return _load_dataset(Path(detections_path), Path(annotations_path), fmt, on_invalid)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_dataset(
+    detections_path: Path, annotations_path: Path, fmt: str, on_invalid: str
+) -> tuple[DetectionTable, GroundTruthTable, CategoryTable]:
     if fmt not in ("auto", "native", "coco"):
         raise UsageError(f"unknown dataset format {fmt!r}")
     # Sniffing hands on a one-line document it parsed whole.

@@ -90,9 +90,10 @@ class ProtocolConfig:
             for fit_fs, eval_name in zip(fit_sets, self.eval_feature_sets):
                 require_dimensionality_match(fit_fs.members, feature_set(eval_name).members)
         try:
-            object.__setattr__(self, "iou_thresholds", tuple(map(float, self.iou_thresholds)))
-        except (TypeError, ValueError):
+            thresholds = tuple(self.iou_thresholds)
+        except TypeError:
             raise UsageError(f"IoU thresholds must be numbers, got {self.iou_thresholds!r}") from None
+        object.__setattr__(self, "iou_thresholds", tuple(check_real("IoU threshold", t) for t in thresholds))
         for t in self.iou_thresholds:
             if not 0.0 < t <= 1.0:
                 raise UsageError(f"IoU thresholds must lie in (0, 1], got {t}")
@@ -175,9 +176,12 @@ def run_protocol(
 ) -> ResultsTable:
     """Run the repeated-split protocol over pre-matched samples.
 
-    ``threads`` is accepted for older callers and ignored: repetitions run
-    one after another, since a thread pool over them measured slower.
+    ``iou``, a real number or None, labels the table with the IoU threshold
+    the samples were matched at. ``threads`` is accepted for older callers
+    and ignored: repetitions run one after another, since a thread pool over
+    them measured slower.
     """
+    iou = None if iou is None else check_real("iou", iou)
     if not samples:
         raise DataError("protocol needs a nonempty sample list")
     samples = columns(samples)

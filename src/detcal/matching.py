@@ -284,8 +284,17 @@ def columns(samples: Sequence[MatchedSample] | SampleColumns) -> SampleColumns:
 
 
 def check_scores(scores) -> np.ndarray:
-    """``scores`` as floats, each checked like a :class:`Detection` score: not NaN, in [0, 1]."""
-    scores = np.asarray(scores, dtype=np.float64)
+    """``scores`` as a 1-D float array, each checked like a :class:`Detection` score: a real number, not a
+    bool or a str, and in [0, 1], so not NaN. A bad entry raises :class:`ValidationError` naming its index,
+    and scores that are not 1-D raise :class:`UsageError` naming their shape."""
+    array = np.asarray(scores)
+    if array.ndim != 1:
+        raise UsageError(f"scores must be one-dimensional, got shape {array.shape}")
+    # Bools and numeric strs in a list would convert silently; only an array of numbers is taken whole.
+    if not isinstance(scores, np.ndarray) or array.dtype.kind not in "iuf":
+        for i, score in enumerate(scores):
+            check_real(f"score at index {i}", score, ValidationError)
+    scores = array.astype(np.float64, copy=False)
     bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
     if bad.size:
         raise ValidationError(f"score must lie in [0, 1], got {scores[bad[0]]} at index {bad[0]}")

@@ -194,6 +194,8 @@ def compute_d_ece(
     The confidence dimension always bins the probability-valued score, never
     a logit. Returns the error together with the retained-bin statistics.
     """
+    if type(renormalize) is not bool:
+        raise UsageError(f"renormalize must be True or False, got {renormalize!r}")
     stats = binned_stats(samples, spec)
     denom = stats.retained_samples if renormalize else stats.total_samples
     # Sequential accumulation in ascending bin order keeps the result

@@ -970,6 +970,24 @@ class TestSerialization:
         assert load_model(path).category_id == 17
 
 
+@pytest.mark.parametrize("method", ["hist_binning", "logistic_indep"])
+class TestFitCategory:
+    """Whatever category id ``fit`` takes, the model it returns is saved and loaded back."""
+
+    @pytest.mark.parametrize("category_id", [float("nan"), "x", "3", True, [1], 2.5, 2**63])
+    def test_refused_as_a_usage_error(self, method, category_id):
+        with pytest.raises(UsageError, match="category_id must "):
+            calibrators.fit(method, four_sample_dataset(), ("confidence",), category_id=category_id)
+
+    @pytest.mark.parametrize("category_id, stored", [(None, None), (7, 7), (2.0, 2), (np.int64(-3), -3)])
+    def test_saved_and_loaded(self, tmp_path, method, category_id, stored):
+        model = calibrators.fit(method, four_sample_dataset(), ("confidence",), category_id=category_id)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert type(model.category_id) is type(stored) and model.category_id == stored
+        assert load_model(path).category_id == stored
+
+
 class TestModelFileContract:
     """One field of a valid model replaced by any JSON yields a model or a ValidationError."""
 

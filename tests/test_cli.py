@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +43,73 @@ def synth_file(tmp_path, name="matched.jsonl", scenario="fig3_boundary_decay", n
     path = tmp_path / name
     assert run(["synth", "--scenario", scenario, "--n", n, "--seed", seed, "--out", path]) == 0
     return path
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once per process, and calls in one process act as calls in fresh ones."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        detcal.cli._parser.cache_clear()
+        build = mock.Mock(wraps=detcal.cli.build_parser)
+        monkeypatch.setattr(detcal.cli, "build_parser", build)
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at one width here and in a child
+        yield build
+        detcal.cli._parser.cache_clear()
+
+    @staticmethod
+    def compare(tmp_path, capsys, calls):
+        """Run ``calls`` in this process and each in a process of its own, in two directories; compare the
+        exit codes, stdout, usage errors' stderr and every file written."""
+        samples = generate(make_scenario("uniform_overconfident", 2000, seed=3))
+        samples = replace(samples, category_id=1 + np.arange(len(samples)) % 2)
+        outcomes = {}
+        for side in ("one", "many"):
+            (tmp_path / side).mkdir()
+            write_matched_samples(samples, tmp_path / side / "mixed.jsonl")
+            outcomes[side] = []
+            for argv in calls:
+                argv = [str(a).format(d=tmp_path / side) for a in argv]
+                if side == "one":
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    out, err = capsys.readouterr()
+                else:
+                    done = run_process(argv)
+                    code, out, err = done.returncode, done.stdout, done.stderr
+                outcomes[side].append((code, out, err if code == 1 else None))
+        assert outcomes["one"] == outcomes["many"]
+        files = {side: {p.name: p.read_bytes() for p in (tmp_path / side).glob("[!.]*")} for side in outcomes}
+        assert files["one"] == files["many"] and len(files["one"]) > 1
+        return [code for code, _, _ in outcomes["one"]]
+
+    def test_calls_with_other_flags(self, tmp_path, capsys, builds):
+        mixed = "{d}/mixed.jsonl"
+        calls = [
+            ["-v", "fit", "--in", mixed, "--method", "hb", "--features", "conf+xy", "--bins", "4,3,3",
+             "--category", 1, "--out", "{d}/a.json"],
+            ["fit", "--in", mixed, "--method", "hb", "--features", "conf", "--bins", 6, "--pooled",
+             "--out", "{d}/b.json"],
+            ["-vv", "eval", "--in", mixed, "--features", "conf", "--bins", 12],
+            ["eval", "--in", mixed, "--features", "conf+xy"],
+            ["fit", "--in", mixed, "--method", "lc", "--features", "conf", "--category", 2, "--out", "{d}/c.json"],
+            ["fit", "--in", mixed, "--method", "lc", "--features", "conf", "--out", "{d}/d.json"],
+        ]
+        assert self.compare(tmp_path, capsys, calls) == [0, 0, 0, 0, 0, 2]
+        assert builds.call_count == 1
+
+    def test_usage_error_then_a_valid_call(self, tmp_path, capsys, builds):
+        mixed = "{d}/mixed.jsonl"
+        calls = [
+            ["eval", "--in", mixed, "--bins", 5],
+            ["eval", "--in", mixed, "--features", "conf", "--bins", 5],
+            ["-v", "fit", "--in", mixed, "--method", "hb", "--features", "conf", "--pooled", "--frobnicate"],
+            ["fit", "--in", mixed, "--method", "hb", "--features", "conf", "--pooled", "--out", "{d}/a.json"],
+        ]
+        assert self.compare(tmp_path, capsys, calls) == [1, 0, 1, 0]
+        assert builds.call_count == 1
 
 
 class TestDispatch:

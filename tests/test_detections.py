@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import gc
 import json
 import logging
 import os
@@ -6,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1365,3 +1368,74 @@ def test_skip_builds_only_the_bad_records(tmp_path, fmt, caplog):
     assert warnings[:skipped] == [r.getMessage() for r in caplog.records][:skipped]
     assert len(warnings) == skipped + 1 and warnings[skipped] == f"skipped {skipped} invalid records"
     assert loaded == expected
+
+
+class TestCollectorPaused:
+    """``load_dataset`` runs with the cyclic garbage collector paused, and leaves it as it found it."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def collector(enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            yield
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_paused_while_parsing_and_restored(self, tmp_path, monkeypatch):
+        """Enabled or disabled, after a load and after a ParseError or a ValidationError mid-load."""
+        det_path, ann_path = _coco_files(tmp_path, 20)
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("[{")
+        (tmp_path / "invalid").mkdir()
+        invalid = _coco_files(tmp_path / "invalid", 20, bad=(5,))[0]
+        during, read_json = [], detections.read_json
+
+        def parse(path):
+            during.append(gc.isenabled())
+            return read_json(path)
+
+        monkeypatch.setattr(detections, "read_json", parse)
+        for enabled in (True, False):
+            with self.collector(enabled):
+                load_dataset(det_path, ann_path, fmt="coco")
+                assert gc.isenabled() is enabled
+                for path, error in ((malformed, ParseError), (invalid, ValidationError)):
+                    with pytest.raises(error):
+                        load_dataset(path, ann_path, fmt="coco")
+                    assert gc.isenabled() is enabled
+        assert during == [False] * 12
+
+    def test_no_collection_while_loading_the_benchmark_shards(self, tmp_path):
+        """The coco_match workload's twelve shards load without a single collection pass."""
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            from workloads import SIZES, make_coco
+        finally:
+            sys.path.remove(perfbench)
+        sizes = SIZES["coco_match"]
+        pairs = []
+        for shard in range(sizes["shards"]):
+            doc, results = make_coco(1, shard, sizes)
+            pairs.append((tmp_path / f"results-{shard}.json", tmp_path / f"instances-{shard}.json"))
+            pairs[-1][0].write_text(json.dumps(results))
+            pairs[-1][1].write_text(json.dumps(doc))
+        inside, loading = [], [False]
+
+        def record(phase, info):
+            if phase == "start" and loading[0]:
+                inside.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            with self.collector(True):
+                for det_path, ann_path in pairs:
+                    loading[0] = True
+                    detections_, _, _ = load_dataset(det_path, ann_path, fmt="coco")
+                    loading[0] = False
+                    assert len(detections_) == sizes["images"] * sizes["detections_per_image"]
+        finally:
+            gc.callbacks.remove(record)
+        assert inside == []

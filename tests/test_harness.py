@@ -75,6 +75,7 @@ class TestProtocolConfig:
     @pytest.mark.parametrize("setting", [
         {"iou_thresholds": (float("nan"),)}, {"iou_thresholds": (0.5, float("inf"))},
         {"iou_thresholds": (0.0,)}, {"iou_thresholds": (1.5,)}, {"iou_thresholds": ("abc",)},
+        {"iou_thresholds": (True,)}, {"iou_thresholds": ("0.5",)}, {"iou_thresholds": 0.5},
         {"min_samples": -3}, {"eps": 0.7}, {"eps": 0.0}, {"eps": float("nan")}, {"eps": "x"},
     ])
     def test_bad_setting_refused(self, setting):
@@ -124,7 +125,7 @@ class TestProtocolConfig:
         assert run_protocol(fig3_samples(2000), cfg).baseline["conf"].mean is not None
 
     def test_edge_settings_accepted(self):
-        cfg = ProtocolConfig(methods=("lc",), feature_sets=("conf",), iou_thresholds=(1, "0.5"),
+        cfg = ProtocolConfig(methods=("lc",), feature_sets=("conf",), iou_thresholds=(1, np.float32(0.5)),
                              min_samples=0, eps=0.25)
         assert cfg.iou_thresholds == (1.0, 0.5)
 
@@ -264,6 +265,12 @@ class TestFaultIsolation:
 
 
 class TestProtocolWithMatching:
+    @pytest.mark.parametrize("iou", ["x", True, [0.5]])
+    def test_iou_label_must_be_a_real_number(self, iou):
+        cfg = ProtocolConfig(methods=("identity",), feature_sets=("conf",), repetitions=1)
+        with pytest.raises(UsageError, match="iou must be a real number"):
+            run_protocol(fig3_samples(500), cfg, iou=iou)
+
     def test_tables_per_iou_threshold(self):
         from detcal.detections import BoxGeometry, Detection, GroundTruthObject
         from detcal.harness import run_protocol_with_matching

@@ -642,6 +642,32 @@ class TestWriter:
             write_matched_samples(bad, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", ["x", "0.5", True, np.bool_(False), None])
+    def test_score_of_another_type_is_refused_by_index(self, tmp_path, bad):
+        samples = random_matched_samples(np.random.default_rng(3), 4)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValidationError, match=r"score at index 2 must be a real number"):
+            write_matched_samples(samples, path, scores=[0.5, 0.25, bad, 0.75])
+        with pytest.raises(ValidationError, match=r"score at index 2 must be a real number"):
+            write_matched_samples(samples, path, scores=np.array([0.5, 0.25, bad, 0.75], dtype=object))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("scores, shape", [([[0.5]] * 4, r"\(4, 1\)"), (0.5, r"\(\)"),
+                                               (np.full((2, 2), 0.5), r"\(2, 2\)")])
+    def test_scores_must_be_one_dimensional(self, tmp_path, scores, shape):
+        samples = random_matched_samples(np.random.default_rng(3), 4)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(UsageError, match=f"scores must be one-dimensional, got shape {shape}"):
+            write_matched_samples(samples, path, scores=scores)
+        assert not path.exists()
+
+    def test_score_arrays_of_numbers_are_taken(self, tmp_path):
+        samples = random_matched_samples(np.random.default_rng(3), 4)
+        by_list, by_array = tmp_path / "list.jsonl", tmp_path / "array.jsonl"
+        write_matched_samples(samples, by_list, scores=[0, 1, 0.5, np.float32(0.25)])
+        write_matched_samples(samples, by_array, scores=np.array([0, 1, 0.5, 0.25], dtype=np.float32))
+        assert by_list.read_bytes() == by_array.read_bytes()
+
     def test_score_count_must_match(self, tmp_path):
         samples = random_matched_samples(np.random.default_rng(3), 4)
         path = tmp_path / "out.jsonl"

@@ -164,6 +164,12 @@ class TestComputeDece:
         value, _ = compute_d_ece(samples, spec)
         assert value == 0.0
 
+    @pytest.mark.parametrize("flag", ["no", 1, None, np.bool_(False)])
+    def test_renormalize_must_be_a_bool(self, flag):
+        spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=0)
+        with pytest.raises(UsageError, match="renormalize must be True or False"):
+            compute_d_ece(four_sample_dataset(), spec, renormalize=flag)
+
     def test_four_sample_hand_example(self):
         spec = BinningSpec(dims=("confidence",), counts=(2,), min_samples=0)
         value, stats = compute_d_ece(four_sample_dataset(), spec)
