@@ -329,6 +329,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+    logger.setLevel(level)  # basicConfig sets a level only once per process
     try:
         return args.func(args)
     except DetcalError as exc:

@@ -252,7 +252,8 @@ def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple:
     Returns ``(ok, (cx, cy, w, h), (nonpositive, overhang, collapsed))`` with the same float arithmetic:
     ``ok`` marks the rows it accepts and whose box :class:`BoxGeometry` accepts, and the sub-checks the
     rows of nonpositive size, each row's larger overhang as a fraction of its image side, and the rows
-    that clamping collapses.
+    that clamping collapses. The box is the converted one as :func:`_boxes_from_relative` clamps it, which
+    a matched-sample file then reads back bit for bit: an edge at the border can convert an ulp past it.
     """
     x, y, w, h = xywh.T
     width, height = size.T
@@ -269,7 +270,8 @@ def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple:
         cx, cy = (x + x2) / (2.0 * width), (y + y2) / (2.0 * height)
         w, h = (x2 - x) / width, (y2 - y) / height
     ok = np.isfinite(xywh).all(axis=1) & ~nonpositive & (overhang <= EDGE_CLAMP_TOLERANCE) & ~collapsed
-    return ok & valid_boxes(cx, cy, w, h), (cx, cy, w, h), (nonpositive, overhang, collapsed)
+    kept, box, _ = _boxes_from_relative(cx, cy, w, h)
+    return ok & kept, box, (nonpositive, overhang, collapsed)
 
 
 def _box_from_relative(obj: dict[str, Any]) -> BoxGeometry:

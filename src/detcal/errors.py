@@ -123,15 +123,15 @@ def check_real(name: str, value, error: type[DetcalError] = UsageError) -> float
     return float(value)
 
 
-def check_names(name: str, value) -> tuple[str, ...]:
+def check_names(name: str, value, error: type[DetcalError] = UsageError) -> tuple[str, ...]:
     """``value``, a sequence of names, as a tuple; a bare str, which would split into its letters, anything
-    not iterable, or an entry that is not a str raises :class:`UsageError` naming the setting."""
+    not iterable, or an entry that is not a str raises ``error`` naming the setting."""
     if isinstance(value, str):
-        raise UsageError(f"{name} must be a sequence of names, got the string {value!r}")
+        raise error(f"{name} must be a sequence of names, got the string {value!r}")
     try:
         names = tuple(value)
     except TypeError:
         names = None
     if names is None or not all(isinstance(entry, str) for entry in names):
-        raise UsageError(f"{name} must be a sequence of names, got {value!r}")
+        raise error(f"{name} must be a sequence of names, got {value!r}")
     return names

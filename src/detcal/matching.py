@@ -287,7 +287,10 @@ def check_scores(scores) -> np.ndarray:
     """``scores`` as a 1-D float array, each checked like a :class:`Detection` score: a real number, not a
     bool or a str, and in [0, 1], so not NaN. A bad entry raises :class:`ValidationError` naming its index,
     and scores that are not 1-D raise :class:`UsageError` naming their shape."""
-    array = np.asarray(scores)
+    try:
+        array = np.asarray(scores)
+    except ValueError:  # entries nested unevenly
+        raise UsageError(f"scores must be one-dimensional, got a ragged shape ({len(scores)}, ...)") from None
     if array.ndim != 1:
         raise UsageError(f"scores must be one-dimensional, got shape {array.shape}")
     # Bools and numeric strs in a list would convert silently; only an array of numbers is taken whole.
@@ -340,13 +343,13 @@ def write_matched_samples(
     The file is left with the sidecar that its first read would store: the
     bytes feed the reader's digest as they are written, and each
     :data:`~detcal.detections._CHUNK_LINES` rows go through the reader's
-    checks (:func:`_sample_checks`), so that boxes the reader clamps are
-    stored clamped. Nothing is stored
-    when the reader would reject a row, an image id is not exactly an int or
-    a str, a column is not of its documented dtype and length, or ``path``
-    does not name a regular file (a symlink, a pipe or a device). A sidecar
-    of a file written without ``scores``, whose rows the reader keeps as
-    they are, is flagged as holding this writer's own lines.
+    checks (:func:`_sample_checks`). Nothing is stored when the reader would
+    reject a row or change a value (clamp a box, or read an index below -1
+    as -1), which only a hand-built table holds, when an image id is not
+    exactly an int or a str, a column is not of its documented dtype and
+    length, or ``path`` does not name a regular file (a symlink, a pipe or a
+    device). A sidecar of a file written without ``scores`` is flagged as
+    holding this writer's own lines.
 
     With ``scores``, the lines of a table loaded from a flagged sidecar are
     copied from its file with the new scores spliced in (:func:`_copy_source`
@@ -366,7 +369,7 @@ def write_matched_samples(
         if score.shape != (len(cols),):
             raise UsageError(f"{score.size} scores given for {len(cols)} samples")
         template = _LINE + ', "raw_score": %r}\n'
-    # The sidecar's arrays as the table holds them, and where the reader's differ: {chunk start: (rows, values)}.
+    # The sidecar's arrays, which the reader's must equal.
     arrays = [score, *cols.values.T[1:], cols.matched, cols.category_id, cols.iou, cols.gt_index]
 
     def formatted():
@@ -385,37 +388,30 @@ def write_matched_samples(
             ))).encode()
 
     def write(blocks) -> tuple:
-        """Write the ``(first row, bytes)`` of ``blocks`` to ``fh``: ``(digest, patches, store)``."""
-        digest, patches, store = _key_digest(), [{} for _ in arrays], _storable(cols, kinds)
+        """Write the ``(first row, bytes)`` of ``blocks`` to ``fh``: ``(digest, store)``."""
+        digest, store = _key_digest(), _storable(cols, kinds)
         for first, text in blocks:
             if store and first % _CHUNK_LINES == 0:
                 confidence, *box, matched, _, iou_, gt = (a[first:first + _CHUNK_LINES] for a in arrays)
                 ok = np.ones(len(gt), bool)
                 members, _ = _sample_checks(ok, confidence, box, matched, iou_, gt, gt < 0)
-                store = bool(ok.all())
-                # An accepted label is 0 or 1 already; the reader clamps boxes and stores an index below 0 as -1.
-                for patch, kept, column in zip(patches, members, (confidence, *box)):
-                    moved = np.flatnonzero(kept.view(np.int64) != column.view(np.int64))
-                    if moved.size:
-                        patch[first] = moved, kept[moved]
-                if (below := np.flatnonzero(gt < -1)).size:
-                    patches[-1][first] = below, -1
+                # An accepted label is 0 or 1 already; the reader stores an index below 0 as -1.
+                store = (bool(ok.all()) and not (gt < -1).any()
+                         and np.array_equal(members[1:].view(np.int64), np.array(box).view(np.int64)))
             fh.write(text)
             digest.update(text)
-        return digest, patches, store
+        return digest, store
 
     source = _copy_source(cols, path) if scores is not None else None
     with open(path, "wb") as fh:
         try:
-            digest, patches, store = write(formatted() if source is None else _spliced(*source, score))
+            digest, store = write(formatted() if source is None else _spliced(*source, score))
         except _SourceChanged:
             fh.seek(0)
             fh.truncate()
-            digest, patches, store = write(formatted())
+            digest, store = write(formatted())
     if store and (stat := _regular(path)) is not None:
-        pieces = (piece for column, patch in zip(arrays, patches) for piece in _pieces(column, patch))
-        own_lines = scores is None and not any(patches)
-        _store_columns(path, digest.digest(), stat, cols, pieces, own_lines)
+        _store_columns(path, digest.digest(), stat, cols, arrays, scores is None)
 
 
 def _check_image_ids(ids: tuple, kinds: set) -> None:
@@ -492,20 +488,6 @@ def _storable(cols: SampleColumns, kinds: set) -> bool:
               (cols.category_id, (n,), i8), (cols.gt_index, (n,), i8)]
     return (all(c.shape == shape and c.dtype == dtype for c, shape, dtype in shapes)
             and kinds <= {int, str})
-
-
-def _pieces(column: np.ndarray, patch: dict):
-    """``column`` whole when it is contiguous and ``patch`` is empty, else a chunk at a time, each chunk a
-    contiguous copy with the ``(rows, values)`` of ``patch`` that its start keys set."""
-    if not patch and column.flags.c_contiguous:
-        yield column
-        return
-    for start in range(0, len(column), _CHUNK_LINES):
-        piece = column[start:start + _CHUNK_LINES].copy()
-        if start in patch:
-            rows, values = patch[start]
-            piece[rows] = values
-        yield piece
 
 
 def read_matched_samples(path: str | Path) -> SampleColumns:
@@ -614,8 +596,8 @@ def _store_columns(path: Path, key: bytes, stat: os.stat_result, table: SampleCo
                    arrays=None, own_lines: bool = False) -> None:
     """Write ``table`` to ``path``'s sidecar under ``key`` through a temporary file, unless ``path``'s size
     or mtime differ from ``stat``; any OSError skips it. The body is the flag byte ``own_lines``, the
-    table's arrays, or those ``arrays`` yields in pieces in their place, and its image ids as one JSON
-    array (``json.dumps``), encoded a chunk of ids at a time."""
+    table's arrays, or ``arrays`` in their place, and its image ids as one JSON array (``json.dumps``),
+    encoded a chunk of ids at a time."""
     sidecar, chunks = _sidecar(path), range(0, len(table), _CHUNK_LINES)
     if arrays is None:
         arrays = [table.values.T, table.matched, table.category_id, table.iou, table.gt_index]
@@ -628,7 +610,7 @@ def _store_columns(path: Path, key: bytes, stat: os.stat_result, table: SampleCo
         try:
             with open(fd, "wb") as fh:
                 fh.write(_MAGIC + key + len(table).to_bytes(8, "little") + bytes(32))
-                for part in chain([bytes([own_lines])], arrays, [b"["], ids, [b"]"]):
+                for part in chain([bytes([own_lines])], map(np.ascontiguousarray, arrays), [b"["], ids, [b"]"]):
                     fh.write(part)
                     digest.update(part)
                 fh.seek(_DIGEST)

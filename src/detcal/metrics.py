@@ -17,7 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    DataError, DetcalError, DimensionalityError, EmptyMetricError, UsageError, ValidationError, check_count
+    DataError, DetcalError, DimensionalityError, EmptyMetricError, UsageError, ValidationError, check_count,
+    check_names,
 )
 from .features import MEMBER_NAMES, SampleColumns, columns, labels, raw_values
 from .matching import MatchedSample
@@ -55,7 +56,7 @@ class BinningSpec:
     min_samples: int = DEFAULT_MIN_SAMPLES
 
     def __post_init__(self):
-        dims, counts = tuple(self.dims), tuple(self.counts)
+        dims, counts = check_names("binning dimensions", self.dims, ValidationError), tuple(self.counts)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValidationError("binning needs at least one dimension")

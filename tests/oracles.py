@@ -437,12 +437,10 @@ def reference_box_from_absolute(bbox, width_px: int, height_px: int) -> BoxGeome
     x2, y2 = min(x2, float(width_px)), min(y2, float(height_px))
     if x2 <= x or y2 <= y:
         raise ValidationError(f"box {[x, y, w, h]} collapses after clamping")
-    return BoxGeometry(
-        cx=(x + x2) / (2.0 * width_px),
-        cy=(y + y2) / (2.0 * height_px),
-        w=(x2 - x) / width_px,
-        h=(y2 - y) / height_px,
-    )
+    # As the reader of a matched-sample file clamps it: an edge at the border can convert an ulp past it.
+    return BoxGeometry(*_reference_clamp(
+        (x + x2) / (2.0 * width_px), (y + y2) / (2.0 * height_px), (x2 - x) / width_px, (y2 - y) / height_px
+    ))
 
 
 def reference_box_from_relative(obj) -> BoxGeometry:
@@ -460,11 +458,17 @@ def reference_box_from_relative(obj) -> BoxGeometry:
             f"box {obj} extends {overhang:.4f} beyond the image, above the "
             f"{EDGE_CLAMP_TOLERANCE:.0%} tolerance"
         )
-    if overhang > 0.0:
+    return BoxGeometry(*_reference_clamp(cx, cy, w, h))
+
+
+def _reference_clamp(cx: float, cy: float, w: float, h: float) -> tuple[float, float, float, float]:
+    """``(cx, cy, w, h)``, when an edge lies past the image, recomputed from the edges clamped to it."""
+    x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
+    if max(0.0, -x1, x2 - 1.0, -y1, y2 - 1.0) > 0.0:
         x1, y1 = max(x1, 0.0), max(y1, 0.0)
         x2, y2 = min(x2, 1.0), min(y2, 1.0)
         cx, cy, w, h = (x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1
-    return BoxGeometry(cx=cx, cy=cy, w=w, h=h)
+    return cx, cy, w, h
 
 
 # The per-record loaders as they stood before the loaders checked columns,

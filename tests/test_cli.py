@@ -45,6 +45,22 @@ def synth_file(tmp_path, name="matched.jsonl", scenario="fig3_boundary_decay", n
     return path
 
 
+class TestVerbosityPerCall:
+    """Each call of ``main`` in a process logs at the level of its own ``-v`` flags."""
+
+    @pytest.mark.parametrize("flags", [([], ["-v"]), (["-v"], [])])
+    def test_two_calls_in_one_process(self, tmp_path, flags):
+        path = synth_file(tmp_path, n=50)
+        args = ["eval", "--in", str(path), "--features", "conf", "--bins", "5", "--min-samples", "0"]
+        code = f"from detcal.cli import main\nfor flags in {flags!r}:\n    assert main([*flags, *{args!r}]) == 0"
+        src = str(Path(detcal.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("INFO ") == 1 and "bins retained" in done.stderr
+        assert done.stdout.count("D-ECE = ") == 2
+
+
 class TestOneParserPerProcess:
     """``main`` builds its parser once per process, and calls in one process act as calls in fresh ones."""
 

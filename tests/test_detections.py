@@ -131,6 +131,24 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.01, 0.02, 0.99, 1.02, -0.0
                                float("nan"), float("inf"), -float("inf")]) | st.floats(-0.1, 1.1)
 
 
+@st.composite
+def edge_boxes(draw):
+    """``([x, y, w, h], (width, height))``: a pixel box in an image of up to 4,000 pixels a side, each axis
+    flush with either edge or overhanging it by up to :data:`EDGE_CLAMP_TOLERANCE`, or inside, its pixel
+    values whole, of one or two decimals, or any float."""
+    size = draw(st.tuples(st.integers(1, 4000), st.integers(1, 4000)))
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    box = []
+    for side in size:
+        extent = draw(st.floats(0.0, 1.0, exclude_min=True)) * side
+        overhang = draw(st.floats(0.0, EDGE_CLAMP_TOLERANCE)) * side
+        inside = draw(st.floats(0.0, 1.0)) * (side - extent)
+        start = draw(st.sampled_from([-overhang, side - extent + overhang, inside]))
+        box.append([start, extent] if decimals is None else [round(start, decimals), round(extent, decimals)])
+    (x, w), (y, h) = box
+    return [x, y, w, h], size
+
+
 class TestVectorizedBoxChecks:
     """The array forms of the box checks against the scalar ones, and the converters, one row of their
     array forms, against the scalar reference converters, message for message."""
@@ -167,6 +185,19 @@ class TestVectorizedBoxChecks:
         for (w, h, _), b in zip(rows, xywh.tolist()):
             assert _converted(lambda: box_from_absolute(b, w, h)) == _converted(
                 lambda: reference_box_from_absolute(b, w, h))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_boxes(), min_size=1, max_size=20))
+    @example([([496.4, 10.0, 150.0, 20.0], (640, 100))])
+    def test_the_reader_keeps_every_converted_box(self, boxes):
+        """A matched-sample file holds the boxes the COCO loaders return: the reader's clamp leaves every
+        box that the conversion accepts as it is, bit for bit."""
+        xywh, size = np.array([b for b, _ in boxes]), np.array([s for _, s in boxes], np.float64)
+        ok, box, _ = _boxes_from_absolute(xywh, size)
+        box = np.array(box)[:, ok]
+        kept, again, _ = _boxes_from_relative(*box)
+        assert kept.all()
+        assert np.array(again).tobytes() == box.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=20))

@@ -18,9 +18,22 @@ from detcal.features import (
     raw_values,
 )
 from detcal.matching import write_matched_samples
-from detcal.metrics import compute_d_ece, default_eval_spec
+from detcal.metrics import BinningSpec, compute_d_ece, default_eval_spec
+from detcal.synth import make_scenario
 from oracles import make_sample, random_matched_samples
 from test_acceptance import _with_scores
+
+
+@pytest.mark.parametrize("make, error, setting", [
+    (lambda name: feature_set(name), UsageError, "feature set"),
+    (lambda name: make_scenario(name, 10, 0), UsageError, "scenario"),
+    (lambda name: BinningSpec(dims=(name,), counts=(5,)), ValidationError, "binning dimensions"),
+])
+@pytest.mark.parametrize("name", [[1], ["conf"], 1, None])
+def test_a_name_that_is_not_a_str_names_the_setting(make, error, setting, name):
+    # A list escaped the name lookups as TypeError: unhashable type.
+    with pytest.raises(error, match=f"^{setting} must be a sequence of names, got "):
+        make(name)
 
 
 class TestFeatureSet:

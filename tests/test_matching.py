@@ -21,7 +21,6 @@ from detcal.detections import (
     BoxGeometry,
     Detection,
     GroundTruthObject,
-    _boxes_from_relative,
     box_from_absolute,
     load_dataset,
 )
@@ -652,12 +651,14 @@ class TestWriter:
             write_matched_samples(samples, path, scores=np.array([0.5, 0.25, bad, 0.75], dtype=object))
         assert not path.exists()
 
-    @pytest.mark.parametrize("scores, shape", [([[0.5]] * 4, r"\(4, 1\)"), (0.5, r"\(\)"),
-                                               (np.full((2, 2), 0.5), r"\(2, 2\)")])
+    @pytest.mark.parametrize("scores, shape", [([[0.5]] * 4, r"shape \(4, 1\)"), (0.5, r"shape \(\)"),
+                                               (np.full((2, 2), 0.5), r"shape \(2, 2\)"),
+                                               ([[0.5], 0.5, 0.5, 0.5], r"a ragged shape \(4, \.\.\.\)"),
+                                               ([[0.5, 0.5], [0.5]] * 2, r"a ragged shape \(4, \.\.\.\)")])
     def test_scores_must_be_one_dimensional(self, tmp_path, scores, shape):
         samples = random_matched_samples(np.random.default_rng(3), 4)
         path = tmp_path / "out.jsonl"
-        with pytest.raises(UsageError, match=f"scores must be one-dimensional, got shape {shape}"):
+        with pytest.raises(UsageError, match=f"^scores must be one-dimensional, got {shape}$"):
             write_matched_samples(samples, path, scores=scores)
         assert not path.exists()
 
@@ -1128,28 +1129,34 @@ class TestSidecar:
     @settings(max_examples=60, deadline=None)
     @given(case=hand_built_tables())
     def test_writer_stores_what_the_parse_stores(self, tmp_path_factory, case):
-        """Where the writer leaves a sidecar, the parse stores the same bytes and reads the same table;
-        where it leaves none, the read fails as the per-record reader does."""
+        """The writer leaves a sidecar exactly when the reader keeps every value as written, and the parse
+        then stores the same bytes and reads the same table; where the reader rejects a row, the read fails
+        as the per-record reader does."""
         table, scores, rejected = case
         path = tmp_path_factory.getbasetemp() / "written.jsonl"
         _sidecar(path).unlink(missing_ok=True)
         write_matched_samples(table, path, scores=scores)
-        assert _sidecar(path).exists() == (not rejected)
+        stored = _sidecar(path).exists()
         if rejected:
+            assert not stored
             failure = _outcome(read_matched_samples, path)
             assert issubclass(failure[0], ValidationError), failure
             assert failure == _outcome(_reference, path)
             return
-        written = _sidecar(path).read_bytes()
-        with mock.patch.object(matching, "_read_jsonl", _no_parse):
-            hit = read_matched_samples(path)
-        _sidecar(path).unlink()
+        if stored:
+            written = _sidecar(path).read_bytes()
+            with mock.patch.object(matching, "_read_jsonl", _no_parse):
+                hit = read_matched_samples(path)
+            _sidecar(path).unlink()
         parsed = read_matched_samples(path)
-        assert _unflagged(_sidecar(path).read_bytes()) == _unflagged(written)
-        assert_same_table(hit, parsed)
-        # Flagged exactly when the lines are the writer's own and the reader keeps every value as written.
-        kept = (parsed.values.tobytes(), parsed.gt_index.tobytes()) == (table.values.tobytes(), table.gt_index.tobytes())
-        assert written[matching._HEAD] == (scores is None and kept)
+        kept = ((parsed.values[:, 1:].tobytes(), parsed.gt_index.tobytes())
+                == (table.values[:, 1:].tobytes(), table.gt_index.tobytes()))
+        assert stored == kept
+        if stored:
+            assert _unflagged(_sidecar(path).read_bytes()) == _unflagged(written)
+            assert_same_table(hit, parsed)
+            # Flagged exactly when the lines are the writer's own.
+            assert written[matching._HEAD] == (scores is None)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_write_to_a_pipe_or_through_a_symlink_stores_nothing(self, tmp_path):
@@ -1175,9 +1182,10 @@ class TestSidecar:
         assert not os.path.lexists("/dev/.stdout.detcal-columns")
 
     def test_edge_box_reads_back_clamped(self, tmp_path, monkeypatch):
-        """A COCO box clamped to the right edge of a 640-pixel image converts to a relative box whose right
-        edge lies an ulp past 1.0. Its matched file reads back with the reader's clamp of that box, bit for
-        bit, from the writer's sidecar and from a parse."""
+        """A COCO box clamped to the right edge of a 640-pixel image, whose converted right edge would lie an
+        ulp past 1.0, loads as the reader clamps it. Its matched file reads back as ``match_detections``
+        returned it, bit for bit, from the writer's flagged sidecar and from a parse, and ``apply`` copies
+        its lines."""
         ann, dets, path = tmp_path / "instances.json", tmp_path / "results.json", tmp_path / "matched.jsonl"
         bbox = [496.4, 10.0, 150.0, 20.0]
         ann.write_text(json.dumps({"images": [{"id": 1, "width": 640, "height": 100}],
@@ -1188,17 +1196,20 @@ class TestSidecar:
                                      "score": 0.4}]))
         table = match_detections(*load_dataset(dets, ann)[:2], 0.5)
         assert table.matched.tolist() == [1, 0]
-        assert table.values[0, 1] + 0.5 * table.values[0, 3] > 1.0
-        _, box, _ = _boxes_from_relative(*table.values[:, 1:].T)
-        clamped = SampleColumns(np.asfortranarray(np.column_stack([table.values[:, 0], *box])), table.matched,
-                                table.category_id, table.iou, table.gt_index, table.image_id)
-        assert clamped.values.tobytes() != table.values.tobytes()
+        assert table.values[0, 1] + 0.5 * table.values[0, 3] <= 1.0
         write_matched_samples(table, path)
+        assert _flag(path) == 1
         with monkeypatch.context() as m:
             m.setattr(matching, "_read_jsonl", _no_parse)
-            assert_same_table(read_matched_samples(path), clamped)
+            loaded = read_matched_samples(path)
+        assert_same_columns(loaded, table)
+        synth, model, out = _synth(tmp_path, 1000), tmp_path / "lc.json", tmp_path / "cal.jsonl"
+        assert cli_main(["fit", "--in", str(synth), "--method", "lc", "--features", "conf", "--out", str(model)]) == 0
+        with _spy() as spliced:
+            assert cli_main(["apply", "--model", str(model), "--in", str(path), "--out", str(out)]) == 0
+        assert spliced.call_count == 1
         _sidecar(path).unlink()
-        assert_same_table(read_matched_samples(path), clamped)
+        assert_same_columns(read_matched_samples(path), table)
 
 
 class TestReaderSidecarPlacement:
