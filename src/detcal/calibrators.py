@@ -41,7 +41,9 @@ design coefficients, and maps the solution back to the stored normal
 parameters. The dependent beta family passes no Hessian and takes BFGS
 steps from the identity map. Its objective is non-convex, but each
 evaluation is a single pass: the odds transform is computed once per fit,
-and the ratio and its gradient share every per-class term. Every objective
+the ratio and its gradient share every per-class term, and the gradient is
+computed only at the points the line search accepts, into buffers
+allocated once per fit. Every objective
 shares one NLL/residual kernel, which computes ``exp(-|z|)`` once for both
 the loss and ``sigmoid(z) - m``.
 
@@ -77,7 +79,7 @@ from .features import (
 )
 from .matching import MatchedSample
 from .metrics import bin_indices, check_grid, dense_counts
-from .optimizer import OptimizerConfig, check_config, minimize
+from .optimizer import OptimizerConfig, check_config, gradient_array, minimize
 
 METHODS = ("hist_binning", "logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
 PARAMETRIC_METHODS = ("logistic_indep", "logistic_dep", "beta_indep", "beta_dep")
@@ -478,17 +480,41 @@ def fit_hist_binning(
 # Parametric objectives: mean binary NLL over unconstrained parameters
 
 
-def _nll_and_residual(z: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary NLL ``mean(softplus(z) - m z)`` and residual ``sigmoid(z) - m``.
+def _nll(z: np.ndarray, m: np.ndarray, e: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray) -> float:
+    """Mean binary NLL ``mean(softplus(z) - m z)``, leaving ``exp(-|z|)`` in ``e``.
 
-    ``e = exp(-|z|)`` is computed once and serves both: ``softplus(z) =
-    max(z, 0) + log1p(e)``, and ``sigmoid(z)`` is ``1 / (1 + e)`` for
-    ``z >= 0`` and ``e / (1 + e)`` otherwise, so neither overflows.
+    ``e`` serves the loss and :func:`_residual`: ``softplus(z) = max(z, 0) +
+    log1p(e)``. ``e``, ``tmp`` and ``tmp2`` are buffers of ``z``'s shape,
+    written in place.
     """
-    e = np.exp(-np.abs(z))
-    nll = float((np.maximum(z, 0.0) + np.log1p(e) - m * z).sum() / z.size)
-    q = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
-    return nll, q - m
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(z, 0.0, out=tmp)
+    tmp += np.log1p(e, out=tmp2)
+    tmp -= np.multiply(m, z, out=tmp2)
+    return float(tmp.sum() / z.size)
+
+
+def _residual(z: np.ndarray, e: np.ndarray, m: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The residual ``sigmoid(z) - m`` in ``out``, from ``e = exp(-|z|)`` as :func:`_nll` leaves it.
+
+    ``sigmoid(z)`` is ``1 / (1 + e)`` for ``z >= 0`` and ``e / (1 + e)``
+    otherwise, so neither overflows. Since ``0 <= e <= 1``, the numerator
+    is ``max(z >= 0, e)``, NaN where ``z`` is. ``tmp`` is a buffer of
+    ``z``'s shape.
+    """
+    np.maximum(np.greater_equal(z, 0.0, out=out), e, out=out)
+    out /= np.add(e, 1.0, out=tmp)
+    out -= m
+    return out
+
+
+def _nll_and_residual(z: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary NLL and residual ``sigmoid(z) - m``: :func:`_nll`, then :func:`_residual`, in fresh buffers."""
+    e, tmp, r = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    nll = _nll(z, m, e, tmp, r)
+    return nll, _residual(z, e, m, r, tmp)
 
 
 def _family(method: str) -> _Family:
@@ -540,16 +566,28 @@ def identity_theta(method: str, k: int) -> np.ndarray:
 def _ridged(ridge: float, nll_and_grad):
     """Objective ``nll_and_grad(theta) + ridge |theta|^2`` with its gradient.
 
-    Extreme line-search trial points may overflow; the resulting non-finite
-    values are rejected by the optimizer, so the warnings are noise.
+    A gradient that ``nll_and_grad`` returns as a callable stays one, and
+    gets the ridge's term when called. Extreme line-search trial points may
+    overflow; the resulting non-finite values are rejected by the optimizer,
+    so the warnings are noise.
     """
     two_ridge = 2.0 * ridge
+    quiet = dict(over="ignore", invalid="ignore", divide="ignore")
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(theta: np.ndarray) -> tuple[float, Any]:
         theta = np.asarray(theta, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(**quiet):
             nll, g = nll_and_grad(theta)
-            return nll + ridge * float(theta @ theta), g + two_ridge * theta
+            value = nll + ridge * float(theta @ theta)
+            if not callable(g):
+                return value, g + two_ridge * theta
+        theta = theta.copy()  # the gradient's point, even if the caller reuses its array
+
+        def gradient() -> np.ndarray:
+            with np.errstate(**quiet):
+                return g() + two_ridge * theta
+
+        return value, gradient
 
     return objective
 
@@ -687,6 +725,13 @@ def _beta_dep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
     and ``1 / (1 + t)`` are each computed once and shared by the ratio and
     its gradient. The blocks are read straight from ``theta``: the same ratio
     as :func:`_llr_beta_dep`, without building a :class:`BetaDepParams`.
+
+    Every sample-long array is a buffer allocated once per fit. An
+    evaluation computes the value and returns the gradient as a callable
+    that reads what the value left in the buffers, so a line-search trial
+    the optimizer rejects costs the value alone. Asked again, the callable
+    returns the gradient it computed; asked after a later evaluation has
+    overwritten the buffers, it raises :class:`UsageError`.
     """
     n, k = x.shape
     d = k + 1
@@ -695,54 +740,81 @@ def _beta_dep_problem(x: np.ndarray, m: np.ndarray, ridge: float):
     log_s_star = np.log(s_star)
     sign = np.array([1.0, -1.0])
     block_sign = np.repeat(sign, 2)[:, None]
+    # Per class, t and log1p(t); then z, exp(-|z|), the residual and a
+    # scratch row. The gradient stage writes 1 / (1 + t) over log1p(t)
+    # once it has used it, and the products over t and 1 / (1 + t).
+    t, log1p_t = np.empty((2, 2, n))
+    z, e, r, tmp = np.empty((4, n))
+    evaluations = 0
 
     def nll_and_grad(theta):
-        # Rows alpha_pos, beta_pos, alpha_neg, beta_neg; e is also the
+        nonlocal evaluations
+        evaluations += 1
+        this = evaluations
+        # Rows alpha_pos, beta_pos, alpha_neg, beta_neg; ex is also the
         # chain factor of the exponential reparameterization.
-        e = np.exp(theta[:-1]).reshape(4, d)
-        alpha = POSITIVITY_FLOOR + e[0::2]
-        beta = POSITIVITY_FLOOR + e[1::2]
+        ex = np.exp(theta[:-1]).reshape(4, d)
+        alpha = POSITIVITY_FLOOR + ex[0::2]
+        beta = POSITIVITY_FLOOR + ex[1::2]
         beta_0 = beta[:, 0]
         a_tail = alpha[:, 1:]
         a_total = alpha.sum(axis=1)
         lam = beta[:, 1:] / beta[:, :1]
         log_lam = np.log(lam)
-        t = lam @ s_star
-        log1p_t = np.log1p(t)
-        inv1p_t = 1.0 / (1.0 + t)
-        z = (
-            (theta[-1] + float(sign @ (a_tail * log_lam).sum(axis=1)))
-            + (sign @ a_tail) @ log_s_star
-            - (sign * a_total) @ log1p_t
-        )
-        nll, r = _nll_and_residual(z, m)
-        # Per class, dz/dalpha_0 = -log1p(t), dz/dalpha_j = log lambda_j
-        # + log s*_j - log1p(t), and beta acts through lambda = beta_j /
-        # beta_0; the negative class enters z with the opposite sign.
-        r_mean = r.sum() / n
-        lr = log1p_t @ r / n
-        scale = a_total / beta_0
-        g = np.empty(theta.size)
-        g_blocks = g[:-1].reshape(4, d)
-        g_alpha, g_beta = g_blocks[0::2], g_blocks[1::2]
-        g_alpha[:, 0] = -lr
-        g_alpha[:, 1:] = log_lam * r_mean + (log_s_star @ r / n) - lr[:, None]
-        g_beta[:, 0] = (scale * ((t * inv1p_t) @ r) / n
-                        - a_tail.sum(axis=1) / beta_0 * r_mean)
-        g_beta[:, 1:] = (a_tail / beta[:, 1:] * r_mean
-                         - scale[:, None] * ((inv1p_t * r) @ s_star_t) / n)
-        g_blocks *= block_sign * e
-        g[-1] = r_mean
-        return nll, g
+        np.matmul(lam, s_star, out=t)
+        np.log1p(t, out=log1p_t)
+        # z = (c + const) + delta log s* - A log1p(t), added in that order.
+        np.matmul(sign @ a_tail, log_s_star, out=z)
+        np.add(z, theta[-1] + float(sign @ (a_tail * log_lam).sum(axis=1)), out=z)
+        np.subtract(z, np.matmul(sign * a_total, log1p_t, out=tmp), out=z)
+        nll = _nll(z, m, e, tmp, r)
+        computed = []  # the gradient, once the buffers are spent on it
+
+        def gradient():
+            if computed:
+                return computed[0]
+            if this != evaluations:
+                raise UsageError(f"gradient of evaluation {this} asked for after evaluation {evaluations} "
+                                 "overwrote its buffers")
+            _residual(z, e, m, r, tmp)
+            # Per class, dz/dalpha_0 = -log1p(t), dz/dalpha_j = log lambda_j
+            # + log s*_j - log1p(t), and beta acts through lambda = beta_j /
+            # beta_0; the negative class enters z with the opposite sign.
+            r_mean = r.sum() / n
+            lr = log1p_t @ r / n
+            inv1p_t = np.divide(1.0, np.add(t, 1.0, out=log1p_t), out=log1p_t)
+            scale = a_total / beta_0
+            g = np.empty(theta.size)
+            g_blocks = g[:-1].reshape(4, d)
+            g_alpha, g_beta = g_blocks[0::2], g_blocks[1::2]
+            g_alpha[:, 0] = -lr
+            g_alpha[:, 1:] = log_lam * r_mean + (log_s_star @ r / n) - lr[:, None]
+            g_beta[:, 0] = (scale * (np.multiply(t, inv1p_t, out=t) @ r) / n
+                            - a_tail.sum(axis=1) / beta_0 * r_mean)
+            g_beta[:, 1:] = (a_tail / beta[:, 1:] * r_mean
+                             - scale[:, None] * (np.multiply(inv1p_t, r, out=inv1p_t) @ s_star_t) / n)
+            g_blocks *= block_sign * ex
+            g[-1] = r_mean
+            computed.append(g)
+            return g
+
+        return nll, gradient
 
     return _ridged(ridge, nll_and_grad), None
 
 
 def nll_objective(method: str, x: np.ndarray, m: np.ndarray, ridge: float = DEFAULT_RIDGE):
-    """Mean binary NLL (plus L2 ridge) and its gradient over unconstrained parameters."""
-    return _family(method).problem(
+    """Mean binary NLL (plus L2 ridge) and its gradient over unconstrained parameters, both computed on
+    every call: the fits' objective with any gradient the family returns as a callable called at once."""
+    objective = _family(method).problem(
         np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64), ridge
     )[0]
+
+    def eager(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g = objective(theta)
+        return value, gradient_array(g)
+
+    return eager
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,18 @@ def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple:
     Returns ``(ok, (cx, cy, w, h), (nonpositive, overhang, collapsed))`` with the same float arithmetic:
     ``ok`` marks the rows it accepts and whose box :class:`BoxGeometry` accepts, and the sub-checks the
     rows of nonpositive size, each row's larger overhang as a fraction of its image side, and the rows
-    that clamping collapses. The box is the converted one as :func:`_boxes_from_relative` clamps it, which
-    a matched-sample file then reads back bit for bit: an edge at the border can convert an ulp past it.
+    that clamping collapses. The box is the converted one (:func:`_converted_boxes`) as
+    :func:`_boxes_from_relative` clamps it, which a matched-sample file then reads back bit for bit: an
+    edge at the border can convert an ulp past it.
     """
+    ok, box, checks = _converted_boxes(xywh, size)
+    kept, box, _ = _boxes_from_relative(*box)
+    return ok & kept, box, checks
+
+
+def _converted_boxes(xywh: np.ndarray, size: np.ndarray) -> tuple:
+    """:func:`_boxes_from_absolute`'s result before the relative clamp; its temporaries are freed when it
+    returns, before that clamp makes its own."""
     x, y, w, h = xywh.T
     width, height = size.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,8 +279,7 @@ def _boxes_from_absolute(xywh: np.ndarray, size: np.ndarray) -> tuple:
         cx, cy = (x + x2) / (2.0 * width), (y + y2) / (2.0 * height)
         w, h = (x2 - x) / width, (y2 - y) / height
     ok = np.isfinite(xywh).all(axis=1) & ~nonpositive & (overhang <= EDGE_CLAMP_TOLERANCE) & ~collapsed
-    kept, box, _ = _boxes_from_relative(cx, cy, w, h)
-    return ok & kept, box, (nonpositive, overhang, collapsed)
+    return ok, (cx, cy, w, h), (nonpositive, overhang, collapsed)
 
 
 def _box_from_relative(obj: dict[str, Any]) -> BoxGeometry:

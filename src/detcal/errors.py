@@ -123,6 +123,13 @@ def check_real(name: str, value, error: type[DetcalError] = UsageError) -> float
     return float(value)
 
 
+def check_name(name: str, value, error: type[DetcalError] = UsageError) -> str:
+    """``value``, if it is one name (a str); anything else raises ``error`` naming the setting."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a name (a str), got {value!r}")
+    return value
+
+
 def check_names(name: str, value, error: type[DetcalError] = UsageError) -> tuple[str, ...]:
     """``value``, a sequence of names, as a tuple; a bare str, which would split into its letters, anything
     not iterable, or an entry that is not a str raises ``error`` naming the setting."""

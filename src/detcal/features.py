@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, check_names, check_real
+from .errors import UsageError, ValidationError, check_name, check_real
 from .matching import MEMBER_NAMES, MatchedSample, SampleColumns, columns
 
 ENCODINGS = ("probability", "logit")
@@ -57,7 +57,7 @@ class FeatureSet:
 
 def feature_set(name: str, confidence_encoding: str = "probability") -> FeatureSet:
     """Look up one of the named feature sets: conf, conf+xy, conf+wh, full."""
-    check_names("feature set", (name,))
+    check_name("feature set", name)
     try:
         members = NAMED_FEATURE_SETS[name]
     except KeyError:

@@ -1,6 +1,9 @@
 """Deterministic line-search minimizer: BFGS, or Newton with a given Hessian.
 
-The objective callable must return ``(value, gradient)``. One driver serves
+The objective callable must return ``(value, gradient)``, the gradient an
+array or a callable that computes it. :func:`minimize` asks for the
+gradient only at the start and at each accepted point, so a line-search
+trial that the Armijo test rejects costs one value. One driver serves
 both directions (Nocedal & Wright, *Numerical Optimization*, ch. 3 and 6):
 without a Hessian callable it builds BFGS inverse Hessian updates, and with
 one it takes the Newton direction ``-H^-1 g``. Every step goes through the
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalFailureError, UsageError, check_count, check_real
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+Objective = Callable[[np.ndarray], tuple[float, np.ndarray | Callable[[], np.ndarray]]]
 
 # Line-search settings. A step starts at INITIAL_STEP, capped so that its
 # infinity norm stays within MAX_STEP (keeping badly scaled directions from
@@ -71,6 +74,11 @@ class FitReport:
     wall_time_s: float
 
 
+def gradient_array(g) -> np.ndarray:
+    """An objective's gradient as a float array: ``g()`` where the objective returned it as a callable."""
+    return np.asarray(g() if callable(g) else g, dtype=np.float64)
+
+
 def _check_finite(value: float, g_inf: float, x: np.ndarray, iteration: int | None) -> None:
     """Raise unless the value and the gradient's infinity norm (NaN if any entry is) are finite."""
     if not (math.isfinite(value) and math.isfinite(g_inf)):
@@ -102,17 +110,20 @@ def minimize(
 ) -> tuple[np.ndarray, FitReport]:
     """Minimize a smooth objective from ``x0``; returns the iterate and a report.
 
-    ``hessian``, when given, returns the Hessian at an accepted iterate and
-    turns the BFGS direction into the Newton direction. A direction that
-    does not descend falls back to steepest descent. ``callback``, when
-    given, is invoked with every accepted iterate and its objective value.
+    A gradient that ``objective`` returns as a callable is called once at
+    ``x0`` and once at each accepted iterate, never at a rejected trial
+    point. ``hessian``, when given, returns the Hessian at an accepted
+    iterate and turns the BFGS direction into the Newton direction. A
+    direction that does not descend falls back to steepest descent.
+    ``callback``, when given, is invoked with every accepted iterate and its
+    objective value.
     ``cfg`` defaults to ``OptimizerConfig()``.
     """
     cfg = check_config("cfg", cfg)
     start = time.perf_counter()
     x = np.array(x0, dtype=np.float64)
     f, g = objective(x)
-    g = np.asarray(g, dtype=np.float64)
+    g = gradient_array(g)
     n = x.size
     # Infinity norm of the gradient: the stopping test, and NaN or inf
     # exactly when some entry is.
@@ -153,7 +164,7 @@ def minimize(
             # gradient norm remains and report non-convergence if above tol.
             break
 
-        g_new = np.asarray(g_new, dtype=np.float64)
+        g_new = gradient_array(g_new)
         g_inf = float(abs(g_new).max())
         _check_finite(f_new, g_inf, x_new, iterations + 1)
         s = x_new - x
@@ -203,8 +214,7 @@ def check_gradient(objective: Objective, x: np.ndarray, h: float = 1e-5) -> floa
     if h <= 0:
         raise UsageError(f"finite-difference step must be > 0, got {h}")
     x = np.asarray(x, dtype=np.float64)
-    _, g = objective(x)
-    g = np.asarray(g, dtype=np.float64)
+    g = gradient_array(objective(x)[1])
     fd = np.empty_like(g)
     for i in range(x.size):
         e = np.zeros_like(x)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .detections import BoxGeometry, valid_boxes
-from .errors import ScenarioError, UsageError, check_count, check_names
+from .errors import ScenarioError, UsageError, check_count, check_name
 from .matching import MEMBER_NAMES, SampleColumns
 
 BoxSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -126,7 +126,7 @@ def builtin_scenarios() -> dict[str, Callable[[int, int], ScenarioSpec]]:
 
 def make_scenario(name: str, n_samples: int, seed: int = 0) -> ScenarioSpec:
     """Instantiate a named scenario; unknown names raise :class:`UsageError`."""
-    check_names("scenario", (name,))
+    check_name("scenario", name)
     try:
         precision, confidence = _SCENARIOS[name]
     except KeyError:

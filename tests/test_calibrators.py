@@ -56,6 +56,7 @@ from oracles import (
     make_sample,
     random_matched_samples,
     reference_gauss_newton,
+    reference_minimize,
 )
 from strategies import JSON_VALUES
 
@@ -454,6 +455,75 @@ def _fig3_design(method, n, seed, members):
     samples = synth.generate(synth.make_scenario("fig3_boundary_decay", n, seed=seed))
     fs = calibrators._normalize_feature_set(method, members)
     return build_feature_matrix(samples, fs), labels(samples).astype(np.float64)
+
+
+class TestBetaDepLazyGradient:
+    """bc-dep's objective returns its gradient as a callable over per-fit buffers; the fit keeps its bits."""
+
+    @pytest.mark.parametrize("members", [FIG3_MEMBERS["conf"], FIG3_MEMBERS["conf+xy"], FIG3_MEMBERS["full"]],
+                             ids=["k1", "k3", "k5"])
+    def test_fit_has_the_bits_of_the_reference_loop(self, members):
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 3000, seed=len(members)))
+        model = fit_parametric("beta_dep", samples, members)
+        x, m = build_feature_matrix(samples, model.feature_set), labels(samples)
+        theta, report = reference_minimize(nll_objective("beta_dep", x, m), identity_theta("beta_dep", len(members)))
+        expected = unpack_params("beta_dep", theta, len(members))
+        for name in ("alpha_pos", "beta_pos", "alpha_neg", "beta_neg", "c"):
+            assert np.asarray(getattr(model.params, name)).tobytes() == np.asarray(getattr(expected, name)).tobytes()
+        meta = model.fit_metadata
+        assert (meta.n_iterations, float(meta.final_nll).hex()) == (report.iterations, float(report.final_value).hex())
+        assert meta.n_iterations > 10
+
+    def test_gradient_only_at_the_start_and_accepted_points(self, monkeypatch):
+        counts = {"values": 0, "gradients": 0, "iterations": 0}
+
+        def counting(objective, x0, *args, **kwargs):
+            def counted(theta):
+                counts["values"] += 1
+                value, g = objective(theta)
+                if not callable(g):
+                    counts["gradients"] += 1
+                    return value, g
+
+                def gradient():
+                    counts["gradients"] += 1
+                    return g()
+
+                return value, gradient
+
+            x, report = minimize(counted, x0, *args, **kwargs)
+            counts["iterations"] += report.iterations
+            return x, report
+
+        monkeypatch.setattr(calibrators, "minimize", counting)
+        samples = synth.generate(synth.make_scenario("fig3_boundary_decay", 3000, seed=3))
+        fit_parametric("beta_dep", samples, FIG3_MEMBERS["conf+xy"])
+        assert counts["values"] > counts["iterations"] + 1  # the line search rejected some trial points
+        assert counts["gradients"] == counts["iterations"] + 1
+
+    def test_a_stale_gradient_raises(self):
+        x, m = _fig3_design("beta_dep", 500, 4, FIG3_MEMBERS["conf+xy"])
+        objective, _ = calibrators._FAMILIES["beta_dep"].problem(x, m, calibrators.DEFAULT_RIDGE)
+        eager = nll_objective("beta_dep", x, m)
+        start = identity_theta("beta_dep", 3)
+        first_value, first = objective(start)
+        second_value, second = objective(start + 0.1)
+        with pytest.raises(UsageError, match="^gradient of evaluation 1 asked for after evaluation 2 "):
+            first()
+        # The current point's gradient is the eager one's, however often it is asked for.
+        for _ in range(2):
+            assert second().tobytes() == eager(start + 0.1)[1].tobytes()
+        assert (first_value, second_value) == (eager(start)[0], eager(start + 0.1)[0])
+
+    def test_the_gradient_is_of_the_point_evaluated(self):
+        # Changing the caller's array after the evaluation changes neither the value's point nor the gradient's.
+        x, m = _fig3_design("beta_dep", 500, 4, FIG3_MEMBERS["conf"])
+        objective, _ = calibrators._FAMILIES["beta_dep"].problem(x, m, 1e-3)
+        theta = identity_theta("beta_dep", 1) + 0.2
+        expected = nll_objective("beta_dep", x, m, 1e-3)(theta.copy())[1]
+        _, gradient = objective(theta)
+        theta[:] = 0.0
+        assert gradient().tobytes() == expected.tobytes()
 
 
 class TestIndependentNewtonFits:

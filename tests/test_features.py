@@ -31,9 +31,15 @@ from test_acceptance import _with_scores
 ])
 @pytest.mark.parametrize("name", [[1], ["conf"], 1, None])
 def test_a_name_that_is_not_a_str_names_the_setting(make, error, setting, name):
-    # A list escaped the name lookups as TypeError: unhashable type.
-    with pytest.raises(error, match=f"^{setting} must be a sequence of names, got "):
+    # A list escaped the name lookups as TypeError: unhashable type. A
+    # one-name lookup says it takes one name; the binning takes a sequence.
+    if setting == "binning dimensions":
+        expected = f"{setting} must be a sequence of names, got {(name,)!r}"
+    else:
+        expected = f"{setting} must be a name (a str), got {name!r}"
+    with pytest.raises(error) as excinfo:
         make(name)
+    assert str(excinfo.value) == expected
 
 
 class TestFeatureSet:

@@ -8,7 +8,7 @@ from detcal import synth
 from detcal.calibrators import identity_theta, nll_objective, theta_size
 from detcal.errors import NumericalFailureError, UsageError
 from detcal.features import FeatureSet, build_feature_matrix, labels
-from detcal.optimizer import OptimizerConfig, check_gradient, minimize
+from detcal.optimizer import MAX_BACKTRACKS, OptimizerConfig, check_gradient, minimize
 from oracles import random_matched_samples, reference_minimize
 
 
@@ -291,6 +291,64 @@ class TestSameBitsAsTheReferenceLoop:
     def test_budget_exhaustion(self):
         got = self._same(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(max_iterations=7))
         assert (got[3], got[4]) == (7, False)
+
+
+def _lazy(value, gradient, counts):
+    """The objective ``(value(x), a callable computing gradient(x))``, counting values and gradients."""
+    def objective(x):
+        counts["values"] += 1
+
+        def later():
+            counts["gradients"] += 1
+            return gradient(x)
+
+        return value(x), later
+
+    return objective
+
+
+class TestLazyGradient:
+    """An objective may return its gradient as a callable: same bits, gradients only at accepted points."""
+
+    def _both(self, value, gradient, x0, cfg=OptimizerConfig(), hessian=None):
+        counts = {"values": 0, "gradients": 0}
+        lazy = _outcome(minimize, _lazy(value, gradient, counts), x0, cfg, hessian)
+        eager = _outcome(minimize, lambda x: (value(x), gradient(x)), x0, cfg, hessian)
+        assert lazy == eager
+        return lazy, counts
+
+    @pytest.mark.parametrize("hessian", [None, rosenbrock_hessian], ids=["bfgs", "newton"])
+    def test_rosenbrock(self, hessian):
+        got, counts = self._both(lambda x: rosenbrock(x)[0], lambda x: rosenbrock(x)[1],
+                                 np.array([-1.2, 1.0]), OptimizerConfig(gradient_tolerance=1e-9), hessian)
+        assert got[4] and counts["gradients"] == got[3] + 1
+        assert counts["values"] > counts["gradients"]  # some trial points were rejected
+
+    @pytest.mark.parametrize("later", [10.0, float("nan")])
+    def test_line_search_exhaustion(self, later):
+        # Every trial point is worse than the start (or not finite); the only
+        # gradient is the start's. A fresh value per run, since it counts calls.
+        def fresh():
+            calls = iter(range(1000))
+            return lambda x: 0.5 * float(x @ x) + (later if next(calls) else 0.0)
+
+        x0, counts, eager = np.array([1.0, -2.0]), {"values": 0, "gradients": 0}, fresh()
+        got = _outcome(minimize, _lazy(fresh(), lambda x: x, counts), x0)
+        assert got == _outcome(minimize, lambda x: (eager(x), x), x0)
+        assert (got[3], got[4], got[5]) == (0, False, [])
+        assert counts == {"values": 1 + MAX_BACKTRACKS, "gradients": 1}
+
+    def test_non_finite_gradient_at_an_accepted_iterate(self):
+        got, counts = self._both(lambda x: float(x[0]),
+                                 lambda x: np.array([1.0 if x[0] > -0.5 else float("inf")]), np.array([0.0]))
+        assert got[0] == "raised" and counts["gradients"] == len(got[4]) + 2
+
+    def test_check_gradient_takes_either_form(self):
+        counts = {"values": 0, "gradients": 0}
+        lazy = _lazy(lambda x: rosenbrock(x)[0], lambda x: rosenbrock(x)[1], counts)
+        x = np.array([0.3, -0.4])
+        assert check_gradient(lazy, x) == check_gradient(rosenbrock, x)
+        assert counts == {"values": 5, "gradients": 1}
 
 
 class TestCheckGradient:
